@@ -14,13 +14,14 @@ from pathlib import Path
 import numpy as np
 
 from . import geom, qcqp, sdp, sim, solver
-from .errors import CalibrationError
+from .errors import CalibrationError, ParseError
 from .geom import Transform
 from .problem import (
     check_observability,
     dump_measurements,
     dump_trajectory,
     load_measurements,
+    parse_pose,
     relative_motions_from_trajectories,
 )
 
@@ -99,7 +100,7 @@ def _write_report(report: dict, output) -> None:
 
 
 def cmd_calibrate(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as fp:
+    with open(args.input, "rb") as fp:
         measurements = load_measurements(fp)
     result = solver.calibrate(
         measurements,
@@ -186,16 +187,16 @@ def cmd_experiment(args) -> int:
 
 
 def _load_theta(path) -> Transform:
-    obj = json.loads(Path(path).read_text())
-    theta = obj.get("theta", obj)
-    return Transform(
-        geom.project_to_so3(np.asarray(theta["R"], dtype=float)),
-        np.asarray(theta["t"], dtype=float),
-    )
+    try:
+        obj = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from None
+    r, t = parse_pose(obj.get("theta", obj) if isinstance(obj, dict) else obj)
+    return Transform(geom.project_to_so3(r), t)
 
 
 def cmd_certify(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as fp:
+    with open(args.input, "rb") as fp:
         measurements = load_measurements(fp)
     candidate = _load_theta(args.theta)
 

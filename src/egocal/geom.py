@@ -21,6 +21,12 @@ def _as_locked(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def rotation_defects(m: np.ndarray):
+    """||M^T M - I||_F and det M of each matrix in a (..., 3, 3) stack."""
+    drift = np.linalg.norm(np.swapaxes(m, -1, -2) @ m - np.eye(3), axis=(-2, -1))
+    return drift, np.linalg.det(m)
+
+
 @dataclass(frozen=True)
 class RotationMatrix:
     """A proper rotation: 3x3 orthonormal matrix with determinant +1."""
@@ -31,9 +37,10 @@ class RotationMatrix:
         m = _as_locked(self.m)
         if m.shape != (3, 3):
             raise InvalidRotation(f"expected 3x3 matrix, got shape {m.shape}")
-        if np.linalg.norm(m.T @ m - np.eye(3)) > ROTATION_TOL:
+        drift, det = rotation_defects(m)
+        if not drift <= ROTATION_TOL:  # also rejects NaN
             raise InvalidRotation("matrix is not orthonormal")
-        if abs(np.linalg.det(m) - 1.0) > ROTATION_TOL:
+        if not abs(det - 1.0) <= ROTATION_TOL:
             raise InvalidRotation("matrix determinant is not +1")
         object.__setattr__(self, "m", m)
 
@@ -43,9 +50,6 @@ class RotationMatrix:
 
     def apply(self, v) -> np.ndarray:
         return self.m @ np.asarray(v, dtype=float)
-
-    def transpose(self) -> "RotationMatrix":
-        return RotationMatrix(self.m.T)
 
 
 @dataclass(frozen=True)
@@ -83,11 +87,6 @@ class Transform:
     def identity() -> "Transform":
         return Transform(RotationMatrix.identity(), np.zeros(3))
 
-    @staticmethod
-    def from_matrix(h: np.ndarray) -> "Transform":
-        h = np.asarray(h, dtype=float)
-        return Transform(RotationMatrix(h[:3, :3]), h[:3, 3])
-
     def matrix(self) -> np.ndarray:
         h = np.eye(4)
         h[:3, :3] = self.rotation.m
@@ -108,73 +107,92 @@ class Transform:
         return Transform(RotationMatrix(rt), -rt @ self.translation)
 
 
-def compose(a: Transform, b: Transform) -> Transform:
-    """Homogeneous-matrix composition: (a * b).apply(p) == a.apply(b.apply(p))."""
-    return a.compose(b)
-
-
-def invert(a: Transform) -> Transform:
-    return a.invert()
-
-
 def skew(v) -> np.ndarray:
     x, y, z = np.asarray(v, dtype=float)
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
+def _rodrigues(axis, angle: float) -> RotationMatrix:
+    """Matrix exponential of angle * [axis]x for a unit axis and any real angle."""
+    k = skew(axis)
+    return RotationMatrix(np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k))
+
+
 def rotation_from_axis_angle(aa: AxisAngle) -> RotationMatrix:
     """Rodrigues' formula: matrix exponential of the skew form of axis * angle."""
-    k = skew(aa.axis)
-    m = np.eye(3) + np.sin(aa.angle) * k + (1.0 - np.cos(aa.angle)) * (k @ k)
-    return RotationMatrix(m)
+    return _rodrigues(aa.axis, aa.angle)
+
+
+def rotation_exp(w) -> RotationMatrix:
+    """Exponential of the rotation vector w.
+
+    Unlike AxisAngle this chart is unbounded in angle, which keeps a local
+    optimizer's parameter space free of fold boundaries.
+    """
+    angle = float(np.linalg.norm(w))
+    if angle < 1e-14:
+        return RotationMatrix.identity()
+    return _rodrigues(np.asarray(w, dtype=float) / angle, angle)
 
 
 def axis_angle_from_rotation(r: RotationMatrix) -> AxisAngle:
-    """Inverse of rotation_from_axis_angle with angle normalized to [0, pi].
+    """Inverse of rotation_from_axis_angle with angle normalized to [0, pi]."""
+    axes, angles = axis_angles(r.m[None])
+    return AxisAngle(axes[0], float(angles[0]))
 
-    Near the angle = pi singularity the axis magnitudes are recovered from the
-    symmetric part (well conditioned there) with the largest diagonal entry as
-    pivot, and signs from the skew part.
+
+def axis_angles(ms: np.ndarray):
+    """Unit axes (n, 3) and angles in [0, pi] (n,) of a (n, 3, 3) rotation stack.
+
+    Identity rotations get the axis e_z and angle 0. Near the angle = pi
+    singularity the axis magnitudes are recovered from the symmetric part
+    (well conditioned there) with the largest diagonal entry as pivot, and
+    signs from the skew part.
     """
-    m = r.m
     # sin from the skew part, cos from the trace: atan2 is accurate everywhere.
-    w = 0.5 * np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
-    s = np.linalg.norm(w)
-    c = 0.5 * (np.trace(m) - 1.0)
-    angle = float(np.arctan2(s, c))
-    if angle < 1e-12:
-        return AxisAngle(np.array([0.0, 0.0, 1.0]), 0.0)
-    if angle < 3.0 * np.pi / 4.0:
-        return AxisAngle(w / s, angle)
-    # Near pi the skew part vanishes; use m = c I + (1-c) a a^T + s [a]x instead.
-    # Diagonal gives |a_i| (well conditioned, 1-c ~ 2), symmetric off-diagonals
-    # give relative signs via the largest-|a_i| pivot, skew part the overall sign.
-    omc = 1.0 - c  # 1 - cos(angle), close to 2 near pi
-    a2 = np.clip((np.diag(m) - c) / omc, 0.0, None)  # m_ii = c + (1-c) a_i^2
-    axis = np.sqrt(a2)
-    p = int(np.argmax(axis))
-    # Relative signs from the symmetric off-diagonal products a_i a_j.
-    sym = 0.5 * (m + m.T)
-    for i in range(3):
-        if i == p:
-            continue
-        prod = sym[p, i] / omc  # = a_p a_i
-        axis[i] = np.copysign(axis[i], prod) if axis[i] > 0 else 0.0
-    # Overall sign from the skew part when available (angle < pi).
-    if s > 1e-12 and np.dot(axis, w) < 0:
-        axis = -axis
-    axis = axis / np.linalg.norm(axis)
-    return AxisAngle(axis, min(angle, np.pi))
+    w = 0.5 * np.stack(
+        [ms[:, 2, 1] - ms[:, 1, 2], ms[:, 0, 2] - ms[:, 2, 0], ms[:, 1, 0] - ms[:, 0, 1]], axis=-1
+    )
+    s = np.sqrt((w[:, None, :] @ w[:, :, None])[:, 0, 0])  # rounds as the 1-D norm does
+    c = 0.5 * (np.trace(ms, axis1=1, axis2=2) - 1.0)
+    angles = np.arctan2(s, c)
+    axes = np.zeros_like(w)
+    axes[:, 2] = 1.0
+    regular = (angles >= 1e-12) & (angles < 3.0 * np.pi / 4.0)
+    axes[regular] = w[regular] / s[regular, None]
+    for n in np.flatnonzero(angles >= 3.0 * np.pi / 4.0):
+        # Near pi the skew part vanishes; use m = c I + (1-c) a a^T + s [a]x instead.
+        # Diagonal gives |a_i| (well conditioned, 1-c ~ 2), symmetric off-diagonals
+        # give relative signs via the largest-|a_i| pivot, skew part the overall sign.
+        m = ms[n]
+        omc = 1.0 - c[n]  # 1 - cos(angle), close to 2 near pi
+        axis = np.sqrt(np.clip((np.diag(m) - c[n]) / omc, 0.0, None))  # m_ii = c + (1-c) a_i^2
+        p = int(np.argmax(axis))
+        # Relative signs from the symmetric off-diagonal products a_i a_j.
+        sym = 0.5 * (m + m.T)
+        for i in range(3):
+            if i != p:
+                axis[i] = np.copysign(axis[i], sym[p, i] / omc) if axis[i] > 0 else 0.0
+        # Overall sign from the skew part when available (angle < pi).
+        if s[n] > 1e-12 and np.dot(axis, w[n]) < 0:
+            axis = -axis
+        axes[n] = axis / np.linalg.norm(axis)
+    angles[angles < 1e-12] = 0.0
+    return axes, np.minimum(angles, np.pi)
 
 
 def project_to_so3(m: np.ndarray) -> RotationMatrix:
     """Frobenius-nearest rotation: U diag(1, 1, det(U V^T)) V^T from the SVD."""
-    m = np.asarray(m, dtype=float)
+    return RotationMatrix(nearest_rotations(np.asarray(m, dtype=float)))
+
+
+def nearest_rotations(m: np.ndarray) -> np.ndarray:
+    """project_to_so3 over a (..., 3, 3) stack, returning plain arrays."""
     u, sv, vt = np.linalg.svd(m)
-    if sv[-1] < 1e-12:
+    if np.any(sv[..., -1] < 1e-12):
         raise SingularInput("matrix is numerically singular; projection undefined")
-    d = np.sign(np.linalg.det(u @ vt))
-    return RotationMatrix(u @ np.diag([1.0, 1.0, d]) @ vt)
+    u[..., :, 2] *= np.sign(np.linalg.det(u @ vt))[..., None]
+    return u @ vt
 
 
 def _rng(seed) -> np.random.Generator:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .errors import (
     ParseError,
     TooShort,
 )
-from .geom import Transform
+from .geom import RotationMatrix, Transform
 
 INGEST_ROTATION_TOL = 1e-6
 
@@ -45,26 +45,79 @@ class RelativeMotionPair:
     tau: float = 1.0
 
     def __post_init__(self):
-        if self.kappa <= 0 or self.tau <= 0:
-            raise ValueError("weights kappa and tau must be positive")
+        if not (0.0 < self.kappa < np.inf and 0.0 < self.tau < np.inf):
+            raise ValueError("weights kappa and tau must be positive and finite")
 
 
-@dataclass(frozen=True)
+_COLUMNS = {"ra": (3, 3), "rb": (3, 3), "ta": (3,), "tb": (3,), "kappa": (), "tau": ()}
+
+
+@dataclass(frozen=True, eq=False)
 class MeasurementSet:
-    pairs: tuple
+    """n relative motions as read-only columns.
+
+    ra, rb (n, 3, 3) are the rotations of sensors a and b, ta, tb (n, 3) their
+    translations, and kappa, tau (n,) the rotation and translation weights.
+    Every stage reads these arrays; `pairs` is a view built on demand.
+    """
+
+    ra: np.ndarray
+    rb: np.ndarray
+    ta: np.ndarray
+    tb: np.ndarray
+    kappa: np.ndarray
+    tau: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(self.pairs))
+        n = np.shape(self.kappa)[:1]
+        for name, shape in _COLUMNS.items():
+            column = np.array(getattr(self, name), dtype=float)
+            if column.shape != n + shape:
+                raise ValueError(f"{name} must have shape {n + shape}, got {column.shape}")
+            if not np.all(np.isfinite(column)):
+                raise ValueError(f"{name} has non-finite entries")
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        drift, det = geom.rotation_defects(np.concatenate([self.ra, self.rb]))
+        tol = geom.ROTATION_TOL
+        if not (np.all(drift <= tol) and np.all(np.abs(det - 1.0) <= tol)):
+            raise InvalidRotation("a measured rotation is not in SO(3)")
+        if np.any(self.kappa <= 0) or np.any(self.tau <= 0):
+            raise ValueError("weights kappa and tau must be positive")
+
+    @classmethod
+    def from_pairs(cls, pairs) -> "MeasurementSet":
+        pairs = tuple(pairs)
+        return cls(
+            ra=np.reshape([p.v_a.rotation.m for p in pairs], (-1, 3, 3)),
+            rb=np.reshape([p.v_b.rotation.m for p in pairs], (-1, 3, 3)),
+            ta=np.reshape([p.v_a.translation for p in pairs], (-1, 3)),
+            tb=np.reshape([p.v_b.translation for p in pairs], (-1, 3)),
+            kappa=[p.kappa for p in pairs],
+            tau=[p.tau for p in pairs],
+        )
 
     @property
     def n(self) -> int:
-        return len(self.pairs)
+        return len(self.kappa)
+
+    @property
+    def pairs(self) -> tuple:
+        """The measurements as RelativeMotionPair objects, built on each access."""
+        return tuple(
+            RelativeMotionPair(
+                Transform(RotationMatrix(ra), ta), Transform(RotationMatrix(rb), tb), kappa, tau
+            )
+            for ra, rb, ta, tb, kappa, tau in zip(
+                self.ra, self.rb, self.ta, self.tb, self.kappa.tolist(), self.tau.tolist()
+            )
+        )
 
     def __iter__(self):
         return iter(self.pairs)
 
     def __len__(self):
-        return len(self.pairs)
+        return self.n
 
 
 @dataclass(frozen=True)
@@ -76,109 +129,102 @@ class ObservabilityReport:
     condition_estimate: float
 
     def to_dict(self) -> dict:
-        return {
-            "distinct_axis_count": self.distinct_axis_count,
-            "max_axis_angle_between": self.max_axis_angle_between,
-            "rotation_magnitudes": list(self.rotation_magnitudes),
-            "observable": self.observable,
-            "condition_estimate": self.condition_estimate,
-        }
+        return {**asdict(self), "rotation_magnitudes": list(self.rotation_magnitudes)}
 
 
-def _transform_from_record(obj, line_no, rot_key="R", trans_key="t"):
+def parse_pose(obj, line=None):
+    """(R, t) arrays of a {"R": 3x3, "t": 3-vector} object; ParseError if malformed."""
     try:
-        r = np.asarray(obj[rot_key], dtype=float)
-        t = np.asarray(obj[trans_key], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad pose object: {exc}", line=line_no) from None
+        r = np.asarray(obj["R"], dtype=float)
+        t = np.asarray(obj["t"], dtype=float)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"bad pose object: {exc}", line=line) from None
     if r.shape != (3, 3) or t.shape != (3,):
-        raise ParseError("pose must have a 3x3 'R' and 3-vector 't'", line=line_no)
-    if np.linalg.norm(r.T @ r - np.eye(3)) > INGEST_ROTATION_TOL or np.linalg.det(r) < 0:
-        raise InvalidRotation(f"line {line_no}: rotation is not in SO(3)")
+        raise ParseError("pose must have a 3x3 'R' and 3-vector 't'", line=line)
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
+        raise ParseError("pose has non-finite entries", line=line)
+    return r, t
+
+
+def _read_poses(source, keys, weight_keys, what):
+    """Parse JSON-lines records that each hold the poses `keys` and optional weights.
+
+    Returns the rotations (n, len(keys), 3, 3) re-orthonormalized onto SO(3),
+    the translations (n, len(keys), 3) and the weights (n, len(weight_keys)),
+    which default to 1. Raises ParseError (with line number), InvalidRotation,
+    or EmptyInput.
+    """
+    if isinstance(source, (str, bytes)):
+        source = io.BytesIO(source) if isinstance(source, bytes) else io.StringIO(source)
+    line_nos, rotations, translations, weights = [], [], [], []
+    for line_no, raw in enumerate(source, start=1):
+        try:
+            line = (raw.decode("utf-8") if isinstance(raw, bytes) else raw).strip()
+            if not line:
+                continue
+            obj = json.loads(line)
+        except ValueError as exc:
+            raise ParseError(f"invalid JSON: {exc}", line=line_no) from None
+        if not isinstance(obj, dict) or not all(key in obj for key in keys):
+            raise ParseError(f"record must be an object with {' and '.join(keys)}", line=line_no)
+        r, t = zip(*(parse_pose(obj[key], line_no) for key in keys))
+        line_nos.append(line_no)
+        rotations.append(r)
+        translations.append(t)
+        weights.append([_weight(obj, key, line_no) for key in weight_keys])
+    if not line_nos:
+        raise EmptyInput(f"{what} source contained no records")
+    rotations = np.array(rotations)
+    drift, det = geom.rotation_defects(rotations)
+    bad = np.any(~(drift <= INGEST_ROTATION_TOL) | ~(det >= 0), axis=1)  # NaN is bad too
+    if np.any(bad):
+        raise InvalidRotation(f"line {line_nos[np.argmax(bad)]}: rotation is not in SO(3)")
     # Re-orthonormalize so downstream invariants (1e-9) hold for inputs that
     # pass the looser ingestion tolerance.
-    return Transform(geom.project_to_so3(r), t)
+    return geom.nearest_rotations(rotations), np.array(translations), np.array(weights)
 
 
-def _lines(source):
-    if isinstance(source, (str, bytes)):
-        text = source.decode("utf-8") if isinstance(source, bytes) else source
-        return io.StringIO(text)
-    return source
+def _weight(obj, key, line_no) -> float:
+    try:
+        value = float(obj.get(key, 1.0))
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"{key!r} must be a number", line=line_no) from None
+    if not 0.0 < value < np.inf:
+        raise ParseError(f"{key!r} must be positive and finite", line=line_no)
+    return value
 
 
 def load_measurements(source) -> MeasurementSet:
     """Parse JSON-lines relative-motion records (see module docstring).
 
-    `source` may be an open text file, a string, or bytes. Raises ParseError
+    `source` may be an open text or binary file, a string, or bytes. Raises ParseError
     (with line number), InvalidRotation, or EmptyInput.
     """
-    pairs = []
-    for line_no, raw in enumerate(_lines(source), start=1):
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", line=line_no) from None
-        if "a" not in obj or "b" not in obj:
-            raise ParseError("record must contain 'a' and 'b' poses", line=line_no)
-        v_a = _transform_from_record(obj["a"], line_no)
-        v_b = _transform_from_record(obj["b"], line_no)
-        kappa = float(obj.get("kappa", 1.0))
-        tau = float(obj.get("tau", 1.0))
-        pairs.append(RelativeMotionPair(v_a, v_b, kappa, tau))
-    if not pairs:
-        raise EmptyInput("measurement source contained no records")
-    return MeasurementSet(tuple(pairs))
+    rotations, translations, weights = _read_poses(
+        source, ("a", "b"), ("kappa", "tau"), "measurement"
+    )
+    return MeasurementSet(*rotations.swapaxes(0, 1), *translations.swapaxes(0, 1), *weights.T)
 
 
 def load_trajectory(source) -> list:
     """Parse a JSON-lines trajectory file (one world-frame pose per line)."""
-    poses = []
-    for line_no, raw in enumerate(_lines(source), start=1):
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", line=line_no) from None
-        if "pose" not in obj:
-            raise ParseError("record must contain a 'pose' object", line=line_no)
-        poses.append(_transform_from_record(obj["pose"], line_no))
-    if not poses:
-        raise EmptyInput("trajectory source contained no records")
-    return poses
-
-
-def _pose_dict(tf: Transform) -> dict:
-    return {"R": tf.rotation.m.tolist(), "t": tf.translation.tolist()}
-
-
-def measurement_record(index: int, pair: RelativeMotionPair) -> dict:
-    return {
-        "t": index,
-        "a": _pose_dict(pair.v_a),
-        "b": _pose_dict(pair.v_b),
-        "kappa": pair.kappa,
-        "tau": pair.tau,
-    }
+    rotations, translations, _ = _read_poses(source, ("pose",), (), "trajectory")
+    return [Transform(RotationMatrix(r), t) for r, t in zip(rotations[:, 0], translations[:, 0])]
 
 
 def dump_measurements(m: MeasurementSet, fp) -> None:
-    for i, pair in enumerate(m):
-        fp.write(json.dumps(measurement_record(i, pair)) + "\n")
+    columns = zip(
+        m.ra.tolist(), m.ta.tolist(), m.rb.tolist(), m.tb.tolist(), m.kappa.tolist(), m.tau.tolist()
+    )
+    for i, (ra, ta, rb, tb, kappa, tau) in enumerate(columns):
+        a, b = {"R": ra, "t": ta}, {"R": rb, "t": tb}
+        fp.write(json.dumps({"t": i, "a": a, "b": b, "kappa": kappa, "tau": tau}) + "\n")
 
 
 def dump_trajectory(poses, fp) -> None:
-    for i, pose in enumerate(poses):
-        fp.write(json.dumps({"t": i, "pose": _pose_dict(pose)}) + "\n")
+    for i, tf in enumerate(poses):
+        pose = {"R": tf.rotation.m.tolist(), "t": tf.translation.tolist()}
+        fp.write(json.dumps({"t": i, "pose": pose}) + "\n")
 
 
 def relative_motions_from_trajectories(poses_a, poses_b, kappa=1.0, tau=1.0) -> MeasurementSet:
@@ -195,16 +241,13 @@ def relative_motions_from_trajectories(poses_a, poses_b, kappa=1.0, tau=1.0) -> 
         v_a = poses_a[t - 1].invert().compose(poses_a[t])
         v_b = poses_b[t - 1].invert().compose(poses_b[t])
         pairs.append(RelativeMotionPair(v_a, v_b, kappa, tau))
-    return MeasurementSet(tuple(pairs))
+    return MeasurementSet.from_pairs(pairs)
 
 
 def translation_gram(m: MeasurementSet) -> np.ndarray:
     """The 3x3 translation block sum_i tau_i (I - R_b_i)^T (I - R_b_i)."""
-    g = np.zeros((3, 3))
-    for pair in m:
-        d = np.eye(3) - pair.v_b.rotation.m
-        g += pair.tau * (d.T @ d)
-    return g
+    d = np.eye(3) - m.rb
+    return (m.tau[:, None, None] * (np.swapaxes(d, 1, 2) @ d)).sum(axis=0)
 
 
 def check_observability(
@@ -213,42 +256,32 @@ def check_observability(
     """Two-unique-axes necessary condition for a well-posed calibration.
 
     Axes are compared modulo sign; rotations with angle <= angle_tol are
-    treated as absent. Also reports the condition number of the translation
-    block as a numeric corroboration (it blows up exactly in the single-axis
-    failure mode).
+    treated as absent. Each remaining axis, in order, becomes a new
+    representative when it is more than axis_tol from every representative
+    so far. Also reports the condition number of the translation block as a
+    numeric corroboration (it blows up exactly in the single-axis failure
+    mode).
     """
-    axes = []
-    magnitudes = []
-    for pair in m:
-        aa = geom.axis_angle_from_rotation(pair.v_a.rotation)
-        magnitudes.append(aa.angle)
-        if aa.angle > angle_tol:
-            axes.append(aa.axis)
+    axes, magnitudes = geom.axis_angles(m.ra)
+    representatives = np.empty_like(axes)
+    count, max_sep = 0, 0.0
+    for axis in axes[magnitudes > angle_tol]:
+        # Angles modulo antipodality; (k, 1, 3) @ (3,) rounds each dot as np.dot does.
+        dots = (representatives[:count, None, :] @ axis)[:, 0]
+        separations = np.arccos(np.clip(np.abs(dots), 0.0, 1.0))
+        if np.all(separations > axis_tol):
+            representatives[count] = axis
+            count += 1
+            # Every pair of representatives is compared once, when the later joins.
+            max_sep = max(max_sep, float(separations.max(initial=0.0)))
 
-    representatives = []
-    for axis in axes:
-        if all(_axis_separation(axis, rep) > axis_tol for rep in representatives):
-            representatives.append(axis)
-
-    max_sep = 0.0
-    for i in range(len(representatives)):
-        for j in range(i + 1, len(representatives)):
-            max_sep = max(max_sep, _axis_separation(representatives[i], representatives[j]))
-
-    g = translation_gram(m)
-    eigs = np.linalg.eigvalsh(g)
+    eigs = np.linalg.eigvalsh(translation_gram(m))
     cond = float("inf") if eigs[0] <= 0 else float(eigs[-1] / eigs[0])
 
-    count = len(representatives)
     return ObservabilityReport(
         distinct_axis_count=count,
         max_axis_angle_between=max_sep,
-        rotation_magnitudes=tuple(magnitudes),
+        rotation_magnitudes=tuple(magnitudes.tolist()),
         observable=count >= 2,
         condition_estimate=cond,
     )
-
-
-def _axis_separation(a, b) -> float:
-    """Angle between two unit axes modulo antipodality."""
-    return float(np.arccos(np.clip(abs(np.dot(a, b)), 0.0, 1.0)))

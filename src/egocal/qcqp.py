@@ -25,6 +25,7 @@ SINGULAR_QTT_CONDITION = 1e12
 CONSTRAINT_KINDS = ("r", "r+c", "r+h", "r+c+h")
 
 _I3 = np.eye(3)
+_CHUNK = 128  # measurements per batch in assemble, which bounds its memory for any n
 
 
 def rotation_block(pair: RelativeMotionPair) -> np.ndarray:
@@ -51,8 +52,20 @@ class DataMatrix:
     q_tilde: np.ndarray      # 10x10 Schur complement q / q_tt
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product over the leading (measurement) axis of a and/or b."""
+    out = np.einsum("...ij,...kl->...ikjl", a, b)
+    return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
+
+
 def assemble(m: MeasurementSet) -> DataMatrix:
     """Sum per-measurement Gram contributions and Schur-reduce over translation.
+
+    The stacked blocks are rotation_block and translation_block of each batch
+    of measurements. Their weighted Grams are summed in the order of a
+    per-pair loop (rotation then translation, pair by pair), so q is
+    bit-identical to that loop: on borderline instances the interior-point
+    solve can change outcome under last-bit changes of q.
 
     Raises SingularQtt when the translation block is numerically singular
     (condition number above 1e12), the signature of single-axis data.
@@ -60,11 +73,18 @@ def assemble(m: MeasurementSet) -> DataMatrix:
     if m.n < 2:
         raise TooShort("calibration requires at least two relative motions")
     q = np.zeros((DIM_FULL, DIM_FULL))
-    for pair in m:
-        mr = rotation_block(pair)
-        q[3:12, 3:12] += pair.kappa * (mr.T @ mr)
-        mt = translation_block(pair)
-        q += pair.tau * (mt.T @ mt)
+    for lo in range(0, m.n, _CHUNK):
+        part = slice(lo, lo + _CHUNK)
+        ra, rb, ta, tb, kappa, tau = (c[part] for c in (m.ra, m.rb, m.ta, m.tb, m.kappa, m.tau))
+        rot = _kron(np.swapaxes(ra, 1, 2), _I3) - _kron(_I3, rb)
+        trans = np.zeros((len(ra), 3, DIM_FULL))
+        trans[:, :, :3] = _I3 - rb
+        trans[:, :, 3:12] = _kron(ta[:, None, :], _I3)
+        trans[:, :, 12] = -tb
+        grams = np.zeros((len(ra), 2, DIM_FULL, DIM_FULL))
+        grams[:, 0, 3:12, 3:12] = kappa[:, None, None] * (np.swapaxes(rot, 1, 2) @ rot)
+        grams[:, 1] = tau[:, None, None] * (np.swapaxes(trans, 1, 2) @ trans)
+        q = np.concatenate([q[None], grams.reshape(-1, DIM_FULL, DIM_FULL)]).sum(axis=0)
     q = 0.5 * (q + q.T)
 
     q_tt = q[:3, :3]
@@ -110,26 +130,14 @@ def _sym_add(a: np.ndarray, i: int, j: int, value: float) -> None:
     a[j, i] += 0.5 * value
 
 
-def _row_orthogonality() -> list:
-    """(R R^T)_{ij} = y^2 delta_{ij} over the upper triangle, 6 matrices."""
+def _orthogonality(rows: bool) -> list:
+    """(R R^T)_{ij} (rows) or (R^T R)_{ij} = y^2 delta_{ij} over the upper triangle, 6 matrices."""
+    index = _rc if rows else (lambda i, k: _rc(k, i))
     mats = []
     for i, j in [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]:
         a = np.zeros((DIM_REDUCED, DIM_REDUCED))
         for k in range(3):
-            _sym_add(a, _rc(i, k), _rc(j, k), 1.0)
-        if i == j:
-            a[Y_INDEX, Y_INDEX] -= 1.0
-        mats.append(a)
-    return mats
-
-
-def _column_orthogonality() -> list:
-    """(R^T R)_{ij} = y^2 delta_{ij} over the upper triangle, 6 matrices."""
-    mats = []
-    for i, j in [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]:
-        a = np.zeros((DIM_REDUCED, DIM_REDUCED))
-        for k in range(3):
-            _sym_add(a, _rc(k, i), _rc(k, j), 1.0)
+            _sym_add(a, index(i, k), index(j, k), 1.0)
         if i == j:
             a[Y_INDEX, Y_INDEX] -= 1.0
         mats.append(a)
@@ -175,9 +183,9 @@ def constraint_catalog(kind: str = "r+c+h") -> ConstraintSet:
     kind = kind.lower()
     if kind not in CONSTRAINT_KINDS:
         raise ValueError(f"unknown constraint set {kind!r}; expected one of {CONSTRAINT_KINDS}")
-    mats = _row_orthogonality()
+    mats = _orthogonality(rows=True)
     if "c" in kind:
-        mats += _column_orthogonality()
+        mats += _orthogonality(rows=False)
     if "h" in kind:
         mats += _handedness()
     return ConstraintSet(kind=kind, matrices=tuple(mats), homogenizer=homogenizer())

@@ -15,7 +15,7 @@ import csv
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -128,16 +128,14 @@ def sensor_trajectories(path: TerrainPath, theta: Transform):
 def corrupt(m: MeasurementSet, noise: NoiseModel) -> MeasurementSet:
     """Compose each rotation with Euler-angle noise; add Gaussian translation noise."""
     rng = np.random.default_rng(noise.seed)
-    pairs = []
-    for pair in m:
-        perturbed = []
-        for tf in (pair.v_a, pair.v_b):
+    ra, rb, ta, tb = (np.array(column) for column in (m.ra, m.rb, m.ta, m.tb))
+    for i in range(m.n):
+        for r, t in ((ra, ta), (rb, tb)):
             angles = rng.normal(scale=noise.sigma_r, size=3) if noise.sigma_r > 0 else np.zeros(3)
             shift = rng.normal(scale=noise.sigma_t, size=3) if noise.sigma_t > 0 else np.zeros(3)
-            r = RotationMatrix(tf.rotation.m @ _euler_xyz(angles).m)
-            perturbed.append(Transform(r, tf.translation + shift))
-        pairs.append(RelativeMotionPair(perturbed[0], perturbed[1], pair.kappa, pair.tau))
-    return MeasurementSet(tuple(pairs))
+            r[i] = r[i] @ _euler_xyz(angles).m
+            t[i] = t[i] + shift
+    return replace(m, ra=ra, rb=rb, ta=ta, tb=tb)
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
@@ -153,36 +151,24 @@ def fibonacci_sphere(n: int) -> np.ndarray:
 
 def two_motion_instance(theta: Transform = DEFAULT_THETA) -> MeasurementSet:
     """The minimal observable instance: quarter-turn + 1 m about x, then about y."""
-    vb1 = Transform(
-        geom.rotation_from_axis_angle(AxisAngle(np.array([1.0, 0.0, 0.0]), np.pi / 2)),
-        np.array([1.0, 0.0, 0.0]),
-    )
-    vb2 = Transform(
-        geom.rotation_from_axis_angle(AxisAngle(np.array([0.0, 1.0, 0.0]), np.pi / 2)),
-        np.array([0.0, 1.0, 0.0]),
-    )
+    motions_b = [
+        Transform(geom.rotation_from_axis_angle(AxisAngle(axis, np.pi / 2)), axis)
+        for axis in np.eye(3)[:2]
+    ]
     inv_theta = theta.invert()
-    pairs = tuple(
-        RelativeMotionPair(inv_theta.compose(vb).compose(theta), vb) for vb in (vb1, vb2)
+    return MeasurementSet.from_pairs(
+        RelativeMotionPair(inv_theta.compose(vb).compose(theta), vb) for vb in motions_b
     )
-    return MeasurementSet(pairs)
 
 
 def _perturb_instance(m, rot_axis, rot_magnitude, trans_dir=None, trans_magnitude=0.0):
     """Perturb the first measurement's sensor-b rotation (and optionally translation)."""
-    pairs = list(m.pairs)
-    first = pairs[0]
     delta = geom.rotation_from_axis_angle(AxisAngle(rot_axis, rot_magnitude))
-    new_t = np.array(first.v_b.translation)
+    rb, tb = np.array(m.rb), np.array(m.tb)
+    rb[0] = delta.m @ rb[0]
     if trans_dir is not None:
-        new_t = new_t + trans_magnitude * trans_dir
-    pairs[0] = RelativeMotionPair(
-        first.v_a,
-        Transform(RotationMatrix(delta.m @ first.v_b.rotation.m), new_t),
-        first.kappa,
-        first.tau,
-    )
-    return MeasurementSet(tuple(pairs))
+        tb[0] = tb[0] + trans_magnitude * trans_dir
+    return replace(m, rb=rb, tb=tb)
 
 
 def _certified(m, constraint_set) -> bool:
@@ -280,42 +266,28 @@ def _sweep_trial(sigma_r, sigma_t, n_motions, master_seed, trial):
     clean = relative_motions_from_trajectories(poses_a, poses_b)
     noisy = corrupt(clean, NoiseModel(sigma_r, sigma_t, seed=int(rng.integers(2**31))))
 
-    out = []
-    convex = solver.calibrate(noisy)
-    rot_err, trans_err = _errors(convex.extrinsic, theta)
-    out.append(
-        {
-            "sigma_r": sigma_r,
-            "sigma_t": sigma_t,
-            "trial": trial,
-            "n": n_motions,
-            "method": "convex",
-            "constraint_set": "r+c+h",
-            "rotation_error": rot_err,
-            "translation_error": trans_err,
-            "cost": convex.cost,
-            "certified": convex.certificate.certified,
-            "wall_time_seconds": convex.solve_stats["wall_time_seconds"],
-        }
-    )
-    local = solver.local_solve(noisy)
-    rot_err, trans_err = _errors(local.extrinsic, theta)
-    out.append(
-        {
-            "sigma_r": sigma_r,
-            "sigma_t": sigma_t,
-            "trial": trial,
-            "n": n_motions,
-            "method": "local",
-            "constraint_set": "",
-            "rotation_error": rot_err,
-            "translation_error": trans_err,
-            "cost": local.cost,
-            "certified": False,
-            "wall_time_seconds": local.solve_stats["wall_time_seconds"],
-        }
-    )
-    return out
+    rows = []
+    for method, constraint_set, result in (
+        ("convex", "r+c+h", solver.calibrate(noisy)),
+        ("local", "", solver.local_solve(noisy)),
+    ):
+        rot_err, trans_err = _errors(result.extrinsic, theta)
+        rows.append(
+            {
+                "sigma_r": sigma_r,
+                "sigma_t": sigma_t,
+                "trial": trial,
+                "n": n_motions,
+                "method": method,
+                "constraint_set": constraint_set,
+                "rotation_error": rot_err,
+                "translation_error": trans_err,
+                "cost": result.cost,
+                "certified": result.certificate.certified,
+                "wall_time_seconds": result.solve_stats["wall_time_seconds"],
+            }
+        )
+    return rows
 
 
 def noise_sweep(
@@ -345,17 +317,14 @@ def noise_sweep(
                     for r in rows
                     if r["method"] == method and r["sigma_r"] == sr and r["sigma_t"] == st
                 ]
+                rot_errs = [r["rotation_error"] for r in sel]
                 cell[method] = {
-                    "median_rotation_error": float(np.median([r["rotation_error"] for r in sel])),
+                    "median_rotation_error": float(np.median(rot_errs)),
                     "median_translation_error": float(
                         np.median([r["translation_error"] for r in sel])
                     ),
-                    "q1_rotation_error": float(
-                        np.quantile([r["rotation_error"] for r in sel], 0.25)
-                    ),
-                    "q3_rotation_error": float(
-                        np.quantile([r["rotation_error"] for r in sel], 0.75)
-                    ),
+                    "q1_rotation_error": float(np.quantile(rot_errs, 0.25)),
+                    "q3_rotation_error": float(np.quantile(rot_errs, 0.75)),
                     "certified_fraction": float(np.mean([r["certified"] for r in sel])),
                 }
             summary["grid"][f"{sr},{st}"] = cell
@@ -389,35 +358,12 @@ def init_heatmap(
     convex = solver.calibrate(noisy)
     convex_rot_err, convex_trans_err = _errors(convex.extrinsic, theta)
 
-    axes = fibonacci_sphere(n_inits)
-    dirs = fibonacci_sphere(n_inits)
-    rows = []
-    for angle in angle_grid:
-        for dist in dist_grid:
-            max_rot_diff = -np.inf
-            max_trans_diff = -np.inf
-            for k in range(n_inits):
-                if angle > 0:
-                    offset_r = geom.rotation_from_axis_angle(AxisAngle(axes[k], angle))
-                else:
-                    offset_r = RotationMatrix.identity()
-                init = Transform(
-                    RotationMatrix(theta.rotation.m @ offset_r.m),
-                    theta.translation + dist * dirs[k],
-                )
-                local = solver.local_solve(noisy, init=init)
-                rot_err, trans_err = _errors(local.extrinsic, theta)
-                max_rot_diff = max(max_rot_diff, rot_err - convex_rot_err)
-                max_trans_diff = max(max_trans_diff, trans_err - convex_trans_err)
-            rows.append(
-                {
-                    "init_angle": float(angle),
-                    "init_distance": float(dist),
-                    "n_inits": n_inits,
-                    "max_rotation_error_diff": float(max_rot_diff),
-                    "max_translation_error_diff": float(max_trans_diff),
-                }
-            )
+    cells = [
+        (noisy, theta, convex_rot_err, convex_trans_err, angle, dist, n_inits)
+        for angle in angle_grid
+        for dist in dist_grid
+    ]
+    rows = _map_jobs(_heatmap_cell, cells, jobs)
     summary = {
         "experiment": "init_heatmap",
         "convex_rotation_error": convex_rot_err,
@@ -425,6 +371,34 @@ def init_heatmap(
         "rows": rows,
     }
     return rows, summary
+
+
+def _heatmap_cell(noisy, theta, convex_rot_err, convex_trans_err, angle, dist, n_inits):
+    """One heatmap row: local solves from n_inits starts offset by (angle, dist)."""
+    axes = fibonacci_sphere(n_inits)
+    dirs = fibonacci_sphere(n_inits)
+    max_rot_diff = -np.inf
+    max_trans_diff = -np.inf
+    for k in range(n_inits):
+        if angle > 0:
+            offset_r = geom.rotation_from_axis_angle(AxisAngle(axes[k], angle))
+        else:
+            offset_r = RotationMatrix.identity()
+        init = Transform(
+            RotationMatrix(theta.rotation.m @ offset_r.m),
+            theta.translation + dist * dirs[k],
+        )
+        local = solver.local_solve(noisy, init=init)
+        rot_err, trans_err = _errors(local.extrinsic, theta)
+        max_rot_diff = max(max_rot_diff, rot_err - convex_rot_err)
+        max_trans_diff = max(max_trans_diff, trans_err - convex_trans_err)
+    return {
+        "init_angle": float(angle),
+        "init_distance": float(dist),
+        "n_inits": n_inits,
+        "max_rotation_error_diff": float(max_rot_diff),
+        "max_translation_error_diff": float(max_trans_diff),
+    }
 
 
 def runtime_bench(

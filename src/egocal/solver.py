@@ -16,7 +16,7 @@ import scipy.optimize
 
 from . import geom, qcqp, sdp
 from .errors import NotObservable, RankDeficiencyAmbiguous, SdpFailure
-from .geom import RotationMatrix, Transform
+from .geom import Transform
 from .problem import MeasurementSet, ObservabilityReport, check_observability
 from .qcqp import ConstraintSet, DataMatrix
 
@@ -83,34 +83,17 @@ class CalibrationResult:
         }
 
 
-def _stack(m: MeasurementSet):
-    n = m.n
-    ra = np.empty((n, 3, 3))
-    rb = np.empty((n, 3, 3))
-    ta = np.empty((n, 3))
-    tb = np.empty((n, 3))
-    kappa = np.empty(n)
-    tau = np.empty(n)
-    for i, pair in enumerate(m):
-        ra[i] = pair.v_a.rotation.m
-        rb[i] = pair.v_b.rotation.m
-        ta[i] = pair.v_a.translation
-        tb[i] = pair.v_b.translation
-        kappa[i] = pair.kappa
-        tau[i] = pair.tau
-    return ra, rb, ta, tb, kappa, tau
+def _residual_arrays(m: MeasurementSet, r: np.ndarray, t: np.ndarray):
+    """Per-measurement R R_a - R_b R (n, 3, 3) and R t_a + t - R_b t - t_b (n, 3)."""
+    return r @ m.ra - m.rb @ r, (m.ta @ r.T) + t[None, :] - (m.rb @ t) - m.tb
 
 
 def evaluate_cost(m: MeasurementSet, theta: Extrinsic) -> float:
     """Weighted rotation + translation residual (the homogenized cost at y = 1)."""
-    ra, rb, ta, tb, kappa, tau = _stack(m)
-    r = theta.rotation.m
-    t = theta.translation
-    rot_res = r @ ra - rb @ r
-    trans_res = (ta @ r.T) + t[None, :] - (rb @ t) - tb
+    rot_res, trans_res = _residual_arrays(m, theta.rotation.m, theta.translation)
     return float(
-        np.sum(kappa * np.sum(rot_res**2, axis=(1, 2)))
-        + np.sum(tau * np.sum(trans_res**2, axis=1))
+        np.sum(m.kappa * np.sum(rot_res**2, axis=(1, 2)))
+        + np.sum(m.tau * np.sum(trans_res**2, axis=1))
     )
 
 
@@ -124,7 +107,7 @@ def extract_solution(
     h_matrix: np.ndarray | None = None,
     rank_ratio: float | None = RANK_RATIO,
 ):
-    """Recover (rotation, y, residual, cross_check) from the SDP solution.
+    """Recover (rotation, residual, cross_check) from the SDP solution.
 
     The solution vector is the minimum-eigenvalue direction of the dual slack
     H when that eigenvalue is (relatively) zero -- at a zero-gap optimum the
@@ -163,7 +146,7 @@ def extract_solution(
     raw = v[:9].reshape(3, 3, order="F")
     rotation = geom.project_to_so3(raw)
     residual = float(np.linalg.norm(raw - rotation.m))
-    return rotation, 1.0, residual, cross_check
+    return rotation, residual, cross_check
 
 
 def build_sdp_problem(dm: DataMatrix, constraints: ConstraintSet):
@@ -219,16 +202,16 @@ def calibrate(
 
     verdict_ok = True
     try:
-        rotation, y, extraction_residual, cross_check = extract_solution(
+        rotation, extraction_residual, cross_check = extract_solution(
             solution.x_primal, h_matrix=h, rank_ratio=RANK_RATIO
         )
     except RankDeficiencyAmbiguous:
         verdict_ok = False
-        rotation, y, extraction_residual, cross_check = extract_solution(
+        rotation, extraction_residual, cross_check = extract_solution(
             solution.x_primal, h_matrix=h, rank_ratio=None
         )
 
-    r_tilde = qcqp.reduced_vector(rotation, y)
+    r_tilde = qcqp.reduced_vector(rotation)
     translation = recover_translation(dm, r_tilde)
     theta = _polish(m, Transform(rotation, translation))
     cost = evaluate_cost(m, theta)
@@ -274,25 +257,28 @@ def _polish(m: MeasurementSet, theta: Extrinsic) -> Extrinsic:
     stationary point. Accepted only when the cost does not increase, so the
     certificate gap evaluated afterwards can only tighten.
     """
-    ra, rb, ta, tb, kappa, tau = _stack(m)
-    x0 = _params_from_extrinsic(theta)
     try:
-        result = scipy.optimize.least_squares(
-            _residuals,
-            x0,
-            args=(ra, rb, ta, tb, np.sqrt(kappa), np.sqrt(tau)),
-            method="lm",
-            xtol=1e-15,
-            ftol=1e-15,
-            gtol=1e-15,
-            max_nfev=60,
-        )
-        refined = _extrinsic_from_params(result.x)
+        refined, _ = _levenberg_marquardt(m, theta, tol=1e-15, max_nfev=60)
     except (ValueError, np.linalg.LinAlgError):
         return theta
     if evaluate_cost(m, refined) <= evaluate_cost(m, theta):
         return refined
     return theta
+
+
+def _levenberg_marquardt(m: MeasurementSet, init: Extrinsic, tol: float, max_nfev: int):
+    """LM on the shared cost over axis-angle + translation: (extrinsic, evaluations)."""
+    result = scipy.optimize.least_squares(
+        _residuals,
+        _params_from_extrinsic(init),
+        args=(m, np.sqrt(m.kappa), np.sqrt(m.tau)),
+        method="lm",
+        xtol=tol,
+        ftol=tol,
+        gtol=tol,
+        max_nfev=max_nfev,
+    )
+    return _extrinsic_from_params(result.x), int(result.nfev)
 
 
 def _params_from_extrinsic(theta: Extrinsic) -> np.ndarray:
@@ -301,27 +287,15 @@ def _params_from_extrinsic(theta: Extrinsic) -> np.ndarray:
 
 
 def _extrinsic_from_params(params: np.ndarray) -> Extrinsic:
-    w = params[:3]
-    angle = float(np.linalg.norm(w))
-    if angle < 1e-14:
-        rotation = RotationMatrix.identity()
-    else:
-        # Plain Rodrigues; unlike AxisAngle this chart is unbounded in angle,
-        # which keeps the LM parameter space free of fold boundaries.
-        k = geom.skew(w / angle)
-        rotation = RotationMatrix(
-            np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
-        )
-    return Transform(rotation, params[3:])
+    return Transform(geom.rotation_exp(params[:3]), params[3:])
 
 
-def _residuals(params, ra, rb, ta, tb, sqrt_kappa, sqrt_tau):
+def _residuals(params, m, sqrt_kappa, sqrt_tau):
     theta = _extrinsic_from_params(params)
-    r = theta.rotation.m
-    t = theta.translation
-    rot_res = (r @ ra - rb @ r) * sqrt_kappa[:, None, None]
-    trans_res = ((ta @ r.T) + t[None, :] - (rb @ t) - tb) * sqrt_tau[:, None]
-    return np.concatenate([rot_res.ravel(), trans_res.ravel()])
+    rot_res, trans_res = _residual_arrays(m, theta.rotation.m, theta.translation)
+    return np.concatenate(
+        [(rot_res * sqrt_kappa[:, None, None]).ravel(), (trans_res * sqrt_tau[:, None]).ravel()]
+    )
 
 
 def local_solve(
@@ -337,21 +311,7 @@ def local_solve(
     start = time.perf_counter()
     if init is None:
         init = Transform.identity()
-    ra, rb, ta, tb, kappa, tau = _stack(m)
-    sqrt_kappa = np.sqrt(kappa)
-    sqrt_tau = np.sqrt(tau)
-    x0 = _params_from_extrinsic(init)
-    result = scipy.optimize.least_squares(
-        _residuals,
-        x0,
-        args=(ra, rb, ta, tb, sqrt_kappa, sqrt_tau),
-        method="lm",
-        xtol=1e-14,
-        ftol=1e-14,
-        gtol=1e-14,
-        max_nfev=max_iter * 8,
-    )
-    theta = _extrinsic_from_params(result.x)
+    theta, evaluations = _levenberg_marquardt(m, init, tol=1e-14, max_nfev=max_iter * 8)
     cost = evaluate_cost(m, theta)
     report = check_observability(m)
     certificate = Certificate(
@@ -363,7 +323,7 @@ def local_solve(
     )
     stats = {
         "sdp_iters": 0,
-        "lm_evaluations": int(result.nfev),
+        "lm_evaluations": evaluations,
         "wall_time_seconds": time.perf_counter() - start,
     }
     return CalibrationResult(

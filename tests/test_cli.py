@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from egocal import cli, geom, sim
+from egocal.errors import ParseError
 from egocal.geom import AxisAngle, RotationMatrix, Transform
 from egocal.problem import MeasurementSet, RelativeMotionPair, dump_measurements
 
@@ -72,7 +73,7 @@ def test_calibrate_strict_observability_exit_one(tmp_path, capsys):
         pairs.append(RelativeMotionPair(v, v))
     fixture = tmp_path / "planar.jsonl"
     with open(fixture, "w", encoding="utf-8") as fp:
-        dump_measurements(MeasurementSet(tuple(pairs)), fp)
+        dump_measurements(MeasurementSet.from_pairs(pairs), fp)
     code = cli.main(["calibrate", "--input", str(fixture), "--strict-observability"])
     assert code == 1
     assert "axes" in capsys.readouterr().err
@@ -248,3 +249,25 @@ def test_experiment_noise_sweep_writes_outputs(tmp_path):
 def test_seed_required_for_simulate(capsys):
     with pytest.raises(SystemExit):
         cli.main(["simulate", "--output", "x"])
+
+
+@pytest.mark.parametrize(
+    "theta_text",
+    [
+        json.dumps({"theta": {"R": np.eye(3).tolist()}}),  # no "t"
+        "{not json",
+        json.dumps([1, 2, 3]),
+        json.dumps({"theta": {"R": np.eye(3).tolist(), "t": [0.0, float("nan"), 0.0]}}),
+    ],
+    ids=["missing-t", "not-json", "not-an-object", "nan-t"],
+)
+def test_certify_bad_theta_file_exit_one(tmp_path, capsys, theta_text):
+    fixture = tmp_path / "clean.jsonl"
+    _write_two_motion_fixture(fixture)
+    theta_path = tmp_path / "theta.json"
+    theta_path.write_text(theta_text)
+    with pytest.raises(ParseError):
+        cli._load_theta(theta_path)
+    code = cli.main(["certify", "--input", str(fixture), "--theta", str(theta_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")

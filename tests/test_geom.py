@@ -116,12 +116,12 @@ def test_project_to_so3_singular_input():
 
 def test_compose_identity():
     x = geom.random_transform(11)
-    out = geom.compose(Transform.identity(), x)
+    out = Transform.identity().compose(x)
     assert np.allclose(out.matrix(), x.matrix())
 
 
 def test_invert_identity():
-    assert np.allclose(geom.invert(Transform.identity()).matrix(), np.eye(4))
+    assert np.allclose(Transform.identity().invert().matrix(), np.eye(4))
 
 
 def test_compose_point_action():
@@ -130,7 +130,7 @@ def test_compose_point_action():
         a = geom.random_transform(rng)
         b = geom.random_transform(rng)
         p = rng.normal(size=3)
-        assert np.linalg.norm(geom.compose(a, b).apply(p) - a.apply(b.apply(p))) < 1e-12
+        assert np.linalg.norm(a.compose(b).apply(p) - a.apply(b.apply(p))) < 1e-12
 
 
 def test_compose_associative_and_inverse():
@@ -138,12 +138,12 @@ def test_compose_associative_and_inverse():
     a = geom.random_transform(rng)
     b = geom.random_transform(rng)
     c = geom.random_transform(rng)
-    lhs = geom.compose(geom.compose(a, b), c).matrix()
-    rhs = geom.compose(a, geom.compose(b, c)).matrix()
+    lhs = a.compose(b).compose(c).matrix()
+    rhs = a.compose(b.compose(c)).matrix()
     assert np.linalg.norm(lhs - rhs) < 1e-12
-    assert np.linalg.norm(geom.compose(a, geom.invert(a)).matrix() - np.eye(4)) < 1e-12
-    lhs = geom.invert(geom.compose(a, b)).matrix()
-    rhs = geom.compose(geom.invert(b), geom.invert(a)).matrix()
+    assert np.linalg.norm(a.compose(a.invert()).matrix() - np.eye(4)) < 1e-12
+    lhs = a.compose(b).invert().matrix()
+    rhs = b.invert().compose(a.invert()).matrix()
     assert np.linalg.norm(lhs - rhs) < 1e-12
 
 

@@ -172,7 +172,7 @@ def _pure_rotation_pairs(axes_angles):
         r = geom.rotation_from_axis_angle(AxisAngle(np.asarray(axis, dtype=float), angle))
         v = Transform(r, np.zeros(3))
         pairs.append(RelativeMotionPair(v, v))
-    return MeasurementSet(tuple(pairs))
+    return MeasurementSet.from_pairs(pairs)
 
 
 def test_observability_single_axis():
@@ -218,7 +218,7 @@ def test_observability_conjugation_invariant():
     pairs = [((1, 0, 0), 0.5), ((0, 1, 0), 0.7)]
     m = _pure_rotation_pairs(pairs)
     q = geom.random_rotation(9)
-    conj = MeasurementSet(
+    conj = MeasurementSet.from_pairs(
         tuple(
             RelativeMotionPair(
                 Transform(RotationMatrix(q.m @ p.v_a.rotation.m @ q.m.T), np.zeros(3)),
@@ -242,3 +242,136 @@ def test_report_serializes():
     d = check_observability(m).to_dict()
     json.dumps(d)  # must be JSON-serializable
     assert d["observable"] is True
+
+
+_GOOD_LINE = _record()
+_IDENTITY_POSE = '{"R": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "t": [0, 0, 0]}'
+_BAD_LINES = {
+    "kappa-nan": _record(kappa=float("nan")),
+    "tau-infinity": _record(tau=float("inf")),
+    "kappa-zero": _record(kappa=0.0),
+    "kappa-text": _record(kappa="abc"),
+    "kappa-list": _record(kappa=[1]),
+    "kappa-huge-int": _record(kappa=10**400),
+    "nan-translation": '{"a": {"R": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "t": [0, NaN, 0]}, "b": '
+    + _IDENTITY_POSE
+    + "}",
+    "nan-rotation": '{"a": {"R": [[NaN, 0, 0], [0, 1, 0], [0, 0, 1]], "t": [0, 0, 0]}, "b": '
+    + _IDENTITY_POSE
+    + "}",
+    "number-record": "5",
+    "null-record": "null",
+    "list-pose": '{"a": [1, 2], "b": ' + _IDENTITY_POSE + "}",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_LINES))
+def test_malformed_field_rejected_at_the_boundary(name, tmp_path, capsys):
+    from egocal import cli
+    from egocal.errors import CalibrationError
+
+    text = _GOOD_LINE + "\n" + _BAD_LINES[name] + "\n"
+    with pytest.raises(CalibrationError) as exc:
+        load_measurements(text)
+    assert isinstance(exc.value, ParseError)
+    assert exc.value.line == 2
+    fixture = tmp_path / "bad.jsonl"
+    fixture.write_text(text)
+    assert cli.main(["calibrate", "--input", str(fixture)]) == 1
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_load_invalid_utf8_is_parse_error():
+    with pytest.raises(ParseError) as exc:
+        load_measurements(_GOOD_LINE.encode() + b"\n\xff\xfe\n")
+    assert exc.value.line == 2
+
+
+def test_pair_rejects_non_finite_weights():
+    with pytest.raises(ValueError):
+        RelativeMotionPair(Transform.identity(), Transform.identity(), kappa=float("nan"))
+    with pytest.raises(ValueError):
+        RelativeMotionPair(Transform.identity(), Transform.identity(), tau=float("inf"))
+
+
+def _columns(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return {
+        "ra": np.stack([geom.random_rotation(rng).m for _ in range(n)]),
+        "rb": np.stack([geom.random_rotation(rng).m for _ in range(n)]),
+        "ta": rng.normal(size=(n, 3)),
+        "tb": rng.normal(size=(n, 3)),
+        "kappa": rng.uniform(0.5, 2.0, n),
+        "tau": rng.uniform(0.5, 2.0, n),
+    }
+
+
+def test_measurement_set_columns_are_read_only_copies():
+    cols = _columns(4)
+    m = MeasurementSet(**cols)
+    cols["ta"][0, 0] = 99.0
+    assert m.ta[0, 0] != 99.0
+    with pytest.raises(ValueError):
+        m.ra[0, 0, 0] = 1.0
+    assert m.n == len(m) == 4
+
+
+@pytest.mark.parametrize(
+    "field, value, error",
+    [
+        ("ra", np.zeros((4, 3)), ValueError),
+        ("tb", np.zeros((3, 3)), ValueError),
+        ("ta", np.full((4, 3), np.nan), ValueError),
+        ("kappa", [1.0, 1.0, -1.0, 1.0], ValueError),
+        ("tau", [1.0, np.inf, 1.0, 1.0], ValueError),
+        ("rb", np.tile(np.diag([1.0, 1.0, -1.0]), (4, 1, 1)), InvalidRotation),
+        ("ra", np.tile(np.eye(3) + 1e-6, (4, 1, 1)), InvalidRotation),
+    ],
+)
+def test_measurement_set_validates_columns(field, value, error):
+    with pytest.raises(error):
+        MeasurementSet(**{**_columns(4), field: value})
+
+
+def test_pairs_view_round_trips_the_columns():
+    m = MeasurementSet(**_columns(5))
+    back = MeasurementSet.from_pairs(m.pairs)
+    for name in ("ra", "rb", "ta", "tb", "kappa", "tau"):
+        assert np.array_equal(getattr(back, name), getattr(m, name))
+    pair = m.pairs[3]
+    assert np.array_equal(pair.v_b.rotation.m, m.rb[3])
+    assert pair.tau == m.tau[3]
+
+
+def _greedy_axes_reference(m, angle_tol=1e-3, axis_tol=1e-2):
+    """The per-pair loop check_observability replaced: (count, max separation)."""
+
+    def sep(a, b):
+        return float(np.arccos(np.clip(abs(np.dot(a, b)), 0.0, 1.0)))
+
+    axes = []
+    for pair in m:
+        aa = geom.axis_angle_from_rotation(pair.v_a.rotation)
+        if aa.angle > angle_tol:
+            axes.append(aa.axis)
+    reps = []
+    for axis in axes:
+        if all(sep(axis, rep) > axis_tol for rep in reps):
+            reps.append(axis)
+    pairs = [(a, b) for i, a in enumerate(reps) for b in reps[i + 1:]]
+    return len(reps), max((sep(a, b) for a, b in pairs), default=0.0)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+def test_observability_matches_per_pair_reference(sigma):
+    m, _ = random_instance(31, n_motions=60, sigma_r=sigma, sigma_t=sigma)
+    # A sparse-axis set: repeated axes exercise the "already represented" branch.
+    near_x = np.array([1.0, 1e-3, 0.0]) / np.hypot(1.0, 1e-3)
+    sparse = _pure_rotation_pairs(
+        [((1, 0, 0), 0.5), ((1, 0, 0), 0.9), ((0, 1, 0), 0.7), (near_x, 0.4), ((0, 0, 1), 3.1)]
+    )
+    for data in (m, sparse):
+        report = check_observability(data)
+        count, max_sep = _greedy_axes_reference(data)
+        assert report.distinct_axis_count == count
+        assert report.max_axis_angle_between == max_sep

@@ -1,0 +1,136 @@
+"""Property-based tests: invariances of calibrate and the loader's contract.
+
+Examples are derandomized so every run checks the same cases.
+"""
+
+import functools
+import io
+import json
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_instance
+from egocal import geom, solver
+from egocal.errors import CalibrationError
+from egocal.problem import MeasurementSet, dump_measurements, load_measurements
+
+SLOW = settings(deadline=None, max_examples=8, derandomize=True)
+FAST = settings(deadline=None, max_examples=150, derandomize=True)
+
+N_MOTIONS = 15
+_INSTANCES = {
+    seed: random_instance(seed, n_motions=N_MOTIONS, sigma_r=0.02, sigma_t=0.02)[0]
+    for seed in range(3)
+}
+
+
+@functools.cache
+def _baseline(seed):
+    return solver.calibrate(_INSTANCES[seed])
+
+
+def _assert_same_extrinsic(a, b):
+    assert np.linalg.norm(a.extrinsic.rotation.m - b.extrinsic.rotation.m) < 1e-8
+    assert np.linalg.norm(a.extrinsic.translation - b.extrinsic.translation) < 1e-8
+
+
+@SLOW
+@given(seed=st.sampled_from(sorted(_INSTANCES)), order=st.permutations(range(N_MOTIONS)))
+def test_calibrate_invariant_under_permutation(seed, order):
+    m = _INSTANCES[seed]
+    columns = ("ra", "rb", "ta", "tb", "kappa", "tau")
+    permuted = MeasurementSet(*(getattr(m, name)[list(order)] for name in columns))
+    result = solver.calibrate(permuted)
+    assert result.certificate.verdict == _baseline(seed).certificate.verdict
+    _assert_same_extrinsic(_baseline(seed), result)
+
+
+def _scaled(m, factor):
+    return replace(m, kappa=factor * m.kappa, tau=factor * m.tau)
+
+
+@SLOW
+@given(seed=st.sampled_from(sorted(_INSTANCES)), factor=st.floats(1e-3, 1e3))
+def test_extrinsic_invariant_under_uniform_weight_scaling(seed, factor):
+    _assert_same_extrinsic(_baseline(seed), solver.calibrate(_scaled(_INSTANCES[seed], factor)))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: the certificate's gap test bounds the gap by GAP_TOL * (1 + |cost|), "
+    "an absolute bound when the cost is small, while the gap scales with the weights",
+)
+def test_verdict_invariant_under_uniform_weight_scaling():
+    # A factor of 4 scales q, the SDP's trace normalization and the cost
+    # exactly, so the normalized SDP is bit-identical; the gap grows fourfold
+    # while the bound 1 + |cost| does not.
+    m = _INSTANCES[0]
+    verdicts = {solver.calibrate(_scaled(m, f)).certificate.verdict for f in (1.0, 4.0)}
+    assert len(verdicts) == 1
+
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def measurement_sets(draw):
+    n = draw(st.integers(1, 6))
+    rotations = [geom.random_rotation(draw(st.integers(0, 2**32 - 1))).m for _ in range(2 * n)]
+    vectors = st.lists(_finite, min_size=3, max_size=3)
+    weights = st.lists(st.floats(1e-6, 1e6), min_size=n, max_size=n)
+    return MeasurementSet(
+        ra=rotations[:n],
+        rb=rotations[n:],
+        ta=[draw(vectors) for _ in range(n)],
+        tb=[draw(vectors) for _ in range(n)],
+        kappa=draw(weights),
+        tau=draw(weights),
+    )
+
+
+@FAST
+@given(m=measurement_sets())
+def test_dump_load_round_trips_the_arrays(m):
+    buf = io.StringIO()
+    dump_measurements(m, buf)
+    back = load_measurements(buf.getvalue())
+    # Rotations are re-projected onto SO(3) on load; everything else is exact.
+    assert np.allclose(back.ra, m.ra, rtol=0, atol=1e-14)
+    assert np.allclose(back.rb, m.rb, rtol=0, atol=1e-14)
+    for name in ("ta", "tb", "kappa", "tau"):
+        assert np.array_equal(getattr(back, name), getattr(m, name))
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=10,
+)
+_rotation = st.integers(0, 100).map(lambda seed: geom.random_rotation(seed).m.tolist())
+_pose = st.fixed_dictionaries(
+    {
+        "R": _rotation
+        | _json
+        | st.lists(st.lists(st.floats(), min_size=3, max_size=3), min_size=3, max_size=3),
+        "t": st.lists(st.floats(), min_size=3, max_size=3) | _json,
+    }
+)
+_record = st.fixed_dictionaries(
+    {"a": _pose | _json, "b": _pose}, optional={"kappa": _json, "tau": _json}
+)
+_line = _record.map(json.dumps) | _json.map(json.dumps) | st.text(max_size=30)
+
+
+@FAST
+@given(source=st.lists(_line, max_size=4).map("\n".join) | st.text() | st.binary())
+def test_arbitrary_input_loads_or_raises_calibration_error(source):
+    try:
+        m = load_measurements(source)
+    except CalibrationError:
+        return
+    assert isinstance(m, MeasurementSet) and m.n >= 1

@@ -65,11 +65,11 @@ def test_translation_block_residual_identity():
 def test_assemble_requires_two_motions():
     rng = np.random.default_rng(4)
     with pytest.raises(TooShort):
-        qcqp.assemble(MeasurementSet((_random_pair(rng),)))
+        qcqp.assemble(MeasurementSet.from_pairs((_random_pair(rng),)))
 
 
 def test_assemble_identity_measurements_singular():
-    m = MeasurementSet((_identity_pair(), _identity_pair()))
+    m = MeasurementSet.from_pairs((_identity_pair(), _identity_pair()))
     with pytest.raises(SingularQtt):
         qcqp.assemble(m)
 
@@ -82,7 +82,7 @@ def test_assemble_single_axis_singular():
         v = Transform(r, np.array([1.0, 0.0, 0.0]))
         pairs.append(RelativeMotionPair(v, v))
     with pytest.raises(SingularQtt):
-        qcqp.assemble(MeasurementSet(tuple(pairs)))
+        qcqp.assemble(MeasurementSet.from_pairs(pairs))
 
 
 def test_assemble_noise_free_optimum_has_zero_cost():
@@ -104,7 +104,7 @@ def test_assemble_psd_and_symmetric():
 def test_assemble_additive_over_concatenation():
     m1, _ = random_instance(7, n_motions=5, sigma_r=0.02, sigma_t=0.02)
     m2, _ = random_instance(8, n_motions=5, sigma_r=0.02, sigma_t=0.02)
-    joint = MeasurementSet(m1.pairs + m2.pairs)
+    joint = MeasurementSet.from_pairs(m1.pairs + m2.pairs)
     lhs = qcqp.assemble(joint).q
     rhs = qcqp.assemble(m1).q + qcqp.assemble(m2).q
     assert np.linalg.norm(lhs - rhs) < 1e-10 * (1 + np.linalg.norm(lhs))
@@ -112,12 +112,29 @@ def test_assemble_additive_over_concatenation():
 
 def test_assemble_weight_scaling():
     m, _ = random_instance(9, n_motions=5, sigma_r=0.02, sigma_t=0.02)
-    scaled = MeasurementSet(
+    scaled = MeasurementSet.from_pairs(
         tuple(
             RelativeMotionPair(p.v_a, p.v_b, 3.0 * p.kappa, 3.0 * p.tau) for p in m
         )
     )
     assert np.allclose(qcqp.assemble(scaled).q, 3.0 * qcqp.assemble(m).q)
+
+
+def test_assemble_equals_sum_of_per_pair_grams():
+    # The batched assembly sums the per-pair Grams in the order of a per-pair
+    # loop, so it must reproduce that loop exactly, not just to rounding.
+    rng = np.random.default_rng(25)
+    m, _ = random_instance(25, n_motions=12, sigma_r=0.05, sigma_t=0.05)
+    m = MeasurementSet.from_pairs(
+        RelativeMotionPair(p.v_a, p.v_b, rng.uniform(0.1, 5.0), rng.uniform(0.1, 5.0)) for p in m
+    )
+    q = np.zeros((qcqp.DIM_FULL, qcqp.DIM_FULL))
+    for pair in m:
+        mr = qcqp.rotation_block(pair)
+        q[3:12, 3:12] += pair.kappa * (mr.T @ mr)
+        mt = qcqp.translation_block(pair)
+        q += pair.tau * (mt.T @ mt)
+    assert np.array_equal(qcqp.assemble(m).q, 0.5 * (q + q.T))
 
 
 def test_schur_complement_is_partial_minimum_over_t():

@@ -112,7 +112,7 @@ def test_noise_moments():
     base = geom.Transform.identity()
     from egocal.problem import MeasurementSet, RelativeMotionPair
 
-    m = MeasurementSet(tuple(RelativeMotionPair(base, base) for _ in range(n)))
+    m = MeasurementSet.from_pairs(RelativeMotionPair(base, base) for _ in range(n))
     out = sim.corrupt(m, sim.NoiseModel(sigma_r, sigma_t, seed=17))
     rot_vecs = np.empty((n, 3))
     shifts = np.empty((n, 3))
@@ -219,6 +219,16 @@ def test_heatmap_truth_cell():
     assert len(rows) == 1
     assert rows[0]["max_rotation_error_diff"] <= 1e-6
     assert rows[0]["max_translation_error_diff"] <= 1e-6
+
+
+def test_heatmap_deterministic_across_jobs():
+    kwargs = dict(
+        angle_grid=(0.0, np.pi / 2), dist_grid=(0.0, 1.0), n_inits=3, n_motions=10, seed=6
+    )
+    rows1, _ = sim.init_heatmap(jobs=1, **kwargs)
+    rows2, _ = sim.init_heatmap(jobs=2, **kwargs)
+    assert len(rows1) == 4
+    assert rows1 == rows2
 
 
 def test_runtime_bench_schema():

@@ -27,7 +27,7 @@ def test_identity_calibration_fixed_point():
         r = geom.rotation_from_axis_angle(AxisAngle(np.array(axis), 1.0))
         v = Transform(r, rng.normal(size=3))
         pairs.append(RelativeMotionPair(v, v))
-    result = solver.calibrate(MeasurementSet(tuple(pairs)))
+    result = solver.calibrate(MeasurementSet.from_pairs(pairs))
     assert np.linalg.norm(result.extrinsic.matrix() - np.eye(4)) < 1e-6
     assert result.cost < 1e-12
 
@@ -82,7 +82,7 @@ def test_strict_observability_raises():
         r = geom.rotation_from_axis_angle(AxisAngle(np.array([0.0, 0.0, 1.0]), angle))
         v = Transform(r, np.array([1.0, 0.0, 0.0]))
         pairs.append(RelativeMotionPair(v, v))
-    m = MeasurementSet(tuple(pairs))
+    m = MeasurementSet.from_pairs(pairs)
     with pytest.raises(NotObservable):
         solver.calibrate(m, strict_observability=True)
 
@@ -94,24 +94,23 @@ def test_singular_qtt_propagates():
         v = Transform(r, np.array([1.0, 0.0, 0.0]))
         pairs.append(RelativeMotionPair(v, v))
     with pytest.raises(SingularQtt):
-        solver.calibrate(MeasurementSet(tuple(pairs)))
+        solver.calibrate(MeasurementSet.from_pairs(pairs))
 
 
 def test_extract_solution_rank_one_exact():
     r = geom.random_rotation(7)
     v = qcqp.reduced_vector(r, 1.0)
     x = np.outer(v, v)
-    rotation, y, residual, _ = solver.extract_solution(x)
+    rotation, residual, _ = solver.extract_solution(x)
     assert np.linalg.norm(rotation.m - r.m) < 1e-12
     assert residual < 1e-12
-    assert y == 1.0
 
 
 def test_extract_solution_sign_normalized():
     # the lifted vector with y = -1 encodes the same rotation
     r = geom.random_rotation(8)
     v = -qcqp.reduced_vector(r, 1.0)
-    rotation, _, residual, _ = solver.extract_solution(np.outer(v, v))
+    rotation, residual, _ = solver.extract_solution(np.outer(v, v))
     assert np.linalg.norm(rotation.m - r.m) < 1e-12
     assert residual < 1e-12
 
@@ -125,7 +124,7 @@ def test_extract_solution_rejects_rank_two():
     with pytest.raises(RankDeficiencyAmbiguous):
         solver.extract_solution(x)
     # without the rank gate extraction still produces a rotation
-    rotation, _, _, _ = solver.extract_solution(x, rank_ratio=None)
+    rotation, _, _ = solver.extract_solution(x, rank_ratio=None)
     assert isinstance(rotation, RotationMatrix)
 
 
@@ -140,7 +139,7 @@ def test_extract_solution_uses_dual_nullspace():
     h = q @ np.diag(np.concatenate([[0.0], rng.uniform(1.0, 2.0, 9)])) @ q.T
     noisy = v + 1e-4 * rng.normal(size=10)
     x = np.outer(noisy, noisy)
-    rotation, _, _, cross = solver.extract_solution(x, h_matrix=h, rank_ratio=None)
+    rotation, _, cross = solver.extract_solution(x, h_matrix=h, rank_ratio=None)
     assert np.linalg.norm(rotation.m - r.m) < 1e-9
     assert 0.0 < cross < 1e-3
 
@@ -200,7 +199,7 @@ def test_evaluate_cost_matches_quadratic_form():
 
 def test_evaluate_cost_linear_in_weights():
     m, _ = random_instance(18, n_motions=5, sigma_r=0.05, sigma_t=0.05)
-    doubled = MeasurementSet(
+    doubled = MeasurementSet.from_pairs(
         tuple(RelativeMotionPair(p.v_a, p.v_b, 2 * p.kappa, 2 * p.tau) for p in m)
     )
     theta = geom.random_transform(19)
