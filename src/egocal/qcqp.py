@@ -172,20 +172,25 @@ class ConstraintSet:
     kind: str
     matrices: tuple          # of 10x10 symmetric ndarrays
     homogenizer: np.ndarray  # 10x10, r_tilde^T E r_tilde = 1
+    stacked: np.ndarray      # the matrices, then the homogenizer; read-only, built once per kind
+
+
+def _build_catalog(kind: str) -> ConstraintSet:
+    mats = _orthogonality(True) + (_orthogonality(False) if "c" in kind else [])
+    stacked = np.stack(mats + (_handedness() if "h" in kind else []) + [homogenizer()])
+    stacked.flags.writeable = False
+    return ConstraintSet(kind, tuple(stacked[:-1]), stacked[-1], stacked)
+
+
+_CATALOGS = {kind: _build_catalog(kind) for kind in CONSTRAINT_KINDS}
 
 
 def constraint_catalog(kind: str = "r+c+h") -> ConstraintSet:
-    """Build the constraint matrices for one of the four ablation sets.
+    """The constraint matrices of one of the four ablation sets.
 
     'r' is row orthogonality (6 matrices); '+c' adds the redundant column
     orthogonality (6 more); '+h' adds the right-handedness cross products (9).
     """
-    kind = kind.lower()
-    if kind not in CONSTRAINT_KINDS:
+    if kind.lower() not in _CATALOGS:
         raise ValueError(f"unknown constraint set {kind!r}; expected one of {CONSTRAINT_KINDS}")
-    mats = _orthogonality(rows=True)
-    if "c" in kind:
-        mats += _orthogonality(rows=False)
-    if "h" in kind:
-        mats += _handedness()
-    return ConstraintSet(kind=kind, matrices=tuple(mats), homogenizer=homogenizer())
+    return _CATALOGS[kind.lower()]

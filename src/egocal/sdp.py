@@ -13,10 +13,14 @@ together with its dual
 
 using an infeasible-start path-following method with Nesterov-Todd scaling.
 The centering weight is chosen adaptively from a Mehrotra-style affine
-predictor step. The problems arising in this package have
-dimension <= 13 and at most 22 constraints, so everything is dense and the
-Schur system is solved via an SVD-based least-squares (the calibration
-constraint sets contain one exact linear dependency).
+predictor step. The problems here have dimension <= 13 and at most 22
+constraints, so all is dense and the constraint operator is one (m, s*s)
+matrix. Each iteration factors X and S once (one Cholesky pair and the inverse
+factors give W, S^-1 and all four step tests) and runs one two-column
+least-squares solve of the Schur system: the corrector's right-hand side is
+affine in sigma*mu. That solve is SVD-based (gelsd): the calibration sets hold
+one exact linear dependency, so the Schur matrix is singular, and eigh- or
+SVD-built pseudo-inverses break down on two-motion instances where it does not.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InfeasibleDetected, NumericalFailure
 
@@ -52,9 +55,11 @@ class SdpProblem:
             raise ValueError("constraints must be (m, s, s) matching the cost")
         if b.shape != (a.shape[0],) or a.shape[0] == 0:
             raise ValueError("rhs must have one entry per constraint")
-        for mat, name in [(cost, "cost")] + [(a[i], f"constraint {i}") for i in range(a.shape[0])]:
-            if np.max(np.abs(mat - mat.T)) > 1e-12 * (1.0 + np.max(np.abs(mat))):
-                raise ValueError(f"{name} matrix is not symmetric")
+        mats = np.concatenate([cost[None], a])
+        bound = 1e-12 * (1.0 + np.max(np.abs(mats), axis=(1, 2)))
+        if (asym := np.max(np.abs(mats - np.swapaxes(mats, 1, 2)), axis=(1, 2)) > bound).any():
+            name = "cost" if asym[0] else f"constraint {np.argmax(asym) - 1}"
+            raise ValueError(f"{name} matrix is not symmetric")
         object.__setattr__(self, "cost", cost)
         object.__setattr__(self, "constraints", a)
         object.__setattr__(self, "rhs", b)
@@ -76,28 +81,24 @@ class SdpSolution:
     iterate_log: list = field(default_factory=list)
 
 
-def _constraint_values(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.einsum("kij,ij->k", a, x)
+def _operator(a: np.ndarray):
+    """A(X) = amat @ vec(X) and A^T y = (y @ amat).reshape(s, s), amat = a as (m, s*s)."""
+    amat = a.reshape(len(a), -1)
+    return (lambda x: amat @ x.ravel()), (lambda y: (y @ amat).reshape(a.shape[1:]))
 
 
-def _nt_scaling(x: np.ndarray, s: np.ndarray):
-    """W with W S W = X, via the Cholesky/SVD construction."""
-    lx = scipy.linalg.cholesky(x, lower=True)
-    ls = scipy.linalg.cholesky(s, lower=True)
-    u, sv, vt = np.linalg.svd(ls.T @ lx)
-    g = lx @ vt.T / np.sqrt(sv)
-    return g @ g.T
+def _schur(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The Schur matrix <A_k, W A_l W>, symmetrized."""
+    schur = a.reshape(len(a), -1) @ (w @ a @ w).reshape(len(a), -1).T
+    return 0.5 * (schur + schur.T)
 
 
-def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
-    """Largest alpha <= 1 with x + alpha*dx staying PSD, with a safety fraction."""
-    lx = scipy.linalg.cholesky(x, lower=True)
-    inv_lx = scipy.linalg.solve_triangular(lx, np.eye(x.shape[0]), lower=True)
-    m = inv_lx @ dx @ inv_lx.T
-    lam = np.linalg.eigvalsh(0.5 * (m + m.T))[0]
-    if lam >= 0:
-        return 1.0
-    return min(1.0, -_STEP_FRACTION / lam)
+def _max_steps(inv_chol: np.ndarray, d: np.ndarray) -> list:
+    """Per stacked pair (L^-1, d) of an inverse Cholesky factor and a direction, the
+    largest alpha <= 1 keeping L L^T + alpha*d PSD, with a safety fraction."""
+    m = inv_chol @ d @ np.swapaxes(inv_chol, 1, 2)
+    lam = np.linalg.eigvalsh(0.5 * (m + np.swapaxes(m, 1, 2)))[:, 0]
+    return [1.0 if v >= 0 else min(1.0, -_STEP_FRACTION / v) for v in lam]
 
 
 def solve(
@@ -108,15 +109,13 @@ def solve(
 ) -> SdpSolution:
     """Run the predictor-corrector iteration from the scaled-identity start."""
     s_dim = p.dim
-    a = p.constraints
-    b = p.rhs
-    c = p.cost
-    m = a.shape[0]
+    a, b, c = p.constraints, p.rhs, p.cost
+    op, adj = _operator(a)
 
     scale = max(1.0, float(np.linalg.norm(c)) / np.sqrt(s_dim))
     x = np.eye(s_dim)
     s = np.eye(s_dim) * scale
-    y = np.zeros(m)
+    y = np.zeros(a.shape[0])
 
     norm_b = 1.0 + np.linalg.norm(b)
     norm_c = 1.0 + np.linalg.norm(c)
@@ -126,8 +125,8 @@ def solve(
     it = 0
     try:
         for it in range(1, max_iter + 1):
-            rp = b - _constraint_values(a, x)
-            rd = c - np.einsum("k,kij->ij", y, a) - s
+            rp = b - op(x)
+            rd = c - adj(y) - s
             gap = float(np.sum(x * s))
             mu = gap / s_dim
             pobj = float(np.sum(c * x))
@@ -157,46 +156,45 @@ def solve(
             if np.linalg.norm(y) > 1e12 or np.max(np.abs(x)) > 1e14:
                 raise InfeasibleDetected("iterates diverged; problem may be infeasible")
 
-            w = _nt_scaling(x, s)
-            s_inv = _inverse_psd(s)
-            wa = np.einsum("ij,kjl,lm->kim", w, a, w)  # W A_k W
-            schur = np.einsum("kij,lij->kl", a, wa)
-            schur = 0.5 * (schur + schur.T)
+            # NT scaling W S W = X via the SVD of Ls^T Lx.
+            lx, ls = np.linalg.cholesky(np.stack([x, s]))
+            inv_l = np.linalg.inv(np.stack([lx, ls]))
+            _, sv, vt = np.linalg.svd(ls.T @ lx)
+            g = lx @ vt.T / np.sqrt(sv)
+            w = g @ g.T
+            s_inv = inv_l[1].T @ inv_l[1]
 
-            def direction(target):
-                rhs_vec = rp - _constraint_values(a, target) + _constraint_values(a, w @ rd @ w)
-                dy, *_ = np.linalg.lstsq(schur, rhs_vec, rcond=1e-13)
-                ds = rd - np.einsum("k,kij->ij", dy, a)
+            # Schur right-hand side rp - A(T) + A(W rd W); the predictor's target
+            # T is -X, the corrector's sigma*mu*S^-1 - X.
+            r0 = rp - op(-x) + op(w @ rd @ w)
+            cols, *_ = np.linalg.lstsq(_schur(a, w), np.column_stack([r0, op(s_inv)]), rcond=1e-13)
+
+            def direction(target, dy):
+                ds = rd - adj(dy)
                 dx = target - w @ ds @ w
-                return 0.5 * (dx + dx.T), dy, 0.5 * (ds + ds.T)
+                return 0.5 * (dx + dx.T), 0.5 * (ds + ds.T)
 
             # Predictor (affine scaling) chooses the centering weight.
-            dx_a, dy_a, ds_a = direction(-x)
-            ap = _max_step(x, dx_a)
-            ad = _max_step(s, ds_a)
+            dx_a, ds_a = direction(-x, cols[:, 0])
+            ap, ad = _max_steps(inv_l, np.stack([dx_a, ds_a]))
             mu_aff = float(np.sum((x + ap * dx_a) * (s + ad * ds_a))) / s_dim
-            sigma = min(1.0, max(mu_aff / mu, 0.0) ** 3)
-            sigma = max(sigma, 1e-4)
+            sigma = max(min(1.0, max(mu_aff / mu, 0.0) ** 3), 1e-4)
             # Recenter instead of stalling when the affine step is blocked.
             if min(ap, ad) < 0.05:
                 sigma = max(sigma, 0.5)
 
-            dx, dy, ds = direction(sigma * mu * s_inv - x)
-            ap = _max_step(x, dx)
-            ad = _max_step(s, ds)
+            dy = cols[:, 0] - sigma * mu * cols[:, 1]
+            dx, ds = direction(sigma * mu * s_inv - x, dy)
+            ap, ad = _max_steps(inv_l, np.stack([dx, ds]))
             x = 0.5 * ((x + ap * dx) + (x + ap * dx).T)
             y = y + ad * dy
             s = 0.5 * ((s + ad * ds) + (s + ad * ds).T)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"factorization failed at iteration {it}: {exc}") from exc
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"linear algebra failed at iteration {it}: {exc}") from exc
 
-    rp = b - _constraint_values(a, x)
-    rd = c - np.einsum("k,kij->ij", y, a) - s
     kkt = {
-        "primal_residual": float(np.linalg.norm(rp)) / norm_b,
-        "dual_residual": float(np.linalg.norm(rd)) / norm_c,
+        "primal_residual": float(np.linalg.norm(b - op(x))) / norm_b,
+        "dual_residual": float(np.linalg.norm(c - adj(y) - s)) / norm_c,
         "complementarity": float(np.sum(x * s)),
     }
     return SdpSolution(
@@ -209,12 +207,6 @@ def solve(
         iterations=it,
         iterate_log=log,
     )
-
-
-def _inverse_psd(s: np.ndarray) -> np.ndarray:
-    ls = scipy.linalg.cholesky(s, lower=True)
-    inv_ls = scipy.linalg.solve_triangular(ls, np.eye(s.shape[0]), lower=True)
-    return inv_ls.T @ inv_ls
 
 
 def certify_lmi(cost, constraints, multipliers, tol_feas: float = 1e-9) -> dict:

@@ -171,11 +171,12 @@ def _perturb_instance(m, rot_axis, rot_magnitude, trans_dir=None, trans_magnitud
     return replace(m, rb=rb, tb=tb)
 
 
-def _certified(m, constraint_set) -> bool:
+def _certified(m, constraint_set) -> bool | None:
+    """The certificate verdict, or None when calibrate raised a CalibrationError."""
     try:
         result = solver.calibrate(m, constraint_set=constraint_set)
     except CalibrationError:
-        return False
+        return None
     return result.certificate.certified
 
 
@@ -193,7 +194,7 @@ def ablation_experiment(
     about n_axes sampled axes. Translation variant (translation_magnitudes
     given): rotation perturbation fixed at pi/2 and one translation perturbed
     over 256 trials (16 rotation axes x 16 translation directions) per
-    magnitude.
+    magnitude. failed_fraction counts the trials where calibrate raised.
     """
     if perturb_magnitudes is None:
         perturb_magnitudes = [k * np.pi / 16 for k in range(1, 9)]
@@ -221,14 +222,15 @@ def ablation_experiment(
                 tasks.append((np.pi / 2, t_mag, kind, trials))
 
     for magnitude, t_mag, kind, trials in tasks:
-        flags = _map_jobs(_certified, [(m, kind) for m in trials], jobs)
+        verdicts = _map_jobs(_certified, [(m, kind) for m in trials], jobs)
         rows.append(
             {
                 "rotation_magnitude": magnitude,
                 "translation_magnitude": t_mag,
                 "constraint_set": kind,
                 "n_trials": len(trials),
-                "certified_fraction": float(np.mean(flags)),
+                "certified_fraction": float(np.mean([f is True for f in verdicts])),
+                "failed_fraction": float(np.mean([f is None for f in verdicts])),
             }
         )
     summary = {

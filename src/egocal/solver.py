@@ -158,10 +158,9 @@ def build_sdp_problem(dm: DataMatrix, constraints: ConstraintSet):
     scale = float(np.trace(dm.q_tilde))
     if scale <= 0:
         scale = 1.0
-    mats = np.stack(list(constraints.matrices) + [constraints.homogenizer])
-    rhs = np.zeros(len(constraints.matrices) + 1)
+    rhs = np.zeros(len(constraints.stacked))
     rhs[-1] = 1.0
-    problem = sdp.SdpProblem(cost=dm.q_tilde / scale, constraints=mats, rhs=rhs)
+    problem = sdp.SdpProblem(cost=dm.q_tilde / scale, constraints=constraints.stacked, rhs=rhs)
     return problem, scale
 
 
@@ -213,8 +212,7 @@ def calibrate(
 
     r_tilde = qcqp.reduced_vector(rotation)
     translation = recover_translation(dm, r_tilde)
-    theta = _polish(m, Transform(rotation, translation))
-    cost = evaluate_cost(m, theta)
+    theta, cost = _polish(m, Transform(rotation, translation))
 
     gamma = solution.dual_obj * scale
     gap = cost - gamma
@@ -237,6 +235,8 @@ def calibrate(
     )
     stats = {
         "sdp_iters": solution.iterations,
+        "sdp_status": solution.status,
+        "kkt": solution.kkt,
         "wall_time_seconds": time.perf_counter() - start,
     }
     return CalibrationResult(
@@ -248,8 +248,8 @@ def calibrate(
     )
 
 
-def _polish(m: MeasurementSet, theta: Extrinsic) -> Extrinsic:
-    """Short local refinement of an extracted estimate.
+def _polish(m: MeasurementSet, theta: Extrinsic) -> tuple[Extrinsic, float]:
+    """Short local refinement of an extracted estimate: (extrinsic, its cost).
 
     The extracted vector inherits the SDP solver tolerance, which leaves the
     estimate a few orders above machine precision. A handful of damped
@@ -257,13 +257,13 @@ def _polish(m: MeasurementSet, theta: Extrinsic) -> Extrinsic:
     stationary point. Accepted only when the cost does not increase, so the
     certificate gap evaluated afterwards can only tighten.
     """
+    cost = evaluate_cost(m, theta)
     try:
         refined, _ = _levenberg_marquardt(m, theta, tol=1e-15, max_nfev=60)
     except (ValueError, np.linalg.LinAlgError):
-        return theta
-    if evaluate_cost(m, refined) <= evaluate_cost(m, theta):
-        return refined
-    return theta
+        return theta, cost
+    refined_cost = evaluate_cost(m, refined)
+    return (refined, refined_cost) if refined_cost <= cost else (theta, cost)
 
 
 def _levenberg_marquardt(m: MeasurementSet, init: Extrinsic, tol: float, max_nfev: int):

@@ -54,17 +54,20 @@ def test_criterion_2_constraint_ablation():
         perturb_magnitudes=[np.pi / 2], n_axes=100, jobs=JOBS
     )
     frac = {r["constraint_set"]: r["certified_fraction"] for r in rows}
+    failed = {r["constraint_set"]: r["failed_fraction"] for r in rows}
     rot_ok = frac["r+h"] == 1.0 and frac["r+c+h"] == 1.0 and frac["r"] < 1.0
 
     rows_t, _ = sim.ablation_experiment(translation_magnitudes=[10.0], jobs=JOBS)
     frac_t = {r["constraint_set"]: r["certified_fraction"] for r in rows_t}
+    failed_t = {r["constraint_set"]: r["failed_fraction"] for r in rows_t}
     others = max(frac_t["r"], frac_t["r+c"], frac_t["r+h"])
     trans_ok = frac_t["r+c+h"] >= others
     _report(
         2,
         "constraint ablation",
         rot_ok and trans_ok,
-        f"rotation={frac} translation={frac_t}",
+        f"rotation={frac} translation={frac_t} "
+        f"failed: rotation={failed} translation={failed_t}",
     )
 
 

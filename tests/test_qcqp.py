@@ -171,6 +171,14 @@ def test_constraint_counts():
         assert cs.kind == kind
 
 
+def test_constraint_catalog_built_once_read_only():
+    cs = qcqp.constraint_catalog("r+c+h")
+    assert qcqp.constraint_catalog("R+C+H") is cs
+    assert np.array_equal(cs.stacked, np.stack(list(cs.matrices) + [cs.homogenizer]))
+    for arr in (cs.stacked, cs.homogenizer, *cs.matrices):
+        assert not arr.flags.writeable
+
+
 def test_constraint_catalog_rejects_unknown_kind():
     with pytest.raises(ValueError):
         qcqp.constraint_catalog("r+x")

@@ -16,6 +16,34 @@ def test_problem_validation():
         SdpProblem(cost=np.eye(2), constraints=np.eye(3)[None], rhs=np.ones(1))
 
 
+def test_problem_validation_names_first_asymmetric_constraint():
+    a = np.stack([np.eye(2)] * 3)
+    a[1, 0, 1] = 1.0
+    a[2, 1, 0] = 1.0
+    with pytest.raises(ValueError, match="constraint 1 matrix"):
+        SdpProblem(cost=np.eye(2), constraints=a, rhs=np.ones(3))
+
+
+def test_matrix_form_operator_matches_einsum():
+    m, _ = random_instance(4, n_motions=20)
+    problem, _ = solver.build_sdp_problem(qcqp.assemble(m), qcqp.constraint_catalog("r+c+h"))
+    a = problem.constraints
+    rng = np.random.default_rng(24)
+    g = rng.standard_normal((problem.dim, problem.dim))
+    w = g @ g.T + 0.1 * np.eye(problem.dim)  # random SPD scaling
+    x = rng.standard_normal((problem.dim, problem.dim))
+    y = rng.standard_normal(a.shape[0])
+    op, adj = sdp._operator(a)
+
+    def close(got, want):
+        return np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    assert close(op(x), np.einsum("kij,ij->k", a, x))
+    assert close(adj(y), np.einsum("k,kij->ij", y, a))
+    schur = np.einsum("kij,lij->kl", a, np.einsum("ij,kjl,lm->kim", w, a, w))
+    assert close(sdp._schur(a, w), 0.5 * (schur + schur.T))
+
+
 def test_trivial_eigenvalue_problem():
     # min tr(diag(1,2) X) s.t. tr(X) = 1 picks out the smallest eigenvalue
     p = SdpProblem(cost=np.diag([1.0, 2.0]), constraints=np.eye(2)[None], rhs=np.ones(1))

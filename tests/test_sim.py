@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from egocal import geom, sim, solver
+from egocal.errors import NumericalFailure
 from egocal.problem import check_observability, relative_motions_from_trajectories
 
 
@@ -160,6 +161,24 @@ def test_ablation_monotone_in_constraints():
     assert frac["r"] <= frac["r+c"] + 1e-12
     assert frac["r+c"] <= frac["r+c+h"] + 1e-12
     assert frac["r+h"] <= frac["r+c+h"] + 1e-12
+
+
+def test_ablation_counts_failed_trials(monkeypatch):
+    calibrate = solver.calibrate
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(None)
+        if len(calls) % 2 == 0:
+            raise NumericalFailure("injected breakdown")
+        return calibrate(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "calibrate", flaky)
+    rows, _ = sim.ablation_experiment(
+        perturb_magnitudes=[np.pi / 2], n_axes=4, constraint_sets=("r+c+h",)
+    )
+    assert rows[0]["failed_fraction"] == 0.5
+    assert rows[0]["certified_fraction"] == 0.5
 
 
 def test_ablation_parallel_matches_serial():

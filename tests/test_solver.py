@@ -267,6 +267,10 @@ def test_result_serialization_schema():
         assert key in d["certificate"]
     assert "observable" in d["observability"]
     assert "sdp_iters" in d["solve_stats"]
+    assert d["solve_stats"]["sdp_status"] == "optimal"
+    kkt = d["solve_stats"]["kkt"]
+    for key in ("primal_residual", "dual_residual", "complementarity"):
+        assert np.isfinite(kkt[key])
 
 
 def test_calibrate_deterministic():
