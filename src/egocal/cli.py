@@ -9,11 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import geom, qcqp, sdp, sim, solver
+from . import geom, qcqp, sim, solver
 from .errors import CalibrationError, ParseError
 from .geom import Transform
 from .problem import (
@@ -22,7 +23,6 @@ from .problem import (
     dump_trajectory,
     load_measurements,
     parse_pose,
-    relative_motions_from_trajectories,
 )
 
 EXIT_OK = 0
@@ -115,18 +115,9 @@ def cmd_calibrate(args) -> int:
 
 def cmd_simulate(args) -> int:
     prefix = args.output
-    rng = np.random.default_rng(args.seed)
-    path = sim.generate_path(
-        n_steps=args.n_motions + 1,
-        radius=args.radius,
-        amplitude=args.amplitude,
-        seed=int(rng.integers(2**31)),
-    )
-    theta = geom.random_transform(rng, translation_scale=0.5)
-    poses_a, poses_b = sim.sensor_trajectories(path, theta)
-    clean = relative_motions_from_trajectories(poses_a, poses_b)
-    noisy = sim.corrupt(
-        clean, sim.NoiseModel(args.sigma_r, args.sigma_t, seed=int(rng.integers(2**31)))
+    path, theta, clean, noisy = sim.terrain_instance(
+        np.random.default_rng(args.seed), args.n_motions, args.sigma_r, args.sigma_t,
+        radius=args.radius, amplitude=args.amplitude,
     )
     report = check_observability(clean)
 
@@ -146,7 +137,7 @@ def cmd_simulate(args) -> int:
             x, y, z = pose.translation
             fp.write(f"{i},{x},{y},{z}\n")
     with open(f"{prefix}_trajectory_b.jsonl", "w", encoding="utf-8") as fp:
-        dump_trajectory(poses_b, fp)
+        dump_trajectory(path.waypoints, fp)
     return EXIT_OK
 
 
@@ -199,27 +190,21 @@ def cmd_certify(args) -> int:
     with open(args.input, "rb") as fp:
         measurements = load_measurements(fp)
     candidate = _load_theta(args.theta)
-
-    dm = qcqp.assemble(measurements)
-    constraints = qcqp.constraint_catalog(args.constraint_set)
-    problem, scale = solver.build_sdp_problem(dm, constraints)
-    solution = sdp.solve(problem, tol_feas=args.tol_feas, tol_gap=args.tol_gap)
-    gamma = solution.dual_obj * scale
-    cost = solver.evaluate_cost(measurements, candidate)
-    gap = cost - gamma
-    certified = solution.status == sdp.STATUS_OPTIMAL and gap <= solver.GAP_TOL * (
-        1.0 + abs(cost)
+    _, solution, _, certificate = solver.relax(
+        measurements, args.constraint_set, tol_feas=args.tol_feas, tol_gap=args.tol_gap
     )
+    certificate = replace(certificate, cost=solver.evaluate_cost(measurements, candidate))
     report = {
         "schema_version": 1,
-        "candidate_cost": cost,
-        "dual_lower_bound": gamma,
-        "gap": gap,
-        "certified": bool(certified),
+        "candidate_cost": certificate.cost,
+        "dual_lower_bound": certificate.lower_bound,
+        "gap": certificate.gap,
+        "certified": certificate.certified,
         "sdp_status": solution.status,
+        "certificate": certificate.to_dict(),
     }
     _write_report(report, args.output)
-    return EXIT_OK if certified else EXIT_NOT_CERTIFIED
+    return EXIT_OK if certificate.certified else EXIT_NOT_CERTIFIED
 
 
 def main(argv=None) -> int:

@@ -212,8 +212,10 @@ def solve(
 def certify_lmi(cost, constraints, multipliers, tol_feas: float = 1e-9) -> dict:
     """Rebuild the dual slack H = cost - sum_i y_i A_i and test it for PSD.
 
-    Independent of solver internals: only the multipliers are consumed. Returns
-    the minimum eigenvalue and a scale-relative PSD verdict.
+    Independent of solver internals: only the multipliers are consumed. One
+    eigendecomposition of H gives everything returned: the ascending
+    eigenvalues and their eigenvectors, the spectral norm max|lambda|, the
+    minimum eigenvalue and a scale-relative PSD verdict.
     """
     cost = np.asarray(cost, dtype=float)
     constraints = np.asarray(constraints, dtype=float)
@@ -222,10 +224,13 @@ def certify_lmi(cost, constraints, multipliers, tol_feas: float = 1e-9) -> dict:
         raise ValueError("need one multiplier per constraint")
     h = cost - np.einsum("k,kij->ij", multipliers, constraints)
     h = 0.5 * (h + h.T)
-    min_eig = float(np.linalg.eigvalsh(h)[0])
-    norm_h = float(np.linalg.norm(h, 2))
+    eigenvalues, eigenvectors = np.linalg.eigh(h)
+    min_eig = float(eigenvalues[0])
+    norm_h = float(np.max(np.abs(eigenvalues)))
     return {
-        "h": h,
+        "eigenvalues": eigenvalues,
+        "eigenvectors": eigenvectors,
+        "norm": norm_h,
         "min_eig": min_eig,
         "psd": min_eig > -tol_feas * (1.0 + norm_h),
     }

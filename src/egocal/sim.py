@@ -138,6 +138,21 @@ def corrupt(m: MeasurementSet, noise: NoiseModel) -> MeasurementSet:
     return replace(m, ra=ra, rb=rb, ta=ta, tb=tb)
 
 
+def terrain_instance(rng, n_motions, sigma_r, sigma_t, radius=10.0, amplitude=1.0):
+    """A noisy n-motion drive over a random terrain with a random extrinsic.
+
+    Draws, in this order, the path seed, the extrinsic and the noise seed from
+    `rng`. Returns (path, theta, clean, noisy); sensor b rides `path`.
+    """
+    path = generate_path(
+        n_steps=n_motions + 1, radius=radius, amplitude=amplitude, seed=int(rng.integers(2**31))
+    )
+    theta = geom.random_transform(rng, translation_scale=0.5)
+    clean = relative_motions_from_trajectories(*sensor_trajectories(path, theta))
+    noisy = corrupt(clean, NoiseModel(sigma_r, sigma_t, seed=int(rng.integers(2**31))))
+    return path, theta, clean, noisy
+
+
 def fibonacci_sphere(n: int) -> np.ndarray:
     """n deterministic, roughly uniform unit vectors."""
     i = np.arange(n) + 0.5
@@ -260,14 +275,9 @@ def _errors(theta_est: Transform, theta_true: Transform):
 
 
 def _sweep_trial(sigma_r, sigma_t, n_motions, master_seed, trial):
-    rng = np.random.default_rng([master_seed, trial])
-    path_seed = int(rng.integers(2**31))
-    path = generate_path(n_steps=n_motions + 1, seed=path_seed)
-    theta = geom.random_transform(rng, translation_scale=0.5)
-    poses_a, poses_b = sensor_trajectories(path, theta)
-    clean = relative_motions_from_trajectories(poses_a, poses_b)
-    noisy = corrupt(clean, NoiseModel(sigma_r, sigma_t, seed=int(rng.integers(2**31))))
-
+    _, theta, _, noisy = terrain_instance(
+        np.random.default_rng([master_seed, trial]), n_motions, sigma_r, sigma_t
+    )
     rows = []
     for method, constraint_set, result in (
         ("convex", "r+c+h", solver.calibrate(noisy)),
@@ -349,13 +359,8 @@ def init_heatmap(
     heatmap; each cell seeds the local solver with n_inits initial guesses
     offset from the truth by the cell's rotation angle and translation distance.
     """
-    rng = np.random.default_rng([seed, 0])
-    path = generate_path(n_steps=n_motions + 1, seed=int(rng.integers(2**31)))
-    theta = geom.random_transform(rng, translation_scale=0.5)
-    poses_a, poses_b = sensor_trajectories(path, theta)
-    noisy = corrupt(
-        relative_motions_from_trajectories(poses_a, poses_b),
-        NoiseModel(sigma_r, sigma_t, seed=int(rng.integers(2**31))),
+    _, theta, _, noisy = terrain_instance(
+        np.random.default_rng([seed, 0]), n_motions, sigma_r, sigma_t
     )
     convex = solver.calibrate(noisy)
     convex_rot_err, convex_trans_err = _errors(convex.extrinsic, theta)
@@ -415,14 +420,7 @@ def runtime_bench(
     rows = []
     for n in n_list:
         for run in range(n_runs):
-            rng = np.random.default_rng([seed, n, run])
-            path = generate_path(n_steps=n + 1, seed=int(rng.integers(2**31)))
-            theta = geom.random_transform(rng, translation_scale=0.5)
-            poses_a, poses_b = sensor_trajectories(path, theta)
-            noisy = corrupt(
-                relative_motions_from_trajectories(poses_a, poses_b),
-                NoiseModel(sigma_r, sigma_t, seed=int(rng.integers(2**31))),
-            )
+            noisy = terrain_instance(np.random.default_rng([seed, n, run]), n, sigma_r, sigma_t)[3]
             dm = qcqp.assemble(noisy)
             problem, _ = solver.build_sdp_problem(dm, qcqp.constraint_catalog("r+c+h"))
             start = time.perf_counter()

@@ -8,7 +8,7 @@ harness for comparisons.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -41,11 +41,36 @@ CROSS_CHECK_TOL = 1e-4
 
 @dataclass(frozen=True)
 class Certificate:
-    gap: float
+    """Facts about a candidate and its relaxation's dual; `reasons` holds the one
+    verdict rule. A NaN cost (no candidate priced yet) never certifies."""
+
+    lower_bound: float
+    cost: float
     min_eig_h: float
     nullspace_dim: int
     extraction_residual: float
-    verdict: str
+    cross_check: float
+    rank_one: bool
+
+    @property
+    def gap(self) -> float:
+        return self.cost - self.lower_bound
+
+    @property
+    def reasons(self) -> tuple:
+        """Names of the failed checks, in a fixed order; empty when certified."""
+        checks = {
+            "rank": self.rank_one,
+            "gap": self.gap < GAP_TOL * (1.0 + abs(self.cost)),
+            "psd": self.min_eig_h > -PSD_TOL,
+            "nullspace_dim": self.nullspace_dim == 1,
+            "cross_check": self.cross_check < CROSS_CHECK_TOL,
+        }
+        return tuple(name for name, ok in checks.items() if not ok)
+
+    @property
+    def verdict(self) -> str:
+        return VERDICT_NOT_CERTIFIED if self.reasons else VERDICT_CERTIFIED
 
     @property
     def certified(self) -> bool:
@@ -57,7 +82,9 @@ class Certificate:
             "min_eig_H": self.min_eig_h,
             "nullspace_dim": self.nullspace_dim,
             "extraction_residual": self.extraction_residual,
+            "cross_check": self.cross_check,
             "verdict": self.verdict,
+            "reasons": list(self.reasons),
         }
 
 
@@ -102,43 +129,38 @@ def recover_translation(dm: DataMatrix, r_tilde: np.ndarray) -> np.ndarray:
     return -scipy.linalg.solve(dm.q_tt, dm.q_t_rtilde @ r_tilde, assume_a="pos")
 
 
-def extract_solution(
-    x_primal: np.ndarray,
-    h_matrix: np.ndarray | None = None,
-    rank_ratio: float | None = RANK_RATIO,
-):
-    """Recover (rotation, residual, cross_check) from the SDP solution.
+def _nullspace_dim(lmi: dict) -> int:
+    """Eigenvalues of the dual slack H that are zero relative to its norm."""
+    return int(np.sum(lmi["eigenvalues"] < NULLSPACE_TOL * (1.0 + lmi["norm"])))
 
-    The solution vector is the minimum-eigenvalue direction of the dual slack
-    H when that eigenvalue is (relatively) zero -- at a zero-gap optimum the
-    slack annihilates the minimizer and its nullspace vector is accurate to
-    the solver tolerance. Otherwise the dominant eigenvector of the primal X
-    is used (its error scales as sqrt(gap)). Either way the vector is rescaled
-    so its homogenizer entry is +1, reshaped column-wise to 3x3, and projected
-    to SO(3); cross_check reports the disagreement between the two sources.
 
-    Raises RankDeficiencyAmbiguous when the second eigenvalue of x_primal
-    exceeds rank_ratio times the first (pass rank_ratio=None to skip).
+def extract_solution(x_primal: np.ndarray, lmi: dict):
+    """Recover (rotation, residual, cross_check, rank_one) from the SDP solution.
+
+    `lmi` is `sdp.certify_lmi`'s decomposition of the dual slack H. When H has
+    a (relatively) zero eigenvalue its eigenvector is the solution vector -- at
+    a zero-gap optimum the slack annihilates the minimizer and its nullspace
+    vector is accurate to the solver tolerance. Otherwise the dominant
+    eigenvector of the primal X is used (its error scales as sqrt(gap)).
+    Either way the vector is rescaled so its homogenizer entry is +1, reshaped
+    column-wise to 3x3, and projected to SO(3); cross_check reports the
+    disagreement between the two sources. rank_one is False when the second
+    eigenvalue of x_primal exceeds RANK_RATIO times the first.
+
+    Raises RankDeficiencyAmbiguous when the homogenizer entry is zero.
     """
     x_primal = 0.5 * (x_primal + x_primal.T)
     eigvals, eigvecs = np.linalg.eigh(x_primal)
-    if rank_ratio is not None and eigvals[-2] > rank_ratio * eigvals[-1]:
-        raise RankDeficiencyAmbiguous(
-            f"primal matrix is not rank one (eig ratio {eigvals[-2] / eigvals[-1]:.2e}); "
-            "duality gap or unobservable instance"
-        )
+    rank_one = not eigvals[-2] > RANK_RATIO * eigvals[-1]
     v = eigvecs[:, -1]
 
     cross_check = 0.0
-    if h_matrix is not None:
-        h = 0.5 * (h_matrix + h_matrix.T)
-        h_vals, h_vecs = np.linalg.eigh(h)
-        if h_vals[0] < NULLSPACE_TOL * (1.0 + np.linalg.norm(h, 2)):
-            u = h_vecs[:, 0]
-            if np.dot(u, v) < 0:
-                u = -u
-            cross_check = float(np.linalg.norm(u - v))
-            v = u
+    if _nullspace_dim(lmi) > 0:
+        u = lmi["eigenvectors"][:, 0]
+        if np.dot(u, v) < 0:
+            u = -u
+        cross_check = float(np.linalg.norm(u - v))
+        v = u
 
     if abs(v[qcqp.Y_INDEX]) < 1e-9:
         raise RankDeficiencyAmbiguous("homogenizer entry of the extracted vector is zero")
@@ -146,7 +168,7 @@ def extract_solution(
     raw = v[:9].reshape(3, 3, order="F")
     rotation = geom.project_to_so3(raw)
     residual = float(np.linalg.norm(raw - rotation.m))
-    return rotation, residual, cross_check
+    return rotation, residual, cross_check, rank_one
 
 
 def build_sdp_problem(dm: DataMatrix, constraints: ConstraintSet):
@@ -164,6 +186,33 @@ def build_sdp_problem(dm: DataMatrix, constraints: ConstraintSet):
     return problem, scale
 
 
+def relax(m: MeasurementSet, constraint_set="r+c+h", tol_feas=1e-9, tol_gap=1e-9, max_iter=100):
+    """Solve the SDP relaxation of `m` and certify its dual: (dm, solution, rotation, certificate).
+
+    Runs assemble -> SDP -> status check -> `sdp.certify_lmi` -> extraction.
+    The certificate holds everything but the candidate's cost, which is NaN
+    until the caller prices a candidate with `dataclasses.replace`.
+    """
+    dm = qcqp.assemble(m)
+    problem, scale = build_sdp_problem(dm, qcqp.constraint_catalog(constraint_set))
+    solution = sdp.solve(problem, tol_feas=tol_feas, tol_gap=tol_gap, max_iter=max_iter)
+    if solution.status != sdp.STATUS_OPTIMAL:
+        raise SdpFailure(f"interior-point solve ended with status {solution.status!r}")
+
+    lmi = sdp.certify_lmi(problem.cost, problem.constraints, solution.multipliers, tol_feas=PSD_TOL)
+    rotation, extraction_residual, cross_check, rank_one = extract_solution(solution.x_primal, lmi)
+    certificate = Certificate(
+        lower_bound=solution.dual_obj * scale,
+        cost=float("nan"),
+        min_eig_h=lmi["min_eig"],
+        nullspace_dim=_nullspace_dim(lmi),
+        extraction_residual=extraction_residual,
+        cross_check=cross_check,
+        rank_one=rank_one,
+    )
+    return dm, solution, rotation, certificate
+
+
 def calibrate(
     m: MeasurementSet,
     constraint_set: str = "r+c+h",
@@ -174,10 +223,9 @@ def calibrate(
 ) -> CalibrationResult:
     """Certifiably globally optimal calibration from relative motion pairs.
 
-    Pipeline: form the data matrix, Schur-reduce over translation, solve the
-    strengthened dual SDP, extract the rotation from the (near) rank-one
-    primal, recover the translation in closed form, and attach a numerical
-    optimality certificate plus the observability report.
+    Pipeline: test observability, solve and certify the relaxation (`relax`),
+    recover the translation in closed form, polish locally, and price the
+    polished estimate against the certificate's dual lower bound.
     """
     start = time.perf_counter()
     report = check_observability(m)
@@ -187,52 +235,9 @@ def calibrate(
             "two are required"
         )
 
-    dm = qcqp.assemble(m)
-    constraints = qcqp.constraint_catalog(constraint_set)
-    problem, scale = build_sdp_problem(dm, constraints)
-    solution = sdp.solve(problem, tol_feas=tol_feas, tol_gap=tol_gap, max_iter=max_iter)
-    if solution.status != sdp.STATUS_OPTIMAL:
-        raise SdpFailure(f"interior-point solve ended with status {solution.status!r}")
-
-    cert_lmi = sdp.certify_lmi(
-        problem.cost, problem.constraints, solution.multipliers, tol_feas=PSD_TOL
-    )
-    h = cert_lmi["h"]
-
-    verdict_ok = True
-    try:
-        rotation, extraction_residual, cross_check = extract_solution(
-            solution.x_primal, h_matrix=h, rank_ratio=RANK_RATIO
-        )
-    except RankDeficiencyAmbiguous:
-        verdict_ok = False
-        rotation, extraction_residual, cross_check = extract_solution(
-            solution.x_primal, h_matrix=h, rank_ratio=None
-        )
-
-    r_tilde = qcqp.reduced_vector(rotation)
-    translation = recover_translation(dm, r_tilde)
+    dm, solution, rotation, certificate = relax(m, constraint_set, tol_feas, tol_gap, max_iter)
+    translation = recover_translation(dm, qcqp.reduced_vector(rotation))
     theta, cost = _polish(m, Transform(rotation, translation))
-
-    gamma = solution.dual_obj * scale
-    gap = cost - gamma
-    h_norm = float(np.linalg.norm(h, 2))
-    nullspace_dim = int(np.sum(np.linalg.eigvalsh(h) < NULLSPACE_TOL * (1.0 + h_norm)))
-
-    certified = (
-        verdict_ok
-        and gap < GAP_TOL * (1.0 + abs(cost))
-        and cert_lmi["min_eig"] > -PSD_TOL
-        and nullspace_dim == 1
-        and cross_check < CROSS_CHECK_TOL
-    )
-    certificate = Certificate(
-        gap=gap,
-        min_eig_h=cert_lmi["min_eig"],
-        nullspace_dim=nullspace_dim,
-        extraction_residual=extraction_residual,
-        verdict=VERDICT_CERTIFIED if certified else VERDICT_NOT_CERTIFIED,
-    )
     stats = {
         "sdp_iters": solution.iterations,
         "sdp_status": solution.status,
@@ -242,7 +247,7 @@ def calibrate(
     return CalibrationResult(
         extrinsic=theta,
         cost=cost,
-        certificate=certificate,
+        certificate=replace(certificate, cost=cost),
         observability=report,
         solve_stats=stats,
     )
@@ -315,11 +320,13 @@ def local_solve(
     cost = evaluate_cost(m, theta)
     report = check_observability(m)
     certificate = Certificate(
-        gap=float("nan"),
+        lower_bound=float("nan"),
+        cost=cost,
         min_eig_h=float("nan"),
         nullspace_dim=0,
         extraction_residual=0.0,
-        verdict=VERDICT_NOT_CERTIFIED,
+        cross_check=float("nan"),
+        rank_one=False,
     )
     stats = {
         "sdp_iters": 0,

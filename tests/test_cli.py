@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from egocal import cli, geom, sim
+from egocal import cli, geom, sdp, sim, solver
 from egocal.errors import ParseError
 from egocal.geom import AxisAngle, RotationMatrix, Transform
 from egocal.problem import MeasurementSet, RelativeMotionPair, dump_measurements
@@ -195,6 +195,67 @@ def test_certify_perturbed_candidate_rejected(tmp_path):
     assert code == 2
     cert = json.loads(out.read_text())
     assert cert["gap"] > 0.1
+    assert "gap" in cert["certificate"]["reasons"]
+
+
+def _two_motion_hard_dataset_13():
+    """perfbench's two-motion-hard seed 0, dataset 13: axis 1, direction 5 of the grid."""
+    rng = np.random.default_rng([0, 3])
+    axes = sim.fibonacci_sphere(8) @ geom.random_rotation(rng).m.T
+    directions = sim.fibonacci_sphere(8) @ geom.random_rotation(rng).m.T
+    return sim._perturb_instance(
+        sim.two_motion_instance(sim.DEFAULT_THETA), axes[1], np.pi / 2, directions[5], 10.0
+    )
+
+
+def test_certify_applies_the_calibrate_rule(tmp_path):
+    # The "r" relaxation closes the gap here, but its dual nullspace vector
+    # disagrees with the primal one: calibrate refuses the extrinsic, and
+    # certify must refuse it for the same reason.
+    m = _two_motion_hard_dataset_13()
+    result = solver.calibrate(m, "r")
+    assert result.certificate.verdict == "NotCertified"
+    assert result.certificate.reasons == ("cross_check",)
+    fixture = tmp_path / "hard.jsonl"
+    with open(fixture, "w", encoding="utf-8") as fp:
+        dump_measurements(m, fp)
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(result.to_dict()))
+    out = tmp_path / "cert.json"
+    code = cli.main(
+        [
+            "certify",
+            "--input",
+            str(fixture),
+            "--theta",
+            str(report_path),
+            "--output",
+            str(out),
+            "--constraint-set",
+            "r",
+        ]
+    )
+    assert code == 2
+    cert = json.loads(out.read_text())
+    assert cert["certified"] is False
+    assert cert["certificate"]["reasons"] == ["cross_check"]
+
+
+def test_certify_non_optimal_sdp_exit_one(tmp_path, capsys, monkeypatch):
+    # an SDP that stops at its iteration cap is an SdpFailure, as in calibrate
+    solve = sdp.solve
+    monkeypatch.setattr(sdp, "solve", lambda p, **kw: solve(p, **{**kw, "max_iter": 2}))
+    fixture = tmp_path / "clean.jsonl"
+    _write_two_motion_fixture(fixture)
+    theta_path = tmp_path / "theta.json"
+    theta_path.write_text(json.dumps({"theta": {"R": np.eye(3).tolist(), "t": [0.0, 0.0, 0.0]}}))
+    out = tmp_path / "cert.json"
+    code = cli.main(
+        ["certify", "--input", str(fixture), "--theta", str(theta_path), "--output", str(out)]
+    )
+    assert code == 1
+    assert "max_iter" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_experiment_runtime_writes_outputs(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_instance
-from egocal import geom, qcqp, sim, solver
+from egocal import geom, qcqp, sdp, sim, solver
 from egocal.errors import NotObservable, RankDeficiencyAmbiguous, SingularQtt
 from egocal.geom import AxisAngle, RotationMatrix, Transform
 from egocal.problem import MeasurementSet, RelativeMotionPair
@@ -97,20 +97,25 @@ def test_singular_qtt_propagates():
         solver.calibrate(MeasurementSet.from_pairs(pairs))
 
 
+# A dual slack with no null direction: extraction uses the primal eigenvector.
+NO_NULLSPACE = sdp.certify_lmi(np.eye(10), np.zeros((1, 10, 10)), np.zeros(1))
+
+
 def test_extract_solution_rank_one_exact():
     r = geom.random_rotation(7)
     v = qcqp.reduced_vector(r, 1.0)
     x = np.outer(v, v)
-    rotation, residual, _ = solver.extract_solution(x)
+    rotation, residual, _, rank_one = solver.extract_solution(x, NO_NULLSPACE)
     assert np.linalg.norm(rotation.m - r.m) < 1e-12
     assert residual < 1e-12
+    assert rank_one is True
 
 
 def test_extract_solution_sign_normalized():
     # the lifted vector with y = -1 encodes the same rotation
     r = geom.random_rotation(8)
     v = -qcqp.reduced_vector(r, 1.0)
-    rotation, residual, _ = solver.extract_solution(np.outer(v, v))
+    rotation, residual, _, _ = solver.extract_solution(np.outer(v, v), NO_NULLSPACE)
     assert np.linalg.norm(rotation.m - r.m) < 1e-12
     assert residual < 1e-12
 
@@ -121,11 +126,17 @@ def test_extract_solution_rejects_rank_two():
     v1 = qcqp.reduced_vector(r1, 1.0)
     v2 = qcqp.reduced_vector(r2, 1.0)
     x = np.outer(v1, v1) + 0.9 * np.outer(v2, v2)
-    with pytest.raises(RankDeficiencyAmbiguous):
-        solver.extract_solution(x)
-    # without the rank gate extraction still produces a rotation
-    rotation, _, _ = solver.extract_solution(x, rank_ratio=None)
+    # the rank gate fails, and extraction still produces a rotation
+    rotation, _, _, rank_one = solver.extract_solution(x, NO_NULLSPACE)
+    assert rank_one is False
     assert isinstance(rotation, RotationMatrix)
+
+
+def test_extract_solution_zero_homogenizer_raises():
+    v = np.zeros(10)
+    v[0] = 1.0
+    with pytest.raises(RankDeficiencyAmbiguous):
+        solver.extract_solution(np.outer(v, v), NO_NULLSPACE)
 
 
 def test_extract_solution_uses_dual_nullspace():
@@ -139,7 +150,8 @@ def test_extract_solution_uses_dual_nullspace():
     h = q @ np.diag(np.concatenate([[0.0], rng.uniform(1.0, 2.0, 9)])) @ q.T
     noisy = v + 1e-4 * rng.normal(size=10)
     x = np.outer(noisy, noisy)
-    rotation, _, cross = solver.extract_solution(x, h_matrix=h, rank_ratio=None)
+    lmi = sdp.certify_lmi(h, np.zeros((1, 10, 10)), np.zeros(1))
+    rotation, _, cross, _ = solver.extract_solution(x, lmi)
     assert np.linalg.norm(rotation.m - r.m) < 1e-9
     assert 0.0 < cross < 1e-3
 
@@ -265,6 +277,8 @@ def test_result_serialization_schema():
     assert len(d["theta"]["t"]) == 3
     for key in ("gap", "min_eig_H", "nullspace_dim", "extraction_residual", "verdict"):
         assert key in d["certificate"]
+    assert d["certificate"]["cross_check"] < solver.CROSS_CHECK_TOL
+    assert d["certificate"]["reasons"] == []
     assert "observable" in d["observability"]
     assert "sdp_iters" in d["solve_stats"]
     assert d["solve_stats"]["sdp_status"] == "optimal"
