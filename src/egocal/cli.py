@@ -1,7 +1,7 @@
 """Command-line interface: calibrate, simulate, experiment, certify.
 
 Exit codes: 0 success (certified where applicable), 2 completed but not
-certified, 1 error.
+certified, 1 error, including a usage error.
 """
 
 from __future__ import annotations
@@ -14,13 +14,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import geom, qcqp, sim, solver
+from . import qcqp, sim, solver
 from .errors import CalibrationError, ParseError
-from .geom import Transform
+from .geom import RotationMatrix, Transform
 from .problem import (
     check_observability,
     dump_measurements,
     dump_trajectory,
+    ingest_rotations,
     load_measurements,
     parse_pose,
 )
@@ -28,11 +29,6 @@ from .problem import (
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_CERTIFIED = 2
-
-
-def _add_common_tolerances(p):
-    p.add_argument("--tol-gap", type=float, default=1e-9, help="SDP duality-gap tolerance")
-    p.add_argument("--tol-feas", type=float, default=1e-9, help="SDP feasibility tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,7 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="SO(3) constraint set for the dual",
     )
     cal.add_argument("--strict-observability", action="store_true")
-    _add_common_tolerances(cal)
 
     simp = sub.add_parser("simulate", help="generate synthetic measurements from a terrain path")
     simp.add_argument("--output", required=True, help="output prefix (writes <prefix>.jsonl etc.)")
@@ -86,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument(
         "--constraint-set", default="r+c+h", choices=list(qcqp.CONSTRAINT_KINDS)
     )
-    _add_common_tolerances(cert)
 
     return parser
 
@@ -102,13 +96,7 @@ def _write_report(report: dict, output) -> None:
 def cmd_calibrate(args) -> int:
     with open(args.input, "rb") as fp:
         measurements = load_measurements(fp)
-    result = solver.calibrate(
-        measurements,
-        constraint_set=args.constraint_set,
-        strict_observability=args.strict_observability,
-        tol_feas=args.tol_feas,
-        tol_gap=args.tol_gap,
-    )
+    result = solver.calibrate(measurements, args.constraint_set, args.strict_observability)
     _write_report(result.to_dict(), args.output)
     return EXIT_OK if result.certificate.certified else EXIT_NOT_CERTIFIED
 
@@ -183,16 +171,14 @@ def _load_theta(path) -> Transform:
     except ValueError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
     r, t = parse_pose(obj.get("theta", obj) if isinstance(obj, dict) else obj)
-    return Transform(geom.project_to_so3(r), t)
+    return Transform(RotationMatrix(ingest_rotations(r[None, None], lambda _: path)[0, 0]), t)
 
 
 def cmd_certify(args) -> int:
     with open(args.input, "rb") as fp:
         measurements = load_measurements(fp)
     candidate = _load_theta(args.theta)
-    _, solution, _, certificate = solver.relax(
-        measurements, args.constraint_set, tol_feas=args.tol_feas, tol_gap=args.tol_gap
-    )
+    _, solution, _, certificate = solver.relax(measurements, args.constraint_set)
     certificate = replace(certificate, cost=solver.evaluate_cost(measurements, candidate))
     report = {
         "schema_version": 1,
@@ -208,8 +194,10 @@ def cmd_certify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_ERROR if exc.code else EXIT_OK
     handlers = {
         "calibrate": cmd_calibrate,
         "simulate": cmd_simulate,

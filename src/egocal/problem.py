@@ -33,6 +33,9 @@ from .errors import (
 from .geom import RotationMatrix, Transform
 
 INGEST_ROTATION_TOL = 1e-6
+# Thresholds of check_observability's axis count, in radians.
+MIN_AXIS_ANGLE = 1e-3
+AXIS_SEPARATION = 1e-2
 
 
 @dataclass(frozen=True)
@@ -146,6 +149,21 @@ def parse_pose(obj, line=None):
     return r, t
 
 
+def ingest_rotations(rotations: np.ndarray, where) -> np.ndarray:
+    """Project a (n, k, 3, 3) stack of per-record rotations onto SO(3).
+
+    Raises InvalidRotation naming `where(i)` for the first record i holding a
+    matrix more than INGEST_ROTATION_TOL from orthonormal or with a negative
+    determinant. Projecting lets downstream invariants (1e-9) hold for inputs
+    that pass this looser tolerance.
+    """
+    drift, det = geom.rotation_defects(rotations)
+    bad = np.any(~(drift <= INGEST_ROTATION_TOL) | ~(det >= 0), axis=1)  # NaN is bad too
+    if np.any(bad):
+        raise InvalidRotation(f"{where(int(np.argmax(bad)))}: rotation is not in SO(3)")
+    return geom.nearest_rotations(rotations)
+
+
 def _read_poses(source, keys, weight_keys, what):
     """Parse JSON-lines records that each hold the poses `keys` and optional weights.
 
@@ -174,14 +192,8 @@ def _read_poses(source, keys, weight_keys, what):
         weights.append([_weight(obj, key, line_no) for key in weight_keys])
     if not line_nos:
         raise EmptyInput(f"{what} source contained no records")
-    rotations = np.array(rotations)
-    drift, det = geom.rotation_defects(rotations)
-    bad = np.any(~(drift <= INGEST_ROTATION_TOL) | ~(det >= 0), axis=1)  # NaN is bad too
-    if np.any(bad):
-        raise InvalidRotation(f"line {line_nos[np.argmax(bad)]}: rotation is not in SO(3)")
-    # Re-orthonormalize so downstream invariants (1e-9) hold for inputs that
-    # pass the looser ingestion tolerance.
-    return geom.nearest_rotations(rotations), np.array(translations), np.array(weights)
+    rotations = ingest_rotations(np.array(rotations), lambda i: f"line {line_nos[i]}")
+    return rotations, np.array(translations), np.array(weights)
 
 
 def _weight(obj, key, line_no) -> float:
@@ -250,26 +262,24 @@ def translation_gram(m: MeasurementSet) -> np.ndarray:
     return (m.tau[:, None, None] * (np.swapaxes(d, 1, 2) @ d)).sum(axis=0)
 
 
-def check_observability(
-    m: MeasurementSet, angle_tol: float = 1e-3, axis_tol: float = 1e-2
-) -> ObservabilityReport:
+def check_observability(m: MeasurementSet) -> ObservabilityReport:
     """Two-unique-axes necessary condition for a well-posed calibration.
 
-    Axes are compared modulo sign; rotations with angle <= angle_tol are
+    Axes are compared modulo sign; rotations with angle <= MIN_AXIS_ANGLE are
     treated as absent. Each remaining axis, in order, becomes a new
-    representative when it is more than axis_tol from every representative
-    so far. Also reports the condition number of the translation block as a
-    numeric corroboration (it blows up exactly in the single-axis failure
-    mode).
+    representative when it is more than AXIS_SEPARATION from every
+    representative so far. Also reports the condition number of the
+    translation block as a numeric corroboration (it blows up exactly in the
+    single-axis failure mode).
     """
     axes, magnitudes = geom.axis_angles(m.ra)
     representatives = np.empty_like(axes)
     count, max_sep = 0, 0.0
-    for axis in axes[magnitudes > angle_tol]:
+    for axis in axes[magnitudes > MIN_AXIS_ANGLE]:
         # Angles modulo antipodality; (k, 1, 3) @ (3,) rounds each dot as np.dot does.
         dots = (representatives[:count, None, :] @ axis)[:, 0]
         separations = np.arccos(np.clip(np.abs(dots), 0.0, 1.0))
-        if np.all(separations > axis_tol):
+        if np.all(separations > AXIS_SEPARATION):
             representatives[count] = axis
             count += 1
             # Every pair of representatives is compared once, when the later joins.

@@ -33,9 +33,11 @@ from .errors import InfeasibleDetected, NumericalFailure
 
 STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITER = "max_iter"
-STATUS_NUMERICAL_FAILURE = "numerical_failure"
-STATUS_INFEASIBLE = "infeasible"
 
+# Stopping tolerances of `solve` (relative residuals, relative gap); TOL_FEAS is
+# also certify_lmi's PSD margin.
+TOL_FEAS = 1e-9
+TOL_GAP = 1e-9
 _STEP_FRACTION = 0.98
 
 
@@ -101,13 +103,12 @@ def _max_steps(inv_chol: np.ndarray, d: np.ndarray) -> list:
     return [1.0 if v >= 0 else min(1.0, -_STEP_FRACTION / v) for v in lam]
 
 
-def solve(
-    p: SdpProblem,
-    tol_feas: float = 1e-9,
-    tol_gap: float = 1e-9,
-    max_iter: int = 100,
-) -> SdpSolution:
-    """Run the predictor-corrector iteration from the scaled-identity start."""
+def solve(p: SdpProblem, max_iter: int = 100) -> SdpSolution:
+    """Run the predictor-corrector iteration from the scaled-identity start.
+
+    Ends with status STATUS_OPTIMAL, or STATUS_MAX_ITER after `max_iter`
+    iterations; a factorization breakdown raises NumericalFailure.
+    """
     s_dim = p.dim
     a, b, c = p.constraints, p.rhs, p.cost
     op, adj = _operator(a)
@@ -146,9 +147,9 @@ def solve(
                 }
             )
             if (
-                pres < tol_feas
-                and dres < tol_feas
-                and gap < tol_gap * (1.0 + abs(pobj) + abs(dobj))
+                pres < TOL_FEAS
+                and dres < TOL_FEAS
+                and gap < TOL_GAP * (1.0 + abs(pobj) + abs(dobj))
             ):
                 status = STATUS_OPTIMAL
                 break
@@ -209,7 +210,7 @@ def solve(
     )
 
 
-def certify_lmi(cost, constraints, multipliers, tol_feas: float = 1e-9) -> dict:
+def certify_lmi(cost, constraints, multipliers) -> dict:
     """Rebuild the dual slack H = cost - sum_i y_i A_i and test it for PSD.
 
     Independent of solver internals: only the multipliers are consumed. One
@@ -232,5 +233,5 @@ def certify_lmi(cost, constraints, multipliers, tol_feas: float = 1e-9) -> dict:
         "eigenvectors": eigenvectors,
         "norm": norm_h,
         "min_eig": min_eig,
-        "psd": min_eig > -tol_feas * (1.0 + norm_h),
+        "psd": min_eig > -TOL_FEAS * (1.0 + norm_h),
     }

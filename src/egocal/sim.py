@@ -260,12 +260,7 @@ def _map_jobs(fn, arg_tuples, jobs):
     if jobs <= 1:
         return [fn(*args) for args in arg_tuples]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_star_apply, [(fn, args) for args in arg_tuples]))
-
-
-def _star_apply(packed):
-    fn, args = packed
-    return fn(*args)
+        return list(pool.map(fn, *zip(*arg_tuples)))
 
 
 def _errors(theta_est: Transform, theta_true: Transform):
@@ -408,39 +403,25 @@ def _heatmap_cell(noisy, theta, convex_rot_err, convex_trans_err, angle, dist, n
     }
 
 
-def runtime_bench(
-    n_list=(10, 100, 1000),
-    n_runs: int = 20,
-    sigma_r: float = 0.01,
-    sigma_t: float = 0.01,
-    seed: int = 0,
-    include_local: bool = True,
-):
-    """Solver-only wall time of the convex SDP (and optionally the local LM) vs n."""
+def runtime_bench(n_list=(10, 100, 1000), n_runs: int = 20, seed: int = 0):
+    """Solver-only wall time of the convex SDP and of the local LM vs n (sigma 0.01)."""
     rows = []
     for n in n_list:
         for run in range(n_runs):
-            noisy = terrain_instance(np.random.default_rng([seed, n, run]), n, sigma_r, sigma_t)[3]
+            noisy = terrain_instance(np.random.default_rng([seed, n, run]), n, 0.01, 0.01)[3]
             dm = qcqp.assemble(noisy)
             problem, _ = solver.build_sdp_problem(dm, qcqp.constraint_catalog("r+c+h"))
             start = time.perf_counter()
             sdp.solve(problem)
             convex_seconds = time.perf_counter() - start
             rows.append({"n": n, "run": run, "method": "convex", "solve_seconds": convex_seconds})
-            if include_local:
-                start = time.perf_counter()
-                solver.local_solve(noisy)
-                rows.append(
-                    {
-                        "n": n,
-                        "run": run,
-                        "method": "local",
-                        "solve_seconds": time.perf_counter() - start,
-                    }
-                )
+            start = time.perf_counter()
+            solver.local_solve(noisy)
+            local_seconds = time.perf_counter() - start
+            rows.append({"n": n, "run": run, "method": "local", "solve_seconds": local_seconds})
     summary = {"experiment": "runtime", "means": {}}
     for n in n_list:
-        for method in ("convex", "local") if include_local else ("convex",):
+        for method in ("convex", "local"):
             times = [r["solve_seconds"] for r in rows if r["n"] == n and r["method"] == method]
             if times:
                 summary["means"][f"{method},{n}"] = {

@@ -15,7 +15,7 @@ import scipy.linalg
 import scipy.optimize
 
 from . import geom, qcqp, sdp
-from .errors import NotObservable, RankDeficiencyAmbiguous, SdpFailure
+from .errors import MaxIterations, NotObservable, RankDeficiencyAmbiguous
 from .geom import Transform
 from .problem import MeasurementSet, ObservabilityReport, check_observability
 from .qcqp import ConstraintSet, DataMatrix
@@ -25,9 +25,10 @@ Extrinsic = Transform
 VERDICT_CERTIFIED = "CertifiedGlobal"
 VERDICT_NOT_CERTIFIED = "NotCertified"
 
-# Certificate thresholds: one order above solver tolerances to absorb
-# reconstruction error. The PSD and nullspace tests are evaluated on the
-# trace-normalized problem so the verdict is invariant to cost scaling.
+# Certificate thresholds: one order above the SDP solver's fixed tolerances
+# (sdp.TOL_FEAS and sdp.TOL_GAP, 1e-9) to absorb reconstruction error. The PSD
+# and nullspace tests are evaluated on the trace-normalized problem so the
+# verdict is invariant to cost scaling.
 GAP_TOL = 1e-7
 PSD_TOL = 1e-8
 NULLSPACE_TOL = 1e-6
@@ -186,20 +187,21 @@ def build_sdp_problem(dm: DataMatrix, constraints: ConstraintSet):
     return problem, scale
 
 
-def relax(m: MeasurementSet, constraint_set="r+c+h", tol_feas=1e-9, tol_gap=1e-9, max_iter=100):
+def relax(m: MeasurementSet, constraint_set="r+c+h"):
     """Solve the SDP relaxation of `m` and certify its dual: (dm, solution, rotation, certificate).
 
-    Runs assemble -> SDP -> status check -> `sdp.certify_lmi` -> extraction.
-    The certificate holds everything but the candidate's cost, which is NaN
-    until the caller prices a candidate with `dataclasses.replace`.
+    Runs assemble -> SDP -> status check -> `sdp.certify_lmi` -> extraction;
+    an SDP stopped at its iteration cap raises MaxIterations. The certificate
+    holds everything but the candidate's cost, which is NaN until the caller
+    prices a candidate with `dataclasses.replace`.
     """
     dm = qcqp.assemble(m)
     problem, scale = build_sdp_problem(dm, qcqp.constraint_catalog(constraint_set))
-    solution = sdp.solve(problem, tol_feas=tol_feas, tol_gap=tol_gap, max_iter=max_iter)
+    solution = sdp.solve(problem)
     if solution.status != sdp.STATUS_OPTIMAL:
-        raise SdpFailure(f"interior-point solve ended with status {solution.status!r}")
+        raise MaxIterations(f"interior-point solve ended with status {solution.status!r}")
 
-    lmi = sdp.certify_lmi(problem.cost, problem.constraints, solution.multipliers, tol_feas=PSD_TOL)
+    lmi = sdp.certify_lmi(problem.cost, problem.constraints, solution.multipliers)
     rotation, extraction_residual, cross_check, rank_one = extract_solution(solution.x_primal, lmi)
     certificate = Certificate(
         lower_bound=solution.dual_obj * scale,
@@ -217,9 +219,6 @@ def calibrate(
     m: MeasurementSet,
     constraint_set: str = "r+c+h",
     strict_observability: bool = False,
-    tol_feas: float = 1e-9,
-    tol_gap: float = 1e-9,
-    max_iter: int = 100,
 ) -> CalibrationResult:
     """Certifiably globally optimal calibration from relative motion pairs.
 
@@ -235,7 +234,7 @@ def calibrate(
             "two are required"
         )
 
-    dm, solution, rotation, certificate = relax(m, constraint_set, tol_feas, tol_gap, max_iter)
+    dm, solution, rotation, certificate = relax(m, constraint_set)
     translation = recover_translation(dm, qcqp.reduced_vector(rotation))
     theta, cost = _polish(m, Transform(rotation, translation))
     stats = {
@@ -303,11 +302,7 @@ def _residuals(params, m, sqrt_kappa, sqrt_tau):
     )
 
 
-def local_solve(
-    m: MeasurementSet,
-    init: Extrinsic | None = None,
-    max_iter: int = 200,
-) -> CalibrationResult:
+def local_solve(m: MeasurementSet, init: Extrinsic | None = None) -> CalibrationResult:
     """Levenberg-Marquardt on the shared cost over axis-angle + translation.
 
     This is the iterative baseline: it returns a stationary point with no
@@ -316,7 +311,7 @@ def local_solve(
     start = time.perf_counter()
     if init is None:
         init = Transform.identity()
-    theta, evaluations = _levenberg_marquardt(m, init, tol=1e-14, max_nfev=max_iter * 8)
+    theta, evaluations = _levenberg_marquardt(m, init, tol=1e-14, max_nfev=1600)
     cost = evaluate_cost(m, theta)
     report = check_observability(m)
     certificate = Certificate(

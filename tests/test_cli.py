@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from egocal import cli, geom, sdp, sim, solver
-from egocal.errors import ParseError
+from egocal.errors import InvalidRotation, ParseError
 from egocal.geom import AxisAngle, RotationMatrix, Transform
 from egocal.problem import MeasurementSet, RelativeMotionPair, dump_measurements
 
@@ -308,8 +308,30 @@ def test_experiment_noise_sweep_writes_outputs(tmp_path):
 
 
 def test_seed_required_for_simulate(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["simulate", "--output", "x"])
+    code = cli.main(["simulate", "--output", "x"])
+    assert code == 1
+    assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["calibrate", "--input", "m.jsonl", "--no-such-flag"],
+        ["calibrate", "--input", "m.jsonl", "--tol-gap", "1e-9"],
+        ["certify", "--input", "m.jsonl", "--theta", "t.json", "--tol-feas", "1e-9"],
+        ["calibrate"],
+    ],
+    ids=["unknown-flag", "removed-tol-gap", "removed-tol-feas", "missing-input"],
+)
+def test_usage_error_exit_one(capsys, argv):
+    # exit 2 means "completed but not certified", so a usage error must not use it
+    assert cli.main(argv) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exit_zero(capsys):
+    assert cli.main(["calibrate", "--help"]) == 0
+    assert "--input" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -332,3 +354,17 @@ def test_certify_bad_theta_file_exit_one(tmp_path, capsys, theta_text):
     code = cli.main(["certify", "--input", str(fixture), "--theta", str(theta_path)])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("r", [2.0 * np.eye(3), -np.eye(3)], ids=["2I", "-I"])
+def test_certify_theta_not_a_rotation_exit_one(tmp_path, capsys, r):
+    # the candidate gets the measurement loader's rotation check, not a silent projection
+    fixture = tmp_path / "clean.jsonl"
+    _write_two_motion_fixture(fixture)
+    theta_path = tmp_path / "theta.json"
+    theta_path.write_text(json.dumps({"theta": {"R": r.tolist(), "t": [0.0, 0.0, 0.0]}}))
+    with pytest.raises(InvalidRotation):
+        cli._load_theta(theta_path)
+    code = cli.main(["certify", "--input", str(fixture), "--theta", str(theta_path)])
+    assert code == 1
+    assert "rotation is not in SO(3)" in capsys.readouterr().err

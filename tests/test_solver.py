@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_instance
 from egocal import geom, qcqp, sdp, sim, solver
-from egocal.errors import NotObservable, RankDeficiencyAmbiguous, SingularQtt
+from egocal.errors import MaxIterations, NotObservable, RankDeficiencyAmbiguous, SingularQtt
 from egocal.geom import AxisAngle, RotationMatrix, Transform
 from egocal.problem import MeasurementSet, RelativeMotionPair
 
@@ -302,3 +302,11 @@ def test_constraint_set_selectable():
         result = solver.calibrate(m, constraint_set=kind)
         assert result.certificate.certified
         assert np.linalg.norm(result.extrinsic.rotation.m - theta.rotation.m) < 1e-6
+
+
+def test_calibrate_raises_max_iterations_at_the_iteration_cap(monkeypatch):
+    # max_iter is the only non-optimal status sdp.solve returns
+    solve = sdp.solve
+    monkeypatch.setattr(sdp, "solve", lambda p: solve(p, max_iter=2))
+    with pytest.raises(MaxIterations, match="max_iter"):
+        solver.calibrate(sim.two_motion_instance())
