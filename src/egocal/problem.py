@@ -127,12 +127,11 @@ class MeasurementSet:
 class ObservabilityReport:
     distinct_axis_count: int
     max_axis_angle_between: float
-    rotation_magnitudes: tuple
     observable: bool
     condition_estimate: float
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "rotation_magnitudes": list(self.rotation_magnitudes)}
+        return asdict(self)
 
 
 def parse_pose(obj, line=None):
@@ -291,7 +290,6 @@ def check_observability(m: MeasurementSet) -> ObservabilityReport:
     return ObservabilityReport(
         distinct_axis_count=count,
         max_axis_angle_between=max_sep,
-        rotation_magnitudes=tuple(magnitudes.tolist()),
         observable=count >= 2,
         condition_estimate=cond,
     )

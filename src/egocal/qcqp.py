@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SingularQtt, TooShort
 from .geom import RotationMatrix
@@ -97,8 +96,8 @@ def assemble(m: MeasurementSet) -> DataMatrix:
         )
     # Schur complement through a Cholesky factor keeps q_tilde symmetric to
     # machine precision.
-    chol = scipy.linalg.cholesky(q_tt, lower=True)
-    half = scipy.linalg.solve_triangular(chol, q_t_rtilde, lower=True)
+    chol = np.linalg.cholesky(q_tt)
+    half = np.linalg.solve(chol, q_t_rtilde)
     q_tilde = q[3:, 3:] - half.T @ half
     q_tilde = 0.5 * (q_tilde + q_tilde.T)
     return DataMatrix(q=q, q_tt=q_tt, q_t_rtilde=q_t_rtilde, q_tilde=q_tilde)

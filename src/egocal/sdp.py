@@ -18,9 +18,10 @@ constraints, so all is dense and the constraint operator is one (m, s*s)
 matrix. Each iteration factors X and S once (one Cholesky pair and the inverse
 factors give W, S^-1 and all four step tests) and runs one two-column
 least-squares solve of the Schur system: the corrector's right-hand side is
-affine in sigma*mu. That solve is SVD-based (gelsd): the calibration sets hold
-one exact linear dependency, so the Schur matrix is singular, and eigh- or
-SVD-built pseudo-inverses break down on two-motion instances where it does not.
+affine in sigma*mu. That solve is SVD-based (gelsd). 'r+c' and 'r+c+h' hold
+one exactly dependent constraint, but that is not why: with it dropped, a plain
+LU solve breaks down on about 20 of 256 two-motion instances, 'r+h' (no
+dependency) included, and eigh- or SVD-built pseudo-inverses break down too.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """End-to-end calibration: assemble, reduce, solve the strengthened dual SDP,
-extract the rotation, recover the translation in closed form, and certify.
+extract and polish the rotation, recover the translation, and certify.
 
 Also hosts the local Levenberg-Marquardt baseline used by the experiment
-harness for comparisons.
+harness for comparisons; it is the only user of scipy, imported on call.
 """
 
 from __future__ import annotations
@@ -11,12 +11,10 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from . import geom, qcqp, sdp
 from .errors import MaxIterations, NotObservable, RankDeficiencyAmbiguous
-from .geom import Transform
+from .geom import RotationMatrix, Transform
 from .problem import MeasurementSet, ObservabilityReport, check_observability
 from .qcqp import ConstraintSet, DataMatrix
 
@@ -38,6 +36,8 @@ RANK_RATIO = 1e-6
 # tolerance. Extraction therefore uses the nullspace vector when it exists and
 # only cross-checks the primal eigenvector against it at the sqrt scale.
 CROSS_CHECK_TOL = 1e-4
+# Cap on the rotation polish's Newton trials, taken or refused.
+POLISH_STEPS = 30
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ def evaluate_cost(m: MeasurementSet, theta: Extrinsic) -> float:
 
 def recover_translation(dm: DataMatrix, r_tilde: np.ndarray) -> np.ndarray:
     """Closed-form optimal translation -q_tt^-1 q_t_rtilde r_tilde."""
-    return -scipy.linalg.solve(dm.q_tt, dm.q_t_rtilde @ r_tilde, assume_a="pos")
+    return -np.linalg.solve(dm.q_tt, dm.q_t_rtilde @ r_tilde)
 
 
 def _nullspace_dim(lmi: dict) -> int:
@@ -223,8 +223,8 @@ def calibrate(
     """Certifiably globally optimal calibration from relative motion pairs.
 
     Pipeline: test observability, solve and certify the relaxation (`relax`),
-    recover the translation in closed form, polish locally, and price the
-    polished estimate against the certificate's dual lower bound.
+    polish the rotation on the reduced form, recover the translation in closed
+    form, and price the estimate against the certificate's dual lower bound.
     """
     start = time.perf_counter()
     report = check_observability(m)
@@ -235,8 +235,9 @@ def calibrate(
         )
 
     dm, solution, rotation, certificate = relax(m, constraint_set)
-    translation = recover_translation(dm, qcqp.reduced_vector(rotation))
-    theta, cost = _polish(m, Transform(rotation, translation))
+    rotation = _polish(dm.q_tilde, rotation)
+    theta = Transform(rotation, recover_translation(dm, qcqp.reduced_vector(rotation)))
+    cost = evaluate_cost(m, theta)
     stats = {
         "sdp_iters": solution.iterations,
         "sdp_status": solution.status,
@@ -252,37 +253,48 @@ def calibrate(
     )
 
 
-def _polish(m: MeasurementSet, theta: Extrinsic) -> tuple[Extrinsic, float]:
-    """Short local refinement of an extracted estimate: (extrinsic, its cost).
+def _newton_terms(q_tilde: np.ndarray, r: np.ndarray):
+    """f(R) = r_tilde^T q_tilde r_tilde, and the gradient g and Hessian H of
+    w -> f(R exp([w]x)) at 0. With A = q_tilde[:9, :9], b = q_tilde[:9, 9],
+    P = R^T unvec(A vec R + b) and J = [vec(R [e_k]x)]: g_k = 2 <P, [e_k]x>
+    and H = 2 (J^T A J + sym P - tr P I)."""
+    a, b, vec = q_tilde[:9, :9], q_tilde[:9, 9], r.reshape(9, order="F")
+    grad_vec = a @ vec + b
+    p = r.T @ grad_vec.reshape(3, 3, order="F")
+    grad = 2.0 * np.array([p[2, 1] - p[1, 2], p[0, 2] - p[2, 0], p[1, 0] - p[0, 1]])
+    jac = np.stack([(r @ geom.skew(e)).reshape(9, order="F") for e in np.eye(3)], axis=1)
+    hess = 2.0 * (jac.T @ a @ jac + 0.5 * (p + p.T) - np.trace(p) * np.eye(3))
+    return float(vec @ grad_vec + b @ vec + q_tilde[9, 9]), grad, hess
 
-    The extracted vector inherits the SDP solver tolerance, which leaves the
-    estimate a few orders above machine precision. A handful of damped
-    Gauss-Newton steps from that point converge quadratically to the nearby
-    stationary point. Accepted only when the cost does not increase, so the
-    certificate gap evaluated afterwards can only tighten.
+
+def _polish(q_tilde: np.ndarray, rotation: RotationMatrix) -> RotationMatrix:
+    """Damped Riemannian Newton on f(R) = r_tilde^T q_tilde r_tilde over SO(3).
+
+    q_tilde is the cost minimized over the translation (variable projection),
+    so a step is O(1) in the number of measurements. A step R exp([w]x) is
+    taken only when f falls. Levenberg damping H + mu I handles an indefinite
+    Hessian and refused steps. The polish ends when a refused step predicts a
+    decrease below the rounding of f, eps * trace(q_tilde).
     """
-    cost = evaluate_cost(m, theta)
-    try:
-        refined, _ = _levenberg_marquardt(m, theta, tol=1e-15, max_nfev=60)
-    except (ValueError, np.linalg.LinAlgError):
-        return theta, cost
-    refined_cost = evaluate_cost(m, refined)
-    return (refined, refined_cost) if refined_cost <= cost else (theta, cost)
-
-
-def _levenberg_marquardt(m: MeasurementSet, init: Extrinsic, tol: float, max_nfev: int):
-    """LM on the shared cost over axis-angle + translation: (extrinsic, evaluations)."""
-    result = scipy.optimize.least_squares(
-        _residuals,
-        _params_from_extrinsic(init),
-        args=(m, np.sqrt(m.kappa), np.sqrt(m.tau)),
-        method="lm",
-        xtol=tol,
-        ftol=tol,
-        gtol=tol,
-        max_nfev=max_nfev,
-    )
-    return _extrinsic_from_params(result.x), int(result.nfev)
+    r = rotation.m
+    f, grad, hess = _newton_terms(q_tilde, r)
+    resolution = np.finfo(float).eps * abs(np.trace(q_tilde))
+    mu = 0.0
+    for _ in range(POLISH_STEPS):
+        eigvals, eigvecs = np.linalg.eigh(hess)
+        damping = 1e-3 * np.abs(eigvals).max()
+        if eigvals[0] + mu <= 0.0:
+            mu = damping - eigvals[0]
+        step = -eigvecs @ ((eigvecs.T @ grad) / (eigvals + mu))
+        candidate = r @ geom.rotation_exp(step).m
+        terms = _newton_terms(q_tilde, candidate)
+        if terms[0] < f:
+            r, (f, grad, hess), mu = candidate, terms, 0.0
+        elif -0.5 * (grad @ step) <= resolution:
+            break
+        else:
+            mu = max(10.0 * mu, damping)
+    return RotationMatrix(r)
 
 
 def _params_from_extrinsic(theta: Extrinsic) -> np.ndarray:
@@ -308,10 +320,22 @@ def local_solve(m: MeasurementSet, init: Extrinsic | None = None) -> Calibration
     This is the iterative baseline: it returns a stationary point with no
     optimality guarantee, so the certificate verdict is always NotCertified.
     """
+    from scipy.optimize import least_squares
+
     start = time.perf_counter()
     if init is None:
         init = Transform.identity()
-    theta, evaluations = _levenberg_marquardt(m, init, tol=1e-14, max_nfev=1600)
+    fit = least_squares(
+        _residuals,
+        _params_from_extrinsic(init),
+        args=(m, np.sqrt(m.kappa), np.sqrt(m.tau)),
+        method="lm",
+        xtol=1e-14,
+        ftol=1e-14,
+        gtol=1e-14,
+        max_nfev=1600,
+    )
+    theta = _extrinsic_from_params(fit.x)
     cost = evaluate_cost(m, theta)
     report = check_observability(m)
     certificate = Certificate(
@@ -325,7 +349,7 @@ def local_solve(m: MeasurementSet, init: Extrinsic | None = None) -> Calibration
     )
     stats = {
         "sdp_iters": 0,
-        "lm_evaluations": evaluations,
+        "lm_evaluations": int(fit.nfev),
         "wall_time_seconds": time.perf_counter() - start,
     }
     return CalibrationResult(

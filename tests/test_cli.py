@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import egocal
 from egocal import cli, geom, sdp, sim, solver
 from egocal.errors import InvalidRotation, ParseError
 from egocal.geom import AxisAngle, RotationMatrix, Transform
@@ -256,6 +261,29 @@ def test_certify_non_optimal_sdp_exit_one(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert "max_iter" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_calibrate_and_certify_need_no_scipy(tmp_path):
+    # A fresh interpreter in which `import scipy` fails runs the CLI's calibrate path.
+    prefix = tmp_path / "run"
+    noise = ["--sigma-r", "0.01", "--sigma-t", "0.01"]
+    assert cli.main(["simulate", "--output", str(prefix), "--seed", "0", *noise]) == 0
+    data, report = f"{prefix}.jsonl", str(tmp_path / "report.json")
+    script = "\n".join(
+        [
+            "import sys",
+            "sys.modules['scipy'] = None",
+            "from egocal import cli",
+            f"assert cli.main(['calibrate', '--input', {data!r}, '--output', {report!r}]) == 0",
+            f"assert cli.main(['certify', '--input', {data!r}, '--theta', {report!r}]) == 0",
+            "assert not [name for name in sys.modules if name.startswith('scipy.')]",
+        ]
+    )
+    src = str(Path(egocal.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_experiment_runtime_writes_outputs(tmp_path):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_instance
-from egocal import geom, solver
+from egocal import geom, sim, solver
 from egocal.errors import CalibrationError
 from egocal.problem import MeasurementSet, dump_measurements, load_measurements
 
@@ -71,6 +71,22 @@ def test_verdict_invariant_under_uniform_weight_scaling():
     m = _INSTANCES[0]
     verdicts = {solver.calibrate(_scaled(m, f)).certificate.verdict for f in (1.0, 4.0)}
     assert len(verdicts) == 1
+
+
+@SLOW
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 30), sigma=st.floats(0.0, 0.1))
+def test_certified_cost_is_no_worse_than_local_restarts(seed, n, sigma):
+    rng = np.random.default_rng(seed)
+    m = sim.terrain_instance(rng, n, sigma, sigma)[3]
+    try:
+        result = solver.calibrate(m)
+    except CalibrationError:
+        return
+    if not result.certificate.certified:
+        return
+    for _ in range(5):
+        local = solver.local_solve(m, init=geom.random_transform(rng, translation_scale=2.0))
+        assert result.cost <= local.cost + 1e-9 * (1.0 + result.cost)
 
 
 _finite = st.floats(-1e6, 1e6, allow_nan=False)

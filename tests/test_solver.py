@@ -279,7 +279,12 @@ def test_result_serialization_schema():
         assert key in d["certificate"]
     assert d["certificate"]["cross_check"] < solver.CROSS_CHECK_TOL
     assert d["certificate"]["reasons"] == []
-    assert "observable" in d["observability"]
+    assert set(d["observability"]) == {
+        "distinct_axis_count",
+        "max_axis_angle_between",
+        "observable",
+        "condition_estimate",
+    }
     assert "sdp_iters" in d["solve_stats"]
     assert d["solve_stats"]["sdp_status"] == "optimal"
     kkt = d["solve_stats"]["kkt"]
@@ -310,3 +315,65 @@ def test_calibrate_raises_max_iterations_at_the_iteration_cap(monkeypatch):
     monkeypatch.setattr(sdp, "solve", lambda p: solve(p, max_iter=2))
     with pytest.raises(MaxIterations, match="max_iter"):
         solver.calibrate(sim.two_motion_instance())
+
+
+def _reduced_cost(q_tilde, rotation):
+    r_tilde = qcqp.reduced_vector(rotation)
+    return float(r_tilde @ q_tilde @ r_tilde)
+
+
+def test_newton_terms_match_finite_differences():
+    # gradient and Hessian of w -> f(R exp([w]x)) against central differences
+    m, _ = random_instance(41, n_motions=20, sigma_r=0.05, sigma_t=0.05)
+    q_tilde = qcqp.assemble(m).q_tilde
+    r = geom.random_rotation(3)
+    f0, grad, hess = solver._newton_terms(q_tilde, r.m)
+
+    def f(w):
+        return _reduced_cost(q_tilde, RotationMatrix(r.m @ geom.rotation_exp(w).m))
+
+    h = 1e-4
+    basis = np.eye(3) * h
+    fd_grad = np.array([(f(e) - f(-e)) / (2 * h) for e in basis])
+    fd_hess = np.array(
+        [[(f(a + b) - f(a - b) - f(b - a) + f(-a - b)) / (4 * h * h) for b in basis] for a in basis]
+    )
+    scale = np.trace(q_tilde)
+    assert abs(f0 - f(np.zeros(3))) < 1e-13 * scale
+    assert np.abs(grad - fd_grad).max() < 1e-7 * scale
+    assert np.abs(hess - fd_hess).max() < 1e-6 * scale
+
+
+@pytest.mark.parametrize("turn", [0.0, 0.05])
+def test_polish_reaches_a_stationary_point_of_the_reduced_form(turn):
+    # from relax's extracted rotation, and from that rotation turned 0.05 rad
+    m, _ = random_instance(40, n_motions=30, sigma_r=0.05, sigma_t=0.05)
+    dm, _, rotation, _ = solver.relax(m)
+    turned = geom.rotation_from_axis_angle(AxisAngle(np.array([1.0, 2.0, 2.0]) / 3.0, turn))
+    start = RotationMatrix(rotation.m @ turned.m)
+    polished = solver._polish(dm.q_tilde, start)
+    cost = _reduced_cost(dm.q_tilde, polished)
+    assert cost <= _reduced_cost(dm.q_tilde, start)
+    _, grad, _ = solver._newton_terms(dm.q_tilde, polished.m)
+    assert np.linalg.norm(grad) < 1e-10 * np.trace(dm.q_tilde)
+    # q_tilde is the cost minimized over t, attained at recover_translation's t
+    t = solver.recover_translation(dm, qcqp.reduced_vector(polished))
+    assert abs(cost - solver.evaluate_cost(m, Transform(polished, t))) <= 1e-12 * cost
+
+
+def test_polish_never_raises_the_cost_from_a_poor_start(monkeypatch):
+    # A two-motion-hard instance under 'r': the relaxation is not tight and the
+    # extracted rotation is about 175 degrees from the polished one. The cost
+    # must not rise at any trial budget, so each step taken lowers it.
+    axes = sim.fibonacci_sphere(16)
+    m = sim._perturb_instance(sim.two_motion_instance(), axes[8], np.pi / 2, axes[11], 10.0)
+    dm, _, rotation, _ = solver.relax(m, "r")
+    costs = [_reduced_cost(dm.q_tilde, rotation)]
+    for budget in range(1, solver.POLISH_STEPS + 1):
+        monkeypatch.setattr(solver, "POLISH_STEPS", budget)
+        polished = solver._polish(dm.q_tilde, rotation)
+        costs.append(_reduced_cost(dm.q_tilde, polished))
+    assert all(later <= earlier for earlier, later in zip(costs, costs[1:]))
+    _, grad, hess = solver._newton_terms(dm.q_tilde, polished.m)
+    assert np.linalg.norm(grad) < 1e-10 * np.trace(dm.q_tilde)
+    assert np.linalg.eigvalsh(hess)[0] > 0
