@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -116,7 +116,7 @@ def cmd_simulate(args) -> int:
         "theta": {"R": theta.rotation.m.tolist(), "t": theta.translation.tolist()},
         "noise": {"sigma_r": args.sigma_r, "sigma_t": args.sigma_t},
         "path_params": path.params,
-        "observability": report.to_dict(),
+        "observability": asdict(report),
     }
     Path(f"{prefix}_truth.json").write_text(json.dumps(truth, indent=2) + "\n")
     with open(f"{prefix}_path.csv", "w", encoding="utf-8", newline="") as fp:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,9 +129,6 @@ class ObservabilityReport:
     max_axis_angle_between: float
     observable: bool
     condition_estimate: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def parse_pose(obj, line=None):

@@ -95,9 +95,12 @@ def assemble(m: MeasurementSet) -> DataMatrix:
             "measured rotations likely share a single axis"
         )
     # Schur complement through a Cholesky factor keeps q_tilde symmetric to
-    # machine precision.
+    # machine precision. half = chol^-1 q_t_rtilde by forward substitution.
     chol = np.linalg.cholesky(q_tt)
-    half = np.linalg.solve(chol, q_t_rtilde)
+    half = q_t_rtilde.copy()
+    for j in range(3):
+        half[j] /= chol[j, j]
+        half[j + 1 :] -= np.outer(chol[j + 1 :, j], half[j])
     q_tilde = q[3:, 3:] - half.T @ half
     q_tilde = 0.5 * (q_tilde + q_tilde.T)
     return DataMatrix(q=q, q_tt=q_tt, q_t_rtilde=q_t_rtilde, q_tilde=q_tilde)

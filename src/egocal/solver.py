@@ -8,7 +8,7 @@ harness for comparisons; it is the only user of scipy, imported on call.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -106,7 +106,7 @@ class CalibrationResult:
             },
             "cost": self.cost,
             "certificate": self.certificate.to_dict(),
-            "observability": self.observability.to_dict(),
+            "observability": asdict(self.observability),
             "solve_stats": self.solve_stats,
         }
 
@@ -271,10 +271,12 @@ def _polish(q_tilde: np.ndarray, rotation: RotationMatrix) -> RotationMatrix:
     """Damped Riemannian Newton on f(R) = r_tilde^T q_tilde r_tilde over SO(3).
 
     q_tilde is the cost minimized over the translation (variable projection),
-    so a step is O(1) in the number of measurements. A step R exp([w]x) is
-    taken only when f falls. Levenberg damping H + mu I handles an indefinite
-    Hessian and refused steps. The polish ends when a refused step predicts a
-    decrease below the rounding of f, eps * trace(q_tilde).
+    so a step is O(1) in the number of measurements. The step R exp([w]x),
+    w = -(H + mu I)^-1 g, is taken only when f falls. Each trial takes
+    mu >= d - 2 min eig H with d = 1e-3 max|eig H|, which mirrors negative
+    curvature (lifting it only to d gives a step ~1/d long); a refused step
+    sets mu to max(10 mu, d), a taken one to 0. The polish ends when a refused
+    step predicts a decrease below the rounding of f, eps * trace(q_tilde).
     """
     r = rotation.m
     f, grad, hess = _newton_terms(q_tilde, r)
@@ -283,8 +285,7 @@ def _polish(q_tilde: np.ndarray, rotation: RotationMatrix) -> RotationMatrix:
     for _ in range(POLISH_STEPS):
         eigvals, eigvecs = np.linalg.eigh(hess)
         damping = 1e-3 * np.abs(eigvals).max()
-        if eigvals[0] + mu <= 0.0:
-            mu = damping - eigvals[0]
+        mu = max(mu, damping - 2.0 * eigvals[0])
         step = -eigvecs @ ((eigvecs.T @ grad) / (eigvals + mu))
         candidate = r @ geom.rotation_exp(step).m
         terms = _newton_terms(q_tilde, candidate)

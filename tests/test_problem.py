@@ -1,5 +1,6 @@
 import io
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -239,7 +240,7 @@ def test_observability_condition_estimate_blows_up_single_axis():
 
 def test_report_serializes():
     m = _pure_rotation_pairs([((1, 0, 0), 0.5), ((0, 1, 0), 0.7)])
-    d = check_observability(m).to_dict()
+    d = asdict(check_observability(m))
     json.dumps(d)  # must be JSON-serializable
     assert d["observable"] is True
 
