@@ -4,7 +4,6 @@ from .geom import AxisAngle, RotationMatrix, Transform
 from .problem import (
     MeasurementSet,
     ObservabilityReport,
-    RelativeMotionPair,
     check_observability,
     load_measurements,
     relative_motions_from_trajectories,
@@ -25,7 +24,6 @@ __all__ = [
     "Transform",
     "MeasurementSet",
     "ObservabilityReport",
-    "RelativeMotionPair",
     "check_observability",
     "load_measurements",
     "relative_motions_from_trajectories",

@@ -1,4 +1,4 @@
-"""Measurement data model, JSON-lines ingestion, and the two-axis observability test.
+"""The columnar MeasurementSet, JSON-lines ingestion, and the two-axis observability test.
 
 File formats (one JSON object per line):
 
@@ -11,7 +11,8 @@ trajectories (one file per sensor)::
 
     {"t": 0, "pose": {"R": [[...],[...],[...]], "t": [x, y, z]}}
 
-Rotations are row-major 3x3, translations in meters. kappa/tau default to 1.
+Entries are JSON numbers: rotations row-major 3x3, translations in meters.
+kappa/tau default to 1.
 """
 
 from __future__ import annotations
@@ -38,20 +39,6 @@ MIN_AXIS_ANGLE = 1e-3
 AXIS_SEPARATION = 1e-2
 
 
-@dataclass(frozen=True)
-class RelativeMotionPair:
-    """One timestep's egomotion estimate from each sensor, with scalar weights."""
-
-    v_a: Transform
-    v_b: Transform
-    kappa: float = 1.0
-    tau: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 < self.kappa < np.inf and 0.0 < self.tau < np.inf):
-            raise ValueError("weights kappa and tau must be positive and finite")
-
-
 _COLUMNS = {"ra": (3, 3), "rb": (3, 3), "ta": (3,), "tb": (3,), "kappa": (), "tau": ()}
 
 
@@ -61,7 +48,8 @@ class MeasurementSet:
 
     ra, rb (n, 3, 3) are the rotations of sensors a and b, ta, tb (n, 3) their
     translations, and kappa, tau (n,) the rotation and translation weights.
-    Every stage reads these arrays; `pairs` is a view built on demand.
+    Every stage reads these arrays. Build a set from its columns, e.g.
+    MeasurementSet(**columns) or dataclasses.replace(m, kappa=...).
     """
 
     ra: np.ndarray
@@ -72,7 +60,7 @@ class MeasurementSet:
     tau: np.ndarray
 
     def __post_init__(self):
-        n = np.shape(self.kappa)[:1]
+        n = (np.size(self.kappa),)  # a 0-d or 2-D kappa fails its own shape check
         for name, shape in _COLUMNS.items():
             column = np.array(getattr(self, name), dtype=float)
             if column.shape != n + shape:
@@ -88,39 +76,9 @@ class MeasurementSet:
         if np.any(self.kappa <= 0) or np.any(self.tau <= 0):
             raise ValueError("weights kappa and tau must be positive")
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "MeasurementSet":
-        pairs = tuple(pairs)
-        return cls(
-            ra=np.reshape([p.v_a.rotation.m for p in pairs], (-1, 3, 3)),
-            rb=np.reshape([p.v_b.rotation.m for p in pairs], (-1, 3, 3)),
-            ta=np.reshape([p.v_a.translation for p in pairs], (-1, 3)),
-            tb=np.reshape([p.v_b.translation for p in pairs], (-1, 3)),
-            kappa=[p.kappa for p in pairs],
-            tau=[p.tau for p in pairs],
-        )
-
     @property
     def n(self) -> int:
         return len(self.kappa)
-
-    @property
-    def pairs(self) -> tuple:
-        """The measurements as RelativeMotionPair objects, built on each access."""
-        return tuple(
-            RelativeMotionPair(
-                Transform(RotationMatrix(ra), ta), Transform(RotationMatrix(rb), tb), kappa, tau
-            )
-            for ra, rb, ta, tb, kappa, tau in zip(
-                self.ra, self.rb, self.ta, self.tb, self.kappa.tolist(), self.tau.tolist()
-            )
-        )
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __len__(self):
-        return self.n
 
 
 @dataclass(frozen=True)
@@ -132,14 +90,16 @@ class ObservabilityReport:
 
 
 def parse_pose(obj, line=None):
-    """(R, t) arrays of a {"R": 3x3, "t": 3-vector} object; ParseError if malformed."""
+    """(R, t) arrays of a {"R": 3x3, "t": 3-vector} of numbers; ParseError if malformed."""
     try:
-        r = np.asarray(obj["R"], dtype=float)
-        t = np.asarray(obj["t"], dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        r, t = np.asarray(obj["R"]), np.asarray(obj["t"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad pose object: {exc}", line=line) from None
     if r.shape != (3, 3) or t.shape != (3,):
         raise ParseError("pose must have a 3x3 'R' and 3-vector 't'", line=line)
+    if r.dtype.kind not in "iuf" or t.dtype.kind not in "iuf":
+        raise ParseError("pose entries must be numbers", line=line)
+    r, t = r.astype(float, copy=False), t.astype(float, copy=False)
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
         raise ParseError("pose has non-finite entries", line=line)
     return r, t
@@ -193,9 +153,12 @@ def _read_poses(source, keys, weight_keys, what):
 
 
 def _weight(obj, key, line_no) -> float:
+    value = obj.get(key, 1.0)
     try:
-        value = float(obj.get(key, 1.0))
-    except (TypeError, ValueError, OverflowError):
+        if type(value) not in (int, float):  # JSON numbers only: no strings, no booleans
+            raise TypeError
+        value = float(value)
+    except (TypeError, OverflowError):
         raise ParseError(f"{key!r} must be a number", line=line_no) from None
     if not 0.0 < value < np.inf:
         raise ParseError(f"{key!r} must be positive and finite", line=line_no)
@@ -235,21 +198,26 @@ def dump_trajectory(poses, fp) -> None:
         fp.write(json.dumps({"t": i, "pose": pose}) + "\n")
 
 
-def relative_motions_from_trajectories(poses_a, poses_b, kappa=1.0, tau=1.0) -> MeasurementSet:
+def relative_motions_from_trajectories(poses_a, poses_b) -> MeasurementSet:
     """Difference world-frame pose sequences into per-step relative motions.
 
-    Pair t carries v_s = poses_s[t-1]^-1 * poses_s[t] for s in {a, b}.
+    Motion t is v_s = poses_s[t-1]^-1 * poses_s[t] for s in {a, b}, with weights
+    1. The batched products are those of Transform.invert().compose(), in the
+    same order, so the columns match that per-step loop bit for bit.
     """
     if len(poses_a) != len(poses_b):
         raise LengthMismatch(f"trajectory lengths differ: {len(poses_a)} vs {len(poses_b)}")
     if len(poses_a) < 2:
         raise TooShort("need at least two poses to derive a relative motion")
-    pairs = []
-    for t in range(1, len(poses_a)):
-        v_a = poses_a[t - 1].invert().compose(poses_a[t])
-        v_b = poses_b[t - 1].invert().compose(poses_b[t])
-        pairs.append(RelativeMotionPair(v_a, v_b, kappa, tau))
-    return MeasurementSet.from_pairs(pairs)
+    columns = {}
+    for s, poses in (("a", poses_a), ("b", poses_b)):
+        r = np.array([pose.rotation.m for pose in poses])
+        t = np.array([pose.translation for pose in poses])[:, :, None]
+        rt = np.swapaxes(r[:-1], 1, 2)
+        columns["r" + s] = rt @ r[1:]
+        columns["t" + s] = (rt @ t[1:] + (-rt) @ t[:-1])[:, :, 0]
+    ones = np.ones(len(poses_a) - 1)
+    return MeasurementSet(**columns, kappa=ones, tau=ones)
 
 
 def translation_gram(m: MeasurementSet) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import SingularQtt, TooShort
 from .geom import RotationMatrix
-from .problem import MeasurementSet, RelativeMotionPair
+from .problem import MeasurementSet
 
 DIM_FULL = 13
 DIM_REDUCED = 10
@@ -27,17 +27,17 @@ _I3 = np.eye(3)
 _CHUNK = 128  # measurements per batch in assemble, which bounds its memory for any n
 
 
-def rotation_block(pair: RelativeMotionPair) -> np.ndarray:
-    """9x9 coefficient block mapping vec(R) to vec(R R_a - R_b R)."""
-    return np.kron(pair.v_a.rotation.m.T, _I3) - np.kron(_I3, pair.v_b.rotation.m)
+def rotation_block(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
+    """9x9 coefficient block of one measurement, mapping vec(R) to vec(R R_a - R_b R)."""
+    return np.kron(ra.T, _I3) - np.kron(_I3, rb)
 
 
-def translation_block(pair: RelativeMotionPair) -> np.ndarray:
-    """3x13 coefficient block mapping x to R t_a + t - R_b t - y t_b."""
+def translation_block(ta: np.ndarray, rb: np.ndarray, tb: np.ndarray) -> np.ndarray:
+    """3x13 coefficient block of one measurement, mapping x to R t_a + t - R_b t - y t_b."""
     block = np.zeros((3, DIM_FULL))
-    block[:, :3] = _I3 - pair.v_b.rotation.m
-    block[:, 3:12] = np.kron(pair.v_a.translation[None, :], _I3)
-    block[:, 12] = -pair.v_b.translation
+    block[:, :3] = _I3 - rb
+    block[:, 3:12] = np.kron(ta[None, :], _I3)
+    block[:, 12] = -tb
     return block
 
 
@@ -62,7 +62,7 @@ def assemble(m: MeasurementSet) -> DataMatrix:
 
     The stacked blocks are rotation_block and translation_block of each batch
     of measurements. Their weighted Grams are summed in the order of a
-    per-pair loop (rotation then translation, pair by pair), so q is
+    per-measurement loop (rotation then translation, one by one), so q is
     bit-identical to that loop: on borderline instances the interior-point
     solve can change outcome under last-bit changes of q.
 
@@ -172,16 +172,14 @@ class ConstraintSet:
     """Catalog of quadratic-form matrices vanishing on every lifted rotation."""
 
     kind: str
-    matrices: tuple          # of 10x10 symmetric ndarrays
-    homogenizer: np.ndarray  # 10x10, r_tilde^T E r_tilde = 1
-    stacked: np.ndarray      # the matrices, then the homogenizer; read-only, built once per kind
+    stacked: np.ndarray  # (m + 1, 10, 10): the m constraints, then the homogenizer; read-only
 
 
 def _build_catalog(kind: str) -> ConstraintSet:
     mats = _orthogonality(True) + (_orthogonality(False) if "c" in kind else [])
     stacked = np.stack(mats + (_handedness() if "h" in kind else []) + [homogenizer()])
     stacked.flags.writeable = False
-    return ConstraintSet(kind, tuple(stacked[:-1]), stacked[-1], stacked)
+    return ConstraintSet(kind, stacked)
 
 
 _CATALOGS = {kind: _build_catalog(kind) for kind in CONSTRAINT_KINDS}

@@ -22,7 +22,7 @@ import numpy as np
 from . import geom, qcqp, sdp, solver
 from .errors import CalibrationError
 from .geom import AxisAngle, RotationMatrix, Transform
-from .problem import MeasurementSet, RelativeMotionPair, relative_motions_from_trajectories
+from .problem import MeasurementSet, relative_motions_from_trajectories
 from .qcqp import CONSTRAINT_KINDS
 
 DEFAULT_THETA = Transform(
@@ -171,8 +171,14 @@ def two_motion_instance(theta: Transform = DEFAULT_THETA) -> MeasurementSet:
         for axis in np.eye(3)[:2]
     ]
     inv_theta = theta.invert()
-    return MeasurementSet.from_pairs(
-        RelativeMotionPair(inv_theta.compose(vb).compose(theta), vb) for vb in motions_b
+    motions_a = [inv_theta.compose(vb).compose(theta) for vb in motions_b]
+    return MeasurementSet(
+        ra=[v.rotation.m for v in motions_a],
+        rb=[v.rotation.m for v in motions_b],
+        ta=[v.translation for v in motions_a],
+        tb=[v.translation for v in motions_b],
+        kappa=np.ones(2),
+        tau=np.ones(2),
     )
 
 

@@ -11,7 +11,7 @@ import egocal
 from egocal import cli, geom, sdp, sim, solver
 from egocal.errors import InvalidRotation, ParseError
 from egocal.geom import AxisAngle, RotationMatrix, Transform
-from egocal.problem import MeasurementSet, RelativeMotionPair, dump_measurements
+from egocal.problem import MeasurementSet, dump_measurements
 
 
 def _write_two_motion_fixture(path, theta=sim.DEFAULT_THETA):
@@ -71,14 +71,14 @@ def test_calibrate_missing_file_exit_one(tmp_path, capsys):
 
 
 def test_calibrate_strict_observability_exit_one(tmp_path, capsys):
-    pairs = []
-    for angle in (0.5, 1.1):
-        r = geom.rotation_from_axis_angle(AxisAngle(np.array([0.0, 0.0, 1.0]), angle))
-        v = Transform(r, np.array([1.0, 0.0, 0.0]))
-        pairs.append(RelativeMotionPair(v, v))
+    r = [
+        geom.rotation_from_axis_angle(AxisAngle(np.array([0.0, 0.0, 1.0]), angle)).m
+        for angle in (0.5, 1.1)
+    ]
+    t = np.tile([1.0, 0.0, 0.0], (2, 1))
     fixture = tmp_path / "planar.jsonl"
     with open(fixture, "w", encoding="utf-8") as fp:
-        dump_measurements(MeasurementSet.from_pairs(pairs), fp)
+        dump_measurements(MeasurementSet(r, r, t, t, np.ones(2), np.ones(2)), fp)
     code = cli.main(["calibrate", "--input", str(fixture), "--strict-observability"])
     assert code == 1
     assert "axes" in capsys.readouterr().err

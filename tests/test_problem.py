@@ -1,12 +1,12 @@
 import io
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from conftest import random_instance
-from egocal import geom
+from egocal import geom, sim
 from egocal.errors import (
     EmptyInput,
     InvalidRotation,
@@ -17,7 +17,6 @@ from egocal.errors import (
 from egocal.geom import AxisAngle, RotationMatrix, Transform
 from egocal.problem import (
     MeasurementSet,
-    RelativeMotionPair,
     check_observability,
     dump_measurements,
     load_measurements,
@@ -44,14 +43,14 @@ def test_load_two_lines():
 
 def test_load_defaults_weights_to_one():
     m = load_measurements(_record())
-    assert m.pairs[0].kappa == 1.0
-    assert m.pairs[0].tau == 1.0
+    assert m.kappa[0] == 1.0
+    assert m.tau[0] == 1.0
 
 
 def test_load_explicit_weights():
     m = load_measurements(_record(kappa=2.5, tau=0.5))
-    assert m.pairs[0].kappa == 2.5
-    assert m.pairs[0].tau == 0.5
+    assert m.kappa[0] == 2.5
+    assert m.tau[0] == 0.5
 
 
 def test_load_rejects_reflection():
@@ -69,7 +68,7 @@ def test_load_rejects_drifted_rotation():
 def test_load_reorthonormalizes_slightly_off_input():
     r = geom.random_rotation(1).m + 1e-8 * np.ones((3, 3))
     m = load_measurements(_record(r_a=r))
-    got = m.pairs[0].v_a.rotation.m
+    got = m.ra[0]
     assert np.linalg.norm(got.T @ got - np.eye(3)) < 1e-12
 
 
@@ -97,9 +96,8 @@ def test_dump_load_round_trip():
     dump_measurements(m, buf)
     back = load_measurements(buf.getvalue())
     assert back.n == m.n
-    for p, q in zip(m, back):
-        assert np.linalg.norm(p.v_a.matrix() - q.v_a.matrix()) < 1e-12
-        assert np.linalg.norm(p.v_b.matrix() - q.v_b.matrix()) < 1e-12
+    for name in ("ra", "rb", "ta", "tb"):
+        assert np.abs(getattr(m, name) - getattr(back, name)).max() < 1e-12
 
 
 def test_load_trajectory():
@@ -115,27 +113,21 @@ def test_load_trajectory():
         assert np.linalg.norm(p.matrix() - q.matrix()) < 1e-9
 
 
-def test_pair_rejects_nonpositive_weights():
-    with pytest.raises(ValueError):
-        RelativeMotionPair(Transform.identity(), Transform.identity(), kappa=0.0)
-    with pytest.raises(ValueError):
-        RelativeMotionPair(Transform.identity(), Transform.identity(), tau=-1.0)
-
-
 def test_relative_motions_constant_trajectory():
     pose = geom.random_transform(5)
     m = relative_motions_from_trajectories([pose] * 4, [pose] * 4)
     assert m.n == 3
-    for pair in m:
-        assert np.linalg.norm(pair.v_a.matrix() - np.eye(4)) < 1e-12
-        assert np.linalg.norm(pair.v_b.matrix() - np.eye(4)) < 1e-12
+    for r, t in ((m.ra, m.ta), (m.rb, m.tb)):
+        assert np.abs(r - np.eye(3)).max() < 1e-12
+        assert np.abs(t).max() < 1e-12
 
 
 def test_relative_motions_two_pose_definition():
     x = geom.random_transform(6)
     m = relative_motions_from_trajectories([Transform.identity(), x], [Transform.identity(), x])
     assert m.n == 1
-    assert np.linalg.norm(m.pairs[0].v_a.matrix() - x.matrix()) < 1e-12
+    assert np.linalg.norm(m.ra[0] - x.rotation.m) < 1e-12
+    assert np.linalg.norm(m.ta[0] - x.translation) < 1e-12
 
 
 def test_relative_motions_length_checks():
@@ -149,10 +141,9 @@ def test_relative_motions_length_checks():
 def test_relative_motions_satisfy_conjugation():
     # trajectories built from a known extrinsic must satisfy theta v_a = v_b theta
     m, theta = random_instance(7, n_motions=10)
-    for pair in m:
-        lhs = theta.compose(pair.v_a).matrix()
-        rhs = pair.v_b.compose(theta).matrix()
-        assert np.linalg.norm(lhs - rhs) < 1e-12
+    r, t = theta.rotation.m, theta.translation
+    assert np.abs(r @ m.ra - m.rb @ r).max() < 1e-12
+    assert np.abs(m.ta @ r.T + t - (m.rb @ t + m.tb)).max() < 1e-12
 
 
 def test_relative_motions_reintegrate():
@@ -162,34 +153,47 @@ def test_relative_motions_reintegrate():
         poses.append(poses[-1].compose(geom.random_transform(rng, translation_scale=0.3)))
     m = relative_motions_from_trajectories(poses, poses)
     current = poses[0]
-    for i, pair in enumerate(m, start=1):
-        current = current.compose(pair.v_a)
+    for i, (r, t) in enumerate(zip(m.ra, m.ta), start=1):
+        current = current.compose(Transform(RotationMatrix(r), t))
         assert np.linalg.norm(current.matrix() - poses[i].matrix()) < 1e-10
 
 
-def _pure_rotation_pairs(axes_angles):
-    pairs = []
-    for axis, angle in axes_angles:
-        r = geom.rotation_from_axis_angle(AxisAngle(np.asarray(axis, dtype=float), angle))
-        v = Transform(r, np.zeros(3))
-        pairs.append(RelativeMotionPair(v, v))
-    return MeasurementSet.from_pairs(pairs)
+def test_relative_motions_match_per_step_reference():
+    path = sim.generate_path(n_steps=201, seed=3)
+    theta = geom.random_transform(4, translation_scale=0.5)
+    poses_a, poses_b = sim.sensor_trajectories(path, theta)
+    m = relative_motions_from_trajectories(poses_a, poses_b)
+    for s, poses in (("a", poses_a), ("b", poses_b)):
+        steps = [poses[t - 1].invert().compose(poses[t]) for t in range(1, len(poses))]
+        assert np.abs(getattr(m, "r" + s) - [v.rotation.m for v in steps]).max() < 1e-14
+        assert np.abs(getattr(m, "t" + s) - [v.translation for v in steps]).max() < 1e-14
+    assert np.array_equal(m.kappa, np.ones(200)) and np.array_equal(m.tau, np.ones(200))
+
+
+def _pure_rotations(axes_angles):
+    """Both sensors measure the same pure rotations (theta = identity)."""
+    r = [
+        geom.rotation_from_axis_angle(AxisAngle(np.asarray(axis, dtype=float), angle)).m
+        for axis, angle in axes_angles
+    ]
+    n = len(r)
+    return MeasurementSet(r, r, np.zeros((n, 3)), np.zeros((n, 3)), np.ones(n), np.ones(n))
 
 
 def test_observability_single_axis():
-    m = _pure_rotation_pairs([((0, 0, 1), 0.3), ((0, 0, 1), 0.9), ((0, 0, 1), 1.4)])
+    m = _pure_rotations([((0, 0, 1), 0.3), ((0, 0, 1), 0.9), ((0, 0, 1), 1.4)])
     report = check_observability(m)
     assert report.distinct_axis_count == 1
     assert not report.observable
 
 
 def test_observability_antipodal_axes_count_once():
-    m = _pure_rotation_pairs([((0, 0, 1), 0.5), ((0, 0, -1), 0.5)])
+    m = _pure_rotations([((0, 0, 1), 0.5), ((0, 0, -1), 0.5)])
     assert check_observability(m).distinct_axis_count == 1
 
 
 def test_observability_two_axes():
-    m = _pure_rotation_pairs([((1, 0, 0), np.pi / 2), ((0, 1, 0), np.pi / 2)])
+    m = _pure_rotations([((1, 0, 0), np.pi / 2), ((0, 1, 0), np.pi / 2)])
     report = check_observability(m)
     assert report.observable
     assert report.distinct_axis_count == 2
@@ -197,49 +201,40 @@ def test_observability_two_axes():
 
 
 def test_observability_identity_rotations():
-    m = _pure_rotation_pairs([((0, 0, 1), 0.0), ((0, 0, 1), 0.0)])
+    m = _pure_rotations([((0, 0, 1), 0.0), ((0, 0, 1), 0.0)])
     report = check_observability(m)
     assert report.distinct_axis_count == 0
     assert not report.observable
 
 
 def test_observability_small_angles_ignored():
-    m = _pure_rotation_pairs([((1, 0, 0), 1e-5), ((0, 1, 0), 0.8)])
+    m = _pure_rotations([((1, 0, 0), 1e-5), ((0, 1, 0), 0.8)])
     assert check_observability(m).distinct_axis_count == 1
 
 
 def test_observability_order_invariant():
-    pairs = [((1, 0, 0), 0.5), ((0, 1, 0), 0.7), ((0, 0, 1), 0.9)]
-    a = check_observability(_pure_rotation_pairs(pairs))
-    b = check_observability(_pure_rotation_pairs(pairs[::-1]))
+    motions = [((1, 0, 0), 0.5), ((0, 1, 0), 0.7), ((0, 0, 1), 0.9)]
+    a = check_observability(_pure_rotations(motions))
+    b = check_observability(_pure_rotations(motions[::-1]))
     assert a.distinct_axis_count == b.distinct_axis_count
 
 
 def test_observability_conjugation_invariant():
-    pairs = [((1, 0, 0), 0.5), ((0, 1, 0), 0.7)]
-    m = _pure_rotation_pairs(pairs)
+    m = _pure_rotations([((1, 0, 0), 0.5), ((0, 1, 0), 0.7)])
     q = geom.random_rotation(9)
-    conj = MeasurementSet.from_pairs(
-        tuple(
-            RelativeMotionPair(
-                Transform(RotationMatrix(q.m @ p.v_a.rotation.m @ q.m.T), np.zeros(3)),
-                p.v_b,
-            )
-            for p in m
-        )
-    )
+    conj = replace(m, ra=q.m @ m.ra @ q.m.T)
     assert check_observability(conj).distinct_axis_count == check_observability(m).distinct_axis_count
 
 
 def test_observability_condition_estimate_blows_up_single_axis():
-    single = _pure_rotation_pairs([((0, 0, 1), 0.5), ((0, 0, 1), 1.1)])
-    two = _pure_rotation_pairs([((1, 0, 0), np.pi / 2), ((0, 1, 0), np.pi / 2)])
+    single = _pure_rotations([((0, 0, 1), 0.5), ((0, 0, 1), 1.1)])
+    two = _pure_rotations([((1, 0, 0), np.pi / 2), ((0, 1, 0), np.pi / 2)])
     assert check_observability(single).condition_estimate > 1e12
     assert check_observability(two).condition_estimate < 1e3
 
 
 def test_report_serializes():
-    m = _pure_rotation_pairs([((1, 0, 0), 0.5), ((0, 1, 0), 0.7)])
+    m = _pure_rotations([((1, 0, 0), 0.5), ((0, 1, 0), 0.7)])
     d = asdict(check_observability(m))
     json.dumps(d)  # must be JSON-serializable
     assert d["observable"] is True
@@ -263,6 +258,13 @@ _BAD_LINES = {
     "number-record": "5",
     "null-record": "null",
     "list-pose": '{"a": [1, 2], "b": ' + _IDENTITY_POSE + "}",
+    "string-translation": '{"a": {"R": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "t": ["1", 0, 0]}, "b": '
+    + _IDENTITY_POSE
+    + "}",
+    "boolean-rotation": '{"a": {"R": [[true, false, false], [false, true, false], '
+    '[false, false, true]], "t": [0, 0, 0]}, "b": ' + _IDENTITY_POSE + "}",
+    "kappa-numeric-string": _record(kappa="2"),
+    "tau-boolean": _record(tau=True),
 }
 
 
@@ -288,13 +290,6 @@ def test_load_invalid_utf8_is_parse_error():
     assert exc.value.line == 2
 
 
-def test_pair_rejects_non_finite_weights():
-    with pytest.raises(ValueError):
-        RelativeMotionPair(Transform.identity(), Transform.identity(), kappa=float("nan"))
-    with pytest.raises(ValueError):
-        RelativeMotionPair(Transform.identity(), Transform.identity(), tau=float("inf"))
-
-
 def _columns(n, seed=0):
     rng = np.random.default_rng(seed)
     return {
@@ -314,7 +309,7 @@ def test_measurement_set_columns_are_read_only_copies():
     assert m.ta[0, 0] != 99.0
     with pytest.raises(ValueError):
         m.ra[0, 0, 0] = 1.0
-    assert m.n == len(m) == 4
+    assert m.n == 4
 
 
 @pytest.mark.parametrize(
@@ -327,6 +322,9 @@ def test_measurement_set_columns_are_read_only_copies():
         ("tau", [1.0, np.inf, 1.0, 1.0], ValueError),
         ("rb", np.tile(np.diag([1.0, 1.0, -1.0]), (4, 1, 1)), InvalidRotation),
         ("ra", np.tile(np.eye(3) + 1e-6, (4, 1, 1)), InvalidRotation),
+        ("kappa", [1.0, np.nan, 1.0, 1.0], ValueError),
+        ("tau", [0.0, 1.0, 1.0, 1.0], ValueError),
+        ("kappa", np.ones((4, 1)), ValueError),
     ],
 )
 def test_measurement_set_validates_columns(field, value, error):
@@ -334,14 +332,11 @@ def test_measurement_set_validates_columns(field, value, error):
         MeasurementSet(**{**_columns(4), field: value})
 
 
-def test_pairs_view_round_trips_the_columns():
-    m = MeasurementSet(**_columns(5))
-    back = MeasurementSet.from_pairs(m.pairs)
-    for name in ("ra", "rb", "ta", "tb", "kappa", "tau"):
-        assert np.array_equal(getattr(back, name), getattr(m, name))
-    pair = m.pairs[3]
-    assert np.array_equal(pair.v_b.rotation.m, m.rb[3])
-    assert pair.tau == m.tau[3]
+def test_measurement_set_rejects_an_unbatched_motion():
+    with pytest.raises(ValueError, match="must have shape"):
+        MeasurementSet(
+            ra=np.eye(3), rb=np.eye(3), ta=np.zeros(3), tb=np.zeros(3), kappa=1.0, tau=1.0
+        )
 
 
 def _greedy_axes_reference(m, angle_tol=1e-3, axis_tol=1e-2):
@@ -351,8 +346,8 @@ def _greedy_axes_reference(m, angle_tol=1e-3, axis_tol=1e-2):
         return float(np.arccos(np.clip(abs(np.dot(a, b)), 0.0, 1.0)))
 
     axes = []
-    for pair in m:
-        aa = geom.axis_angle_from_rotation(pair.v_a.rotation)
+    for r in m.ra:
+        aa = geom.axis_angle_from_rotation(RotationMatrix(r))
         if aa.angle > angle_tol:
             axes.append(aa.axis)
     reps = []
@@ -368,7 +363,7 @@ def test_observability_matches_per_pair_reference(sigma):
     m, _ = random_instance(31, n_motions=60, sigma_r=sigma, sigma_t=sigma)
     # A sparse-axis set: repeated axes exercise the "already represented" branch.
     near_x = np.array([1.0, 1e-3, 0.0]) / np.hypot(1.0, 1e-3)
-    sparse = _pure_rotation_pairs(
+    sparse = _pure_rotations(
         [((1, 0, 0), 0.5), ((1, 0, 0), 0.9), ((0, 1, 0), 0.7), (near_x, 0.4), ((0, 0, 1), 3.1)]
     )
     for data in (m, sparse):

@@ -49,6 +49,24 @@ def test_calibrate_invariant_under_permutation(seed, order):
     _assert_same_extrinsic(_baseline(seed), result)
 
 
+@SLOW
+@given(seed=st.sampled_from(sorted(_INSTANCES)), x_seed=st.integers(0, 2**32 - 1))
+def test_calibrate_equivariant_under_a_change_of_sensor_b_frame(seed, x_seed):
+    # Moving sensor b's frame by X conjugates each of its motions by X and
+    # maps every residual through X_R, so the cost is unchanged and the
+    # optimum moves from theta to X * theta.
+    x = geom.random_transform(x_seed)
+    xr, xt = x.rotation.m, x.translation
+    m = _INSTANCES[seed]
+    rb = xr @ m.rb @ xr.T
+    result = solver.calibrate(replace(m, rb=rb, tb=m.tb @ xr.T + xt - rb @ xt))
+    base = _baseline(seed)
+    assert result.certificate.verdict == base.certificate.verdict
+    expected = x.compose(base.extrinsic)
+    assert np.linalg.norm(result.extrinsic.rotation.m - expected.rotation.m) < 1e-8
+    assert np.linalg.norm(result.extrinsic.translation - expected.translation) < 1e-8
+
+
 def _scaled(m, factor):
     return replace(m, kappa=factor * m.kappa, tau=factor * m.tau)
 

@@ -1,88 +1,75 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from conftest import random_instance
 from egocal import geom, qcqp
 from egocal.errors import SingularQtt, TooShort
-from egocal.geom import AxisAngle, Transform
-from egocal.problem import MeasurementSet, RelativeMotionPair
-
-
-def _identity_pair():
-    return RelativeMotionPair(Transform.identity(), Transform.identity())
-
-
-def _random_pair(rng):
-    return RelativeMotionPair(
-        geom.random_transform(rng, translation_scale=0.7),
-        geom.random_transform(rng, translation_scale=0.7),
-    )
+from egocal.geom import AxisAngle
+from egocal.problem import MeasurementSet
 
 
 def test_rotation_block_identity_pair_is_zero():
-    assert np.allclose(qcqp.rotation_block(_identity_pair()), 0.0)
+    assert np.allclose(qcqp.rotation_block(np.eye(3), np.eye(3)), 0.0)
 
 
 def test_rotation_block_annihilates_identity_calibration():
     # R_a = R_b means the identity calibration has zero rotation residual
     rng = np.random.default_rng(1)
-    r = geom.random_rotation(rng)
-    v = Transform(r, np.zeros(3))
-    block = qcqp.rotation_block(RelativeMotionPair(v, v))
+    r = geom.random_rotation(rng).m
+    block = qcqp.rotation_block(r, r)
     assert np.linalg.norm(block @ np.eye(3).reshape(9, order="F")) < 1e-12
 
 
 def test_rotation_block_vec_identity():
     # vec(R R_a - R_b R) = M_r vec(R), the defining property of the block
     rng = np.random.default_rng(2)
-    pair = _random_pair(rng)
-    block = qcqp.rotation_block(pair)
+    ra, rb = geom.random_rotation(rng).m, geom.random_rotation(rng).m
+    block = qcqp.rotation_block(ra, rb)
     for _ in range(100):
         r = geom.random_rotation(rng).m
-        direct = (r @ pair.v_a.rotation.m - pair.v_b.rotation.m @ r).reshape(9, order="F")
+        direct = (r @ ra - rb @ r).reshape(9, order="F")
         assert np.linalg.norm(block @ r.reshape(9, order="F") - direct) < 1e-12
 
 
 def test_translation_block_identity_pair_is_zero():
-    assert np.allclose(qcqp.translation_block(_identity_pair()), 0.0)
+    assert np.allclose(qcqp.translation_block(np.zeros(3), np.eye(3), np.zeros(3)), 0.0)
 
 
 def test_translation_block_residual_identity():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        pair = _random_pair(rng)
+        ta, tb = rng.normal(scale=0.7, size=(2, 3))
+        rb = geom.random_rotation(rng).m
         theta = geom.random_transform(rng)
         x = qcqp.full_vector(theta.translation, theta.rotation, 1.0)
-        direct = (
-            theta.rotation.m @ pair.v_a.translation
-            + theta.translation
-            - pair.v_b.rotation.m @ theta.translation
-            - pair.v_b.translation
-        )
-        assert np.linalg.norm(qcqp.translation_block(pair) @ x - direct) < 1e-12
+        direct = theta.rotation.m @ ta + theta.translation - rb @ theta.translation - tb
+        assert np.linalg.norm(qcqp.translation_block(ta, rb, tb) @ x - direct) < 1e-12
 
 
 def test_assemble_requires_two_motions():
-    rng = np.random.default_rng(4)
+    m, _ = random_instance(4, n_motions=5)
+    one = MeasurementSet(**{f.name: getattr(m, f.name)[:1] for f in fields(m)})
     with pytest.raises(TooShort):
-        qcqp.assemble(MeasurementSet.from_pairs((_random_pair(rng),)))
+        qcqp.assemble(one)
 
 
 def test_assemble_identity_measurements_singular():
-    m = MeasurementSet.from_pairs((_identity_pair(), _identity_pair()))
+    r, t = np.tile(np.eye(3), (2, 1, 1)), np.zeros((2, 3))
     with pytest.raises(SingularQtt):
-        qcqp.assemble(m)
+        qcqp.assemble(MeasurementSet(r, r, t, t, np.ones(2), np.ones(2)))
 
 
 def test_assemble_single_axis_singular():
     # all sensor-b rotations about z leaves I - R_b singular along z
-    pairs = []
-    for angle in (0.4, 0.9, 1.3):
-        r = geom.rotation_from_axis_angle(AxisAngle(np.array([0.0, 0.0, 1.0]), angle))
-        v = Transform(r, np.array([1.0, 0.0, 0.0]))
-        pairs.append(RelativeMotionPair(v, v))
+    r = [
+        geom.rotation_from_axis_angle(AxisAngle(np.array([0.0, 0.0, 1.0]), angle)).m
+        for angle in (0.4, 0.9, 1.3)
+    ]
+    t = np.tile([1.0, 0.0, 0.0], (3, 1))
     with pytest.raises(SingularQtt):
-        qcqp.assemble(MeasurementSet.from_pairs(pairs))
+        qcqp.assemble(MeasurementSet(r, r, t, t, np.ones(3), np.ones(3)))
 
 
 def test_assemble_noise_free_optimum_has_zero_cost():
@@ -104,7 +91,9 @@ def test_assemble_psd_and_symmetric():
 def test_assemble_additive_over_concatenation():
     m1, _ = random_instance(7, n_motions=5, sigma_r=0.02, sigma_t=0.02)
     m2, _ = random_instance(8, n_motions=5, sigma_r=0.02, sigma_t=0.02)
-    joint = MeasurementSet.from_pairs(m1.pairs + m2.pairs)
+    joint = MeasurementSet(
+        **{f.name: np.concatenate([getattr(m1, f.name), getattr(m2, f.name)]) for f in fields(m1)}
+    )
     lhs = qcqp.assemble(joint).q
     rhs = qcqp.assemble(m1).q + qcqp.assemble(m2).q
     assert np.linalg.norm(lhs - rhs) < 1e-10 * (1 + np.linalg.norm(lhs))
@@ -112,11 +101,7 @@ def test_assemble_additive_over_concatenation():
 
 def test_assemble_weight_scaling():
     m, _ = random_instance(9, n_motions=5, sigma_r=0.02, sigma_t=0.02)
-    scaled = MeasurementSet.from_pairs(
-        tuple(
-            RelativeMotionPair(p.v_a, p.v_b, 3.0 * p.kappa, 3.0 * p.tau) for p in m
-        )
-    )
+    scaled = replace(m, kappa=3.0 * m.kappa, tau=3.0 * m.tau)
     assert np.allclose(qcqp.assemble(scaled).q, 3.0 * qcqp.assemble(m).q)
 
 
@@ -125,15 +110,13 @@ def test_assemble_equals_sum_of_per_pair_grams():
     # loop, so it must reproduce that loop exactly, not just to rounding.
     rng = np.random.default_rng(25)
     m, _ = random_instance(25, n_motions=12, sigma_r=0.05, sigma_t=0.05)
-    m = MeasurementSet.from_pairs(
-        RelativeMotionPair(p.v_a, p.v_b, rng.uniform(0.1, 5.0), rng.uniform(0.1, 5.0)) for p in m
-    )
+    m = replace(m, kappa=rng.uniform(0.1, 5.0, m.n), tau=rng.uniform(0.1, 5.0, m.n))
     q = np.zeros((qcqp.DIM_FULL, qcqp.DIM_FULL))
-    for pair in m:
-        mr = qcqp.rotation_block(pair)
-        q[3:12, 3:12] += pair.kappa * (mr.T @ mr)
-        mt = qcqp.translation_block(pair)
-        q += pair.tau * (mt.T @ mt)
+    for i in range(m.n):
+        mr = qcqp.rotation_block(m.ra[i], m.rb[i])
+        q[3:12, 3:12] += m.kappa[i] * (mr.T @ mr)
+        mt = qcqp.translation_block(m.ta[i], m.rb[i], m.tb[i])
+        q += m.tau[i] * (mt.T @ mt)
     assert np.array_equal(qcqp.assemble(m).q, 0.5 * (q + q.T))
 
 
@@ -167,16 +150,15 @@ def test_constraint_counts():
     expected = {"r": 6, "r+c": 12, "r+h": 15, "r+c+h": 21}
     for kind, count in expected.items():
         cs = qcqp.constraint_catalog(kind)
-        assert len(cs.matrices) == count
+        assert len(cs.stacked) - 1 == count
         assert cs.kind == kind
 
 
 def test_constraint_catalog_built_once_read_only():
     cs = qcqp.constraint_catalog("r+c+h")
     assert qcqp.constraint_catalog("R+C+H") is cs
-    assert np.array_equal(cs.stacked, np.stack(list(cs.matrices) + [cs.homogenizer]))
-    for arr in (cs.stacked, cs.homogenizer, *cs.matrices):
-        assert not arr.flags.writeable
+    assert np.array_equal(cs.stacked[-1], qcqp.homogenizer())
+    assert not cs.stacked.flags.writeable
 
 
 def test_constraint_catalog_rejects_unknown_kind():
@@ -191,14 +173,14 @@ def test_constraints_vanish_on_rotations():
         y = 1.0 if rng.random() < 0.5 else -1.0
         r = geom.random_rotation(rng)
         v = qcqp.reduced_vector(r, 1.0) * y  # y = -1 flips the whole vector
-        for a in cs.matrices:
+        for a in cs.stacked[:-1]:
             assert abs(v @ a @ v) < 1e-12
-        assert abs(v @ cs.homogenizer @ v - 1.0) < 1e-12
+        assert abs(v @ cs.stacked[-1] @ v - 1.0) < 1e-12
 
 
 def test_constraints_symmetric():
     cs = qcqp.constraint_catalog("r+c+h")
-    for a in cs.matrices:
+    for a in cs.stacked:
         assert np.linalg.norm(a - a.T) < 1e-15
 
 
@@ -210,10 +192,10 @@ def test_handedness_detects_reflection():
     v[:9] = reflection.reshape(9, order="F")
     v[9] = 1.0
     ortho = qcqp.constraint_catalog("r+c")
-    for a in ortho.matrices:
+    for a in ortho.stacked[:-1]:
         assert abs(v @ a @ v) < 1e-12
     handed = qcqp.constraint_catalog("r+c+h")
-    violations = [abs(v @ a @ v) for a in handed.matrices[12:]]
+    violations = [abs(v @ a @ v) for a in handed.stacked[12:-1]]
     assert max(violations) > 0.5
 
 
@@ -222,7 +204,7 @@ def test_orthogonality_gram_rank():
     # the sums of the two diagonal triples are the same matrix (both equal
     # sum_ij R_ij^2 - 3 y^2), which is the single linear dependency.
     cs = qcqp.constraint_catalog("r+c")
-    flat = np.stack([a.ravel() for a in cs.matrices])
+    flat = cs.stacked[:-1].reshape(len(cs.stacked) - 1, -1)
     assert np.linalg.matrix_rank(flat, tol=1e-10) == 11
     diag_rows = flat[0] + flat[3] + flat[5]       # (0,0), (1,1), (2,2) of R R^T
     diag_cols = flat[6] + flat[9] + flat[11]      # (0,0), (1,1), (2,2) of R^T R
@@ -234,5 +216,5 @@ def test_orthogonality_gram_rank():
 
 def test_full_catalog_gram_rank():
     cs = qcqp.constraint_catalog("r+c+h")
-    flat = np.stack([a.ravel() for a in cs.matrices])
+    flat = cs.stacked[:-1].reshape(len(cs.stacked) - 1, -1)
     assert np.linalg.matrix_rank(flat, tol=1e-10) == 20

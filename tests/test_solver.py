@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from conftest import random_instance
 from egocal import geom, qcqp, sdp, sim, solver
 from egocal.errors import MaxIterations, NotObservable, RankDeficiencyAmbiguous, SingularQtt
 from egocal.geom import AxisAngle, RotationMatrix, Transform
-from egocal.problem import MeasurementSet, RelativeMotionPair
+from egocal.problem import MeasurementSet
 
 
 def test_two_motion_instance_recovery():
@@ -22,12 +23,9 @@ def test_two_motion_instance_recovery():
 def test_identity_calibration_fixed_point():
     # v_a = v_b exactly means theta = identity is a zero-cost solution
     rng = np.random.default_rng(1)
-    pairs = []
-    for axis in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)):
-        r = geom.rotation_from_axis_angle(AxisAngle(np.array(axis), 1.0))
-        v = Transform(r, rng.normal(size=3))
-        pairs.append(RelativeMotionPair(v, v))
-    result = solver.calibrate(MeasurementSet.from_pairs(pairs))
+    r = [geom.rotation_from_axis_angle(AxisAngle(axis, 1.0)).m for axis in np.eye(3)[:2]]
+    t = rng.normal(size=(2, 3))
+    result = solver.calibrate(MeasurementSet(r, r, t, t, np.ones(2), np.ones(2)))
     assert np.linalg.norm(result.extrinsic.matrix() - np.eye(4)) < 1e-6
     assert result.cost < 1e-12
 
@@ -76,25 +74,24 @@ def test_left_invariance():
     assert np.linalg.norm(r1.extrinsic.matrix() - r2.extrinsic.matrix()) < 1e-10
 
 
+def _planar_motions():
+    """Two motions about the z axis only: the single-axis failure mode."""
+    r = [
+        geom.rotation_from_axis_angle(AxisAngle(np.array([0.0, 0.0, 1.0]), angle)).m
+        for angle in (0.5, 1.1)
+    ]
+    t = np.tile([1.0, 0.0, 0.0], (2, 1))
+    return MeasurementSet(r, r, t, t, np.ones(2), np.ones(2))
+
+
 def test_strict_observability_raises():
-    pairs = []
-    for angle in (0.5, 1.1):
-        r = geom.rotation_from_axis_angle(AxisAngle(np.array([0.0, 0.0, 1.0]), angle))
-        v = Transform(r, np.array([1.0, 0.0, 0.0]))
-        pairs.append(RelativeMotionPair(v, v))
-    m = MeasurementSet.from_pairs(pairs)
     with pytest.raises(NotObservable):
-        solver.calibrate(m, strict_observability=True)
+        solver.calibrate(_planar_motions(), strict_observability=True)
 
 
 def test_singular_qtt_propagates():
-    pairs = []
-    for angle in (0.5, 1.1):
-        r = geom.rotation_from_axis_angle(AxisAngle(np.array([0.0, 0.0, 1.0]), angle))
-        v = Transform(r, np.array([1.0, 0.0, 0.0]))
-        pairs.append(RelativeMotionPair(v, v))
     with pytest.raises(SingularQtt):
-        solver.calibrate(MeasurementSet.from_pairs(pairs))
+        solver.calibrate(_planar_motions())
 
 
 # A dual slack with no null direction: extraction uses the primal eigenvector.
@@ -176,20 +173,12 @@ def test_recover_translation_matches_normal_equations():
 
 def test_recover_translation_pure_translation_identity():
     # equal pure translations on both sensors are explained by theta = identity
-    pairs = []
-    for shift in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]):
-        v = Transform(RotationMatrix.identity(), np.array(shift))
-        pairs.append(RelativeMotionPair(v, v))
+    r, t = np.tile(np.eye(3), (2, 1, 1)), np.eye(3)[:2]
+    m = MeasurementSet(r, r, t, t, np.ones(2), np.ones(2))
     # rotations are all identity so q_tt is singular; check the residual route:
     # the homogenized translation residual at theta = identity is zero
-    for pair in pairs:
-        res = (
-            np.eye(3) @ pair.v_a.translation
-            + np.zeros(3)
-            - pair.v_b.rotation.m @ np.zeros(3)
-            - pair.v_b.translation
-        )
-        assert np.linalg.norm(res) < 1e-15
+    res = m.ta @ np.eye(3).T + np.zeros(3) - m.rb @ np.zeros(3) - m.tb
+    assert np.linalg.norm(res) < 1e-15
 
 
 def test_evaluate_cost_zero_at_truth():
@@ -211,9 +200,7 @@ def test_evaluate_cost_matches_quadratic_form():
 
 def test_evaluate_cost_linear_in_weights():
     m, _ = random_instance(18, n_motions=5, sigma_r=0.05, sigma_t=0.05)
-    doubled = MeasurementSet.from_pairs(
-        tuple(RelativeMotionPair(p.v_a, p.v_b, 2 * p.kappa, 2 * p.tau) for p in m)
-    )
+    doubled = replace(m, kappa=2 * m.kappa, tau=2 * m.tau)
     theta = geom.random_transform(19)
     assert abs(solver.evaluate_cost(doubled, theta) - 2 * solver.evaluate_cost(m, theta)) < 1e-10
 
