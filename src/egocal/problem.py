@@ -13,6 +13,16 @@ trajectories (one file per sensor)::
 
 Entries are JSON numbers: rotations row-major 3x3, translations in meters.
 kappa/tau default to 1.
+
+The loader reads its source once, splits it on "\n", parses each line with
+json.loads and builds each column in one np.array conversion, checked in bulk
+(shape, number type, finite, positive weights). When a check fails, or the
+text holds a JSON boolean (numpy promotes one mixed with numbers to a
+number), it re-scans the text record by record; that path alone raises the
+line-numbered ParseError. check_observability counts the distinct rotation
+axes greedily in blocks of 32 axes, flagging close pairs from a BLAS Gram
+matrix and re-checking every pair near its threshold with exact dot
+products, so its count and largest separation equal the per-pair definition.
 """
 
 from __future__ import annotations
@@ -90,16 +100,20 @@ class ObservabilityReport:
 
 
 def parse_pose(obj, line=None):
-    """(R, t) arrays of a {"R": 3x3, "t": 3-vector} of numbers; ParseError if malformed."""
+    """(R, t) arrays of a {"R": 3x3, "t": 3-vector} of JSON numbers; ParseError if malformed."""
     try:
-        r, t = np.asarray(obj["R"]), np.asarray(obj["t"])
+        r, t = np.asarray(obj["R"], dtype=object), np.asarray(obj["t"], dtype=object)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad pose object: {exc}", line=line) from None
     if r.shape != (3, 3) or t.shape != (3,):
         raise ParseError("pose must have a 3x3 'R' and 3-vector 't'", line=line)
-    if r.dtype.kind not in "iuf" or t.dtype.kind not in "iuf":
-        raise ParseError("pose entries must be numbers", line=line)
-    r, t = r.astype(float, copy=False), t.astype(float, copy=False)
+    try:
+        # JSON numbers only: numpy would promote booleans mixed with numbers to numbers.
+        if not all(type(value) in (int, float) for value in (*r.flat, *t.flat)):
+            raise TypeError
+        r, t = r.astype(float), t.astype(float)
+    except (TypeError, OverflowError):
+        raise ParseError("pose entries must be numbers", line=line) from None
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
         raise ParseError("pose has non-finite entries", line=line)
     return r, t
@@ -128,8 +142,53 @@ def _read_poses(source, keys, weight_keys, what):
     which default to 1. Raises ParseError (with line number), InvalidRotation,
     or EmptyInput.
     """
-    if isinstance(source, (str, bytes)):
-        source = io.BytesIO(source) if isinstance(source, bytes) else io.StringIO(source)
+    data = source if isinstance(source, (str, bytes)) else source.read()
+    # A record the one-conversion parse cannot take is re-scanned record by record,
+    # the only path that names the offending line in a ParseError.
+    columns = _convert_records(data, keys, weight_keys) or _scan_records(data, keys, weight_keys)
+    line_nos, rotations, translations, weights = columns
+    if not line_nos:
+        raise EmptyInput(f"{what} source contained no records")
+    rotations = ingest_rotations(rotations, lambda i: f"line {line_nos[i]}")
+    return rotations, translations, weights
+
+
+def _convert_records(data, keys, weight_keys):
+    """The columns of `data` from one array conversion each, or None if any check fails.
+
+    Accepts only input that _scan_records accepts (it refuses more, e.g. any
+    text holding a boolean), and then returns the same (line numbers,
+    rotations, translations, weights), bit for bit.
+    """
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        if "true" in text or "false" in text:
+            return None  # numpy silently promotes a list mixing booleans and numbers
+        lines = [(no, rec) for no, line in enumerate(text.split("\n"), 1) if (rec := line.strip())]
+        records = [json.loads(rec) for _, rec in lines]
+        rotations = np.array([[record[key]["R"] for key in keys] for record in records])
+        translations = np.array([[record[key]["t"] for key in keys] for record in records])
+        weights = np.array([[record.get(key, 1.0) for key in weight_keys] for record in records])
+    except (ValueError, KeyError, TypeError):
+        return None
+    n, k = len(records), len(keys)
+    columns = (rotations, translations, weights)
+    shapes = ((n, k, 3, 3), (n, k, 3), (n, len(weight_keys)))
+    if any(a.shape != shape or a.dtype.kind not in "iuf" for a, shape in zip(columns, shapes)):
+        return None
+    rotations, translations, weights = (a.astype(float, copy=False) for a in columns)
+    if not (
+        np.all(np.isfinite(rotations))
+        and np.all(np.isfinite(translations))
+        and np.all((weights > 0.0) & (weights < np.inf))
+    ):
+        return None
+    return [no for no, _ in lines], rotations, translations, weights
+
+
+def _scan_records(data, keys, weight_keys):
+    """_convert_records record by record; raises a line-numbered ParseError at the first bad one."""
+    source = io.BytesIO(data) if isinstance(data, bytes) else io.StringIO(data)
     line_nos, rotations, translations, weights = [], [], [], []
     for line_no, raw in enumerate(source, start=1):
         try:
@@ -146,10 +205,7 @@ def _read_poses(source, keys, weight_keys, what):
         rotations.append(r)
         translations.append(t)
         weights.append([_weight(obj, key, line_no) for key in weight_keys])
-    if not line_nos:
-        raise EmptyInput(f"{what} source contained no records")
-    rotations = ingest_rotations(np.array(rotations), lambda i: f"line {line_nos[i]}")
-    return rotations, np.array(translations), np.array(weights)
+    return line_nos, np.array(rotations), np.array(translations), np.array(weights)
 
 
 def _weight(obj, key, line_no) -> float:
@@ -232,29 +288,112 @@ def check_observability(m: MeasurementSet) -> ObservabilityReport:
     Axes are compared modulo sign; rotations with angle <= MIN_AXIS_ANGLE are
     treated as absent. Each remaining axis, in order, becomes a new
     representative when it is more than AXIS_SEPARATION from every
-    representative so far. Also reports the condition number of the
+    representative so far; max_axis_angle_between is the largest separation
+    of two representatives. Also reports the condition number of the
     translation block as a numeric corroboration (it blows up exactly in the
     single-axis failure mode).
     """
     axes, magnitudes = geom.axis_angles(m.ra)
-    representatives = np.empty_like(axes)
-    count, max_sep = 0, 0.0
-    for axis in axes[magnitudes > MIN_AXIS_ANGLE]:
-        # Angles modulo antipodality; (k, 1, 3) @ (3,) rounds each dot as np.dot does.
-        dots = (representatives[:count, None, :] @ axis)[:, 0]
-        separations = np.arccos(np.clip(np.abs(dots), 0.0, 1.0))
-        if np.all(separations > AXIS_SEPARATION):
-            representatives[count] = axis
-            count += 1
-            # Every pair of representatives is compared once, when the later joins.
-            max_sep = max(max_sep, float(separations.max(initial=0.0)))
+    representatives = _representatives(axes[magnitudes > MIN_AXIS_ANGLE])
+    count = len(representatives)
 
     eigs = np.linalg.eigvalsh(translation_gram(m))
     cond = float("inf") if eigs[0] <= 0 else float(eigs[-1] / eigs[0])
 
     return ObservabilityReport(
         distinct_axis_count=count,
-        max_axis_angle_between=max_sep,
+        max_axis_angle_between=_max_separation(representatives),
         observable=count >= 2,
         condition_estimate=cond,
+    )
+
+
+# Rows per block of an axis Gram matrix: each temporary holds at most 32 x k entries.
+_GRAM_ROWS = 32
+# A Gram (GEMM) entry is within ~1e-16 of the exact dot but not always equal to
+# it, so every decision within this margin of its threshold is re-checked exactly.
+_GRAM_MARGIN = 1e-12
+
+
+def _separations(earlier, later):
+    """Angles modulo antipodality between unit axes (..., 3), broadcast row against row.
+
+    Each dot is a (1, 3) @ (3, 1) product, which rounds as np.dot does and
+    alike for either order of its two axes.
+    """
+    dots = (earlier[..., None, :] @ later[..., :, None])[..., 0, 0]
+    return np.arccos(np.clip(np.abs(dots), 0.0, 1.0))
+
+
+def _abs_gram(rows, columns, buffer):
+    """|rows @ columns.T|, written into the front of a flat scratch buffer.
+
+    Reusing one buffer for every block keeps a fresh multi-megabyte array (and
+    its page faults) out of each block, which otherwise costs more than the GEMM.
+    """
+    out = buffer[: len(rows) * len(columns)].reshape(len(rows), len(columns))
+    np.matmul(rows, columns.T, out=out)
+    return np.abs(out, out=out)
+
+
+def _representatives(axes):
+    """The axes, in order, that are more than AXIS_SEPARATION from every earlier representative.
+
+    Works on blocks of _GRAM_ROWS axes. A Gram matrix with the representatives
+    so far and one with the block's own earlier axes flag candidate close pairs
+    (|dot| >= cos(AXIS_SEPARATION) - _GRAM_MARGIN), which are re-checked exactly.
+    Only an axis whose sole close axes are earlier ones in its block is decided
+    in a Python loop. Representatives are pairwise apart, so each axis has a
+    bounded number of close representatives.
+    """
+    near = np.cos(AXIS_SEPARATION) - _GRAM_MARGIN
+    representatives = np.empty_like(axes)
+    buffer = np.empty(_GRAM_ROWS * len(axes))
+    count = 0
+    for start in range(0, len(axes), _GRAM_ROWS):
+        block = axes[start : start + _GRAM_ROWS]
+        # flatnonzero: 2-D np.nonzero is an order of magnitude slower on a 32 x k mask.
+        candidates = np.flatnonzero(_abs_gram(block, representatives[:count], buffer) >= near)
+        rows, cols = np.divmod(candidates, count)
+        close = _separations(representatives[cols], block[rows]) <= AXIS_SEPARATION
+        joins = np.ones(len(block), dtype=bool)
+        joins[rows[close]] = False
+        # Close pairs inside the block (col < row) between axes not yet ruled out.
+        rows, cols = np.nonzero(np.tril(_abs_gram(block, block, buffer) >= near, -1))
+        live = joins[rows] & joins[cols]
+        rows, cols = rows[live], cols[live]
+        close = _separations(block[cols], block[rows]) <= AXIS_SEPARATION
+        for row, col in zip(rows[close], cols[close]):  # row-major: each col is decided first
+            if joins[col]:
+                joins[row] = False
+        joined = block[joins]
+        representatives[count : count + len(joined)] = joined
+        count += len(joined)
+    return representatives[:count]
+
+
+def _max_separation(representatives) -> float:
+    """The largest separation over all pairs of representatives (0 for fewer than two).
+
+    The largest angle has the smallest |dot|. A block of rows is compared with
+    every representative from its first row on, so each pair lands in the row
+    of its earlier member; the per-row minima of |Gram| flag the rows that may
+    hold the smallest |dot|, and only those rows are evaluated exactly.
+    """
+    k = len(representatives)
+    if k < 2:
+        return 0.0
+    buffer = np.empty(_GRAM_ROWS * k)
+    # Each row's |dot| with itself is ~1, above every pair's (< cos AXIS_SEPARATION).
+    row_min = np.concatenate(
+        [
+            _abs_gram(representatives[start : start + _GRAM_ROWS], representatives[start:], buffer)
+            .min(axis=1)
+            for start in range(0, k, _GRAM_ROWS)
+        ]
+    )
+    rows = representatives[row_min <= row_min.min() + _GRAM_MARGIN]
+    return max(
+        float(_separations(rows[start : start + _GRAM_ROWS, None, :], representatives).max())
+        for start in range(0, len(rows), _GRAM_ROWS)
     )

@@ -12,6 +12,7 @@ so serial and parallel executions produce identical output.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -22,7 +23,12 @@ import numpy as np
 from . import geom, qcqp, sdp, solver
 from .errors import CalibrationError
 from .geom import AxisAngle, RotationMatrix, Transform
-from .problem import MeasurementSet, relative_motions_from_trajectories
+from .problem import (
+    MeasurementSet,
+    dump_measurements,
+    load_measurements,
+    relative_motions_from_trajectories,
+)
 from .qcqp import CONSTRAINT_KINDS
 
 DEFAULT_THETA = Transform(
@@ -410,7 +416,9 @@ def _heatmap_cell(noisy, theta, convex_rot_err, convex_trans_err, angle, dist, n
 
 
 def runtime_bench(n_list=(10, 100, 1000), n_runs: int = 20, seed: int = 0):
-    """Solver-only wall time of the convex SDP and of the local LM vs n (sigma 0.01)."""
+    """Wall time vs n (sigma 0.01): solver-only for the convex SDP and the local LM,
+    and end to end for `calibrate` (parsing the dumped JSON-lines text, then the call).
+    """
     rows = []
     for n in n_list:
         for run in range(n_runs):
@@ -424,9 +432,15 @@ def runtime_bench(n_list=(10, 100, 1000), n_runs: int = 20, seed: int = 0):
             # The call's own clock, which starts after local_solve imports scipy.
             local_seconds = solver.local_solve(noisy).solve_stats["wall_time_seconds"]
             rows.append({"n": n, "run": run, "method": "local", "solve_seconds": local_seconds})
+            buf = io.StringIO()
+            dump_measurements(noisy, buf)
+            start = time.perf_counter()
+            solver.calibrate(load_measurements(buf.getvalue()))
+            seconds = time.perf_counter() - start
+            rows.append({"n": n, "run": run, "method": "calibrate", "solve_seconds": seconds})
     summary = {"experiment": "runtime", "means": {}}
     for n in n_list:
-        for method in ("convex", "local"):
+        for method in ("convex", "local", "calibrate"):
             times = [r["solve_seconds"] for r in rows if r["n"] == n and r["method"] == method]
             if times:
                 summary["means"][f"{method},{n}"] = {

@@ -4,6 +4,8 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_instance
 from egocal import geom, sim
@@ -16,6 +18,7 @@ from egocal.errors import (
 )
 from egocal.geom import AxisAngle, RotationMatrix, Transform
 from egocal.problem import (
+    AXIS_SEPARATION,
     MeasurementSet,
     check_observability,
     dump_measurements,
@@ -265,6 +268,10 @@ _BAD_LINES = {
     '[false, false, true]], "t": [0, 0, 0]}, "b": ' + _IDENTITY_POSE + "}",
     "kappa-numeric-string": _record(kappa="2"),
     "tau-boolean": _record(tau=True),
+    "mixed-boolean-translation": '{"a": {"R": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], '
+    '"t": [true, 0, 0]}, "b": ' + _IDENTITY_POSE + "}",
+    "mixed-boolean-rotation": '{"a": {"R": [[1, 0, 0], [0, 1, 0], [0, 0, 1.0]], "t": [0, 0, 0]}, '
+    '"b": {"R": [[1, 0, 0], [0, true, 0], [0, 0, 1]], "t": [0, 0, 0]}}',
 }
 
 
@@ -282,6 +289,33 @@ def test_malformed_field_rejected_at_the_boundary(name, tmp_path, capsys):
     fixture.write_text(text)
     assert cli.main(["calibrate", "--input", str(fixture)]) == 1
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def good_log_lines():
+    buf = io.StringIO()
+    dump_measurements(random_instance(40, n_motions=999)[0], buf)
+    return buf.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_LINES))
+def test_malformed_field_in_a_long_log_names_its_line(name, good_log_lines, tmp_path):
+    lines = good_log_lines[:699] + [_BAD_LINES[name]] + good_log_lines[699:]
+    text = "\n".join(lines) + "\n"
+    path = tmp_path / "log.jsonl"
+    path.write_text(text)
+    with open(path, "rb") as fp:
+        for source in (text, text.encode(), fp):
+            with pytest.raises(ParseError) as exc:
+                load_measurements(source)
+            assert exc.value.line == 700
+
+
+def test_invalid_rotation_after_blank_lines_names_its_line(good_log_lines):
+    bad = _record(r_a=np.eye(3) + 1e-3)
+    lines = ["", ""] + good_log_lines[:5] + [" ", "\r"] + [bad] + good_log_lines[5:9]
+    with pytest.raises(InvalidRotation, match="^line 10: "):
+        load_measurements("\n".join(lines))
 
 
 def test_load_invalid_utf8_is_parse_error():
@@ -371,3 +405,73 @@ def test_observability_matches_per_pair_reference(sigma):
         count, max_sep = _greedy_axes_reference(data)
         assert report.distinct_axis_count == count
         assert report.max_axis_angle_between == max_sep
+
+
+def _axes_set(axes, angles=None):
+    axes = np.asarray(axes, dtype=float)
+    axes = axes / np.linalg.norm(axes, axis=1)[:, None]
+    angles = np.full(len(axes), 0.7) if angles is None else angles
+    return _pure_rotations(zip(axes, angles))
+
+
+def _great_circle(angles):
+    return np.stack([np.cos(angles), np.sin(angles), np.zeros_like(angles)], axis=1)
+
+
+def _assert_matches_reference(m):
+    report = check_observability(m)
+    count, max_sep = _greedy_axes_reference(m)
+    assert report.distinct_axis_count == count
+    assert report.max_axis_angle_between == max_sep
+
+
+def _boundary_pairs(split):
+    # Pairs of axes separated by AXIS_SEPARATION, nudged by a few ulps either way,
+    # side by side or with every first member before every second one.
+    base = geom.random_rotation(3).m
+    first = 0.2 * np.arange(81)
+    second = first + AXIS_SEPARATION + np.arange(-40, 41) * 1e-16
+    pairs = np.stack([_great_circle(first), _great_circle(second)]) @ base.T
+    return _axes_set((pairs if split else np.swapaxes(pairs, 0, 1)).reshape(-1, 3))
+
+
+_CHAIN = 0.6 * AXIS_SEPARATION * np.arange(120)
+_ADVERSARIAL_AXES = {
+    # Each axis is within AXIS_SEPARATION of its neighbours, so which become
+    # representatives depends on the greedy order; 120 spans several Gram blocks.
+    "chain": lambda: _axes_set(_great_circle(_CHAIN)),
+    "chain-reversed": lambda: _axes_set(_great_circle(_CHAIN[::-1])),
+    "near-antipodal": lambda: _axes_set(
+        [s * v for v in geom.random_rotation(5).m for s in (1.0, -1.0)]
+        + [-(v + [0.0, 0.0, d]) for v in np.eye(3) for d in (0.5e-2, 0.99e-2, 1.01e-2)]
+    ),
+    "boundary": lambda: _boundary_pairs(split=False),
+    "boundary-split": lambda: _boundary_pairs(split=True),
+    "terrain-400": lambda: random_instance(32, n_motions=400, sigma_r=0.05, sigma_t=0.05)[0],
+    "one-axis-cluster": lambda: _axes_set(
+        [0.0, 0.0, 1.0] + 1e-3 * np.random.default_rng(1).normal(size=(100, 3))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ADVERSARIAL_AXES))
+def test_observability_matches_reference_on_adversarial_axes(name):
+    _assert_matches_reference(_ADVERSARIAL_AXES[name]())
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 90),
+    centers=st.integers(1, 6),
+    spread=st.sampled_from([0.0, 0.3, 1.0, 3.0]),
+)
+def test_observability_matches_reference_on_random_axis_sets(seed, n, centers, spread):
+    # Axes scattered around a few centers, `spread` separations wide, with either sign.
+    rng = np.random.default_rng(seed)
+    center = rng.normal(size=(centers, 3))
+    center /= np.linalg.norm(center, axis=1)[:, None]
+    axes = center[rng.integers(centers, size=n)]
+    axes = axes + spread * AXIS_SEPARATION * rng.normal(size=(n, 3))
+    axes *= rng.choice([-1.0, 1.0], size=(n, 1))
+    _assert_matches_reference(_axes_set(axes, rng.uniform(0.0, np.pi, n)))

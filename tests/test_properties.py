@@ -16,7 +16,13 @@ from hypothesis import strategies as st
 from conftest import random_instance
 from egocal import geom, sim, solver
 from egocal.errors import CalibrationError
-from egocal.problem import MeasurementSet, dump_measurements, load_measurements
+from egocal.problem import (
+    MeasurementSet,
+    _convert_records,
+    _scan_records,
+    dump_measurements,
+    load_measurements,
+)
 
 SLOW = settings(deadline=None, max_examples=8, derandomize=True)
 FAST = settings(deadline=None, max_examples=150, derandomize=True)
@@ -168,3 +174,63 @@ def test_arbitrary_input_loads_or_raises_calibration_error(source):
     except CalibrationError:
         return
     assert isinstance(m, MeasurementSet) and m.n >= 1
+
+
+_KEYS, _WEIGHT_KEYS = ("a", "b"), ("kappa", "tau")
+
+
+def _assert_same_columns(fast, scanned):
+    assert fast[0] == scanned[0]
+    for a, b in zip(fast[1:], scanned[1:]):
+        assert a.dtype == b.dtype == float and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@FAST
+@given(source=st.lists(_line, max_size=4).map("\n".join) | st.text() | st.binary())
+def test_one_conversion_accepts_only_what_the_record_scan_accepts(source):
+    fast = _convert_records(source, _KEYS, _WEIGHT_KEYS)
+    try:
+        scanned = _scan_records(source, _KEYS, _WEIGHT_KEYS)
+    except CalibrationError:
+        assert fast is None
+        return
+    if fast is not None:
+        _assert_same_columns(fast, scanned)
+
+
+# Integers up to 2**62 round to float on both paths; weights stay in (0, inf).
+_entry = st.floats(-1e3, 1e3) | st.integers(-(2**62), 2**62)
+_entries = functools.partial(st.lists, _entry)
+
+
+@st.composite
+def _log_records(draw):
+    pose = {
+        "R": draw(st.lists(_entries(min_size=3, max_size=3), min_size=3, max_size=3)),
+        "t": draw(_entries(min_size=3, max_size=3)),
+    }
+    fields = {"a": pose, "b": {"t": draw(_entries(min_size=3, max_size=3)), "R": pose["R"]}}
+    fields["t"] = draw(st.integers(0, 10**6))  # an extra key
+    for key in _WEIGHT_KEYS:
+        if draw(st.booleans()):
+            fields[key] = draw(st.floats(1e-6, 1e6) | st.integers(1, 2**62))
+    order = draw(st.permutations(sorted(fields)))
+    return json.dumps({key: fields[key] for key in order})
+
+
+@FAST
+@given(
+    records=st.lists(_log_records(), min_size=1, max_size=6),
+    blanks=st.lists(st.sampled_from(["", " ", "\t", "\r"]), max_size=6),
+    order=st.randoms(use_true_random=False),
+    newline=st.sampled_from(["\n", "\r\n"]),
+)
+def test_one_conversion_matches_the_record_scan(records, blanks, order, newline):
+    lines = records + blanks
+    order.shuffle(lines)
+    text = newline.join(lines) + newline
+    for source in (text, text.encode()):
+        fast = _convert_records(source, _KEYS, _WEIGHT_KEYS)
+        assert fast is not None
+        _assert_same_columns(fast, _scan_records(source, _KEYS, _WEIGHT_KEYS))

@@ -244,8 +244,8 @@ def test_heatmap_deterministic_across_jobs():
 def test_runtime_bench_schema():
     rows, summary = sim.runtime_bench(n_list=(10, 20), n_runs=2, seed=5)
     methods = {row["method"] for row in rows}
-    assert methods == {"convex", "local"}
-    assert "convex,10" in summary["means"]
+    assert methods == {"convex", "local", "calibrate"}
+    assert {"convex,10", "calibrate,20"} <= set(summary["means"])
     for stats in summary["means"].values():
         assert stats["q1"] <= stats["mean"] or stats["q1"] <= stats["q3"]
 
