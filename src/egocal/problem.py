@@ -14,20 +14,17 @@ trajectories (one file per sensor)::
 Entries are JSON numbers: rotations row-major 3x3, translations in meters.
 kappa/tau default to 1.
 
-The loader reads its source once, splits it on "\n", parses each line with
-json.loads and builds each column in one np.array conversion, checked in bulk
-(shape, number type, finite, positive weights). When a check fails, or the
-text holds a JSON boolean (numpy promotes one mixed with numbers to a
-number), it re-scans the text record by record; that path alone raises the
-line-numbered ParseError. check_observability counts the distinct rotation
-axes greedily in blocks of 32 axes, flagging close pairs from a BLAS Gram
-matrix and re-checking every pair near its threshold with exact dot
-products, so its count and largest separation equal the per-pair definition.
+The loader parses each non-blank line with json.loads and builds each column
+with one np.array conversion, checked in bulk; only when a check fails does it
+run the same conversion line by line, to name the first bad line in a
+ParseError. check_observability counts the distinct rotation axes greedily in
+blocks of 32 axes, flagging close pairs from a BLAS Gram matrix and
+re-checking every pair near its threshold with exact dot products, so its
+count and largest separation equal the per-pair definition.
 """
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 
@@ -99,24 +96,10 @@ class ObservabilityReport:
     condition_estimate: float
 
 
-def parse_pose(obj, line=None):
-    """(R, t) arrays of a {"R": 3x3, "t": 3-vector} of JSON numbers; ParseError if malformed."""
-    try:
-        r, t = np.asarray(obj["R"], dtype=object), np.asarray(obj["t"], dtype=object)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad pose object: {exc}", line=line) from None
-    if r.shape != (3, 3) or t.shape != (3,):
-        raise ParseError("pose must have a 3x3 'R' and 3-vector 't'", line=line)
-    try:
-        # JSON numbers only: numpy would promote booleans mixed with numbers to numbers.
-        if not all(type(value) in (int, float) for value in (*r.flat, *t.flat)):
-            raise TypeError
-        r, t = r.astype(float), t.astype(float)
-    except (TypeError, OverflowError):
-        raise ParseError("pose entries must be numbers", line=line) from None
-    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
-        raise ParseError("pose has non-finite entries", line=line)
-    return r, t
+def parse_pose(obj):
+    """(R, t) of a parsed {"R": 3x3, "t": 3-vector} pose, as JSON text checked like a log line's."""
+    rotations, translations, _ = _columns([json.dumps({"theta": obj})], ("theta",), ())
+    return rotations[0, 0], translations[0, 0]
 
 
 def ingest_rotations(rotations: np.ndarray, where) -> np.ndarray:
@@ -135,90 +118,77 @@ def ingest_rotations(rotations: np.ndarray, where) -> np.ndarray:
 
 
 def _read_poses(source, keys, weight_keys, what):
-    """Parse JSON-lines records that each hold the poses `keys` and optional weights.
+    """_columns of the JSON-lines records in `source`, with the rotations projected onto SO(3).
 
-    Returns the rotations (n, len(keys), 3, 3) re-orthonormalized onto SO(3),
-    the translations (n, len(keys), 3) and the weights (n, len(weight_keys)),
-    which default to 1. Raises ParseError (with line number), InvalidRotation,
-    or EmptyInput.
+    Raises ParseError naming the first bad line, InvalidRotation, or EmptyInput.
     """
     data = source if isinstance(source, (str, bytes)) else source.read()
-    # A record the one-conversion parse cannot take is re-scanned record by record,
-    # the only path that names the offending line in a ParseError.
-    columns = _convert_records(data, keys, weight_keys) or _scan_records(data, keys, weight_keys)
-    line_nos, rotations, translations, weights = columns
-    if not line_nos:
+    # Bytes that are not UTF-8 decode to lone surrogates, which _columns refuses.
+    text = data.decode("utf-8", "surrogateescape") if isinstance(data, bytes) else data
+    lines = [(no, line) for no, raw in enumerate(text.split("\n"), 1) if (line := raw.strip())]
+    if not lines:
         raise EmptyInput(f"{what} source contained no records")
-    rotations = ingest_rotations(rotations, lambda i: f"line {line_nos[i]}")
-    return rotations, translations, weights
+    try:
+        rotations, translations, weights = _columns([line for _, line in lines], keys, weight_keys)
+    except ParseError:
+        # Run the same checks line by line, only to name the first bad line in the file.
+        for line_no, line in lines:
+            try:
+                _columns([line], keys, weight_keys)
+            except ParseError as exc:
+                raise ParseError(str(exc), line=line_no) from None
+        raise
+    return ingest_rotations(rotations, lambda i: f"line {lines[i][0]}"), translations, weights
 
 
-def _convert_records(data, keys, weight_keys):
-    """The columns of `data` from one array conversion each, or None if any check fails.
+def _columns(texts, keys, weight_keys):
+    """Rotations (n, k, 3, 3), translations (n, k, 3) and weights (n, w) of n JSON texts.
 
-    Accepts only input that _scan_records accepts (it refuses more, e.g. any
-    text holding a boolean), and then returns the same (line numbers,
-    rotations, translations, weights), bit for bit.
+    Each text is an object holding the k poses `keys` ({"R": 3x3, "t": 3-vector})
+    and the w weights `weight_keys` (default 1). Each column is one np.array
+    conversion, checked in bulk; ParseError, without a line number, if any is malformed.
     """
     try:
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-        if "true" in text or "false" in text:
-            return None  # numpy silently promotes a list mixing booleans and numbers
-        lines = [(no, rec) for no, line in enumerate(text.split("\n"), 1) if (rec := line.strip())]
-        records = [json.loads(rec) for _, rec in lines]
-        rotations = np.array([[record[key]["R"] for key in keys] for record in records])
-        translations = np.array([[record[key]["t"] for key in keys] for record in records])
-        weights = np.array([[record.get(key, 1.0) for key in weight_keys] for record in records])
-    except (ValueError, KeyError, TypeError):
-        return None
-    n, k = len(records), len(keys)
-    columns = (rotations, translations, weights)
-    shapes = ((n, k, 3, 3), (n, k, 3), (n, len(weight_keys)))
-    if any(a.shape != shape or a.dtype.kind not in "iuf" for a, shape in zip(columns, shapes)):
-        return None
-    rotations, translations, weights = (a.astype(float, copy=False) for a in columns)
-    if not (
-        np.all(np.isfinite(rotations))
-        and np.all(np.isfinite(translations))
-        and np.all((weights > 0.0) & (weights < np.inf))
-    ):
-        return None
-    return [no for no, _ in lines], rotations, translations, weights
+        for text in texts:
+            if not text.isascii():
+                text.encode("utf-8")  # a lone surrogate does not encode
+        records = [json.loads(text) for text in texts]
+        r = [[record[key]["R"] for key in keys] for record in records]
+        t = [[record[key]["t"] for key in keys] for record in records]
+        w = [[record.get(key, 1.0) for key in weight_keys] for record in records]
+    except UnicodeError:
+        raise ParseError("text is not UTF-8") from None
+    except ValueError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
+    except (KeyError, TypeError):
+        raise ParseError(f"record must hold {' and '.join(keys)}, each with 'R' and 't'") from None
+    # Only a text holding a JSON true or false can hide a boolean among numbers.
+    suspects = [i for i, text in enumerate(texts) if "true" in text or "false" in text]
+    n, k, names = len(records), len(keys), " and ".join(weight_keys)
+    return (
+        _numbers(r, (n, k, 3, 3), suspects, -np.inf, "pose 'R' must be a 3x3 of finite numbers"),
+        _numbers(t, (n, k, 3), suspects, -np.inf, "pose 't' must be 3 finite numbers"),
+        _numbers(w, (n, len(weight_keys)), suspects, 0.0, f"{names} must be positive and finite"),
+    )
 
 
-def _scan_records(data, keys, weight_keys):
-    """_convert_records record by record; raises a line-numbered ParseError at the first bad one."""
-    source = io.BytesIO(data) if isinstance(data, bytes) else io.StringIO(data)
-    line_nos, rotations, translations, weights = [], [], [], []
-    for line_no, raw in enumerate(source, start=1):
-        try:
-            line = (raw.decode("utf-8") if isinstance(raw, bytes) else raw).strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-        except ValueError as exc:
-            raise ParseError(f"invalid JSON: {exc}", line=line_no) from None
-        if not isinstance(obj, dict) or not all(key in obj for key in keys):
-            raise ParseError(f"record must be an object with {' and '.join(keys)}", line=line_no)
-        r, t = zip(*(parse_pose(obj[key], line_no) for key in keys))
-        line_nos.append(line_no)
-        rotations.append(r)
-        translations.append(t)
-        weights.append([_weight(obj, key, line_no) for key in weight_keys])
-    return line_nos, np.array(rotations), np.array(translations), np.array(weights)
+def _numbers(rows, shape, suspects, low, message):
+    """Nested lists as a float array of `shape`, all JSON numbers in (low, inf); else ParseError.
 
-
-def _weight(obj, key, line_no) -> float:
-    value = obj.get(key, 1.0)
+    numpy promotes a boolean mixed with numbers to a number and keeps an integer
+    beyond 64 bits as an object, so those rows (`suspects`, or all) get their types checked.
+    """
     try:
-        if type(value) not in (int, float):  # JSON numbers only: no strings, no booleans
-            raise TypeError
-        value = float(value)
-    except (TypeError, OverflowError):
-        raise ParseError(f"{key!r} must be a number", line=line_no) from None
-    if not 0.0 < value < np.inf:
-        raise ParseError(f"{key!r} must be positive and finite", line=line_no)
-    return value
+        values = np.array(rows)
+        if values.shape == shape and values.dtype.kind in "iufO":
+            checked = values if values.dtype == object else [rows[i] for i in suspects]
+            if set(map(type, np.array(checked, dtype=object).flat)) <= {int, float}:
+                values = values.astype(float, copy=False)
+                if np.all((values > low) & (values < np.inf)):  # NaN fails both
+                    return values
+    except (ValueError, OverflowError):  # ragged, or an integer too large for a float
+        pass
+    raise ParseError(message)
 
 
 def load_measurements(source) -> MeasurementSet:

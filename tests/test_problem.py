@@ -272,6 +272,8 @@ _BAD_LINES = {
     '"t": [true, 0, 0]}, "b": ' + _IDENTITY_POSE + "}",
     "mixed-boolean-rotation": '{"a": {"R": [[1, 0, 0], [0, 1, 0], [0, 0, 1.0]], "t": [0, 0, 0]}, '
     '"b": {"R": [[1, 0, 0], [0, true, 0], [0, 0, 1]], "t": [0, 0, 0]}}',
+    "mixed-false-translation": '{"a": {"R": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], '
+    '"t": [false, 0, 0]}, "b": ' + _IDENTITY_POSE + "}",
 }
 
 
@@ -319,9 +321,91 @@ def test_invalid_rotation_after_blank_lines_names_its_line(good_log_lines):
 
 
 def test_load_invalid_utf8_is_parse_error():
+    inside_a_string = _GOOD_LINE[:-1].encode() + b', "note": "\xff"}'
+    for bad in (b"\xff\xfe", inside_a_string):
+        with pytest.raises(ParseError) as exc:
+            load_measurements(b"\n".join([_GOOD_LINE.encode(), bad, _GOOD_LINE.encode()]))
+        assert exc.value.line == 2
+
+
+def test_integers_beyond_64_bits_load_as_floats():
+    pose = {"R": np.eye(3, dtype=int).tolist(), "t": [2**70, -(2**64), 3]}
+    m = load_measurements(json.dumps({"a": pose, "b": pose, "kappa": 2**65, "tau": 2}))
+    assert m.ta[0].tolist() == [float(2**70), -float(2**64), 3.0]
+    assert (m.kappa[0], m.tau[0]) == (float(2**65), 2.0)
+
+
+_KINDS_OF_BAD_LINE = {
+    "kappa-zero": _BAD_LINES["kappa-zero"].encode(),
+    "not-json": b"{not json",
+    "mixed-boolean-translation": _BAD_LINES["mixed-boolean-translation"].encode(),
+    "invalid-utf8": b"\xff\xfe",
+}
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (first, second)
+        for pair in [
+            ("kappa-zero", "not-json"),
+            ("mixed-boolean-translation", "not-json"),
+            ("kappa-zero", "invalid-utf8"),
+        ]
+        for first, second in (pair, pair[::-1])
+    ],
+)
+def test_first_bad_line_wins_whatever_its_kind(first, second, good_log_lines):
+    good = [line.encode() for line in good_log_lines[:5]]
+    lines = good[:4] + [_KINDS_OF_BAD_LINE[first], good[4], _KINDS_OF_BAD_LINE[second]]
+    data = b"\n".join(lines) + b"\n"
+    sources = [data] if "invalid-utf8" in (first, second) else [data, data.decode()]
+    for source in sources:
+        with pytest.raises(ParseError) as exc:
+            load_measurements(source)
+        assert exc.value.line == 5
+
+
+def test_booleans_outside_the_poses_load_like_the_plain_log(good_log_lines):
+    lines = good_log_lines + [good_log_lines[0]]  # 1000 records
+    marked = [line[:-1] + ', "ok": true, "note": "false"}' for line in lines]
+    plain, with_booleans = load_measurements("\n".join(lines)), load_measurements("\n".join(marked))
+    for name in ("ra", "rb", "ta", "tb", "kappa", "tau"):
+        assert getattr(with_booleans, name).tobytes() == getattr(plain, name).tobytes()
+
+
+def test_load_trajectory_names_a_malformed_line():
+    pose = '{"R": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "t": %s}'
+    translations = ["[0, 0, 0]", '["1", 0, 0]', "[0, 0, 1]"]
+    lines = ['{"t": %d, "pose": %s}' % (i, pose % t) for i, t in enumerate(translations)]
     with pytest.raises(ParseError) as exc:
-        load_measurements(_GOOD_LINE.encode() + b"\n\xff\xfe\n")
+        load_trajectory("\n".join(lines))
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "name, key",
+    [
+        ("string-translation", "a"),
+        ("boolean-rotation", "a"),
+        ("mixed-boolean-translation", "a"),
+        ("mixed-boolean-rotation", "b"),
+        ("nan-rotation", "a"),
+    ],
+)
+def test_certify_theta_rejects_a_malformed_pose(name, key, tmp_path, capsys):
+    # `certify --theta` reads its pose with the rules of a log line.
+    from egocal import cli
+
+    pose = json.loads(_BAD_LINES[name])[key]
+    theta_path = tmp_path / "theta.json"
+    theta_path.write_text(json.dumps({"theta": pose}))
+    with pytest.raises(ParseError):
+        cli._load_theta(theta_path)
+    fixture = tmp_path / "log.jsonl"
+    fixture.write_text(_GOOD_LINE + "\n")
+    assert cli.main(["certify", "--input", str(fixture), "--theta", str(theta_path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def _columns(n, seed=0):

@@ -5,6 +5,7 @@ Examples are derandomized so every run checks the same cases.
 
 import functools
 import io
+import itertools
 import json
 from dataclasses import replace
 
@@ -13,16 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import record_scan
 from conftest import random_instance
 from egocal import geom, sim, solver
-from egocal.errors import CalibrationError
-from egocal.problem import (
-    MeasurementSet,
-    _convert_records,
-    _scan_records,
-    dump_measurements,
-    load_measurements,
-)
+from egocal.errors import CalibrationError, ParseError
+from egocal.problem import MeasurementSet, dump_measurements, load_measurements
 
 SLOW = settings(deadline=None, max_examples=8, derandomize=True)
 FAST = settings(deadline=None, max_examples=150, derandomize=True)
@@ -176,12 +172,20 @@ def test_arbitrary_input_loads_or_raises_calibration_error(source):
     assert isinstance(m, MeasurementSet) and m.n >= 1
 
 
-_KEYS, _WEIGHT_KEYS = ("a", "b"), ("kappa", "tau")
+def _load_both(source):
+    """The loader's and the per-record reference reader's result (set or error) on a source."""
+    results = []
+    for load in (load_measurements, record_scan.load_measurements):
+        try:
+            results.append(load(source))
+        except CalibrationError as exc:
+            results.append(exc)
+    return results
 
 
-def _assert_same_columns(fast, scanned):
-    assert fast[0] == scanned[0]
-    for a, b in zip(fast[1:], scanned[1:]):
+def _assert_same_columns(loaded, scanned):
+    for name in ("ra", "rb", "ta", "tb", "kappa", "tau"):
+        a, b = getattr(loaded, name), getattr(scanned, name)
         assert a.dtype == b.dtype == float and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
 
@@ -189,32 +193,39 @@ def _assert_same_columns(fast, scanned):
 @FAST
 @given(source=st.lists(_line, max_size=4).map("\n".join) | st.text() | st.binary())
 def test_one_conversion_accepts_only_what_the_record_scan_accepts(source):
-    fast = _convert_records(source, _KEYS, _WEIGHT_KEYS)
-    try:
-        scanned = _scan_records(source, _KEYS, _WEIGHT_KEYS)
-    except CalibrationError:
-        assert fast is None
-        return
-    if fast is not None:
-        _assert_same_columns(fast, scanned)
+    loaded, scanned = _load_both(source)
+    if isinstance(scanned, CalibrationError):
+        assert type(loaded) is type(scanned)
+        if isinstance(scanned, ParseError):
+            assert loaded.line == scanned.line
+        else:  # InvalidRotation or EmptyInput: the same message
+            assert str(loaded) == str(scanned)
+    else:
+        _assert_same_columns(loaded, scanned)
 
 
-# Integers up to 2**62 round to float on both paths; weights stay in (0, inf).
-_entry = st.floats(-1e3, 1e3) | st.integers(-(2**62), 2**62)
+# Integers of any size up to 2**80, beyond int64, round to float alike in both
+# readers; weights stay in (0, inf).
+_entry = st.floats(-1e3, 1e3) | st.integers(-(2**80), 2**80)
 _entries = functools.partial(st.lists, _entry)
+# Signed permutation matrices of determinant 1: rotations with integer entries.
+_INTEGER_ROTATIONS = [
+    m.tolist()
+    for p in itertools.permutations(np.eye(3, dtype=int))
+    for s in itertools.product((1, -1), repeat=3)
+    if round(np.linalg.det(m := np.array(p) * np.array(s)[:, None])) == 1
+]
 
 
 @st.composite
 def _log_records(draw):
-    pose = {
-        "R": draw(st.lists(_entries(min_size=3, max_size=3), min_size=3, max_size=3)),
-        "t": draw(_entries(min_size=3, max_size=3)),
-    }
+    rotation = draw(_rotation | st.sampled_from(_INTEGER_ROTATIONS))
+    pose = {"R": rotation, "t": draw(_entries(min_size=3, max_size=3))}
     fields = {"a": pose, "b": {"t": draw(_entries(min_size=3, max_size=3)), "R": pose["R"]}}
     fields["t"] = draw(st.integers(0, 10**6))  # an extra key
-    for key in _WEIGHT_KEYS:
+    for key in ("kappa", "tau"):
         if draw(st.booleans()):
-            fields[key] = draw(st.floats(1e-6, 1e6) | st.integers(1, 2**62))
+            fields[key] = draw(st.floats(1e-6, 1e6) | st.integers(1, 2**80))
     order = draw(st.permutations(sorted(fields)))
     return json.dumps({key: fields[key] for key in order})
 
@@ -231,6 +242,6 @@ def test_one_conversion_matches_the_record_scan(records, blanks, order, newline)
     order.shuffle(lines)
     text = newline.join(lines) + newline
     for source in (text, text.encode()):
-        fast = _convert_records(source, _KEYS, _WEIGHT_KEYS)
-        assert fast is not None
-        _assert_same_columns(fast, _scan_records(source, _KEYS, _WEIGHT_KEYS))
+        loaded, scanned = _load_both(source)
+        assert isinstance(scanned, MeasurementSet)
+        _assert_same_columns(loaded, scanned)
