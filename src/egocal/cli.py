@@ -47,7 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(qcqp.CONSTRAINT_KINDS),
         help="SO(3) constraint set for the dual",
     )
-    cal.add_argument("--strict-observability", action="store_true")
 
     simp = sub.add_parser("simulate", help="generate synthetic measurements from a terrain path")
     simp.add_argument("--output", required=True, help="output prefix (writes <prefix>.jsonl etc.)")
@@ -96,7 +95,7 @@ def _write_report(report: dict, output) -> None:
 def cmd_calibrate(args) -> int:
     with open(args.input, "rb") as fp:
         measurements = load_measurements(fp)
-    result = solver.calibrate(measurements, args.constraint_set, args.strict_observability)
+    result = solver.calibrate(measurements, args.constraint_set)
     _write_report(result.to_dict(), args.output)
     return EXIT_OK if result.certificate.certified else EXIT_NOT_CERTIFIED
 
@@ -168,9 +167,9 @@ def cmd_experiment(args) -> int:
 def _load_theta(path) -> Transform:
     try:
         obj = json.loads(Path(path).read_text())
-    except ValueError as exc:
+        r, t = parse_pose(obj.get("theta", obj) if isinstance(obj, dict) else obj)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
-    r, t = parse_pose(obj.get("theta", obj) if isinstance(obj, dict) else obj)
     return Transform(RotationMatrix(ingest_rotations(r[None, None], lambda _: path)[0, 0]), t)
 
 

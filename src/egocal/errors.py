@@ -38,13 +38,11 @@ class TooShort(CalibrationError):
 class SingularQtt(CalibrationError):
     """The translation block of the data matrix is numerically singular.
 
-    This is the algebraic signature of an unobservable instance: all measured
-    rotations share a single axis, so I - R_b is singular along it.
+    This is the algebraic signature of an unobservable instance: every rotating
+    motion of sensor b shares one axis, so each I - R_b, and their weighted
+    Gram sum, is singular along it. The rule is `problem.observability`, which
+    `problem.check_observability` reports.
     """
-
-
-class NotObservable(CalibrationError):
-    """Strict-mode rejection of a measurement set failing the two-axis test."""
 
 
 class SdpFailure(CalibrationError):

@@ -1,4 +1,4 @@
-"""The columnar MeasurementSet, JSON-lines ingestion, and the two-axis observability test.
+"""The columnar MeasurementSet, JSON-lines ingestion, and the observability test.
 
 File formats (one JSON object per line):
 
@@ -17,10 +17,12 @@ kappa/tau default to 1.
 The loader parses each non-blank line with json.loads and builds each column
 with one np.array conversion, checked in bulk; only when a check fails does it
 run the same conversion line by line, to name the first bad line in a
-ParseError. check_observability counts the distinct rotation axes greedily in
-blocks of 32 axes, flagging close pairs from a BLAS Gram matrix and
-re-checking every pair near its threshold with exact dot products, so its
-count and largest separation equal the per-pair definition.
+ParseError.
+
+Calibration is observable when sensor b's rotations span two distinct axes.
+observability() reads that from the condition number of the translation block
+sum_i tau_i (I - R_b_i)^T (I - R_b_i), which is singular exactly when they do
+not; check_observability reports it and qcqp.assemble refuses singular data.
 """
 
 from __future__ import annotations
@@ -41,9 +43,8 @@ from .errors import (
 from .geom import RotationMatrix, Transform
 
 INGEST_ROTATION_TOL = 1e-6
-# Thresholds of check_observability's axis count, in radians.
-MIN_AXIS_ANGLE = 1e-3
-AXIS_SEPARATION = 1e-2
+# Largest condition number of the translation block that counts as observable.
+SINGULAR_QTT_CONDITION = 1e12
 
 
 _COLUMNS = {"ra": (3, 3), "rb": (3, 3), "ta": (3,), "tb": (3,), "kappa": (), "tau": ()}
@@ -90,8 +91,6 @@ class MeasurementSet:
 
 @dataclass(frozen=True)
 class ObservabilityReport:
-    distinct_axis_count: int
-    max_axis_angle_between: float
     observable: bool
     condition_estimate: float
 
@@ -158,7 +157,7 @@ def _columns(texts, keys, weight_keys):
         w = [[record.get(key, 1.0) for key in weight_keys] for record in records]
     except UnicodeError:
         raise ParseError("text is not UTF-8") from None
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ParseError(f"invalid JSON: {exc}") from None
     except (KeyError, TypeError):
         raise ParseError(f"record must hold {' and '.join(keys)}, each with 'R' and 't'") from None
@@ -252,118 +251,24 @@ def translation_gram(m: MeasurementSet) -> np.ndarray:
     return (m.tau[:, None, None] * (np.swapaxes(d, 1, 2) @ d)).sum(axis=0)
 
 
-def check_observability(m: MeasurementSet) -> ObservabilityReport:
-    """Two-unique-axes necessary condition for a well-posed calibration.
+def observability(q_tt: np.ndarray) -> ObservabilityReport:
+    """The observability decision read from the 3x3 translation block q_tt.
 
-    Axes are compared modulo sign; rotations with angle <= MIN_AXIS_ANGLE are
-    treated as absent. Each remaining axis, in order, becomes a new
-    representative when it is more than AXIS_SEPARATION from every
-    representative so far; max_axis_angle_between is the largest separation
-    of two representatives. Also reports the condition number of the
-    translation block as a numeric corroboration (it blows up exactly in the
-    single-axis failure mode).
+    The condition number is inf when the smallest eigenvalue is not positive;
+    the data are observable when it is at most SINGULAR_QTT_CONDITION.
     """
-    axes, magnitudes = geom.axis_angles(m.ra)
-    representatives = _representatives(axes[magnitudes > MIN_AXIS_ANGLE])
-    count = len(representatives)
-
-    eigs = np.linalg.eigvalsh(translation_gram(m))
+    eigs = np.linalg.eigvalsh(q_tt)
     cond = float("inf") if eigs[0] <= 0 else float(eigs[-1] / eigs[0])
-
-    return ObservabilityReport(
-        distinct_axis_count=count,
-        max_axis_angle_between=_max_separation(representatives),
-        observable=count >= 2,
-        condition_estimate=cond,
-    )
+    return ObservabilityReport(observable=cond <= SINGULAR_QTT_CONDITION, condition_estimate=cond)
 
 
-# Rows per block of an axis Gram matrix: each temporary holds at most 32 x k entries.
-_GRAM_ROWS = 32
-# A Gram (GEMM) entry is within ~1e-16 of the exact dot but not always equal to
-# it, so every decision within this margin of its threshold is re-checked exactly.
-_GRAM_MARGIN = 1e-12
+def check_observability(m: MeasurementSet) -> ObservabilityReport:
+    """Two-axis condition for a well-posed calibration, as `observability(translation_gram(m))`.
 
-
-def _separations(earlier, later):
-    """Angles modulo antipodality between unit axes (..., 3), broadcast row against row.
-
-    Each dot is a (1, 3) @ (3, 1) product, which rounds as np.dot does and
-    alike for either order of its two axes.
+    Motion i adds tau_i (I - R_b)^T (I - R_b) = 2 tau_i (1 - cos theta_i)(I - a_i a_i^T)
+    to the translation block, for R_b's axis a_i and angle theta_i, so the block
+    is singular exactly when every rotating motion of sensor b shares one axis
+    (modulo sign), and near-singular when the axes nearly coincide or the angles
+    are tiny. qcqp.assemble refuses the same matrix by the same rule.
     """
-    dots = (earlier[..., None, :] @ later[..., :, None])[..., 0, 0]
-    return np.arccos(np.clip(np.abs(dots), 0.0, 1.0))
-
-
-def _abs_gram(rows, columns, buffer):
-    """|rows @ columns.T|, written into the front of a flat scratch buffer.
-
-    Reusing one buffer for every block keeps a fresh multi-megabyte array (and
-    its page faults) out of each block, which otherwise costs more than the GEMM.
-    """
-    out = buffer[: len(rows) * len(columns)].reshape(len(rows), len(columns))
-    np.matmul(rows, columns.T, out=out)
-    return np.abs(out, out=out)
-
-
-def _representatives(axes):
-    """The axes, in order, that are more than AXIS_SEPARATION from every earlier representative.
-
-    Works on blocks of _GRAM_ROWS axes. A Gram matrix with the representatives
-    so far and one with the block's own earlier axes flag candidate close pairs
-    (|dot| >= cos(AXIS_SEPARATION) - _GRAM_MARGIN), which are re-checked exactly.
-    Only an axis whose sole close axes are earlier ones in its block is decided
-    in a Python loop. Representatives are pairwise apart, so each axis has a
-    bounded number of close representatives.
-    """
-    near = np.cos(AXIS_SEPARATION) - _GRAM_MARGIN
-    representatives = np.empty_like(axes)
-    buffer = np.empty(_GRAM_ROWS * len(axes))
-    count = 0
-    for start in range(0, len(axes), _GRAM_ROWS):
-        block = axes[start : start + _GRAM_ROWS]
-        # flatnonzero: 2-D np.nonzero is an order of magnitude slower on a 32 x k mask.
-        candidates = np.flatnonzero(_abs_gram(block, representatives[:count], buffer) >= near)
-        rows, cols = np.divmod(candidates, count)
-        close = _separations(representatives[cols], block[rows]) <= AXIS_SEPARATION
-        joins = np.ones(len(block), dtype=bool)
-        joins[rows[close]] = False
-        # Close pairs inside the block (col < row) between axes not yet ruled out.
-        rows, cols = np.nonzero(np.tril(_abs_gram(block, block, buffer) >= near, -1))
-        live = joins[rows] & joins[cols]
-        rows, cols = rows[live], cols[live]
-        close = _separations(block[cols], block[rows]) <= AXIS_SEPARATION
-        for row, col in zip(rows[close], cols[close]):  # row-major: each col is decided first
-            if joins[col]:
-                joins[row] = False
-        joined = block[joins]
-        representatives[count : count + len(joined)] = joined
-        count += len(joined)
-    return representatives[:count]
-
-
-def _max_separation(representatives) -> float:
-    """The largest separation over all pairs of representatives (0 for fewer than two).
-
-    The largest angle has the smallest |dot|. A block of rows is compared with
-    every representative from its first row on, so each pair lands in the row
-    of its earlier member; the per-row minima of |Gram| flag the rows that may
-    hold the smallest |dot|, and only those rows are evaluated exactly.
-    """
-    k = len(representatives)
-    if k < 2:
-        return 0.0
-    buffer = np.empty(_GRAM_ROWS * k)
-    # Each row's |dot| with itself is ~1, above every pair's (< cos AXIS_SEPARATION).
-    row_min = np.concatenate(
-        [
-            _abs_gram(representatives[start : start + _GRAM_ROWS], representatives[start:], buffer)
-            .min(axis=1)
-            for start in range(0, k, _GRAM_ROWS)
-        ]
-    )
-    rows = representatives[row_min <= row_min.min() + _GRAM_MARGIN]
-    return max(
-        float(_separations(rows[start : start + _GRAM_ROWS, None, :], representatives).max())
-        for start in range(0, len(rows), _GRAM_ROWS)
-    )
+    return observability(translation_gram(m))

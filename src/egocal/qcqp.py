@@ -14,12 +14,11 @@ import numpy as np
 
 from .errors import SingularQtt, TooShort
 from .geom import RotationMatrix
-from .problem import MeasurementSet
+from .problem import MeasurementSet, observability
 
 DIM_FULL = 13
 DIM_REDUCED = 10
 Y_INDEX = 9  # index of the homogenizing variable inside r_tilde
-SINGULAR_QTT_CONDITION = 1e12
 
 CONSTRAINT_KINDS = ("r", "r+c", "r+h", "r+c+h")
 
@@ -66,8 +65,8 @@ def assemble(m: MeasurementSet) -> DataMatrix:
     bit-identical to that loop: on borderline instances the interior-point
     solve can change outcome under last-bit changes of q.
 
-    Raises SingularQtt when the translation block is numerically singular
-    (condition number above 1e12), the signature of single-axis data.
+    Raises SingularQtt when `problem.observability` finds the translation
+    block numerically singular, the signature of single-axis data.
     """
     if m.n < 2:
         raise TooShort("calibration requires at least two relative motions")
@@ -88,8 +87,7 @@ def assemble(m: MeasurementSet) -> DataMatrix:
 
     q_tt = q[:3, :3]
     q_t_rtilde = q[:3, 3:]
-    eigs = np.linalg.eigvalsh(q_tt)
-    if eigs[0] <= 0 or eigs[-1] / eigs[0] > SINGULAR_QTT_CONDITION:
+    if not observability(q_tt).observable:
         raise SingularQtt(
             "translation block of the data matrix is singular; "
             "measured rotations likely share a single axis"

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import geom, qcqp, sdp
-from .errors import MaxIterations, NotObservable, RankDeficiencyAmbiguous
+from .errors import MaxIterations, RankDeficiencyAmbiguous
 from .geom import RotationMatrix, Transform
 from .problem import MeasurementSet, ObservabilityReport, check_observability
 from .qcqp import ConstraintSet, DataMatrix
@@ -215,25 +215,16 @@ def relax(m: MeasurementSet, constraint_set="r+c+h"):
     return dm, solution, rotation, certificate
 
 
-def calibrate(
-    m: MeasurementSet,
-    constraint_set: str = "r+c+h",
-    strict_observability: bool = False,
-) -> CalibrationResult:
+def calibrate(m: MeasurementSet, constraint_set: str = "r+c+h") -> CalibrationResult:
     """Certifiably globally optimal calibration from relative motion pairs.
 
-    Pipeline: test observability, solve and certify the relaxation (`relax`),
-    polish the rotation on the reduced form, recover the translation in closed
-    form, and price the estimate against the certificate's dual lower bound.
+    Pipeline: report observability, solve and certify the relaxation (`relax`,
+    whose assembly raises SingularQtt on unobservable data), polish the
+    rotation on the reduced form, recover the translation in closed form, and
+    price the estimate against the certificate's dual lower bound.
     """
     start = time.perf_counter()
     report = check_observability(m)
-    if strict_observability and not report.observable:
-        raise NotObservable(
-            f"only {report.distinct_axis_count} distinct rotation axes in the data; "
-            "two are required"
-        )
-
     dm, solution, rotation, certificate = relax(m, constraint_set)
     rotation = _polish(dm.q_tilde, rotation)
     theta = Transform(rotation, recover_translation(dm, qcqp.reduced_vector(rotation)))

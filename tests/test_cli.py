@@ -70,7 +70,7 @@ def test_calibrate_missing_file_exit_one(tmp_path, capsys):
     assert capsys.readouterr().err != ""
 
 
-def test_calibrate_strict_observability_exit_one(tmp_path, capsys):
+def test_calibrate_single_axis_exit_one(tmp_path, capsys):
     r = [
         geom.rotation_from_axis_angle(AxisAngle(np.array([0.0, 0.0, 1.0]), angle)).m
         for angle in (0.5, 1.1)
@@ -79,9 +79,9 @@ def test_calibrate_strict_observability_exit_one(tmp_path, capsys):
     fixture = tmp_path / "planar.jsonl"
     with open(fixture, "w", encoding="utf-8") as fp:
         dump_measurements(MeasurementSet(r, r, t, t, np.ones(2), np.ones(2)), fp)
-    code = cli.main(["calibrate", "--input", str(fixture), "--strict-observability"])
+    code = cli.main(["calibrate", "--input", str(fixture)])
     assert code == 1
-    assert "axes" in capsys.readouterr().err
+    assert "single axis" in capsys.readouterr().err
 
 
 def test_simulate_deterministic(tmp_path):
@@ -347,9 +347,16 @@ def test_seed_required_for_simulate(capsys):
         ["calibrate", "--input", "m.jsonl", "--no-such-flag"],
         ["calibrate", "--input", "m.jsonl", "--tol-gap", "1e-9"],
         ["certify", "--input", "m.jsonl", "--theta", "t.json", "--tol-feas", "1e-9"],
+        ["calibrate", "--input", "m.jsonl", "--strict-observability"],
         ["calibrate"],
     ],
-    ids=["unknown-flag", "removed-tol-gap", "removed-tol-feas", "missing-input"],
+    ids=[
+        "unknown-flag",
+        "removed-tol-gap",
+        "removed-tol-feas",
+        "removed-strict-observability",
+        "missing-input",
+    ],
 )
 def test_usage_error_exit_one(capsys, argv):
     # exit 2 means "completed but not certified", so a usage error must not use it
@@ -369,8 +376,9 @@ def test_help_exit_zero(capsys):
         "{not json",
         json.dumps([1, 2, 3]),
         json.dumps({"theta": {"R": np.eye(3).tolist(), "t": [0.0, float("nan"), 0.0]}}),
+        '{"a": ' + "[" * 100_000,
     ],
-    ids=["missing-t", "not-json", "not-an-object", "nan-t"],
+    ids=["missing-t", "not-json", "not-an-object", "nan-t", "nested-too-deeply"],
 )
 def test_certify_bad_theta_file_exit_one(tmp_path, capsys, theta_text):
     fixture = tmp_path / "clean.jsonl"
@@ -382,6 +390,17 @@ def test_certify_bad_theta_file_exit_one(tmp_path, capsys, theta_text):
     code = cli.main(["certify", "--input", str(fixture), "--theta", str(theta_path)])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_certify_theta_nested_near_the_recursion_limit_exit_one(tmp_path):
+    # Nestings that json.loads reads may still exceed the limit when the pose is checked.
+    fixture = tmp_path / "clean.jsonl"
+    _write_two_motion_fixture(fixture)
+    theta_path = tmp_path / "theta.json"
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 300, limit + 10):
+        theta_path.write_text('{"theta": {"R": ' + "[" * depth + "]" * depth + ', "t": [0, 0, 0]}}')
+        assert cli.main(["certify", "--input", str(fixture), "--theta", str(theta_path)]) == 1
 
 
 @pytest.mark.parametrize("r", [2.0 * np.eye(3), -np.eye(3)], ids=["2I", "-I"])
