@@ -26,20 +26,6 @@ _I3 = np.eye(3)
 _CHUNK = 128  # measurements per batch in assemble, which bounds its memory for any n
 
 
-def rotation_block(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
-    """9x9 coefficient block of one measurement, mapping vec(R) to vec(R R_a - R_b R)."""
-    return np.kron(ra.T, _I3) - np.kron(_I3, rb)
-
-
-def translation_block(ta: np.ndarray, rb: np.ndarray, tb: np.ndarray) -> np.ndarray:
-    """3x13 coefficient block of one measurement, mapping x to R t_a + t - R_b t - y t_b."""
-    block = np.zeros((3, DIM_FULL))
-    block[:, :3] = _I3 - rb
-    block[:, 3:12] = np.kron(ta[None, :], _I3)
-    block[:, 12] = -tb
-    return block
-
-
 @dataclass(frozen=True)
 class DataMatrix:
     """The assembled 13x13 quadratic form and its translation-reduced pieces."""
@@ -59,8 +45,10 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def assemble(m: MeasurementSet) -> DataMatrix:
     """Sum per-measurement Gram contributions and Schur-reduce over translation.
 
-    The stacked blocks are rotation_block and translation_block of each batch
-    of measurements. Their weighted Grams are summed in the order of a
+    Each batch of measurements stacks its 9x9 rotation blocks, mapping vec(R)
+    to vec(R R_a - R_b R), and its 3x13 translation blocks, mapping x to
+    R t_a + t - R_b t - y t_b (`tests/qcqp_blocks.py` holds them one
+    measurement at a time). Their weighted Grams are summed in the order of a
     per-measurement loop (rotation then translation, one by one), so q is
     bit-identical to that loop: on borderline instances the interior-point
     solve can change outcome under last-bit changes of q.
@@ -109,14 +97,6 @@ def reduced_vector(rotation: RotationMatrix, y: float = 1.0) -> np.ndarray:
     out = np.empty(DIM_REDUCED)
     out[:9] = rotation.m.reshape(9, order="F")
     out[9] = y
-    return out
-
-
-def full_vector(translation, rotation: RotationMatrix, y: float = 1.0) -> np.ndarray:
-    """x = [t, vec(R), y]."""
-    out = np.empty(DIM_FULL)
-    out[:3] = np.asarray(translation, dtype=float)
-    out[3:] = reduced_vector(rotation, y)
     return out
 
 

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+import qcqp_blocks
 from conftest import constructed_sdp, random_instance
 from egocal import geom, qcqp, sdp, sim, solver
 from egocal.errors import SingularQtt
@@ -194,7 +195,7 @@ def test_criterion_7_quadratic_form_equivalence():
         dm = qcqp.assemble(m)
         for _ in range(20):
             theta = geom.random_transform(rng)
-            x = qcqp.full_vector(theta.translation, theta.rotation, 1.0)
+            x = qcqp_blocks.full_vector(theta.translation, theta.rotation, 1.0)
             quad = float(x @ dm.q @ x)
             cost = solver.evaluate_cost(m, theta)
             worst_cost = max(worst_cost, abs(cost - quad) / (1.0 + abs(quad)))

@@ -203,22 +203,22 @@ def test_certify_perturbed_candidate_rejected(tmp_path):
     assert "gap" in cert["certificate"]["reasons"]
 
 
-def _two_motion_hard_dataset_13():
-    """perfbench's two-motion-hard seed 0, dataset 13: axis 1, direction 5 of the grid."""
-    rng = np.random.default_rng([0, 3])
+def _two_motion_hard_dataset_11():
+    """perfbench's two-motion-hard seed 305, dataset 11: axis 1, direction 3 of the grid."""
+    rng = np.random.default_rng([305, 3])
     axes = sim.fibonacci_sphere(8) @ geom.random_rotation(rng).m.T
     directions = sim.fibonacci_sphere(8) @ geom.random_rotation(rng).m.T
     return sim._perturb_instance(
-        sim.two_motion_instance(sim.DEFAULT_THETA), axes[1], np.pi / 2, directions[5], 10.0
+        sim.two_motion_instance(sim.DEFAULT_THETA), axes[1], np.pi / 2, directions[3], 10.0
     )
 
 
 def test_certify_applies_the_calibrate_rule(tmp_path):
-    # The "r" relaxation closes the gap here, but its dual nullspace vector
+    # The "r+c+h" relaxation closes the gap here, but its dual nullspace vector
     # disagrees with the primal one: calibrate refuses the extrinsic, and
     # certify must refuse it for the same reason.
-    m = _two_motion_hard_dataset_13()
-    result = solver.calibrate(m, "r")
+    m = _two_motion_hard_dataset_11()
+    result = solver.calibrate(m, "r+c+h")
     assert result.certificate.verdict == "NotCertified"
     assert result.certificate.reasons == ("cross_check",)
     fixture = tmp_path / "hard.jsonl"
@@ -237,7 +237,7 @@ def test_certify_applies_the_calibrate_rule(tmp_path):
             "--output",
             str(out),
             "--constraint-set",
-            "r",
+            "r+c+h",
         ]
     )
     assert code == 2

@@ -85,11 +85,11 @@ def test_extrinsic_invariant_under_uniform_weight_scaling(seed, factor):
     "an absolute bound when the cost is small, while the gap scales with the weights",
 )
 def test_verdict_invariant_under_uniform_weight_scaling():
-    # A factor of 4 scales q, the SDP's trace normalization and the cost
-    # exactly, so the normalized SDP is bit-identical; the gap grows fourfold
-    # while the bound 1 + |cost| does not.
+    # A power-of-two factor scales q, the SDP's trace normalization and the
+    # cost exactly, so the normalized SDP is bit-identical; the gap grows
+    # 1024-fold while the bound 1 + |cost| grows about a hundredfold.
     m = _INSTANCES[0]
-    verdicts = {solver.calibrate(_scaled(m, f)).certificate.verdict for f in (1.0, 4.0)}
+    verdicts = {solver.calibrate(_scaled(m, f)).certificate.verdict for f in (1.0, 1024.0)}
     assert len(verdicts) == 1
 
 

@@ -3,6 +3,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import qcqp_blocks
 from conftest import random_instance
 from egocal import geom, qcqp
 from egocal.errors import SingularQtt, TooShort
@@ -11,14 +12,14 @@ from egocal.problem import MeasurementSet
 
 
 def test_rotation_block_identity_pair_is_zero():
-    assert np.allclose(qcqp.rotation_block(np.eye(3), np.eye(3)), 0.0)
+    assert np.allclose(qcqp_blocks.rotation_block(np.eye(3), np.eye(3)), 0.0)
 
 
 def test_rotation_block_annihilates_identity_calibration():
     # R_a = R_b means the identity calibration has zero rotation residual
     rng = np.random.default_rng(1)
     r = geom.random_rotation(rng).m
-    block = qcqp.rotation_block(r, r)
+    block = qcqp_blocks.rotation_block(r, r)
     assert np.linalg.norm(block @ np.eye(3).reshape(9, order="F")) < 1e-12
 
 
@@ -26,7 +27,7 @@ def test_rotation_block_vec_identity():
     # vec(R R_a - R_b R) = M_r vec(R), the defining property of the block
     rng = np.random.default_rng(2)
     ra, rb = geom.random_rotation(rng).m, geom.random_rotation(rng).m
-    block = qcqp.rotation_block(ra, rb)
+    block = qcqp_blocks.rotation_block(ra, rb)
     for _ in range(100):
         r = geom.random_rotation(rng).m
         direct = (r @ ra - rb @ r).reshape(9, order="F")
@@ -34,7 +35,7 @@ def test_rotation_block_vec_identity():
 
 
 def test_translation_block_identity_pair_is_zero():
-    assert np.allclose(qcqp.translation_block(np.zeros(3), np.eye(3), np.zeros(3)), 0.0)
+    assert np.allclose(qcqp_blocks.translation_block(np.zeros(3), np.eye(3), np.zeros(3)), 0.0)
 
 
 def test_translation_block_residual_identity():
@@ -43,9 +44,9 @@ def test_translation_block_residual_identity():
         ta, tb = rng.normal(scale=0.7, size=(2, 3))
         rb = geom.random_rotation(rng).m
         theta = geom.random_transform(rng)
-        x = qcqp.full_vector(theta.translation, theta.rotation, 1.0)
+        x = qcqp_blocks.full_vector(theta.translation, theta.rotation, 1.0)
         direct = theta.rotation.m @ ta + theta.translation - rb @ theta.translation - tb
-        assert np.linalg.norm(qcqp.translation_block(ta, rb, tb) @ x - direct) < 1e-12
+        assert np.linalg.norm(qcqp_blocks.translation_block(ta, rb, tb) @ x - direct) < 1e-12
 
 
 def test_assemble_requires_two_motions():
@@ -75,7 +76,7 @@ def test_assemble_single_axis_singular():
 def test_assemble_noise_free_optimum_has_zero_cost():
     m, theta = random_instance(5, n_motions=20)
     dm = qcqp.assemble(m)
-    x = qcqp.full_vector(theta.translation, theta.rotation, 1.0)
+    x = qcqp_blocks.full_vector(theta.translation, theta.rotation, 1.0)
     assert float(x @ dm.q @ x) < 1e-18
 
 
@@ -113,9 +114,9 @@ def test_assemble_equals_sum_of_per_pair_grams():
     m = replace(m, kappa=rng.uniform(0.1, 5.0, m.n), tau=rng.uniform(0.1, 5.0, m.n))
     q = np.zeros((qcqp.DIM_FULL, qcqp.DIM_FULL))
     for i in range(m.n):
-        mr = qcqp.rotation_block(m.ra[i], m.rb[i])
+        mr = qcqp_blocks.rotation_block(m.ra[i], m.rb[i])
         q[3:12, 3:12] += m.kappa[i] * (mr.T @ mr)
-        mt = qcqp.translation_block(m.ta[i], m.rb[i], m.tb[i])
+        mt = qcqp_blocks.translation_block(m.ta[i], m.rb[i], m.tb[i])
         q += m.tau[i] * (mt.T @ mt)
     assert np.array_equal(qcqp.assemble(m).q, 0.5 * (q + q.T))
 

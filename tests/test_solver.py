@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import qcqp_blocks
 from conftest import random_instance
 from egocal import geom, qcqp, sdp, sim, solver
 from egocal.errors import MaxIterations, RankDeficiencyAmbiguous, SingularQtt
@@ -187,7 +188,7 @@ def test_evaluate_cost_matches_quadratic_form():
         m, _ = random_instance(100 + k, n_motions=6, sigma_r=0.05, sigma_t=0.05)
         theta = geom.random_transform(rng, translation_scale=2.0)
         dm = qcqp.assemble(m)
-        x = qcqp.full_vector(theta.translation, theta.rotation, 1.0)
+        x = qcqp_blocks.full_vector(theta.translation, theta.rotation, 1.0)
         quad = float(x @ dm.q @ x)
         direct = solver.evaluate_cost(m, theta)
         assert abs(quad - direct) < 1e-10 * (1 + abs(direct))
