@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -177,15 +177,16 @@ def cmd_certify(args) -> int:
     with open(args.input, "rb") as fp:
         measurements = load_measurements(fp)
     candidate = _load_theta(args.theta)
-    _, solution, _, certificate = solver.relax(measurements, args.constraint_set)
-    certificate = replace(certificate, cost=solver.evaluate_cost(measurements, candidate))
+    relaxation = solver.relax(measurements, args.constraint_set)
+    cost = solver.evaluate_cost(measurements, candidate)
+    certificate = solver.certify(relaxation, candidate.rotation, cost)
     report = {
         "schema_version": 1,
         "candidate_cost": certificate.cost,
         "dual_lower_bound": certificate.lower_bound,
         "gap": certificate.gap,
         "certified": certificate.certified,
-        "sdp_status": solution.status,
+        "sdp_status": relaxation.solution.status,
         "certificate": certificate.to_dict(),
     }
     _write_report(report, args.output)

@@ -1,5 +1,9 @@
 """Exception types raised across the calibration pipeline."""
 
+from contextlib import contextmanager
+
+import numpy as np
+
 
 class CalibrationError(Exception):
     """Base class for all errors raised by this package."""
@@ -45,21 +49,23 @@ class SingularQtt(CalibrationError):
     """
 
 
-class SdpFailure(CalibrationError):
-    """The interior-point solve did not reach an optimal status."""
+class NumericalFailure(CalibrationError):
+    """A LAPACK routine failed (numpy raised LinAlgError) outside the SDP solve,
+    which reports its own breakdowns as a status."""
 
 
-class MaxIterations(SdpFailure):
-    """Iteration limit reached before tolerances were met."""
-
-
-class NumericalFailure(SdpFailure):
-    """A factorization broke down inside the interior-point solver."""
-
-
-class InfeasibleDetected(SdpFailure):
+class InfeasibleDetected(CalibrationError):
     """The SDP appears primal or dual infeasible."""
 
 
 class RankDeficiencyAmbiguous(CalibrationError):
-    """The primal SDP matrix is not numerically rank one; extraction is ambiguous."""
+    """The dual slack's minimum eigenvector has no homogenizer entry; extraction is ambiguous."""
+
+
+@contextmanager
+def numerical(what: str):
+    """Re-raise a LinAlgError inside the block as NumericalFailure naming `what`."""
+    try:
+        yield
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"{what}: {exc}") from exc

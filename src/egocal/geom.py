@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidRotation, SingularInput
+from .errors import InvalidRotation, SingularInput, numerical
 
 ROTATION_TOL = 1e-9
 
@@ -188,7 +188,8 @@ def project_to_so3(m: np.ndarray) -> RotationMatrix:
 
 def nearest_rotations(m: np.ndarray) -> np.ndarray:
     """project_to_so3 over a (..., 3, 3) stack, returning plain arrays."""
-    u, sv, vt = np.linalg.svd(m)
+    with numerical("rotation projection"):
+        u, sv, vt = np.linalg.svd(m)
     if np.any(sv[..., -1] < 1e-12):
         raise SingularInput("matrix is numerically singular; projection undefined")
     u[..., :, 2] *= np.sign(np.linalg.det(u @ vt))[..., None]

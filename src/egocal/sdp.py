@@ -40,10 +40,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleDetected, NumericalFailure
+from .errors import InfeasibleDetected, numerical
 
 STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITER = "max_iter"
+STATUS_BREAKDOWN = "breakdown"
 
 # Stopping tolerances of `solve` (relative residuals, relative gap); TOL_FEAS is
 # also certify_lmi's PSD margin.
@@ -131,8 +132,10 @@ def _max_steps(inv_chol: np.ndarray, d: np.ndarray) -> list:
 def solve(p: SdpProblem, max_iter: int = 100) -> SdpSolution:
     """Run the predictor-corrector iteration from the scaled-identity start.
 
-    Ends with status STATUS_OPTIMAL, or STATUS_MAX_ITER after `max_iter`
-    iterations; a factorization breakdown raises NumericalFailure.
+    Ends with status STATUS_OPTIMAL, STATUS_MAX_ITER after `max_iter`
+    iterations, or STATUS_BREAKDOWN when a factorization fails (LinAlgError);
+    the last two return the last complete iterate, whose dual vector still
+    gives a valid bound. Diverging iterates raise InfeasibleDetected.
     """
     s_dim = p.dim
     a, b, c = p.constraints, p.rhs, p.cost
@@ -218,8 +221,8 @@ def solve(p: SdpProblem, max_iter: int = 100) -> SdpSolution:
             x = 0.5 * ((x + ap * dx) + (x + ap * dx).T)
             y = y + ad * dy
             s = 0.5 * ((s + ad * ds) + (s + ad * ds).T)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"linear algebra failed at iteration {it}: {exc}") from exc
+    except np.linalg.LinAlgError:
+        status = STATUS_BREAKDOWN
 
     kkt = {
         "primal_residual": float(np.linalg.norm(b - op(x))) / norm_b,
@@ -239,12 +242,13 @@ def solve(p: SdpProblem, max_iter: int = 100) -> SdpSolution:
 
 
 def certify_lmi(cost, constraints, multipliers) -> dict:
-    """Rebuild the dual slack H = cost - sum_i y_i A_i and test it for PSD.
+    """Rebuild the dual slack H = cost - sum_i y_i A_i and decompose it.
 
-    Independent of solver internals: only the multipliers are consumed. One
-    eigendecomposition of H gives everything returned: the ascending
-    eigenvalues and their eigenvectors, the spectral norm max|lambda|, the
-    minimum eigenvalue and a scale-relative PSD verdict.
+    Independent of solver internals: only the multipliers are consumed, so it
+    serves any dual vector (the solver's, or one refined against a candidate).
+    One eigendecomposition of H gives the eigenvectors (columns, by ascending
+    eigenvalue), the minimum eigenvalue and a PSD test relative to the norm
+    max|lambda|. A LAPACK failure raises NumericalFailure.
     """
     cost = np.asarray(cost, dtype=float)
     constraints = np.asarray(constraints, dtype=float)
@@ -253,13 +257,11 @@ def certify_lmi(cost, constraints, multipliers) -> dict:
         raise ValueError("need one multiplier per constraint")
     h = cost - np.einsum("k,kij->ij", multipliers, constraints)
     h = 0.5 * (h + h.T)
-    eigenvalues, eigenvectors = np.linalg.eigh(h)
+    with numerical("dual slack eigendecomposition"):
+        eigenvalues, eigenvectors = np.linalg.eigh(h)
     min_eig = float(eigenvalues[0])
-    norm_h = float(np.max(np.abs(eigenvalues)))
     return {
-        "eigenvalues": eigenvalues,
         "eigenvectors": eigenvectors,
-        "norm": norm_h,
         "min_eig": min_eig,
-        "psd": min_eig > -TOL_FEAS * (1.0 + norm_h),
+        "psd": min_eig > -TOL_FEAS * (1.0 + np.abs(eigenvalues).max()),
     }

@@ -1,5 +1,7 @@
 """End-to-end calibration: assemble, reduce, solve the strengthened dual SDP,
-extract and polish the rotation, recover the translation, and certify.
+extract and polish the rotation, recover the translation, and certify it
+against a proven lower bound on the global minimum (`certify`, SE-Sync's
+verification step: Rosen et al., IJRR 2019).
 
 Also hosts the local Levenberg-Marquardt baseline used by the experiment
 harness for comparisons; it is the only user of scipy, imported on call.
@@ -8,12 +10,12 @@ harness for comparisons; it is the only user of scipy, imported on call.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import geom, qcqp, sdp
-from .errors import MaxIterations, RankDeficiencyAmbiguous
+from .errors import RankDeficiencyAmbiguous, numerical
 from .geom import RotationMatrix, Transform
 from .problem import MeasurementSet, ObservabilityReport, check_observability
 from .qcqp import ConstraintSet, DataMatrix
@@ -23,69 +25,43 @@ Extrinsic = Transform
 VERDICT_CERTIFIED = "CertifiedGlobal"
 VERDICT_NOT_CERTIFIED = "NotCertified"
 
-# Certificate thresholds: one order above the SDP solver's fixed tolerances
-# (sdp.TOL_FEAS and sdp.TOL_GAP, 1e-9) to absorb reconstruction error. The PSD
-# and nullspace tests are evaluated on the trace-normalized problem so the
-# verdict is invariant to cost scaling.
-GAP_TOL = 1e-7
-PSD_TOL = 1e-8
-NULLSPACE_TOL = 1e-6
-RANK_RATIO = 1e-6
-# The dominant eigenvector of the primal X carries an error of order
-# sqrt(duality gap); the dual-slack nullspace vector is accurate to the solver
-# tolerance. Extraction therefore uses the nullspace vector when it exists and
-# only cross-checks the primal eigenvector against it at the sqrt scale.
-CROSS_CHECK_TOL = 1e-4
+# The verdict rule: certified when cost - lower_bound <= GAP_COST * cost +
+# GAP_TRACE * tr(q_tilde). Both terms scale with the weights; the trace term
+# admits the rounding of a zero-cost (noise-free) optimum.
+GAP_COST = 1e-7
+GAP_TRACE = 1e-9
 # Cap on the rotation polish's Newton trials, taken or refused.
 POLISH_STEPS = 30
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """Facts about a candidate and its relaxation's dual; `reasons` holds the one
-    verdict rule. A NaN cost (no candidate priced yet) never certifies."""
+    """A proven lower bound on the global minimum, a candidate's cost and tr(q_tilde)
+    (`scale`). A NaN cost or bound (nothing priced or proven) never certifies."""
 
     lower_bound: float
     cost: float
     min_eig_h: float
-    nullspace_dim: int
-    extraction_residual: float
-    cross_check: float
-    rank_one: bool
+    scale: float
 
     @property
     def gap(self) -> float:
         return self.cost - self.lower_bound
 
     @property
-    def reasons(self) -> tuple:
-        """Names of the failed checks, in a fixed order; empty when certified."""
-        checks = {
-            "rank": self.rank_one,
-            "gap": self.gap < GAP_TOL * (1.0 + abs(self.cost)),
-            "psd": self.min_eig_h > -PSD_TOL,
-            "nullspace_dim": self.nullspace_dim == 1,
-            "cross_check": self.cross_check < CROSS_CHECK_TOL,
-        }
-        return tuple(name for name, ok in checks.items() if not ok)
+    def certified(self) -> bool:
+        return bool(self.gap <= GAP_COST * self.cost + GAP_TRACE * self.scale)
 
     @property
     def verdict(self) -> str:
-        return VERDICT_NOT_CERTIFIED if self.reasons else VERDICT_CERTIFIED
-
-    @property
-    def certified(self) -> bool:
-        return self.verdict == VERDICT_CERTIFIED
+        return VERDICT_CERTIFIED if self.certified else VERDICT_NOT_CERTIFIED
 
     def to_dict(self) -> dict:
         return {
+            "lower_bound": self.lower_bound,
             "gap": self.gap,
             "min_eig_H": self.min_eig_h,
-            "nullspace_dim": self.nullspace_dim,
-            "extraction_residual": self.extraction_residual,
-            "cross_check": self.cross_check,
             "verdict": self.verdict,
-            "reasons": list(self.reasons),
         }
 
 
@@ -111,6 +87,18 @@ class CalibrationResult:
         }
 
 
+@dataclass(frozen=True)
+class Relaxation:
+    """The solved SDP relaxation: the data, the trace-normalized problem and its
+    scale tr(q_tilde), the solver's result and `sdp.certify_lmi` of H at its y."""
+
+    dm: DataMatrix
+    problem: sdp.SdpProblem
+    scale: float
+    solution: sdp.SdpSolution
+    lmi: dict
+
+
 def _residual_arrays(m: MeasurementSet, r: np.ndarray, t: np.ndarray):
     """Per-measurement R R_a - R_b R (n, 3, 3) and R t_a + t - R_b t - t_b (n, 3)."""
     return r @ m.ra - m.rb @ r, (m.ta @ r.T) + t[None, :] - (m.rb @ t) - m.tb
@@ -127,49 +115,23 @@ def evaluate_cost(m: MeasurementSet, theta: Extrinsic) -> float:
 
 def recover_translation(dm: DataMatrix, r_tilde: np.ndarray) -> np.ndarray:
     """Closed-form optimal translation -q_tt^-1 q_t_rtilde r_tilde."""
-    return -np.linalg.solve(dm.q_tt, dm.q_t_rtilde @ r_tilde)
+    with numerical("translation solve"):
+        return -np.linalg.solve(dm.q_tt, dm.q_t_rtilde @ r_tilde)
 
 
-def _nullspace_dim(lmi: dict) -> int:
-    """Eigenvalues of the dual slack H that are zero relative to its norm."""
-    return int(np.sum(lmi["eigenvalues"] < NULLSPACE_TOL * (1.0 + lmi["norm"])))
+def extract_solution(lmi: dict) -> RotationMatrix:
+    """The rotation encoded by the minimum eigenvector of the dual slack H.
 
-
-def extract_solution(x_primal: np.ndarray, lmi: dict):
-    """Recover (rotation, residual, cross_check, rank_one) from the SDP solution.
-
-    `lmi` is `sdp.certify_lmi`'s decomposition of the dual slack H. When H has
-    a (relatively) zero eigenvalue its eigenvector is the solution vector -- at
-    a zero-gap optimum the slack annihilates the minimizer and its nullspace
-    vector is accurate to the solver tolerance. Otherwise the dominant
-    eigenvector of the primal X is used (its error scales as sqrt(gap)).
-    Either way the vector is rescaled so its homogenizer entry is +1, reshaped
-    column-wise to 3x3, and projected to SO(3); cross_check reports the
-    disagreement between the two sources. rank_one is False when the second
-    eigenvalue of x_primal exceeds RANK_RATIO times the first.
+    At a zero-gap optimum H annihilates the lifted minimizer, so that vector
+    is the minimizer to the solver's accuracy. It is rescaled so its
+    homogenizer entry is +1, reshaped column-wise to 3x3 and projected to SO(3).
 
     Raises RankDeficiencyAmbiguous when the homogenizer entry is zero.
     """
-    x_primal = 0.5 * (x_primal + x_primal.T)
-    eigvals, eigvecs = np.linalg.eigh(x_primal)
-    rank_one = not eigvals[-2] > RANK_RATIO * eigvals[-1]
-    v = eigvecs[:, -1]
-
-    cross_check = 0.0
-    if _nullspace_dim(lmi) > 0:
-        u = lmi["eigenvectors"][:, 0]
-        if np.dot(u, v) < 0:
-            u = -u
-        cross_check = float(np.linalg.norm(u - v))
-        v = u
-
+    v = lmi["eigenvectors"][:, 0]
     if abs(v[qcqp.Y_INDEX]) < 1e-9:
         raise RankDeficiencyAmbiguous("homogenizer entry of the extracted vector is zero")
-    v = v / v[qcqp.Y_INDEX]
-    raw = v[:9].reshape(3, 3, order="F")
-    rotation = geom.project_to_so3(raw)
-    residual = float(np.linalg.norm(raw - rotation.m))
-    return rotation, residual, cross_check, rank_one
+    return geom.project_to_so3((v[:9] / v[qcqp.Y_INDEX]).reshape(3, 3, order="F"))
 
 
 def build_sdp_problem(dm: DataMatrix, constraints: ConstraintSet):
@@ -187,48 +149,80 @@ def build_sdp_problem(dm: DataMatrix, constraints: ConstraintSet):
     return problem, scale
 
 
-def relax(m: MeasurementSet, constraint_set="r+c+h"):
-    """Solve the SDP relaxation of `m` and certify its dual: (dm, solution, rotation, certificate).
+def relax(m: MeasurementSet, constraint_set="r+c+h") -> Relaxation:
+    """Assemble `m`, solve its SDP relaxation and decompose the dual slack.
 
-    Runs assemble -> SDP -> status check -> `sdp.certify_lmi` -> extraction;
-    an SDP stopped at its iteration cap raises MaxIterations. The certificate
-    holds everything but the candidate's cost, which is NaN until the caller
-    prices a candidate with `dataclasses.replace`.
+    Any final status is kept: an iteration cap or a factorization breakdown
+    (`sdp.solve`'s "max_iter" and "breakdown") still leaves a dual vector,
+    which `certify` turns into a valid, if weaker, bound.
     """
     dm = qcqp.assemble(m)
     problem, scale = build_sdp_problem(dm, qcqp.constraint_catalog(constraint_set))
     solution = sdp.solve(problem)
-    if solution.status != sdp.STATUS_OPTIMAL:
-        raise MaxIterations(f"interior-point solve ended with status {solution.status!r}")
-
     lmi = sdp.certify_lmi(problem.cost, problem.constraints, solution.multipliers)
-    rotation, extraction_residual, cross_check, rank_one = extract_solution(solution.x_primal, lmi)
-    certificate = Certificate(
-        lower_bound=solution.dual_obj * scale,
-        cost=float("nan"),
-        min_eig_h=lmi["min_eig"],
-        nullspace_dim=_nullspace_dim(lmi),
-        extraction_residual=extraction_residual,
-        cross_check=cross_check,
-        rank_one=rank_one,
+    return Relaxation(dm, problem, scale, solution, lmi)
+
+
+def _dual_bound(lmi: dict, y: np.ndarray) -> float:
+    """A lower bound on r^T (q_tilde/s) r over lifted rotations r = [vec R, 1],
+    valid for every dual vector y of the trace-normalized SDP (s = tr q_tilde).
+
+    With H = q_tilde/s - sum_i y_i A_i (`lmi` its decomposition), r^T A_i r is
+    0 for the rotation constraints and 1 for the homogenizer, and |r|^2 = 4, so
+    r^T (q_tilde/s) r = y_hom + r^T H r >= y_hom + 4 min(0, lambda_min H - delta),
+    y_hom = y[-1] being the homogenizer's multiplier.
+    delta covers rounding: q_tilde/s and every A_i have spectral norm <= 1, so
+    the computed H and its eigh err by a small multiple of eps * (1 + |y|_1).
+    """
+    delta = 1000.0 * np.finfo(float).eps * (1.0 + np.abs(y).sum())
+    return float(y[-1] + 4.0 * min(0.0, lmi["min_eig"] - delta))
+
+
+def _refine(problem: sdp.SdpProblem, y: np.ndarray, r_tilde: np.ndarray) -> np.ndarray:
+    """y + dy, with dy the least-norm solution of B dy = H(y) r_tilde for
+    B[:, i] = A_i r_tilde, so that H(y + dy) annihilates r_tilde (one 10 x m
+    least-squares solve). H(y) r_tilde = cost r_tilde - B y."""
+    b = (problem.constraints @ r_tilde).T
+    with numerical("certificate refinement"):
+        return y + np.linalg.lstsq(b, problem.cost @ r_tilde - b @ y, rcond=None)[0]
+
+
+def certify(relaxation: Relaxation, rotation: RotationMatrix, cost: float) -> Certificate:
+    """The proven bound for a candidate rotation priced at `cost`, and its verdict.
+
+    The bound is the larger of `_dual_bound` at the solver's y and at y
+    refined against the lifted candidate (`_refine`). At a tight optimum the
+    refined bound meets the cost to the rounding margin, whatever the
+    interior-point method's last digits.
+    """
+    problem, y = relaxation.problem, relaxation.solution.multipliers
+    refined = _refine(problem, y, qcqp.reduced_vector(rotation))
+    lmi = sdp.certify_lmi(problem.cost, problem.constraints, refined)
+    bound, lmi = max(
+        (_dual_bound(relaxation.lmi, y), relaxation.lmi),
+        (_dual_bound(lmi, refined), lmi),
+        key=lambda pair: pair[0],
     )
-    return dm, solution, rotation, certificate
+    scale = relaxation.scale
+    return Certificate(lower_bound=scale * bound, cost=cost, min_eig_h=lmi["min_eig"], scale=scale)
 
 
 def calibrate(m: MeasurementSet, constraint_set: str = "r+c+h") -> CalibrationResult:
     """Certifiably globally optimal calibration from relative motion pairs.
 
-    Pipeline: report observability, solve and certify the relaxation (`relax`,
-    whose assembly raises SingularQtt on unobservable data), polish the
-    rotation on the reduced form, recover the translation in closed form, and
-    price the estimate against the certificate's dual lower bound.
+    Pipeline: report observability, solve the relaxation (`relax`, whose
+    assembly raises SingularQtt on unobservable data), extract the rotation
+    from the dual slack and polish it on the reduced form, recover the
+    translation in closed form, price the estimate and certify it against
+    the proven dual bound (`certify`).
     """
     start = time.perf_counter()
     report = check_observability(m)
-    dm, solution, rotation, certificate = relax(m, constraint_set)
-    rotation = _polish(dm.q_tilde, rotation)
-    theta = Transform(rotation, recover_translation(dm, qcqp.reduced_vector(rotation)))
+    relaxation = relax(m, constraint_set)
+    rotation = _polish(relaxation.dm.q_tilde, extract_solution(relaxation.lmi))
+    theta = Transform(rotation, recover_translation(relaxation.dm, qcqp.reduced_vector(rotation)))
     cost = evaluate_cost(m, theta)
+    solution = relaxation.solution
     stats = {
         "sdp_iters": solution.iterations,
         "sdp_status": solution.status,
@@ -238,7 +232,7 @@ def calibrate(m: MeasurementSet, constraint_set: str = "r+c+h") -> CalibrationRe
     return CalibrationResult(
         extrinsic=theta,
         cost=cost,
-        certificate=replace(certificate, cost=cost),
+        certificate=certify(relaxation, rotation, cost),
         observability=report,
         solve_stats=stats,
     )
@@ -274,7 +268,8 @@ def _polish(q_tilde: np.ndarray, rotation: RotationMatrix) -> RotationMatrix:
     resolution = np.finfo(float).eps * abs(np.trace(q_tilde))
     mu = 0.0
     for _ in range(POLISH_STEPS):
-        eigvals, eigvecs = np.linalg.eigh(hess)
+        with numerical("polish"):
+            eigvals, eigvecs = np.linalg.eigh(hess)
         damping = 1e-3 * np.abs(eigvals).max()
         mu = max(mu, damping - 2.0 * eigvals[0])
         step = -eigvecs @ ((eigvecs.T @ grad) / (eigvals + mu))
@@ -330,15 +325,7 @@ def local_solve(m: MeasurementSet, init: Extrinsic | None = None) -> Calibration
     theta = _extrinsic_from_params(fit.x)
     cost = evaluate_cost(m, theta)
     report = check_observability(m)
-    certificate = Certificate(
-        lower_bound=float("nan"),
-        cost=cost,
-        min_eig_h=float("nan"),
-        nullspace_dim=0,
-        extraction_residual=0.0,
-        cross_check=float("nan"),
-        rank_one=False,
-    )
+    certificate = Certificate(lower_bound=np.nan, cost=cost, min_eig_h=np.nan, scale=np.nan)
     stats = {
         "sdp_iters": 0,
         "lm_evaluations": int(fit.nfev),

@@ -25,6 +25,14 @@ def random_instance(seed, n_motions=50, sigma_r=0.0, sigma_t=0.0, amplitude=1.0)
     return m, theta
 
 
+def loose_two_motion_instance():
+    """A two-motion-hard instance (quarter turns plus a 10 m translation
+    perturbation) whose 'r' relaxation is not tight: every dual vector's bound
+    stays well below the best cost, so it is never certified under 'r'."""
+    axes = sim.fibonacci_sphere(16)
+    return sim._perturb_instance(sim.two_motion_instance(), axes[8], np.pi / 2, axes[11], 10.0)
+
+
 def constructed_sdp(rng, s=6, m=4, rank=2):
     """Random SDP with a known optimum from a complementary (X*, S*) pair.
 

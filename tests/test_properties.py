@@ -10,13 +10,12 @@ import json
 from dataclasses import replace
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import record_scan
 from conftest import random_instance
-from egocal import geom, sim, solver
+from egocal import geom, qcqp, sdp, sim, solver
 from egocal.errors import CalibrationError, ParseError
 from egocal.problem import MeasurementSet, dump_measurements, load_measurements
 
@@ -79,18 +78,52 @@ def test_extrinsic_invariant_under_uniform_weight_scaling(seed, factor):
     _assert_same_extrinsic(_baseline(seed), solver.calibrate(_scaled(_INSTANCES[seed], factor)))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known defect: the certificate's gap test bounds the gap by GAP_TOL * (1 + |cost|), "
-    "an absolute bound when the cost is small, while the gap scales with the weights",
-)
 def test_verdict_invariant_under_uniform_weight_scaling():
-    # A power-of-two factor scales q, the SDP's trace normalization and the
-    # cost exactly, so the normalized SDP is bit-identical; the gap grows
-    # 1024-fold while the bound 1 + |cost| grows about a hundredfold.
-    m = _INSTANCES[0]
-    verdicts = {solver.calibrate(_scaled(m, f)).certificate.verdict for f in (1.0, 1024.0)}
-    assert len(verdicts) == 1
+    # The rule compares the gap with GAP_COST * cost + GAP_TRACE * tr(q_tilde),
+    # and all three scale with the weights.
+    for seed, m in _INSTANCES.items():
+        for factor in (1e-3, 1.0, 4.0, 64.0, 1024.0, 1e3):
+            result = solver.calibrate(_scaled(m, factor))
+            assert result.certificate.verdict == "CertifiedGlobal", (seed, factor)
+
+
+def _dependencies(constraints):
+    """Integer vectors z with sum_i z_i A_i = 0 exactly (the catalog's dependent rows)."""
+    _, sv, vt = np.linalg.svd(constraints.reshape(len(constraints), -1).T, full_matrices=True)
+    z = vt[np.count_nonzero(sv > 1e-12 * sv[0]) :]
+    return np.round(z / np.abs(z).max(axis=1, keepdims=True))
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(5, 30),
+    sigma=st.floats(0.0, 0.1),
+    kind=st.sampled_from(qcqp.CONSTRAINT_KINDS),
+    spread=st.sampled_from([0.0, 1e-2]),
+    shift=st.sampled_from([0.0, 1e-9, 1e-6, 1e-2]),
+    step=st.sampled_from([0.0, 1e4, 1e8]),
+)
+def test_dual_bound_never_exceeds_the_cost_of_a_rotation(seed, n, sigma, kind, spread, shift, step):
+    # For any y, s * _dual_bound(y) <= r^T q_tilde r for every lifted rotation r.
+    # y starts from the refined multipliers at calibrate's rotation, where the
+    # bound is tight, and moves off them by random noise, by a homogenizer
+    # shift (which lowers H's least eigenvalue and keeps the bound nearly
+    # tight) and along exact dependencies of the constraints, which leave H
+    # unchanged but round the computed H by about eps * |y|.
+    rng = np.random.default_rng(seed)
+    m = sim.terrain_instance(rng, n, sigma, sigma)[3]
+    relaxation = solver.relax(m, kind)
+    problem, scale, q_tilde = relaxation.problem, relaxation.scale, relaxation.dm.q_tilde
+    candidate = solver._polish(q_tilde, solver.extract_solution(relaxation.lmi))
+    y = solver._refine(problem, relaxation.solution.multipliers, qcqp.reduced_vector(candidate))
+    y = y + spread * rng.normal(size=y.shape)
+    y[-1] += shift
+    y = y + step * _dependencies(problem.constraints).sum(axis=0)
+    bound = scale * solver._dual_bound(sdp.certify_lmi(problem.cost, problem.constraints, y), y)
+    for rotation in [candidate, *(geom.random_rotation(rng) for _ in range(3))]:
+        r_tilde = qcqp.reduced_vector(rotation)
+        assert bound <= r_tilde @ q_tilde @ r_tilde + 1e-12 * scale
 
 
 @SLOW
