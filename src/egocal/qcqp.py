@@ -1,9 +1,9 @@
 """Quadratic-form assembly and the SO(3) constraint catalog.
 
-The homogenized decision vector is x = [t (3), r = vec(R) column-major (9),
-y (1)], so the data matrix is 13x13. After analytically minimizing over the
-unconstrained translation, the reduced problem acts on r_tilde = [r, y] with a
-10x10 Schur complement.
+The homogenized decision vector is x = [t (3), r = vec(R) column-major (9), y (1)], so the data
+matrix is 13x13. After analytically minimizing over the unconstrained translation, the reduced
+problem acts on r_tilde = [r, y] with a 10x10 Schur complement. `assemble` sums the data matrix
+from a few weighted moments of the measurement columns, the one O(n) step.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import SingularQtt, TooShort
 from .geom import RotationMatrix
-from .problem import MeasurementSet, observability
+from .problem import MeasurementSet, observability, translation_gram
 
 DIM_FULL = 13
 DIM_REDUCED = 10
@@ -23,7 +23,7 @@ Y_INDEX = 9  # index of the homogenizing variable inside r_tilde
 CONSTRAINT_KINDS = ("r", "r+c", "r+h", "r+c+h")
 
 _I3 = np.eye(3)
-_CHUNK = 128  # measurements per batch in assemble, which bounds its memory for any n
+_LOWER = np.tril_indices(DIM_FULL, -1)
 
 
 @dataclass(frozen=True)
@@ -36,42 +36,41 @@ class DataMatrix:
     q_tilde: np.ndarray      # 10x10 Schur complement q / q_tt
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product over the leading (measurement) axis of a and/or b."""
-    out = np.einsum("...ij,...kl->...ikjl", a, b)
-    return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
+def _moment(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_i w_i a_i (outer) b_i over the leading axis, with index order a[1:] + b[1:]."""
+    moment = (w[:, None] * a.reshape(len(a), -1)).T @ b.reshape(len(b), -1)
+    return moment.reshape(a.shape[1:] + b.shape[1:])
 
 
 def assemble(m: MeasurementSet) -> DataMatrix:
-    """Sum per-measurement Gram contributions and Schur-reduce over translation.
+    """Sum the per-measurement quadratic forms and Schur-reduce over translation.
 
-    Each batch of measurements stacks its 9x9 rotation blocks, mapping vec(R)
-    to vec(R R_a - R_b R), and its 3x13 translation blocks, mapping x to
-    R t_a + t - R_b t - y t_b (`tests/qcqp_blocks.py` holds them one
-    measurement at a time). Their weighted Grams are summed in the order of a
-    per-measurement loop (rotation then translation, one by one), so q is
-    bit-identical to that loop: on borderline instances the interior-point
-    solve can change outcome under last-bit changes of q.
+    Measurement i prices kappa_i |vec(R R_a - R_b R)|^2 + tau_i |R t_a + t - R_b t - y t_b|^2
+    (`tests/qcqp_blocks.py` holds its blocks). Each block of the sum is a weighted moment,
+    one O(n) product. With D = I - R_b and K = sum kappa R_a kron R_b: q_tt is sum tau D^T D
+    (`translation_gram`), the rotation block (sum kappa R_a R_a^T + tau t_a t_a^T) kron I +
+    I kron (sum kappa R_b^T R_b) - K - K^T, the t-vec(R) block sum tau t_a^T kron D^T and the
+    y column [-sum tau D^T t_b, -sum tau t_a kron t_b, sum tau |t_b|^2]. Nothing assumes
+    R^T R = I, so rotations within geom.ROTATION_TOL give the per-measurement sum to rounding.
 
     Raises SingularQtt when `problem.observability` finds the translation
     block numerically singular, the signature of single-axis data.
     """
     if m.n < 2:
         raise TooShort("calibration requires at least two relative motions")
+    kappa, tau, d = m.kappa, m.tau, _I3 - m.rb
+    k = _moment(kappa, m.ra, m.rb).transpose(0, 2, 1, 3).reshape(9, 9)
+    left = np.einsum("ijkj->ik", _moment(kappa, m.ra, m.ra)) + _moment(tau, m.ta, m.ta)
+    right = np.einsum("jijl->il", _moment(kappa, m.rb, m.rb))
+    kron = np.einsum("ij,kl->ikjl", left, _I3) + np.einsum("ij,kl->ikjl", _I3, right)
     q = np.zeros((DIM_FULL, DIM_FULL))
-    for lo in range(0, m.n, _CHUNK):
-        part = slice(lo, lo + _CHUNK)
-        ra, rb, ta, tb, kappa, tau = (c[part] for c in (m.ra, m.rb, m.ta, m.tb, m.kappa, m.tau))
-        rot = _kron(np.swapaxes(ra, 1, 2), _I3) - _kron(_I3, rb)
-        trans = np.zeros((len(ra), 3, DIM_FULL))
-        trans[:, :, :3] = _I3 - rb
-        trans[:, :, 3:12] = _kron(ta[:, None, :], _I3)
-        trans[:, :, 12] = -tb
-        grams = np.zeros((len(ra), 2, DIM_FULL, DIM_FULL))
-        grams[:, 0, 3:12, 3:12] = kappa[:, None, None] * (np.swapaxes(rot, 1, 2) @ rot)
-        grams[:, 1] = tau[:, None, None] * (np.swapaxes(trans, 1, 2) @ trans)
-        q = np.concatenate([q[None], grams.reshape(-1, DIM_FULL, DIM_FULL)]).sum(axis=0)
-    q = 0.5 * (q + q.T)
+    q[:3, :3] = translation_gram(m)
+    q[:3, 3:12] = _moment(tau, d, m.ta).transpose(1, 2, 0).reshape(3, 9)
+    q[:3, 12] = -np.einsum("jij->i", _moment(tau, d, m.tb))
+    q[3:12, 3:12] = kron.reshape(9, 9) - k - k.T
+    q[3:12, 12] = -_moment(tau, m.ta, m.tb).reshape(9)
+    q[12, 12] = np.trace(_moment(tau, m.tb, m.tb))
+    q[_LOWER] = q.T[_LOWER]  # exactly symmetric, and q_tt keeps its bits
 
     q_tt = q[:3, :3]
     q_t_rtilde = q[:3, 3:]

@@ -35,6 +35,7 @@ DEFAULT_THETA = Transform(
     geom.rotation_from_axis_angle(AxisAngle(np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0), np.pi / 4)),
     np.array([0.1, 0.2, 0.3]),
 )
+N_SINUSOIDS = 3  # terrain sinusoids per axis in generate_path
 
 
 @dataclass(frozen=True)
@@ -72,12 +73,11 @@ def generate_path(
     n_steps: int = 51,
     radius: float = 10.0,
     amplitude: float = 1.0,
-    n_sinusoids: int = 3,
     seed: int = 0,
 ) -> TerrainPath:
     """Circular route over a random sinusoidal landscape.
 
-    z(x, y) is a sum of `n_sinusoids` sinusoids in each of x and y with random
+    z(x, y) is a sum of N_SINUSOIDS sinusoids in each of x and y with random
     amplitudes (scaled by `amplitude`), frequencies, and phases. Orientation
     follows the velocity direction with pitch from the terrain slope. With
     amplitude 0 the path is a planar circle (pure yaw, unobservable).
@@ -87,9 +87,9 @@ def generate_path(
     if radius <= 0:
         raise ValueError("radius must be positive")
     rng = np.random.default_rng(seed)
-    amps = amplitude * rng.uniform(0.3, 1.0, size=(2, n_sinusoids))
-    freqs = rng.uniform(0.2, 0.8, size=(2, n_sinusoids))
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(2, n_sinusoids))
+    amps = amplitude * rng.uniform(0.3, 1.0, size=(2, N_SINUSOIDS))
+    freqs = rng.uniform(0.2, 0.8, size=(2, N_SINUSOIDS))
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(2, N_SINUSOIDS))
 
     def height(x, y):
         return float(
@@ -118,7 +118,7 @@ def generate_path(
         "n_steps": n_steps,
         "radius": radius,
         "amplitude": amplitude,
-        "n_sinusoids": n_sinusoids,
+        "n_sinusoids": N_SINUSOIDS,
         "seed": seed,
     }
     return TerrainPath(waypoints=tuple(waypoints), params=params)

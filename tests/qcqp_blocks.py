@@ -1,8 +1,9 @@
 """Per-measurement coefficient blocks of the 13x13 quadratic form, a test oracle for `qcqp.assemble`.
 
-`assemble` stacks these blocks in batches; the tests check it against the sum
-of their weighted Grams one measurement at a time, and price a known
-extrinsic through the full vector x = [t, vec(R), y].
+`assemble` never builds these blocks: it reads the sum of their weighted Grams
+from a few weighted moments of the columns. The tests check it against that sum
+taken one measurement at a time, and price a known extrinsic through the full
+vector x = [t, vec(R), y].
 """
 
 import numpy as np

@@ -5,7 +5,7 @@ import pytest
 
 import qcqp_blocks
 from conftest import random_instance
-from egocal import geom, qcqp
+from egocal import geom, problem, qcqp
 from egocal.errors import SingularQtt, TooShort
 from egocal.geom import AxisAngle
 from egocal.problem import MeasurementSet
@@ -106,19 +106,48 @@ def test_assemble_weight_scaling():
     assert np.allclose(qcqp.assemble(scaled).q, 3.0 * qcqp.assemble(m).q)
 
 
-def test_assemble_equals_sum_of_per_pair_grams():
-    # The batched assembly sums the per-pair Grams in the order of a per-pair
-    # loop, so it must reproduce that loop exactly, not just to rounding.
-    rng = np.random.default_rng(25)
-    m, _ = random_instance(25, n_motions=12, sigma_r=0.05, sigma_t=0.05)
-    m = replace(m, kappa=rng.uniform(0.1, 5.0, m.n), tau=rng.uniform(0.1, 5.0, m.n))
+def _sum_of_per_pair_grams(m):
     q = np.zeros((qcqp.DIM_FULL, qcqp.DIM_FULL))
     for i in range(m.n):
         mr = qcqp_blocks.rotation_block(m.ra[i], m.rb[i])
         q[3:12, 3:12] += m.kappa[i] * (mr.T @ mr)
         mt = qcqp_blocks.translation_block(m.ta[i], m.rb[i], m.tb[i])
         q += m.tau[i] * (mt.T @ mt)
-    assert np.array_equal(qcqp.assemble(m).q, 0.5 * (q + q.T))
+    return 0.5 * (q + q.T)
+
+
+def test_assemble_equals_sum_of_per_pair_grams():
+    # The moment form sums in another order than a per-pair loop, so it matches
+    # the loop to rounding, not bit for bit. Exact order no longer matters: an
+    # interior-point breakdown on a borderline instance is answered NotCertified
+    # rather than raised, so a last-bit change of q cannot turn an answer into
+    # an error.
+    rng = np.random.default_rng(25)
+    m, _ = random_instance(25, n_motions=12, sigma_r=0.05, sigma_t=0.05)
+    m = replace(m, kappa=rng.uniform(0.1, 5.0, m.n), tau=rng.uniform(0.1, 5.0, m.n))
+    loop = _sum_of_per_pair_grams(m)
+    assert np.max(np.abs(qcqp.assemble(m).q - loop)) <= 1e-14 * np.max(np.abs(loop))
+
+
+def test_assemble_does_not_assume_orthonormal_rotations():
+    # Rotations off SO(3) by up to geom.ROTATION_TOL are accepted; the moment
+    # form must still give the per-pair sum to rounding, far inside that drift.
+    rng = np.random.default_rng(27)
+    m, _ = random_instance(27, n_motions=12, sigma_r=0.05, sigma_t=0.05)
+    ra, rb = (r + 1e-10 * rng.uniform(-1.0, 1.0, r.shape) for r in (m.ra, m.rb))
+    m = replace(m, ra=ra, rb=rb)
+    assert np.max(geom.rotation_defects(np.concatenate([m.ra, m.rb]))[0]) > 1e-10
+    loop = _sum_of_per_pair_grams(m)
+    assert np.max(np.abs(qcqp.assemble(m).q - loop)) <= 1e-14 * np.max(np.abs(loop))
+
+
+@pytest.mark.parametrize("n", [2, 129, 1000])
+def test_assemble_q_tt_is_the_observability_matrix(n):
+    # check_observability and assemble's SingularQtt refusal read one matrix.
+    m, _ = random_instance(26, n_motions=n, sigma_r=0.01, sigma_t=0.01)
+    rng = np.random.default_rng(26)
+    m = replace(m, kappa=rng.uniform(0.1, 5.0, n), tau=rng.uniform(0.1, 5.0, n))
+    assert np.array_equal(qcqp.assemble(m).q_tt, problem.translation_gram(m))
 
 
 def test_schur_complement_is_partial_minimum_over_t():
