@@ -1,6 +1,6 @@
 """Certifiably globally optimal extrinsic calibration between egomotion sensors."""
 
-from .geom import AxisAngle, RotationMatrix, Transform
+from .geom import RotationMatrix, Transform
 from .problem import (
     MeasurementSet,
     ObservabilityReport,
@@ -19,7 +19,6 @@ from .solver import (
 )
 
 __all__ = [
-    "AxisAngle",
     "RotationMatrix",
     "Transform",
     "MeasurementSet",

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,23 @@ EXIT_ERROR = 1
 EXIT_NOT_CERTIFIED = 2
 
 
+def _at_least(kind, low, strict=False):
+    """An argparse type: a finite `kind` parsed from text, >= low (> low if strict)."""
+    rule = f"> {low}" if strict else f">= {low}"
+
+    def parse(text):
+        value = kind(text)
+        if not (value > low if strict else value >= low) or not np.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
+    count, motions, seed = _at_least(int, 1), _at_least(int, 2), _at_least(int, 0)
+    sigma = _at_least(float, 0.0)
     parser = argparse.ArgumentParser(
         prog="egocal",
         description="Certifiably globally optimal extrinsic calibration from egomotion pairs",
@@ -50,28 +65,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     simp = sub.add_parser("simulate", help="generate synthetic measurements from a terrain path")
     simp.add_argument("--output", required=True, help="output prefix (writes <prefix>.jsonl etc.)")
-    simp.add_argument("--seed", type=int, required=True)
-    simp.add_argument("--n-motions", type=int, default=50)
-    simp.add_argument("--radius", type=float, default=10.0)
+    simp.add_argument("--seed", type=seed, required=True)
+    simp.add_argument("--n-motions", type=motions, default=50)
+    simp.add_argument("--radius", type=_at_least(float, 0.0, strict=True), default=10.0)
     simp.add_argument("--amplitude", type=float, default=1.0)
-    simp.add_argument("--sigma-r", type=float, default=0.0)
-    simp.add_argument("--sigma-t", type=float, default=0.0)
+    simp.add_argument("--sigma-r", type=sigma, default=0.0)
+    simp.add_argument("--sigma-t", type=sigma, default=0.0)
 
     exp = sub.add_parser("experiment", help="run one of the benchmark protocols")
     exp.add_argument("kind", choices=["ablation", "noise-sweep", "heatmap", "runtime"])
     exp.add_argument("--output", required=True, help="output prefix for CSV + JSON summary")
-    exp.add_argument("--seed", type=int, required=True)
-    exp.add_argument("--jobs", type=int, default=1)
-    exp.add_argument("--n-trials", type=int, default=100)
-    exp.add_argument("--n-motions", type=int, default=50)
-    exp.add_argument("--n-axes", type=int, default=100)
+    exp.add_argument("--seed", type=seed, required=True)
+    exp.add_argument("--jobs", type=count, default=1)
+    exp.add_argument("--n-trials", type=count, default=100)
+    exp.add_argument("--n-motions", type=motions, default=50)
+    exp.add_argument("--n-axes", type=count, default=100)
     exp.add_argument("--translation-variant", action="store_true",
                      help="ablation only: perturb a translation at fixed pi/2 rotation error")
-    exp.add_argument("--n-list", type=int, nargs="+", default=[10, 100, 1000])
-    exp.add_argument("--n-runs", type=int, default=20)
-    exp.add_argument("--n-inits", type=int, default=64)
-    exp.add_argument("--sigma-r", type=float, nargs="+", default=[0.01, 0.05, 0.1])
-    exp.add_argument("--sigma-t", type=float, nargs="+", default=[0.01, 0.05, 0.1])
+    exp.add_argument("--n-list", type=motions, nargs="+", default=[10, 100, 1000])
+    exp.add_argument("--n-runs", type=count, default=20)
+    exp.add_argument("--n-inits", type=count, default=64)
+    exp.add_argument("--sigma-r", type=sigma, nargs="+", default=[0.01, 0.05, 0.1])
+    exp.add_argument("--sigma-t", type=sigma, nargs="+", default=[0.01, 0.05, 0.1])
 
     cert = sub.add_parser("certify", help="certify a candidate extrinsic against measurements")
     cert.add_argument("--input", required=True, help="measurement JSON-lines file")
@@ -115,9 +130,9 @@ def cmd_simulate(args) -> int:
         "theta": {"R": theta.rotation.m.tolist(), "t": theta.translation.tolist()},
         "noise": {"sigma_r": args.sigma_r, "sigma_t": args.sigma_t},
         "path_params": path.params,
-        "observability": asdict(report),
+        "observability": report.to_dict(),
     }
-    Path(f"{prefix}_truth.json").write_text(json.dumps(truth, indent=2) + "\n")
+    _write_report(truth, f"{prefix}_truth.json")
     with open(f"{prefix}_path.csv", "w", encoding="utf-8", newline="") as fp:
         fp.write("step,x,y,z\n")
         for i, pose in enumerate(path.waypoints):

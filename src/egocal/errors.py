@@ -54,10 +54,6 @@ class NumericalFailure(CalibrationError):
     which reports its own breakdowns as a status."""
 
 
-class InfeasibleDetected(CalibrationError):
-    """The SDP appears primal or dual infeasible."""
-
-
 class RankDeficiencyAmbiguous(CalibrationError):
     """The dual slack's minimum eigenvector has no homogenizer entry; extraction is ambiguous."""
 

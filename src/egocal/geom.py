@@ -1,4 +1,4 @@
-"""SO(3)/SE(3) primitives: rotations, rigid transforms, axis-angle, sampling.
+"""SO(3)/SE(3) primitives: rotations, rigid transforms, the exponential map, sampling.
 
 All angles are radians, all lengths are meters. Every type is immutable after
 construction and all operations are pure functions.
@@ -53,24 +53,6 @@ class RotationMatrix:
 
 
 @dataclass(frozen=True)
-class AxisAngle:
-    """Rotation as a unit axis and an angle in [0, pi]."""
-
-    axis: np.ndarray
-    angle: float
-
-    def __post_init__(self):
-        axis = _as_locked(self.axis)
-        if axis.shape != (3,):
-            raise ValueError(f"axis must be a 3-vector, got shape {axis.shape}")
-        if not 0.0 <= self.angle <= np.pi + 1e-12:
-            raise ValueError(f"angle must lie in [0, pi], got {self.angle}")
-        if abs(np.linalg.norm(axis) - 1.0) > 1e-12:
-            raise ValueError("axis must be a unit vector")
-        object.__setattr__(self, "axis", axis)
-
-
-@dataclass(frozen=True)
 class Transform:
     """Rigid transform (rotation then translation), i.e. an element of SE(3)."""
 
@@ -112,73 +94,19 @@ def skew(v) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def _rodrigues(axis, angle: float) -> RotationMatrix:
-    """Matrix exponential of angle * [axis]x for a unit axis and any real angle."""
+def rotation_about(axis, angle: float) -> RotationMatrix:
+    """Rodrigues' formula: the exponential of angle * [axis]x for a unit axis and
+    any real angle. An angle of 0 gives exactly I."""
     k = skew(axis)
     return RotationMatrix(np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k))
 
 
-def rotation_from_axis_angle(aa: AxisAngle) -> RotationMatrix:
-    """Rodrigues' formula: matrix exponential of the skew form of axis * angle."""
-    return _rodrigues(aa.axis, aa.angle)
-
-
 def rotation_exp(w) -> RotationMatrix:
-    """Exponential of the rotation vector w.
-
-    Unlike AxisAngle this chart is unbounded in angle, which keeps a local
-    optimizer's parameter space free of fold boundaries.
-    """
+    """Exponential of the rotation vector w (angle |w| about w / |w|)."""
     angle = float(np.linalg.norm(w))
     if angle < 1e-14:
         return RotationMatrix.identity()
-    return _rodrigues(np.asarray(w, dtype=float) / angle, angle)
-
-
-def axis_angle_from_rotation(r: RotationMatrix) -> AxisAngle:
-    """Inverse of rotation_from_axis_angle with angle normalized to [0, pi]."""
-    axes, angles = axis_angles(r.m[None])
-    return AxisAngle(axes[0], float(angles[0]))
-
-
-def axis_angles(ms: np.ndarray):
-    """Unit axes (n, 3) and angles in [0, pi] (n,) of a (n, 3, 3) rotation stack.
-
-    Identity rotations get the axis e_z and angle 0. Near the angle = pi
-    singularity the axis magnitudes are recovered from the symmetric part
-    (well conditioned there) with the largest diagonal entry as pivot, and
-    signs from the skew part.
-    """
-    # sin from the skew part, cos from the trace: atan2 is accurate everywhere.
-    w = 0.5 * np.stack(
-        [ms[:, 2, 1] - ms[:, 1, 2], ms[:, 0, 2] - ms[:, 2, 0], ms[:, 1, 0] - ms[:, 0, 1]], axis=-1
-    )
-    s = np.sqrt((w[:, None, :] @ w[:, :, None])[:, 0, 0])  # rounds as the 1-D norm does
-    c = 0.5 * (np.trace(ms, axis1=1, axis2=2) - 1.0)
-    angles = np.arctan2(s, c)
-    axes = np.zeros_like(w)
-    axes[:, 2] = 1.0
-    regular = (angles >= 1e-12) & (angles < 3.0 * np.pi / 4.0)
-    axes[regular] = w[regular] / s[regular, None]
-    for n in np.flatnonzero(angles >= 3.0 * np.pi / 4.0):
-        # Near pi the skew part vanishes; use m = c I + (1-c) a a^T + s [a]x instead.
-        # Diagonal gives |a_i| (well conditioned, 1-c ~ 2), symmetric off-diagonals
-        # give relative signs via the largest-|a_i| pivot, skew part the overall sign.
-        m = ms[n]
-        omc = 1.0 - c[n]  # 1 - cos(angle), close to 2 near pi
-        axis = np.sqrt(np.clip((np.diag(m) - c[n]) / omc, 0.0, None))  # m_ii = c + (1-c) a_i^2
-        p = int(np.argmax(axis))
-        # Relative signs from the symmetric off-diagonal products a_i a_j.
-        sym = 0.5 * (m + m.T)
-        for i in range(3):
-            if i != p:
-                axis[i] = np.copysign(axis[i], sym[p, i] / omc) if axis[i] > 0 else 0.0
-        # Overall sign from the skew part when available (angle < pi).
-        if s[n] > 1e-12 and np.dot(axis, w[n]) < 0:
-            axis = -axis
-        axes[n] = axis / np.linalg.norm(axis)
-    angles[angles < 1e-12] = 0.0
-    return axes, np.minimum(angles, np.pi)
+    return rotation_about(np.asarray(w, dtype=float) / angle, angle)
 
 
 def project_to_so3(m: np.ndarray) -> RotationMatrix:

@@ -94,6 +94,12 @@ class ObservabilityReport:
     observable: bool
     condition_estimate: float
 
+    def to_dict(self) -> dict:
+        """Strict JSON values: an infinite condition number is None (null)."""
+        cond = self.condition_estimate
+        cond = cond if cond < np.inf else None
+        return {"observable": self.observable, "condition_estimate": cond}
+
 
 def parse_pose(obj):
     """(R, t) of a parsed {"R": 3x3, "t": 3-vector} pose, as JSON text checked like a log line's."""

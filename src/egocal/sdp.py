@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleDetected, numerical
+from .errors import numerical
 
 STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITER = "max_iter"
@@ -135,7 +135,10 @@ def solve(p: SdpProblem, max_iter: int = 100) -> SdpSolution:
     Ends with status STATUS_OPTIMAL, STATUS_MAX_ITER after `max_iter`
     iterations, or STATUS_BREAKDOWN when a factorization fails (LinAlgError);
     the last two return the last complete iterate, whose dual vector still
-    gives a valid bound. Diverging iterates raise InfeasibleDetected.
+    gives a valid bound. There is no infeasibility exit: the calibration SDP is
+    strictly feasible on both sides (the primal at X = diag(I_9/3, 1), the dual
+    at the row-orthogonality multipliers), so a solve that does not converge
+    ends as one of the last two.
     """
     s_dim = p.dim
     a, b, c = p.constraints, p.rhs, p.cost
@@ -182,9 +185,6 @@ def solve(p: SdpProblem, max_iter: int = 100) -> SdpSolution:
             ):
                 status = STATUS_OPTIMAL
                 break
-            # Crude divergence check: multipliers exploding while residuals stall.
-            if np.linalg.norm(y) > 1e12 or np.max(np.abs(x)) > 1e14:
-                raise InfeasibleDetected("iterates diverged; problem may be infeasible")
 
             inv_l, g, g_inv, sv = _nt_scaling(x, s)
             w = g @ g.T

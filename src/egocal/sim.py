@@ -22,7 +22,7 @@ import numpy as np
 
 from . import geom, qcqp, sdp, solver
 from .errors import CalibrationError
-from .geom import AxisAngle, RotationMatrix, Transform
+from .geom import RotationMatrix, Transform
 from .problem import (
     MeasurementSet,
     dump_measurements,
@@ -32,7 +32,7 @@ from .problem import (
 from .qcqp import CONSTRAINT_KINDS
 
 DEFAULT_THETA = Transform(
-    geom.rotation_from_axis_angle(AxisAngle(np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0), np.pi / 4)),
+    geom.rotation_about(np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0), np.pi / 4),
     np.array([0.1, 0.2, 0.3]),
 )
 N_SINUSOIDS = 3  # terrain sinusoids per axis in generate_path
@@ -172,10 +172,7 @@ def fibonacci_sphere(n: int) -> np.ndarray:
 
 def two_motion_instance(theta: Transform = DEFAULT_THETA) -> MeasurementSet:
     """The minimal observable instance: quarter-turn + 1 m about x, then about y."""
-    motions_b = [
-        Transform(geom.rotation_from_axis_angle(AxisAngle(axis, np.pi / 2)), axis)
-        for axis in np.eye(3)[:2]
-    ]
+    motions_b = [Transform(geom.rotation_about(axis, np.pi / 2), axis) for axis in np.eye(3)[:2]]
     inv_theta = theta.invert()
     motions_a = [inv_theta.compose(vb).compose(theta) for vb in motions_b]
     return MeasurementSet(
@@ -190,7 +187,7 @@ def two_motion_instance(theta: Transform = DEFAULT_THETA) -> MeasurementSet:
 
 def _perturb_instance(m, rot_axis, rot_magnitude, trans_dir=None, trans_magnitude=0.0):
     """Perturb the first measurement's sensor-b rotation (and optionally translation)."""
-    delta = geom.rotation_from_axis_angle(AxisAngle(rot_axis, rot_magnitude))
+    delta = geom.rotation_about(rot_axis, rot_magnitude)
     rb, tb = np.array(m.rb), np.array(m.tb)
     rb[0] = delta.m @ rb[0]
     if trans_dir is not None:
@@ -394,10 +391,7 @@ def _heatmap_cell(noisy, theta, convex_rot_err, convex_trans_err, angle, dist, n
     max_rot_diff = -np.inf
     max_trans_diff = -np.inf
     for k in range(n_inits):
-        if angle > 0:
-            offset_r = geom.rotation_from_axis_angle(AxisAngle(axes[k], angle))
-        else:
-            offset_r = RotationMatrix.identity()
+        offset_r = geom.rotation_about(axes[k], angle)
         init = Transform(
             RotationMatrix(theta.rotation.m @ offset_r.m),
             theta.translation + dist * dirs[k],

@@ -10,7 +10,7 @@ harness for comparisons; it is the only user of scipy, imported on call.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,7 +82,7 @@ class CalibrationResult:
             },
             "cost": self.cost,
             "certificate": self.certificate.to_dict(),
-            "observability": asdict(self.observability),
+            "observability": self.observability.to_dict(),
             "solve_stats": self.solve_stats,
         }
 
@@ -284,27 +284,20 @@ def _polish(q_tilde: np.ndarray, rotation: RotationMatrix) -> RotationMatrix:
     return RotationMatrix(r)
 
 
-def _params_from_extrinsic(theta: Extrinsic) -> np.ndarray:
-    aa = geom.axis_angle_from_rotation(theta.rotation)
-    return np.concatenate([aa.axis * aa.angle, theta.translation])
-
-
-def _extrinsic_from_params(params: np.ndarray) -> Extrinsic:
-    return Transform(geom.rotation_exp(params[:3]), params[3:])
-
-
-def _residuals(params, m, sqrt_kappa, sqrt_tau):
-    theta = _extrinsic_from_params(params)
-    rot_res, trans_res = _residual_arrays(m, theta.rotation.m, theta.translation)
+def _residuals(params, m, r0, sqrt_kappa, sqrt_tau):
+    """Weighted residuals at the chart point (w, t) = params: rotation R0 exp([w]x)."""
+    rot_res, trans_res = _residual_arrays(m, r0 @ geom.rotation_exp(params[:3]).m, params[3:])
     return np.concatenate(
         [(rot_res * sqrt_kappa[:, None, None]).ravel(), (trans_res * sqrt_tau[:, None]).ravel()]
     )
 
 
 def local_solve(m: MeasurementSet, init: Extrinsic | None = None) -> CalibrationResult:
-    """Levenberg-Marquardt on the shared cost over axis-angle + translation.
+    """Levenberg-Marquardt on the shared cost from `init` (default the identity).
 
-    This is the iterative baseline: it returns a stationary point with no
+    The parameters are (w, t): the rotation is R0 exp([w]x) with R0 the start's
+    rotation, so w = 0 at the start, and t starts at its translation. This is
+    the iterative baseline: it returns a stationary point with no
     optimality guarantee, so the certificate verdict is always NotCertified.
     """
     from scipy.optimize import least_squares
@@ -312,17 +305,18 @@ def local_solve(m: MeasurementSet, init: Extrinsic | None = None) -> Calibration
     start = time.perf_counter()
     if init is None:
         init = Transform.identity()
+    r0 = init.rotation.m
     fit = least_squares(
         _residuals,
-        _params_from_extrinsic(init),
-        args=(m, np.sqrt(m.kappa), np.sqrt(m.tau)),
+        np.concatenate([np.zeros(3), init.translation]),
+        args=(m, r0, np.sqrt(m.kappa), np.sqrt(m.tau)),
         method="lm",
         xtol=1e-14,
         ftol=1e-14,
         gtol=1e-14,
         max_nfev=1600,
     )
-    theta = _extrinsic_from_params(fit.x)
+    theta = Transform(RotationMatrix(r0 @ geom.rotation_exp(fit.x[:3]).m), fit.x[3:])
     cost = evaluate_cost(m, theta)
     report = check_observability(m)
     certificate = Certificate(lower_bound=np.nan, cost=cost, min_eig_h=np.nan, scale=np.nan)

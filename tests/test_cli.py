@@ -11,7 +11,7 @@ import egocal
 from conftest import loose_two_motion_instance
 from egocal import cli, geom, sdp, sim, solver
 from egocal.errors import InvalidRotation, ParseError
-from egocal.geom import AxisAngle, RotationMatrix, Transform
+from egocal.geom import RotationMatrix, Transform
 from egocal.problem import MeasurementSet, dump_measurements
 
 
@@ -72,10 +72,7 @@ def test_calibrate_missing_file_exit_one(tmp_path, capsys):
 
 
 def test_calibrate_single_axis_exit_one(tmp_path, capsys):
-    r = [
-        geom.rotation_from_axis_angle(AxisAngle(np.array([0.0, 0.0, 1.0]), angle)).m
-        for angle in (0.5, 1.1)
-    ]
+    r = [geom.rotation_about(np.array([0.0, 0.0, 1.0]), angle).m for angle in (0.5, 1.1)]
     t = np.tile([1.0, 0.0, 0.0], (2, 1))
     fixture = tmp_path / "planar.jsonl"
     with open(fixture, "w", encoding="utf-8") as fp:
@@ -133,8 +130,12 @@ def test_simulate_flat_terrain_flags_unobservable(tmp_path):
         ]
     )
     assert code == 0
-    truth = json.loads((tmp_path / "flat_truth.json").read_text())
-    assert truth["observability"]["observable"] is False
+
+    def reject(name):  # Infinity, -Infinity and NaN are not JSON (RFC 8259)
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    truth = json.loads((tmp_path / "flat_truth.json").read_text(), parse_constant=reject)
+    assert truth["observability"] == {"observable": False, "condition_estimate": None}
 
 
 def test_certify_self_consistency(tmp_path):
@@ -185,7 +186,7 @@ def test_certify_ground_truth_zero_gap(tmp_path):
 def test_certify_perturbed_candidate_rejected(tmp_path):
     fixture = tmp_path / "clean.jsonl"
     _write_two_motion_fixture(fixture)
-    offset = geom.rotation_from_axis_angle(AxisAngle(np.array([0.0, 0.0, 1.0]), 0.5))
+    offset = geom.rotation_about(np.array([0.0, 0.0, 1.0]), 0.5)
     bad = Transform(
         RotationMatrix(sim.DEFAULT_THETA.rotation.m @ offset.m),
         sim.DEFAULT_THETA.translation,
@@ -379,6 +380,37 @@ def test_usage_error_exit_one(capsys, argv):
     # exit 2 means "completed but not certified", so a usage error must not use it
     assert cli.main(argv) == 1
     assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, argument",
+    [
+        (["simulate", "--n-motions", "1"], "--n-motions"),
+        (["simulate", "--radius", "0"], "--radius"),
+        (["simulate", "--sigma-r", "-1"], "--sigma-r"),
+        (["experiment", "runtime", "--n-list", "10", "1"], "--n-list"),
+        (["experiment", "noise-sweep", "--n-trials", "0"], "--n-trials"),
+        (["experiment", "heatmap", "--n-inits", "0"], "--n-inits"),
+        (["experiment", "ablation", "--n-axes", "0"], "--n-axes"),
+        (["experiment", "ablation", "--jobs", "0"], "--jobs"),
+    ],
+    ids=[
+        "one-motion",
+        "zero-radius",
+        "negative-sigma",
+        "one-motion-run",
+        "no-trials",
+        "no-inits",
+        "no-axes",
+        "no-jobs",
+    ],
+)
+def test_out_of_range_argument_exit_one(tmp_path, capsys, argv, argument):
+    # rejected while parsing: no traceback, no run and no output files
+    command = [*argv, "--output", str(tmp_path / "out"), "--seed", "0"]
+    assert cli.main(command) == 1
+    assert f"error: argument {argument}: must be" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_help_exit_zero(capsys):

@@ -3,7 +3,7 @@ import pytest
 
 from egocal import geom
 from egocal.errors import InvalidRotation, SingularInput
-from egocal.geom import AxisAngle, RotationMatrix, Transform
+from egocal.geom import RotationMatrix, Transform
 
 
 def test_rotation_matrix_rejects_non_orthonormal():
@@ -27,57 +27,15 @@ def test_rotation_matrix_is_immutable():
         r.m[0, 0] = 2.0
 
 
-def test_axis_angle_validation():
-    with pytest.raises(ValueError):
-        AxisAngle(np.array([1.0, 1.0, 0.0]), 0.5)  # not unit
-    with pytest.raises(ValueError):
-        AxisAngle(np.array([0.0, 0.0, 1.0]), -0.1)
-    with pytest.raises(ValueError):
-        AxisAngle(np.array([0.0, 0.0, 1.0]), np.pi + 0.1)
-
-
 def test_rotation_from_axis_angle_identity():
-    r = geom.rotation_from_axis_angle(AxisAngle(np.array([0.0, 0.0, 1.0]), 0.0))
-    assert np.allclose(r.m, np.eye(3))
+    r = geom.rotation_about(np.array([0.0, 0.0, 1.0]), 0.0)
+    assert np.array_equal(r.m, np.eye(3))
 
 
 def test_rotation_from_axis_angle_z_quarter_turn():
-    r = geom.rotation_from_axis_angle(AxisAngle(np.array([0.0, 0.0, 1.0]), np.pi / 2))
+    r = geom.rotation_about(np.array([0.0, 0.0, 1.0]), np.pi / 2)
     expected = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     assert np.allclose(r.m, expected)
-
-
-def test_axis_angle_round_trip():
-    rng = np.random.default_rng(3)
-    # angles spread over (1e-6, pi - 1e-6), including the near-pi branch
-    angles = np.concatenate(
-        [rng.uniform(1e-6, np.pi - 1e-6, 200), np.pi - 10.0 ** -rng.uniform(3, 12, 50)]
-    )
-    for angle in angles:
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        aa = AxisAngle(axis, float(angle))
-        back = geom.axis_angle_from_rotation(geom.rotation_from_axis_angle(aa))
-        assert abs(back.angle - aa.angle) < 1e-9
-        # axis defined up to sign only at exactly pi; here angle < pi
-        assert np.linalg.norm(back.axis - aa.axis) < 1e-6
-
-
-def test_axis_angle_round_trip_through_matrix():
-    rng = np.random.default_rng(4)
-    for _ in range(100):
-        r = geom.random_rotation(rng)
-        aa = geom.axis_angle_from_rotation(r)
-        back = geom.rotation_from_axis_angle(aa)
-        assert np.linalg.norm(back.m - r.m) < 1e-12
-
-
-def test_axis_angle_at_exactly_pi():
-    axis = np.array([1.0, 0.0, 0.0])
-    r = geom.rotation_from_axis_angle(AxisAngle(axis, np.pi))
-    aa = geom.axis_angle_from_rotation(r)
-    assert abs(aa.angle - np.pi) < 1e-12
-    assert min(np.linalg.norm(aa.axis - axis), np.linalg.norm(aa.axis + axis)) < 1e-9
 
 
 def test_project_to_so3_fixed_point():

@@ -18,7 +18,7 @@ from egocal.errors import (
     SingularQtt,
     TooShort,
 )
-from egocal.geom import AxisAngle, RotationMatrix, Transform
+from egocal.geom import RotationMatrix, Transform
 from egocal.problem import (
     SINGULAR_QTT_CONDITION,
     MeasurementSet,
@@ -178,10 +178,7 @@ def test_relative_motions_match_per_step_reference():
 
 def _pure_rotations(axes_angles):
     """Both sensors measure the same pure rotations (theta = identity)."""
-    r = [
-        geom.rotation_from_axis_angle(AxisAngle(np.asarray(axis, dtype=float), angle)).m
-        for axis, angle in axes_angles
-    ]
+    r = [geom.rotation_about(np.asarray(axis, float), angle).m for axis, angle in axes_angles]
     n = len(r)
     return MeasurementSet(r, r, np.zeros((n, 3)), np.zeros((n, 3)), np.ones(n), np.ones(n))
 
@@ -310,9 +307,9 @@ def test_observability_is_the_refusal_of_assemble(seed, kind, tiny, n, identitie
 def test_translation_gram_is_the_axis_angle_sum(seed, kind, n, identities):
     # tau (I - R)^T (I - R) = 2 tau (1 - cos theta)(I - a a^T) for R = rot(a, theta).
     rng = np.random.default_rng(seed)
-    m = _pure_rotations(_axis_set(kind, 1e-4, n, identities, rng))
-    m = replace(m, tau=rng.lognormal(0.0, 2.0, m.n))
-    axes, angles = geom.axis_angles(m.rb)
+    motions = _axis_set(kind, 1e-4, n, identities, rng)
+    m = replace(_pure_rotations(motions), tau=rng.lognormal(0.0, 2.0, len(motions)))
+    axes, angles = (np.array(column) for column in zip(*motions))
     projector = np.eye(3) - axes[:, :, None] * axes[:, None, :]
     expected = np.einsum("i,ijk->jk", 2.0 * m.tau * (1.0 - np.cos(angles)), projector)
     gram = translation_gram(m)

@@ -7,7 +7,6 @@ import qcqp_blocks
 from conftest import random_instance
 from egocal import geom, problem, qcqp
 from egocal.errors import SingularQtt, TooShort
-from egocal.geom import AxisAngle
 from egocal.problem import MeasurementSet
 
 
@@ -64,10 +63,7 @@ def test_assemble_identity_measurements_singular():
 
 def test_assemble_single_axis_singular():
     # all sensor-b rotations about z leaves I - R_b singular along z
-    r = [
-        geom.rotation_from_axis_angle(AxisAngle(np.array([0.0, 0.0, 1.0]), angle)).m
-        for angle in (0.4, 0.9, 1.3)
-    ]
+    r = [geom.rotation_about(np.array([0.0, 0.0, 1.0]), angle).m for angle in (0.4, 0.9, 1.3)]
     t = np.tile([1.0, 0.0, 0.0], (3, 1))
     with pytest.raises(SingularQtt):
         qcqp.assemble(MeasurementSet(r, r, t, t, np.ones(3), np.ones(3)))

@@ -8,7 +8,7 @@ import qcqp_blocks
 from conftest import loose_two_motion_instance, random_instance
 from egocal import geom, qcqp, sdp, sim, solver
 from egocal.errors import RankDeficiencyAmbiguous, SingularQtt
-from egocal.geom import AxisAngle, RotationMatrix, Transform
+from egocal.geom import RotationMatrix, Transform
 from egocal.problem import MeasurementSet, check_observability
 
 
@@ -24,7 +24,7 @@ def test_two_motion_instance_recovery():
 def test_identity_calibration_fixed_point():
     # v_a = v_b exactly means theta = identity is a zero-cost solution
     rng = np.random.default_rng(1)
-    r = [geom.rotation_from_axis_angle(AxisAngle(axis, 1.0)).m for axis in np.eye(3)[:2]]
+    r = [geom.rotation_about(axis, 1.0).m for axis in np.eye(3)[:2]]
     t = rng.normal(size=(2, 3))
     result = solver.calibrate(MeasurementSet(r, r, t, t, np.ones(2), np.ones(2)))
     assert np.linalg.norm(result.extrinsic.matrix() - np.eye(4)) < 1e-6
@@ -77,10 +77,7 @@ def test_left_invariance():
 
 def _planar_motions():
     """Two motions about the z axis only: the single-axis failure mode."""
-    r = [
-        geom.rotation_from_axis_angle(AxisAngle(np.array([0.0, 0.0, 1.0]), angle)).m
-        for angle in (0.5, 1.1)
-    ]
+    r = [geom.rotation_about(np.array([0.0, 0.0, 1.0]), angle).m for angle in (0.5, 1.1)]
     t = np.tile([1.0, 0.0, 0.0], (2, 1))
     return MeasurementSet(r, r, t, t, np.ones(2), np.ones(2))
 
@@ -88,6 +85,12 @@ def _planar_motions():
 def test_singular_qtt_propagates():
     with pytest.raises(SingularQtt):
         solver.calibrate(_planar_motions())
+
+
+def test_report_writes_an_infinite_condition_as_null():
+    # JSON has no Infinity literal; the local baseline reports on unobservable data
+    report = solver.local_solve(_planar_motions()).to_dict()["observability"]
+    assert report == {"observable": False, "condition_estimate": None}
 
 
 def _slack_annihilating(*vectors, seed):
@@ -207,20 +210,20 @@ def test_local_solve_never_certifies():
 
 
 def test_local_solve_stationary_gradient():
-    # finite-difference gradient of the cost in the 6-parameter chart
+    # finite-difference gradient of f(R exp([w]x), t + d) at (w, d) = 0
     m, _ = random_instance(22, n_motions=20, sigma_r=0.05, sigma_t=0.05)
     result = solver.local_solve(m)
-    params = solver._params_from_extrinsic(result.extrinsic)
+    r, t = result.extrinsic.rotation.m, result.extrinsic.translation
+
+    def cost(delta):
+        rotation = RotationMatrix(r @ geom.rotation_exp(delta[:3]).m)
+        return solver.evaluate_cost(m, Transform(rotation, t + delta[3:]))
+
     eps = 1e-6
     grad = np.empty(6)
     for i in range(6):
-        up = params.copy()
-        dn = params.copy()
-        up[i] += eps
-        dn[i] -= eps
-        f_up = solver.evaluate_cost(m, solver._extrinsic_from_params(up))
-        f_dn = solver.evaluate_cost(m, solver._extrinsic_from_params(dn))
-        grad[i] = (f_up - f_dn) / (2 * eps)
+        step = eps * np.eye(6)[i]
+        grad[i] = (cost(step) - cost(-step)) / (2 * eps)
     assert np.linalg.norm(grad) < 1e-6 * (1 + result.cost)
 
 
@@ -232,7 +235,7 @@ def test_local_solve_far_init_never_beats_convex():
     for _ in range(10):
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
-        offset = geom.rotation_from_axis_angle(AxisAngle(axis, 3.0))
+        offset = geom.rotation_about(axis, 3.0)
         init = Transform(RotationMatrix(theta.rotation.m @ offset.m), theta.translation + 3.0)
         local = solver.local_solve(m, init=init)
         assert local.cost >= convex.cost - 1e-9
@@ -343,7 +346,7 @@ def test_polish_reaches_a_stationary_point_of_the_reduced_form(turn):
     m, _ = random_instance(40, n_motions=30, sigma_r=0.05, sigma_t=0.05)
     relaxation = solver.relax(m)
     dm, rotation = relaxation.dm, solver.extract_solution(relaxation.lmi)
-    turned = geom.rotation_from_axis_angle(AxisAngle(np.array([1.0, 2.0, 2.0]) / 3.0, turn))
+    turned = geom.rotation_about(np.array([1.0, 2.0, 2.0]) / 3.0, turn)
     start = RotationMatrix(rotation.m @ turned.m)
     polished = solver._polish(dm.q_tilde, start)
     cost = _reduced_cost(dm.q_tilde, polished)
