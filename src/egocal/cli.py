@@ -32,7 +32,7 @@ EXIT_NOT_CERTIFIED = 2
 
 def _at_least(kind, low, strict=False):
     """An argparse type: a finite `kind` parsed from text, >= low (> low if strict)."""
-    rule = f"> {low}" if strict else f">= {low}"
+    rule = "finite" if low == -np.inf else f"> {low}" if strict else f">= {low}"
 
     def parse(text):
         value = kind(text)
@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     simp.add_argument("--seed", type=seed, required=True)
     simp.add_argument("--n-motions", type=motions, default=50)
     simp.add_argument("--radius", type=_at_least(float, 0.0, strict=True), default=10.0)
-    simp.add_argument("--amplitude", type=float, default=1.0)
+    simp.add_argument("--amplitude", type=_at_least(float, -np.inf), default=1.0)
     simp.add_argument("--sigma-r", type=sigma, default=0.0)
     simp.add_argument("--sigma-t", type=sigma, default=0.0)
 
@@ -135,11 +135,10 @@ def cmd_simulate(args) -> int:
     _write_report(truth, f"{prefix}_truth.json")
     with open(f"{prefix}_path.csv", "w", encoding="utf-8", newline="") as fp:
         fp.write("step,x,y,z\n")
-        for i, pose in enumerate(path.waypoints):
-            x, y, z = pose.translation
+        for i, (x, y, z) in enumerate(path.positions):
             fp.write(f"{i},{x},{y},{z}\n")
     with open(f"{prefix}_trajectory_b.jsonl", "w", encoding="utf-8") as fp:
-        dump_trajectory(path.waypoints, fp)
+        dump_trajectory((path.rotations, path.positions), fp)
     return EXIT_OK
 
 

@@ -40,7 +40,6 @@ from .errors import (
     ParseError,
     TooShort,
 )
-from .geom import RotationMatrix, Transform
 
 INGEST_ROTATION_TOL = 1e-6
 # Largest condition number of the translation block that counts as observable.
@@ -208,10 +207,11 @@ def load_measurements(source) -> MeasurementSet:
     return MeasurementSet(*rotations.swapaxes(0, 1), *translations.swapaxes(0, 1), *weights.T)
 
 
-def load_trajectory(source) -> list:
-    """Parse a JSON-lines trajectory file (one world-frame pose per line)."""
+def load_trajectory(source):
+    """Parse a JSON-lines trajectory file (one world-frame pose per line) into the
+    pose pair (R (n, 3, 3), t (n, 3))."""
     rotations, translations, _ = _read_poses(source, ("pose",), (), "trajectory")
-    return [Transform(RotationMatrix(r), t) for r, t in zip(rotations[:, 0], translations[:, 0])]
+    return rotations[:, 0], translations[:, 0]
 
 
 def dump_measurements(m: MeasurementSet, fp) -> None:
@@ -224,30 +224,32 @@ def dump_measurements(m: MeasurementSet, fp) -> None:
 
 
 def dump_trajectory(poses, fp) -> None:
-    for i, tf in enumerate(poses):
-        pose = {"R": tf.rotation.m.tolist(), "t": tf.translation.tolist()}
-        fp.write(json.dumps({"t": i, "pose": pose}) + "\n")
+    """Write the pose pair (R (n, 3, 3), t (n, 3)) as JSON lines, one pose a line."""
+    rotations, translations = (np.asarray(column).tolist() for column in poses)
+    for i, (r, t) in enumerate(zip(rotations, translations)):
+        fp.write(json.dumps({"t": i, "pose": {"R": r, "t": t}}) + "\n")
 
 
 def relative_motions_from_trajectories(poses_a, poses_b) -> MeasurementSet:
     """Difference world-frame pose sequences into per-step relative motions.
 
-    Motion t is v_s = poses_s[t-1]^-1 * poses_s[t] for s in {a, b}, with weights
-    1. The batched products are those of Transform.invert().compose(), in the
-    same order, so the columns match that per-step loop bit for bit.
+    Each sequence is a pose pair (R (n, 3, 3), t (n, 3)). Motion t is
+    v_s = poses_s[t-1]^-1 * poses_s[t] for s in {a, b}, with weights 1.
+    The batched products are those of Transform.invert().compose(), in the same
+    order, so the columns match that per-step loop bit for bit.
     """
-    if len(poses_a) != len(poses_b):
-        raise LengthMismatch(f"trajectory lengths differ: {len(poses_a)} vs {len(poses_b)}")
-    if len(poses_a) < 2:
+    lengths = [len(column) for poses in (poses_a, poses_b) for column in poses]
+    if len(set(lengths)) > 1:
+        raise LengthMismatch(f"pose sequence lengths differ: {lengths}")
+    if lengths[0] < 2:
         raise TooShort("need at least two poses to derive a relative motion")
     columns = {}
-    for s, poses in (("a", poses_a), ("b", poses_b)):
-        r = np.array([pose.rotation.m for pose in poses])
-        t = np.array([pose.translation for pose in poses])[:, :, None]
+    for s, (r, t) in (("a", poses_a), ("b", poses_b)):
+        r, t = np.asarray(r, dtype=float), np.asarray(t, dtype=float)[:, :, None]
         rt = np.swapaxes(r[:-1], 1, 2)
         columns["r" + s] = rt @ r[1:]
         columns["t" + s] = (rt @ t[1:] + (-rt) @ t[:-1])[:, :, 0]
-    ones = np.ones(len(poses_a) - 1)
+    ones = np.ones(lengths[0] - 1)
     return MeasurementSet(**columns, kappa=ones, tau=ones)
 
 

@@ -53,20 +53,27 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class TerrainPath:
-    waypoints: tuple
+    """Sensor b's world poses along a route: rotations (n, 3, 3) and positions (n, 3)."""
+
+    rotations: np.ndarray
+    positions: np.ndarray
     params: dict = field(default_factory=dict)
 
 
-def _euler_xyz(angles) -> RotationMatrix:
-    """Intrinsic X-Y-Z Euler rotation."""
-    ax, ay, az = angles
-    cx, sx = np.cos(ax), np.sin(ax)
-    cy, sy = np.cos(ay), np.sin(ay)
-    cz, sz = np.cos(az), np.sin(az)
-    rx = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
-    ry = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
-    rz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
-    return RotationMatrix(rx @ ry @ rz)
+def _euler_xyz(angles) -> np.ndarray:
+    """Intrinsic X-Y-Z Euler rotations Rx Ry Rz (..., 3, 3) of the angles (..., 3)."""
+    c, s = np.cos(angles), np.sin(angles)
+    r = np.zeros(angles.shape + (3, 3))  # the factor about axis k turns axes i and j
+    for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        r[..., k, k, k] = 1.0
+        r[..., k, i, i] = r[..., k, j, j] = c[..., k]
+        r[..., k, i, j], r[..., k, j, i] = -s[..., k], s[..., k]
+    return r[..., 0, :, :] @ r[..., 1, :, :] @ r[..., 2, :, :]
+
+
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """Each row of v (n, 3) over its norm, rounded as np.linalg.norm of the row rounds it."""
+    return v / np.sqrt(v[:, None] @ v[:, :, None])[:, 0]
 
 
 def generate_path(
@@ -91,29 +98,20 @@ def generate_path(
     freqs = rng.uniform(0.2, 0.8, size=(2, N_SINUSOIDS))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(2, N_SINUSOIDS))
 
-    def height(x, y):
-        return float(
-            np.sum(amps[0] * np.sin(freqs[0] * x + phases[0]))
-            + np.sum(amps[1] * np.sin(freqs[1] * y + phases[1]))
-        )
-
     def position(phi):
+        """Route points (n, 3) at the angles phi (n,)."""
         x = radius * np.cos(phi)
         y = radius * np.sin(phi)
-        return np.array([x, y, height(x, y)])
+        waves = amps * np.sin(freqs * np.column_stack([x, y])[:, :, None] + phases)
+        heights = waves.sum(axis=2)  # (n, 2): the x and the y sinusoids
+        return np.column_stack([x, y, heights[:, 0] + heights[:, 1]])
 
     phis = np.linspace(0.0, 2.0 * np.pi, n_steps)
     dphi = 1e-5
-    waypoints = []
-    for phi in phis:
-        p = position(phi)
-        forward = position(phi + dphi) - position(phi - dphi)
-        forward /= np.linalg.norm(forward)
-        left = np.cross(np.array([0.0, 0.0, 1.0]), forward)
-        left /= np.linalg.norm(left)
-        up = np.cross(forward, left)
-        r = geom.project_to_so3(np.column_stack([forward, left, up]))
-        waypoints.append(Transform(r, p))
+    forward = _unit_rows(position(phis + dphi) - position(phis - dphi))
+    left = _unit_rows(np.cross(np.array([0.0, 0.0, 1.0]), forward))
+    up = np.cross(forward, left)
+    rotations = geom.nearest_rotations(np.stack([forward, left, up], axis=2))
     params = {
         "n_steps": n_steps,
         "radius": radius,
@@ -121,26 +119,31 @@ def generate_path(
         "n_sinusoids": N_SINUSOIDS,
         "seed": seed,
     }
-    return TerrainPath(waypoints=tuple(waypoints), params=params)
+    return TerrainPath(rotations=rotations, positions=position(phis), params=params)
 
 
 def sensor_trajectories(path: TerrainPath, theta: Transform):
-    """World poses of both sensors: sensor b rides the path, a is offset by theta."""
-    poses_b = list(path.waypoints)
-    poses_a = [pose.compose(theta) for pose in poses_b]
-    return poses_a, poses_b
+    """World poses (R (n, 3, 3), t (n, 3)) of both sensors: b rides the path, a is offset by theta.
+
+    The products are those of Transform.compose, so they match it bit for bit.
+    """
+    rb, tb, r, t = path.rotations, path.positions, theta.rotation.m, theta.translation
+    return (rb @ r, (rb @ t[:, None])[:, :, 0] + tb), (rb, tb)
 
 
 def corrupt(m: MeasurementSet, noise: NoiseModel) -> MeasurementSet:
-    """Compose each rotation with Euler-angle noise; add Gaussian translation noise."""
+    """Compose each rotation with Euler-angle noise; add Gaussian translation noise.
+
+    The draws run motion by motion, sensor a before b: three Euler angles when
+    sigma_r > 0, then three shifts when sigma_t > 0.
+    """
     rng = np.random.default_rng(noise.seed)
-    ra, rb, ta, tb = (np.array(column) for column in (m.ra, m.rb, m.ta, m.tb))
-    for i in range(m.n):
-        for r, t in ((ra, ta), (rb, tb)):
-            angles = rng.normal(scale=noise.sigma_r, size=3) if noise.sigma_r > 0 else np.zeros(3)
-            shift = rng.normal(scale=noise.sigma_t, size=3) if noise.sigma_t > 0 else np.zeros(3)
-            r[i] = r[i] @ _euler_xyz(angles).m
-            t[i] = t[i] + shift
+    sigmas = np.array([noise.sigma_r, noise.sigma_t])
+    drawn = sigmas > 0
+    eps = np.zeros((m.n, 2, 2, 3))  # motion, sensor (a, b), angles or shift, axis
+    eps[:, :, drawn] = sigmas[drawn, None] * rng.standard_normal((m.n, 2, int(drawn.sum()), 3))
+    r = _euler_xyz(eps[:, :, 0])
+    ra, rb, ta, tb = m.ra @ r[:, 0], m.rb @ r[:, 1], m.ta + eps[:, 0, 1], m.tb + eps[:, 1, 1]
     return replace(m, ra=ra, rb=rb, ta=ta, tb=tb)
 
 
@@ -172,17 +175,12 @@ def fibonacci_sphere(n: int) -> np.ndarray:
 
 def two_motion_instance(theta: Transform = DEFAULT_THETA) -> MeasurementSet:
     """The minimal observable instance: quarter-turn + 1 m about x, then about y."""
-    motions_b = [Transform(geom.rotation_about(axis, np.pi / 2), axis) for axis in np.eye(3)[:2]]
-    inv_theta = theta.invert()
-    motions_a = [inv_theta.compose(vb).compose(theta) for vb in motions_b]
-    return MeasurementSet(
-        ra=[v.rotation.m for v in motions_a],
-        rb=[v.rotation.m for v in motions_b],
-        ta=[v.translation for v in motions_a],
-        tb=[v.translation for v in motions_b],
-        kappa=np.ones(2),
-        tau=np.ones(2),
-    )
+    tb = np.eye(3)[:2]
+    rb = np.array([geom.rotation_about(axis, np.pi / 2).m for axis in tb])
+    r, t = theta.rotation.m, theta.translation
+    rt_rb = r.T @ rb  # theta^-1 * v_b * theta, with the products of Transform.compose
+    ta = rt_rb @ t + ((r.T @ tb[:, :, None])[:, :, 0] + -r.T @ t)
+    return MeasurementSet(ra=rt_rb @ r, rb=rb, ta=ta, tb=tb, kappa=np.ones(2), tau=np.ones(2))
 
 
 def _perturb_instance(m, rot_axis, rot_magnitude, trans_dir=None, trans_magnitude=0.0):

@@ -57,12 +57,10 @@ class Certificate:
         return VERDICT_CERTIFIED if self.certified else VERDICT_NOT_CERTIFIED
 
     def to_dict(self) -> dict:
-        return {
-            "lower_bound": self.lower_bound,
-            "gap": self.gap,
-            "min_eig_H": self.min_eig_h,
-            "verdict": self.verdict,
-        }
+        """Strict JSON values: a NaN or infinite number is None (null)."""
+        numbers = {"lower_bound": self.lower_bound, "gap": self.gap, "min_eig_H": self.min_eig_h}
+        finite = {key: value if np.isfinite(value) else None for key, value in numbers.items()}
+        return {**finite, "verdict": self.verdict}
 
 
 @dataclass(frozen=True)

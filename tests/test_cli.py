@@ -114,6 +114,14 @@ def test_simulate_then_calibrate_round_trip(tmp_path):
     ) < 1e-6
 
 
+def test_simulate_accepts_a_negative_amplitude(tmp_path):
+    # a negative amplitude flips the terrain; only a non-finite one is refused
+    prefix = str(tmp_path / "neg")
+    argv = ["simulate", "--output", prefix, "--seed", "3", "--n-motions", "12"]
+    assert cli.main([*argv, "--amplitude", "-1.5"]) == 0
+    assert json.loads(Path(prefix + "_truth.json").read_text())["observability"]["observable"]
+
+
 def test_simulate_flat_terrain_flags_unobservable(tmp_path):
     prefix = tmp_path / "flat"
     code = cli.main(
@@ -388,6 +396,8 @@ def test_usage_error_exit_one(capsys, argv):
         (["simulate", "--n-motions", "1"], "--n-motions"),
         (["simulate", "--radius", "0"], "--radius"),
         (["simulate", "--sigma-r", "-1"], "--sigma-r"),
+        (["simulate", "--amplitude", "nan"], "--amplitude"),
+        (["simulate", "--amplitude", "inf"], "--amplitude"),
         (["experiment", "runtime", "--n-list", "10", "1"], "--n-list"),
         (["experiment", "noise-sweep", "--n-trials", "0"], "--n-trials"),
         (["experiment", "heatmap", "--n-inits", "0"], "--n-inits"),
@@ -398,6 +408,8 @@ def test_usage_error_exit_one(capsys, argv):
         "one-motion",
         "zero-radius",
         "negative-sigma",
+        "nan-amplitude",
+        "infinite-amplitude",
         "one-motion-run",
         "no-trials",
         "no-inits",

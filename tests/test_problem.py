@@ -24,6 +24,7 @@ from egocal.problem import (
     MeasurementSet,
     check_observability,
     dump_measurements,
+    dump_trajectory,
     load_measurements,
     load_trajectory,
     relative_motions_from_trajectories,
@@ -113,15 +114,30 @@ def test_load_trajectory():
         lines.append(
             json.dumps({"t": i, "pose": {"R": pose.rotation.m.tolist(), "t": pose.translation.tolist()}})
         )
-    back = load_trajectory("\n".join(lines))
-    assert len(back) == 3
-    for p, q in zip(poses, back):
-        assert np.linalg.norm(p.matrix() - q.matrix()) < 1e-9
+    rotations, translations = load_trajectory("\n".join(lines))
+    assert rotations.shape == (3, 3, 3) and translations.shape == (3, 3)
+    for p, r, t in zip(poses, rotations, translations):
+        assert np.hypot(np.linalg.norm(p.rotation.m - r), np.linalg.norm(p.translation - t)) < 1e-9
+
+
+def test_dump_trajectory_round_trip():
+    path = sim.generate_path(n_steps=30, seed=2)
+    buf = io.StringIO()
+    dump_trajectory((path.rotations, path.positions), buf)
+    rotations, translations = load_trajectory(buf.getvalue())
+    # JSON keeps every bit of a float; the loader projects the rotations onto SO(3)
+    assert np.array_equal(translations, path.positions)
+    assert np.abs(rotations - path.rotations).max() < 1e-15
+
+
+def _pair(poses):
+    """The pose pair (R (n, 3, 3), t (n, 3)) of a list of Transforms."""
+    return np.array([p.rotation.m for p in poses]), np.array([p.translation for p in poses])
 
 
 def test_relative_motions_constant_trajectory():
-    pose = geom.random_transform(5)
-    m = relative_motions_from_trajectories([pose] * 4, [pose] * 4)
+    pose = _pair([geom.random_transform(5)] * 4)
+    m = relative_motions_from_trajectories(pose, pose)
     assert m.n == 3
     for r, t in ((m.ra, m.ta), (m.rb, m.tb)):
         assert np.abs(r - np.eye(3)).max() < 1e-12
@@ -130,18 +146,21 @@ def test_relative_motions_constant_trajectory():
 
 def test_relative_motions_two_pose_definition():
     x = geom.random_transform(6)
-    m = relative_motions_from_trajectories([Transform.identity(), x], [Transform.identity(), x])
+    poses = _pair([Transform.identity(), x])
+    m = relative_motions_from_trajectories(poses, poses)
     assert m.n == 1
     assert np.linalg.norm(m.ra[0] - x.rotation.m) < 1e-12
     assert np.linalg.norm(m.ta[0] - x.translation) < 1e-12
 
 
 def test_relative_motions_length_checks():
-    poses = [Transform.identity()] * 3
+    r, t = _pair([Transform.identity()] * 3)
     with pytest.raises(LengthMismatch):
-        relative_motions_from_trajectories(poses, poses[:2])
+        relative_motions_from_trajectories((r, t), (r[:2], t[:2]))
+    with pytest.raises(LengthMismatch):
+        relative_motions_from_trajectories((r, t), (r, t[:2]))
     with pytest.raises(TooShort):
-        relative_motions_from_trajectories(poses[:1], poses[:1])
+        relative_motions_from_trajectories((r[:1], t[:1]), (r[:1], t[:1]))
 
 
 def test_relative_motions_satisfy_conjugation():
@@ -157,7 +176,7 @@ def test_relative_motions_reintegrate():
     poses = [Transform.identity()]
     for _ in range(9):
         poses.append(poses[-1].compose(geom.random_transform(rng, translation_scale=0.3)))
-    m = relative_motions_from_trajectories(poses, poses)
+    m = relative_motions_from_trajectories(_pair(poses), _pair(poses))
     current = poses[0]
     for i, (r, t) in enumerate(zip(m.ra, m.ta), start=1):
         current = current.compose(Transform(RotationMatrix(r), t))
@@ -169,7 +188,8 @@ def test_relative_motions_match_per_step_reference():
     theta = geom.random_transform(4, translation_scale=0.5)
     poses_a, poses_b = sim.sensor_trajectories(path, theta)
     m = relative_motions_from_trajectories(poses_a, poses_b)
-    for s, poses in (("a", poses_a), ("b", poses_b)):
+    for s, (rotations, translations) in (("a", poses_a), ("b", poses_b)):
+        poses = [Transform(RotationMatrix(r), t) for r, t in zip(rotations, translations)]
         steps = [poses[t - 1].invert().compose(poses[t]) for t in range(1, len(poses))]
         assert np.abs(getattr(m, "r" + s) - [v.rotation.m for v in steps]).max() < 1e-14
         assert np.abs(getattr(m, "t" + s) - [v.translation for v in steps]).max() < 1e-14

@@ -6,6 +6,7 @@ import pytest
 
 from egocal import geom, sim, solver
 from egocal.errors import NumericalFailure
+from egocal.geom import RotationMatrix, Transform
 from egocal.problem import (
     SINGULAR_QTT_CONDITION,
     check_observability,
@@ -16,8 +17,8 @@ from egocal.problem import (
 def test_generate_path_deterministic():
     a = sim.generate_path(n_steps=20, seed=5)
     b = sim.generate_path(n_steps=20, seed=5)
-    for pa, pb in zip(a.waypoints, b.waypoints):
-        assert np.array_equal(pa.matrix(), pb.matrix())
+    assert np.array_equal(a.rotations, b.rotations)
+    assert np.array_equal(a.positions, b.positions)
 
 
 def _rotation_vectors(r):
@@ -31,9 +32,8 @@ def _rotation_vectors(r):
 
 def test_generate_path_smooth():
     path = sim.generate_path(n_steps=40, seed=6)
-    for prev, cur in zip(path.waypoints, path.waypoints[1:]):
-        rel = prev.invert().compose(cur)
-        assert np.linalg.norm(_rotation_vectors(rel.rotation.m[None])) < np.pi / 2
+    rel = np.swapaxes(path.rotations[:-1], 1, 2) @ path.rotations[1:]
+    assert np.all(np.linalg.norm(_rotation_vectors(rel), axis=1) < np.pi / 2)
 
 
 def test_flat_terrain_is_unobservable():
@@ -56,8 +56,8 @@ def test_default_terrain_is_observable():
 def test_sensor_trajectories_identity_theta():
     path = sim.generate_path(n_steps=10, seed=9)
     poses_a, poses_b = sim.sensor_trajectories(path, geom.Transform.identity())
-    for pa, pb in zip(poses_a, poses_b):
-        assert np.array_equal(pa.matrix(), pb.matrix())
+    for column_a, column_b in zip(poses_a, poses_b):
+        assert np.array_equal(column_a, column_b)
 
 
 def test_sensor_trajectories_satisfy_conjugation():
@@ -106,6 +106,80 @@ def test_corrupt_rotations_stay_valid():
     out = sim.corrupt(m, sim.NoiseModel(0.3, 0.3, seed=4))
     for r in out.ra:
         assert np.linalg.norm(r.T @ r - np.eye(3)) < 1e-9
+
+
+def _reference_path(n_steps, radius, amplitude, seed):
+    """generate_path's per-waypoint loop: three position calls and one project_to_so3 each."""
+    rng = np.random.default_rng(seed)
+    amps = amplitude * rng.uniform(0.3, 1.0, size=(2, sim.N_SINUSOIDS))
+    freqs = rng.uniform(0.2, 0.8, size=(2, sim.N_SINUSOIDS))
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(2, sim.N_SINUSOIDS))
+
+    def position(phi):
+        x, y = radius * np.cos(phi), radius * np.sin(phi)
+        z = np.sum(amps[0] * np.sin(freqs[0] * x + phases[0])) + np.sum(
+            amps[1] * np.sin(freqs[1] * y + phases[1])
+        )
+        return np.array([x, y, float(z)])
+
+    waypoints = []
+    for phi in np.linspace(0.0, 2.0 * np.pi, n_steps):
+        forward = position(phi + 1e-5) - position(phi - 1e-5)
+        forward /= np.linalg.norm(forward)
+        left = np.cross(np.array([0.0, 0.0, 1.0]), forward)
+        left /= np.linalg.norm(left)
+        r = geom.project_to_so3(np.column_stack([forward, left, np.cross(forward, left)]))
+        waypoints.append(Transform(r, position(phi)))
+    return waypoints
+
+
+def _reference_euler_xyz(ax, ay, az):
+    rx = np.array([[1, 0, 0], [0, np.cos(ax), -np.sin(ax)], [0, np.sin(ax), np.cos(ax)]])
+    ry = np.array([[np.cos(ay), 0, np.sin(ay)], [0, 1, 0], [-np.sin(ay), 0, np.cos(ay)]])
+    rz = np.array([[np.cos(az), -np.sin(az), 0], [np.sin(az), np.cos(az), 0], [0, 0, 1]])
+    return RotationMatrix(rx @ ry @ rz).m
+
+
+def _reference_corrupt(m, noise):
+    """corrupt's per-motion loop: per sensor, rng.normal draws of the angles, then the shift."""
+    rng = np.random.default_rng(noise.seed)
+    columns = {name: np.array(getattr(m, name)) for name in ("ra", "rb", "ta", "tb")}
+    for i in range(m.n):
+        for s in "ab":
+            angles = rng.normal(scale=noise.sigma_r, size=3) if noise.sigma_r > 0 else np.zeros(3)
+            shift = rng.normal(scale=noise.sigma_t, size=3) if noise.sigma_t > 0 else np.zeros(3)
+            columns["r" + s][i] = columns["r" + s][i] @ _reference_euler_xyz(*angles)
+            columns["t" + s][i] = columns["t" + s][i] + shift
+    return columns
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()  # tells -0.0 from 0.0
+
+
+@pytest.mark.parametrize(
+    "seed, amplitude, sigma_r, sigma_t",
+    [(0, 1.0, 0.0, 0.0), (1, 0.0, 0.05, 0.0), (7, -0.7, 0.0, 0.02), (21, 2.5, 0.1, 0.1)],
+)
+def test_batched_simulator_keeps_the_per_pose_bits(seed, amplitude, sigma_r, sigma_t):
+    path = sim.generate_path(n_steps=41, radius=7.0, amplitude=amplitude, seed=seed)
+    waypoints = _reference_path(41, 7.0, amplitude, seed)
+    assert _same_bits(path.rotations, [pose.rotation.m for pose in waypoints])
+    assert _same_bits(path.positions, [pose.translation for pose in waypoints])
+
+    theta = geom.random_transform(seed, translation_scale=0.5)
+    (ra, ta), (rb, tb) = sim.sensor_trajectories(path, theta)
+    reference_a = [pose.compose(theta) for pose in waypoints]
+    assert _same_bits(ra, [pose.rotation.m for pose in reference_a])
+    assert _same_bits(ta, [pose.translation for pose in reference_a])
+    assert _same_bits(rb, path.rotations) and _same_bits(tb, path.positions)
+
+    m = relative_motions_from_trajectories((ra, ta), (rb, tb))
+    noise = sim.NoiseModel(sigma_r, sigma_t, seed=seed + 100)
+    out, reference = sim.corrupt(m, noise), _reference_corrupt(m, noise)
+    for name, column in reference.items():
+        assert _same_bits(getattr(out, name), column)
 
 
 def test_noise_model_validation():

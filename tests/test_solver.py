@@ -66,8 +66,11 @@ def test_left_invariance():
     path = sim.generate_path(n_steps=21, seed=int(rng.integers(2**31)))
     poses_a, poses_b = sim.sensor_trajectories(path, theta)
     g = geom.random_transform(rng)
-    moved_a = [g.compose(p) for p in poses_a]
-    moved_b = [g.compose(p) for p in poses_b]
+    r, t = g.rotation.m, g.translation
+    moved_a, moved_b = (
+        (r @ rotations, (r @ translations[:, :, None])[:, :, 0] + t)
+        for rotations, translations in (poses_a, poses_b)
+    )
     m1 = relative_motions_from_trajectories(poses_a, poses_b)
     m2 = relative_motions_from_trajectories(moved_a, moved_b)
     r1 = solver.calibrate(m1)
@@ -91,6 +94,15 @@ def test_report_writes_an_infinite_condition_as_null():
     # JSON has no Infinity literal; the local baseline reports on unobservable data
     report = solver.local_solve(_planar_motions()).to_dict()["observability"]
     assert report == {"observable": False, "condition_estimate": None}
+
+
+def test_local_report_writes_its_unproven_bound_as_null():
+    # the local baseline proves no bound: its lower_bound, gap and min_eig_H are NaN
+    text = json.dumps(solver.local_solve(_planar_motions()).to_dict(), allow_nan=False)
+    certificate = json.loads(text)["certificate"]
+    assert certificate == {
+        "lower_bound": None, "gap": None, "min_eig_H": None, "verdict": "NotCertified"
+    }
 
 
 def _slack_annihilating(*vectors, seed):
