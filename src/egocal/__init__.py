@@ -8,7 +8,7 @@ from .problem import (
     load_measurements,
     relative_motions_from_trajectories,
 )
-from .qcqp import ConstraintSet, DataMatrix, assemble, constraint_catalog
+from .qcqp import DataMatrix, assemble, constraint_catalog
 from .solver import (
     CalibrationResult,
     Certificate,
@@ -26,7 +26,6 @@ __all__ = [
     "check_observability",
     "load_measurements",
     "relative_motions_from_trajectories",
-    "ConstraintSet",
     "DataMatrix",
     "assemble",
     "constraint_catalog",

@@ -193,7 +193,7 @@ def cmd_certify(args) -> int:
     candidate = _load_theta(args.theta)
     relaxation = solver.relax(measurements, args.constraint_set)
     cost = solver.evaluate_cost(measurements, candidate)
-    certificate = solver.certify(relaxation, candidate.rotation, cost)
+    certificate = solver.certify(relaxation, candidate.rotation.m, cost)
     report = {
         "schema_version": 1,
         "candidate_cost": certificate.cost,

@@ -1,7 +1,9 @@
 """SO(3)/SE(3) primitives: rotations, rigid transforms, the exponential map, sampling.
 
 All angles are radians, all lengths are meters. Every type is immutable after
-construction and all operations are pure functions.
+construction and all operations are pure functions. Inside the pipeline a
+rotation is a plain (3, 3) array; `RotationMatrix` checks SO(3) where an
+extrinsic enters or leaves.
 """
 
 from __future__ import annotations
@@ -44,13 +46,6 @@ class RotationMatrix:
             raise InvalidRotation("matrix determinant is not +1")
         object.__setattr__(self, "m", m)
 
-    @staticmethod
-    def identity() -> "RotationMatrix":
-        return RotationMatrix(np.eye(3))
-
-    def apply(self, v) -> np.ndarray:
-        return self.m @ np.asarray(v, dtype=float)
-
 
 @dataclass(frozen=True)
 class Transform:
@@ -67,16 +62,13 @@ class Transform:
 
     @staticmethod
     def identity() -> "Transform":
-        return Transform(RotationMatrix.identity(), np.zeros(3))
+        return Transform(RotationMatrix(np.eye(3)), np.zeros(3))
 
     def matrix(self) -> np.ndarray:
         h = np.eye(4)
         h[:3, :3] = self.rotation.m
         h[:3, 3] = self.translation
         return h
-
-    def apply(self, p) -> np.ndarray:
-        return self.rotation.m @ np.asarray(p, dtype=float) + self.translation
 
     def compose(self, other: "Transform") -> "Transform":
         return Transform(
@@ -94,28 +86,24 @@ def skew(v) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def rotation_about(axis, angle: float) -> RotationMatrix:
+def rotation_about(axis, angle: float) -> np.ndarray:
     """Rodrigues' formula: the exponential of angle * [axis]x for a unit axis and
     any real angle. An angle of 0 gives exactly I."""
     k = skew(axis)
-    return RotationMatrix(np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k))
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 
-def rotation_exp(w) -> RotationMatrix:
+def rotation_exp(w) -> np.ndarray:
     """Exponential of the rotation vector w (angle |w| about w / |w|)."""
     angle = float(np.linalg.norm(w))
     if angle < 1e-14:
-        return RotationMatrix.identity()
+        return np.eye(3)
     return rotation_about(np.asarray(w, dtype=float) / angle, angle)
 
 
-def project_to_so3(m: np.ndarray) -> RotationMatrix:
-    """Frobenius-nearest rotation: U diag(1, 1, det(U V^T)) V^T from the SVD."""
-    return RotationMatrix(nearest_rotations(np.asarray(m, dtype=float)))
-
-
 def nearest_rotations(m: np.ndarray) -> np.ndarray:
-    """project_to_so3 over a (..., 3, 3) stack, returning plain arrays."""
+    """Frobenius-nearest rotation U diag(1, 1, det(U V^T)) V^T of each matrix in a
+    (..., 3, 3) stack, from its SVD."""
     with numerical("rotation projection"):
         u, sv, vt = np.linalg.svd(m)
     if np.any(sv[..., -1] < 1e-12):
@@ -143,7 +131,7 @@ def random_rotation(rng_seed) -> RotationMatrix:
             [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
         ]
     )
-    return project_to_so3(m)
+    return RotationMatrix(nearest_rotations(m))
 
 
 def random_transform(rng_seed, translation_scale: float = 1.0) -> Transform:

@@ -39,6 +39,7 @@ from .errors import (
     LengthMismatch,
     ParseError,
     TooShort,
+    numerical,
 )
 
 INGEST_ROTATION_TOL = 1e-6
@@ -265,7 +266,8 @@ def observability(q_tt: np.ndarray) -> ObservabilityReport:
     The condition number is inf when the smallest eigenvalue is not positive;
     the data are observable when it is at most SINGULAR_QTT_CONDITION.
     """
-    eigs = np.linalg.eigvalsh(q_tt)
+    with numerical("observability"):
+        eigs = np.linalg.eigvalsh(q_tt)
     cond = float("inf") if eigs[0] <= 0 else float(eigs[-1] / eigs[0])
     return ObservabilityReport(observable=cond <= SINGULAR_QTT_CONDITION, condition_estimate=cond)
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularQtt, TooShort
-from .geom import RotationMatrix
 from .problem import MeasurementSet, observability, translation_gram
 
 DIM_FULL = 13
@@ -91,10 +90,10 @@ def assemble(m: MeasurementSet) -> DataMatrix:
     return DataMatrix(q=q, q_tt=q_tt, q_t_rtilde=q_t_rtilde, q_tilde=q_tilde)
 
 
-def reduced_vector(rotation: RotationMatrix, y: float = 1.0) -> np.ndarray:
-    """r_tilde = [vec(R) (column-major), y]."""
+def reduced_vector(rotation: np.ndarray, y: float = 1.0) -> np.ndarray:
+    """r_tilde = [vec(R) (column-major), y] for a 3x3 rotation R."""
     out = np.empty(DIM_REDUCED)
-    out[:9] = rotation.m.reshape(9, order="F")
+    out[:9] = rotation.reshape(9, order="F")
     out[9] = y
     return out
 
@@ -144,26 +143,20 @@ def homogenizer() -> np.ndarray:
     return e
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
-    """Catalog of quadratic-form matrices vanishing on every lifted rotation."""
-
-    kind: str
-    stacked: np.ndarray  # (m + 1, 10, 10): the m constraints, then the homogenizer; read-only
-
-
-def _build_catalog(kind: str) -> ConstraintSet:
+def _build_catalog(kind: str) -> np.ndarray:
     mats = _orthogonality(True) + (_orthogonality(False) if "c" in kind else [])
     stacked = np.stack(mats + (_handedness() if "h" in kind else []) + [homogenizer()])
     stacked.flags.writeable = False
-    return ConstraintSet(kind, stacked)
+    return stacked
 
 
 _CATALOGS = {kind: _build_catalog(kind) for kind in CONSTRAINT_KINDS}
 
 
-def constraint_catalog(kind: str = "r+c+h") -> ConstraintSet:
-    """The constraint matrices of one of the four ablation sets.
+def constraint_catalog(kind: str = "r+c+h") -> np.ndarray:
+    """The constraint matrices of one of the four ablation sets, as a read-only
+    (m + 1, 10, 10) stack: the m matrices vanishing on every lifted rotation,
+    then the homogenizer.
 
     'r' is row orthogonality (6 matrices); '+c' adds the redundant column
     orthogonality (6 more); '+h' adds the right-handedness cross products (9).

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import geom, qcqp, sdp, solver
-from .errors import CalibrationError
+from .errors import CalibrationError, SingularInput
 from .geom import RotationMatrix, Transform
 from .problem import (
     MeasurementSet,
@@ -32,7 +32,7 @@ from .problem import (
 from .qcqp import CONSTRAINT_KINDS
 
 DEFAULT_THETA = Transform(
-    geom.rotation_about(np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0), np.pi / 4),
+    RotationMatrix(geom.rotation_about(np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0), np.pi / 4)),
     np.array([0.1, 0.2, 0.3]),
 )
 N_SINUSOIDS = 3  # terrain sinusoids per axis in generate_path
@@ -88,6 +88,9 @@ def generate_path(
     amplitudes (scaled by `amplitude`), frequencies, and phases. Orientation
     follows the velocity direction with pitch from the terrain slope. With
     amplitude 0 the path is a planar circle (pure yaw, unobservable).
+
+    Raises SingularInput when the route points or headings are not finite: the
+    terrain or a finite difference overflowed, or a difference underflowed to 0.
     """
     if n_steps < 3:
         raise ValueError("n_steps must be at least 3")
@@ -108,8 +111,15 @@ def generate_path(
 
     phis = np.linspace(0.0, 2.0 * np.pi, n_steps)
     dphi = 1e-5
-    forward = _unit_rows(position(phis + dphi) - position(phis - dphi))
-    left = _unit_rows(np.cross(np.array([0.0, 0.0, 1.0]), forward))
+    with np.errstate(all="ignore"):  # the check below reports any overflow or underflow
+        positions = position(phis)
+        forward = _unit_rows(position(phis + dphi) - position(phis - dphi))
+        left = _unit_rows(np.cross(np.array([0.0, 0.0, 1.0]), forward))
+    if not np.isfinite(np.concatenate([positions, forward, left])).all():
+        raise SingularInput(
+            f"radius {radius} and amplitude {amplitude} give a route whose points "
+            "or headings are not finite"
+        )
     up = np.cross(forward, left)
     rotations = geom.nearest_rotations(np.stack([forward, left, up], axis=2))
     params = {
@@ -119,7 +129,7 @@ def generate_path(
         "n_sinusoids": N_SINUSOIDS,
         "seed": seed,
     }
-    return TerrainPath(rotations=rotations, positions=position(phis), params=params)
+    return TerrainPath(rotations=rotations, positions=positions, params=params)
 
 
 def sensor_trajectories(path: TerrainPath, theta: Transform):
@@ -176,7 +186,7 @@ def fibonacci_sphere(n: int) -> np.ndarray:
 def two_motion_instance(theta: Transform = DEFAULT_THETA) -> MeasurementSet:
     """The minimal observable instance: quarter-turn + 1 m about x, then about y."""
     tb = np.eye(3)[:2]
-    rb = np.array([geom.rotation_about(axis, np.pi / 2).m for axis in tb])
+    rb = np.array([geom.rotation_about(axis, np.pi / 2) for axis in tb])
     r, t = theta.rotation.m, theta.translation
     rt_rb = r.T @ rb  # theta^-1 * v_b * theta, with the products of Transform.compose
     ta = rt_rb @ t + ((r.T @ tb[:, :, None])[:, :, 0] + -r.T @ t)
@@ -187,7 +197,7 @@ def _perturb_instance(m, rot_axis, rot_magnitude, trans_dir=None, trans_magnitud
     """Perturb the first measurement's sensor-b rotation (and optionally translation)."""
     delta = geom.rotation_about(rot_axis, rot_magnitude)
     rb, tb = np.array(m.rb), np.array(m.tb)
-    rb[0] = delta.m @ rb[0]
+    rb[0] = delta @ rb[0]
     if trans_dir is not None:
         tb[0] = tb[0] + trans_magnitude * trans_dir
     return replace(m, rb=rb, tb=tb)
@@ -391,7 +401,7 @@ def _heatmap_cell(noisy, theta, convex_rot_err, convex_trans_err, angle, dist, n
     for k in range(n_inits):
         offset_r = geom.rotation_about(axes[k], angle)
         init = Transform(
-            RotationMatrix(theta.rotation.m @ offset_r.m),
+            RotationMatrix(theta.rotation.m @ offset_r),
             theta.translation + dist * dirs[k],
         )
         local = solver.local_solve(noisy, init=init)

@@ -18,7 +18,7 @@ from . import geom, qcqp, sdp
 from .errors import RankDeficiencyAmbiguous, numerical
 from .geom import RotationMatrix, Transform
 from .problem import MeasurementSet, ObservabilityReport, check_observability
-from .qcqp import ConstraintSet, DataMatrix
+from .qcqp import DataMatrix
 
 Extrinsic = Transform
 
@@ -117,7 +117,7 @@ def recover_translation(dm: DataMatrix, r_tilde: np.ndarray) -> np.ndarray:
         return -np.linalg.solve(dm.q_tt, dm.q_t_rtilde @ r_tilde)
 
 
-def extract_solution(lmi: dict) -> RotationMatrix:
+def extract_solution(lmi: dict) -> np.ndarray:
     """The rotation encoded by the minimum eigenvector of the dual slack H.
 
     At a zero-gap optimum H annihilates the lifted minimizer, so that vector
@@ -129,11 +129,11 @@ def extract_solution(lmi: dict) -> RotationMatrix:
     v = lmi["eigenvectors"][:, 0]
     if abs(v[qcqp.Y_INDEX]) < 1e-9:
         raise RankDeficiencyAmbiguous("homogenizer entry of the extracted vector is zero")
-    return geom.project_to_so3((v[:9] / v[qcqp.Y_INDEX]).reshape(3, 3, order="F"))
+    return geom.nearest_rotations((v[:9] / v[qcqp.Y_INDEX]).reshape(3, 3, order="F"))
 
 
-def build_sdp_problem(dm: DataMatrix, constraints: ConstraintSet):
-    """Trace-normalized reduced SDP: min tr(q_tilde X) over the constraint set.
+def build_sdp_problem(dm: DataMatrix, constraints: np.ndarray):
+    """Trace-normalized reduced SDP: min tr(q_tilde X) over a `qcqp.constraint_catalog` stack.
 
     Returns (problem, scale); multipliers and objectives of the solved problem
     must be multiplied by `scale` to refer to the unnormalized cost.
@@ -141,9 +141,9 @@ def build_sdp_problem(dm: DataMatrix, constraints: ConstraintSet):
     scale = float(np.trace(dm.q_tilde))
     if scale <= 0:
         scale = 1.0
-    rhs = np.zeros(len(constraints.stacked))
+    rhs = np.zeros(len(constraints))
     rhs[-1] = 1.0
-    problem = sdp.SdpProblem(cost=dm.q_tilde / scale, constraints=constraints.stacked, rhs=rhs)
+    problem = sdp.SdpProblem(cost=dm.q_tilde / scale, constraints=constraints, rhs=rhs)
     return problem, scale
 
 
@@ -185,8 +185,8 @@ def _refine(problem: sdp.SdpProblem, y: np.ndarray, r_tilde: np.ndarray) -> np.n
         return y + np.linalg.lstsq(b, problem.cost @ r_tilde - b @ y, rcond=None)[0]
 
 
-def certify(relaxation: Relaxation, rotation: RotationMatrix, cost: float) -> Certificate:
-    """The proven bound for a candidate rotation priced at `cost`, and its verdict.
+def certify(relaxation: Relaxation, rotation: np.ndarray, cost: float) -> Certificate:
+    """The proven bound for a candidate 3x3 rotation priced at `cost`, and its verdict.
 
     The bound is the larger of `_dual_bound` at the solver's y and at y
     refined against the lifted candidate (`_refine`). At a tight optimum the
@@ -218,7 +218,8 @@ def calibrate(m: MeasurementSet, constraint_set: str = "r+c+h") -> CalibrationRe
     report = check_observability(m)
     relaxation = relax(m, constraint_set)
     rotation = _polish(relaxation.dm.q_tilde, extract_solution(relaxation.lmi))
-    theta = Transform(rotation, recover_translation(relaxation.dm, qcqp.reduced_vector(rotation)))
+    translation = recover_translation(relaxation.dm, qcqp.reduced_vector(rotation))
+    theta = Transform(RotationMatrix(rotation), translation)
     cost = evaluate_cost(m, theta)
     solution = relaxation.solution
     stats = {
@@ -250,7 +251,7 @@ def _newton_terms(q_tilde: np.ndarray, r: np.ndarray):
     return float(vec @ grad_vec + b @ vec + q_tilde[9, 9]), grad, hess
 
 
-def _polish(q_tilde: np.ndarray, rotation: RotationMatrix) -> RotationMatrix:
+def _polish(q_tilde: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Damped Riemannian Newton on f(R) = r_tilde^T q_tilde r_tilde over SO(3).
 
     q_tilde is the cost minimized over the translation (variable projection),
@@ -261,7 +262,6 @@ def _polish(q_tilde: np.ndarray, rotation: RotationMatrix) -> RotationMatrix:
     sets mu to max(10 mu, d), a taken one to 0. The polish ends when a refused
     step predicts a decrease below the rounding of f, eps * trace(q_tilde).
     """
-    r = rotation.m
     f, grad, hess = _newton_terms(q_tilde, r)
     resolution = np.finfo(float).eps * abs(np.trace(q_tilde))
     mu = 0.0
@@ -271,7 +271,7 @@ def _polish(q_tilde: np.ndarray, rotation: RotationMatrix) -> RotationMatrix:
         damping = 1e-3 * np.abs(eigvals).max()
         mu = max(mu, damping - 2.0 * eigvals[0])
         step = -eigvecs @ ((eigvecs.T @ grad) / (eigvals + mu))
-        candidate = r @ geom.rotation_exp(step).m
+        candidate = r @ geom.rotation_exp(step)
         terms = _newton_terms(q_tilde, candidate)
         if terms[0] < f:
             r, (f, grad, hess), mu = candidate, terms, 0.0
@@ -279,12 +279,12 @@ def _polish(q_tilde: np.ndarray, rotation: RotationMatrix) -> RotationMatrix:
             break
         else:
             mu = max(10.0 * mu, damping)
-    return RotationMatrix(r)
+    return r
 
 
 def _residuals(params, m, r0, sqrt_kappa, sqrt_tau):
     """Weighted residuals at the chart point (w, t) = params: rotation R0 exp([w]x)."""
-    rot_res, trans_res = _residual_arrays(m, r0 @ geom.rotation_exp(params[:3]).m, params[3:])
+    rot_res, trans_res = _residual_arrays(m, r0 @ geom.rotation_exp(params[:3]), params[3:])
     return np.concatenate(
         [(rot_res * sqrt_kappa[:, None, None]).ravel(), (trans_res * sqrt_tau[:, None]).ravel()]
     )
@@ -314,7 +314,7 @@ def local_solve(m: MeasurementSet, init: Extrinsic | None = None) -> Calibration
         gtol=1e-14,
         max_nfev=1600,
     )
-    theta = Transform(RotationMatrix(r0 @ geom.rotation_exp(fit.x[:3]).m), fit.x[3:])
+    theta = Transform(RotationMatrix(r0 @ geom.rotation_exp(fit.x[:3])), fit.x[3:])
     cost = evaluate_cost(m, theta)
     report = check_observability(m)
     certificate = Certificate(lower_bound=np.nan, cost=cost, min_eig_h=np.nan, scale=np.nan)

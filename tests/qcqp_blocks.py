@@ -9,7 +9,6 @@ vector x = [t, vec(R), y].
 import numpy as np
 
 from egocal import qcqp
-from egocal.geom import RotationMatrix
 
 _I3 = np.eye(3)
 
@@ -28,8 +27,8 @@ def translation_block(ta: np.ndarray, rb: np.ndarray, tb: np.ndarray) -> np.ndar
     return block
 
 
-def full_vector(translation, rotation: RotationMatrix, y: float = 1.0) -> np.ndarray:
-    """x = [t, vec(R), y]."""
+def full_vector(translation, rotation: np.ndarray, y: float = 1.0) -> np.ndarray:
+    """x = [t, vec(R), y] for a 3x3 rotation R."""
     out = np.empty(qcqp.DIM_FULL)
     out[:3] = np.asarray(translation, dtype=float)
     out[3:] = qcqp.reduced_vector(rotation, y)

@@ -72,7 +72,7 @@ def test_calibrate_missing_file_exit_one(tmp_path, capsys):
 
 
 def test_calibrate_single_axis_exit_one(tmp_path, capsys):
-    r = [geom.rotation_about(np.array([0.0, 0.0, 1.0]), angle).m for angle in (0.5, 1.1)]
+    r = [geom.rotation_about(np.array([0.0, 0.0, 1.0]), angle) for angle in (0.5, 1.1)]
     t = np.tile([1.0, 0.0, 0.0], (2, 1))
     fixture = tmp_path / "planar.jsonl"
     with open(fixture, "w", encoding="utf-8") as fp:
@@ -196,7 +196,7 @@ def test_certify_perturbed_candidate_rejected(tmp_path):
     _write_two_motion_fixture(fixture)
     offset = geom.rotation_about(np.array([0.0, 0.0, 1.0]), 0.5)
     bad = Transform(
-        RotationMatrix(sim.DEFAULT_THETA.rotation.m @ offset.m),
+        RotationMatrix(sim.DEFAULT_THETA.rotation.m @ offset),
         sim.DEFAULT_THETA.translation,
     )
     theta_path = tmp_path / "theta.json"
@@ -287,6 +287,33 @@ def test_lapack_failure_exit_one(tmp_path, capsys, monkeypatch, name, shape, whe
     monkeypatch.setattr(np.linalg, name, failing)
     assert cli.main(["calibrate", "--input", str(fixture)]) == 1
     assert f"error: {where}: injected" in capsys.readouterr().err
+
+
+def test_calibrate_overflowing_weights_exit_one(tmp_path, capsys):
+    # tau = 1e308 on every line overflows the q_tt sum, whose eigvalsh then fails
+    prefix = str(tmp_path / "run")
+    assert cli.main(["simulate", "--output", prefix, "--seed", "0", "--n-motions", "10"]) == 0
+    log = Path(prefix + ".jsonl")
+    log.write_text(log.read_text().replace('"tau": 1.0', '"tau": 1e308'))
+    capsys.readouterr()
+    assert cli.main(["calibrate", "--input", str(log)]) == 1
+    assert "error: observability: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--amplitude", "1e300"], ["--radius", "1e300"], ["--radius", "1e-300"]],
+    ids=["huge-amplitude", "huge-radius", "tiny-radius"],
+)
+def test_simulate_route_without_finite_headings_exit_one(tmp_path, capsys, argv):
+    # the terrain or a finite difference overflows, or a difference underflows to 0:
+    # refused before the frames reach the rotation projection, and nothing is written
+    command = ["simulate", "--output", str(tmp_path / "out"), "--seed", "0", *argv]
+    assert cli.main(command) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: radius ") and " amplitude " in err
+    assert "SVD did not converge" not in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_calibrate_and_certify_need_no_scipy(tmp_path):

@@ -14,6 +14,7 @@ from egocal.errors import (
     EmptyInput,
     InvalidRotation,
     LengthMismatch,
+    NumericalFailure,
     ParseError,
     SingularQtt,
     TooShort,
@@ -198,7 +199,7 @@ def test_relative_motions_match_per_step_reference():
 
 def _pure_rotations(axes_angles):
     """Both sensors measure the same pure rotations (theta = identity)."""
-    r = [geom.rotation_about(np.asarray(axis, float), angle).m for axis, angle in axes_angles]
+    r = [geom.rotation_about(np.asarray(axis, float), angle) for axis, angle in axes_angles]
     n = len(r)
     return MeasurementSet(r, r, np.zeros((n, 3)), np.zeros((n, 3)), np.ones(n), np.ones(n))
 
@@ -271,6 +272,13 @@ def test_observability_condition_estimate_blows_up_single_axis():
     two = _pure_rotations([((1, 0, 0), np.pi / 2), ((0, 1, 0), np.pi / 2)])
     assert check_observability(single).condition_estimate > 1e12
     assert check_observability(two).condition_estimate < 1e3
+
+
+def test_observability_overflowing_weights_raise_numerical_failure():
+    # tau = 1e308 overflows the translation block to inf, where eigvalsh fails
+    m, _ = random_instance(3, n_motions=10)
+    with pytest.raises(NumericalFailure, match="observability"):
+        check_observability(replace(m, tau=np.full(m.n, 1e308)))
 
 
 def _axis_set(kind, tiny, n, identities, rng):

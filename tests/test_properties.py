@@ -121,7 +121,7 @@ def test_dual_bound_never_exceeds_the_cost_of_a_rotation(seed, n, sigma, kind, s
     y[-1] += shift
     y = y + step * _dependencies(problem.constraints).sum(axis=0)
     bound = scale * solver._dual_bound(sdp.certify_lmi(problem.cost, problem.constraints, y), y)
-    for rotation in [candidate, *(geom.random_rotation(rng) for _ in range(3))]:
+    for rotation in [candidate, *(geom.random_rotation(rng).m for _ in range(3))]:
         r_tilde = qcqp.reduced_vector(rotation)
         assert bound <= r_tilde @ q_tilde @ r_tilde + 1e-12 * scale
 

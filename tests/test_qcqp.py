@@ -43,7 +43,7 @@ def test_translation_block_residual_identity():
         ta, tb = rng.normal(scale=0.7, size=(2, 3))
         rb = geom.random_rotation(rng).m
         theta = geom.random_transform(rng)
-        x = qcqp_blocks.full_vector(theta.translation, theta.rotation, 1.0)
+        x = qcqp_blocks.full_vector(theta.translation, theta.rotation.m, 1.0)
         direct = theta.rotation.m @ ta + theta.translation - rb @ theta.translation - tb
         assert np.linalg.norm(qcqp_blocks.translation_block(ta, rb, tb) @ x - direct) < 1e-12
 
@@ -63,7 +63,7 @@ def test_assemble_identity_measurements_singular():
 
 def test_assemble_single_axis_singular():
     # all sensor-b rotations about z leaves I - R_b singular along z
-    r = [geom.rotation_about(np.array([0.0, 0.0, 1.0]), angle).m for angle in (0.4, 0.9, 1.3)]
+    r = [geom.rotation_about(np.array([0.0, 0.0, 1.0]), angle) for angle in (0.4, 0.9, 1.3)]
     t = np.tile([1.0, 0.0, 0.0], (3, 1))
     with pytest.raises(SingularQtt):
         qcqp.assemble(MeasurementSet(r, r, t, t, np.ones(3), np.ones(3)))
@@ -72,7 +72,7 @@ def test_assemble_single_axis_singular():
 def test_assemble_noise_free_optimum_has_zero_cost():
     m, theta = random_instance(5, n_motions=20)
     dm = qcqp.assemble(m)
-    x = qcqp_blocks.full_vector(theta.translation, theta.rotation, 1.0)
+    x = qcqp_blocks.full_vector(theta.translation, theta.rotation.m, 1.0)
     assert float(x @ dm.q @ x) < 1e-18
 
 
@@ -152,7 +152,7 @@ def test_schur_complement_is_partial_minimum_over_t():
     dm = qcqp.assemble(m)
     rng = np.random.default_rng(11)
     for _ in range(20):
-        r = geom.random_rotation(rng)
+        r = geom.random_rotation(rng).m
         r_tilde = qcqp.reduced_vector(r, 1.0)
         reduced = float(r_tilde @ dm.q_tilde @ r_tilde)
         t_star = np.linalg.solve(dm.q_tt, -dm.q_t_rtilde @ r_tilde)
@@ -165,26 +165,24 @@ def test_schur_complement_is_partial_minimum_over_t():
 
 
 def test_reduced_vector_layout():
-    r = geom.random_rotation(12)
+    r = geom.random_rotation(12).m
     v = qcqp.reduced_vector(r, -1.0)
     assert v.shape == (10,)
     assert v[qcqp.Y_INDEX] == -1.0
-    assert np.allclose(v[:9].reshape(3, 3, order="F"), r.m)
+    assert np.allclose(v[:9].reshape(3, 3, order="F"), r)
 
 
 def test_constraint_counts():
     expected = {"r": 6, "r+c": 12, "r+h": 15, "r+c+h": 21}
     for kind, count in expected.items():
-        cs = qcqp.constraint_catalog(kind)
-        assert len(cs.stacked) - 1 == count
-        assert cs.kind == kind
+        assert len(qcqp.constraint_catalog(kind)) - 1 == count
 
 
 def test_constraint_catalog_built_once_read_only():
     cs = qcqp.constraint_catalog("r+c+h")
     assert qcqp.constraint_catalog("R+C+H") is cs
-    assert np.array_equal(cs.stacked[-1], qcqp.homogenizer())
-    assert not cs.stacked.flags.writeable
+    assert np.array_equal(cs[-1], qcqp.homogenizer())
+    assert not cs.flags.writeable
 
 
 def test_constraint_catalog_rejects_unknown_kind():
@@ -197,16 +195,16 @@ def test_constraints_vanish_on_rotations():
     rng = np.random.default_rng(13)
     for _ in range(1000):
         y = 1.0 if rng.random() < 0.5 else -1.0
-        r = geom.random_rotation(rng)
+        r = geom.random_rotation(rng).m
         v = qcqp.reduced_vector(r, 1.0) * y  # y = -1 flips the whole vector
-        for a in cs.stacked[:-1]:
+        for a in cs[:-1]:
             assert abs(v @ a @ v) < 1e-12
-        assert abs(v @ cs.stacked[-1] @ v - 1.0) < 1e-12
+        assert abs(v @ cs[-1] @ v - 1.0) < 1e-12
 
 
 def test_constraints_symmetric():
     cs = qcqp.constraint_catalog("r+c+h")
-    for a in cs.stacked:
+    for a in cs:
         assert np.linalg.norm(a - a.T) < 1e-15
 
 
@@ -218,10 +216,10 @@ def test_handedness_detects_reflection():
     v[:9] = reflection.reshape(9, order="F")
     v[9] = 1.0
     ortho = qcqp.constraint_catalog("r+c")
-    for a in ortho.stacked[:-1]:
+    for a in ortho[:-1]:
         assert abs(v @ a @ v) < 1e-12
     handed = qcqp.constraint_catalog("r+c+h")
-    violations = [abs(v @ a @ v) for a in handed.stacked[12:-1]]
+    violations = [abs(v @ a @ v) for a in handed[12:-1]]
     assert max(violations) > 0.5
 
 
@@ -230,7 +228,7 @@ def test_orthogonality_gram_rank():
     # the sums of the two diagonal triples are the same matrix (both equal
     # sum_ij R_ij^2 - 3 y^2), which is the single linear dependency.
     cs = qcqp.constraint_catalog("r+c")
-    flat = cs.stacked[:-1].reshape(len(cs.stacked) - 1, -1)
+    flat = cs[:-1].reshape(len(cs) - 1, -1)
     assert np.linalg.matrix_rank(flat, tol=1e-10) == 11
     diag_rows = flat[0] + flat[3] + flat[5]       # (0,0), (1,1), (2,2) of R R^T
     diag_cols = flat[6] + flat[9] + flat[11]      # (0,0), (1,1), (2,2) of R^T R
@@ -242,5 +240,5 @@ def test_orthogonality_gram_rank():
 
 def test_full_catalog_gram_rank():
     cs = qcqp.constraint_catalog("r+c+h")
-    flat = cs.stacked[:-1].reshape(len(cs.stacked) - 1, -1)
+    flat = cs[:-1].reshape(len(cs) - 1, -1)
     assert np.linalg.matrix_rank(flat, tol=1e-10) == 20

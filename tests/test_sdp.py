@@ -86,7 +86,7 @@ def test_calibration_problem_noise_free():
     # the dominant eigenvector is the lifted true rotation (up to sign)
     v = np.linalg.eigh(sol.x_primal)[1][:, -1]
     v = v / v[qcqp.Y_INDEX]
-    truth = qcqp.reduced_vector(theta.rotation, 1.0)
+    truth = qcqp.reduced_vector(theta.rotation.m, 1.0)
     assert np.linalg.norm(v - truth) < 1e-3
 
 

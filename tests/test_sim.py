@@ -109,7 +109,7 @@ def test_corrupt_rotations_stay_valid():
 
 
 def _reference_path(n_steps, radius, amplitude, seed):
-    """generate_path's per-waypoint loop: three position calls and one project_to_so3 each."""
+    """generate_path's per-waypoint loop: three position calls and one SO(3) projection each."""
     rng = np.random.default_rng(seed)
     amps = amplitude * rng.uniform(0.3, 1.0, size=(2, sim.N_SINUSOIDS))
     freqs = rng.uniform(0.2, 0.8, size=(2, sim.N_SINUSOIDS))
@@ -128,7 +128,8 @@ def _reference_path(n_steps, radius, amplitude, seed):
         forward /= np.linalg.norm(forward)
         left = np.cross(np.array([0.0, 0.0, 1.0]), forward)
         left /= np.linalg.norm(left)
-        r = geom.project_to_so3(np.column_stack([forward, left, np.cross(forward, left)]))
+        frame = np.column_stack([forward, left, np.cross(forward, left)])
+        r = RotationMatrix(geom.nearest_rotations(frame))
         waypoints.append(Transform(r, position(phi)))
     return waypoints
 

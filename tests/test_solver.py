@@ -24,7 +24,7 @@ def test_two_motion_instance_recovery():
 def test_identity_calibration_fixed_point():
     # v_a = v_b exactly means theta = identity is a zero-cost solution
     rng = np.random.default_rng(1)
-    r = [geom.rotation_about(axis, 1.0).m for axis in np.eye(3)[:2]]
+    r = [geom.rotation_about(axis, 1.0) for axis in np.eye(3)[:2]]
     t = rng.normal(size=(2, 3))
     result = solver.calibrate(MeasurementSet(r, r, t, t, np.ones(2), np.ones(2)))
     assert np.linalg.norm(result.extrinsic.matrix() - np.eye(4)) < 1e-6
@@ -80,7 +80,7 @@ def test_left_invariance():
 
 def _planar_motions():
     """Two motions about the z axis only: the single-axis failure mode."""
-    r = [geom.rotation_about(np.array([0.0, 0.0, 1.0]), angle).m for angle in (0.5, 1.1)]
+    r = [geom.rotation_about(np.array([0.0, 0.0, 1.0]), angle) for angle in (0.5, 1.1)]
     t = np.tile([1.0, 0.0, 0.0], (2, 1))
     return MeasurementSet(r, r, t, t, np.ones(2), np.ones(2))
 
@@ -116,26 +116,26 @@ def _slack_annihilating(*vectors, seed):
 
 def test_extract_solution_rank_one_exact():
     # H annihilates exactly one direction, the lifted rotation
-    r = geom.random_rotation(7)
+    r = geom.random_rotation(7).m
     rotation = solver.extract_solution(_slack_annihilating(qcqp.reduced_vector(r), seed=7))
-    assert np.linalg.norm(rotation.m - r.m) < 1e-12
+    assert np.linalg.norm(rotation - r) < 1e-12
 
 
 def test_extract_solution_sign_normalized():
     # the lifted vector with y = -1 encodes the same rotation
-    r = geom.random_rotation(8)
+    r = geom.random_rotation(8).m
     rotation = solver.extract_solution(_slack_annihilating(-qcqp.reduced_vector(r), seed=8))
-    assert np.linalg.norm(rotation.m - r.m) < 1e-12
+    assert np.linalg.norm(rotation - r) < 1e-12
 
 
 def test_extract_solution_from_a_two_dimensional_nullspace():
     # H annihilates the lifts of two rotations: the minimum eigenvector is
     # some mix of them, and extraction still returns a rotation (the bound,
     # not the extraction, decides the verdict)
-    v1, v2 = (qcqp.reduced_vector(geom.random_rotation(seed)) for seed in (9, 10))
+    v1, v2 = (qcqp.reduced_vector(geom.random_rotation(seed).m) for seed in (9, 10))
     rotation = solver.extract_solution(_slack_annihilating(v1, v2, seed=9))
-    assert isinstance(rotation, RotationMatrix)
-    assert abs(np.linalg.det(rotation.m) - 1.0) < 1e-12
+    RotationMatrix(rotation)  # raises InvalidRotation unless in SO(3)
+    assert abs(np.linalg.det(rotation) - 1.0) < 1e-12
 
 
 def test_extract_solution_zero_homogenizer_raises():
@@ -147,18 +147,18 @@ def test_extract_solution_zero_homogenizer_raises():
 
 def test_extract_solution_uses_dual_nullspace():
     # the null vector of H is rescaled to y = 1 and projected onto SO(3)
-    r = geom.random_rotation(11)
+    r = geom.random_rotation(11).m
     noisy = qcqp.reduced_vector(r) + 1e-4 * np.random.default_rng(12).normal(size=10)
     rotation = solver.extract_solution(_slack_annihilating(noisy, seed=12))
-    expected = geom.project_to_so3((noisy[:9] / noisy[9]).reshape(3, 3, order="F"))
-    assert np.linalg.norm(rotation.m - expected.m) < 1e-12
-    assert np.linalg.norm(rotation.m - r.m) < 1e-3
+    expected = geom.nearest_rotations((noisy[:9] / noisy[9]).reshape(3, 3, order="F"))
+    assert np.linalg.norm(rotation - expected) < 1e-12
+    assert np.linalg.norm(rotation - r) < 1e-3
 
 
 def test_recover_translation_noise_free():
     m, theta = random_instance(13, n_motions=20)
     dm = qcqp.assemble(m)
-    r_tilde = qcqp.reduced_vector(theta.rotation, 1.0)
+    r_tilde = qcqp.reduced_vector(theta.rotation.m, 1.0)
     t = solver.recover_translation(dm, r_tilde)
     assert np.linalg.norm(t - theta.translation) < 1e-9
 
@@ -166,7 +166,7 @@ def test_recover_translation_noise_free():
 def test_recover_translation_matches_normal_equations():
     m, _ = random_instance(14, n_motions=20, sigma_r=0.05, sigma_t=0.05)
     dm = qcqp.assemble(m)
-    r = geom.random_rotation(15)
+    r = geom.random_rotation(15).m
     r_tilde = qcqp.reduced_vector(r, 1.0)
     t = solver.recover_translation(dm, r_tilde)
     expected = np.linalg.lstsq(dm.q_tt, -dm.q_t_rtilde @ r_tilde, rcond=None)[0]
@@ -194,7 +194,7 @@ def test_evaluate_cost_matches_quadratic_form():
         m, _ = random_instance(100 + k, n_motions=6, sigma_r=0.05, sigma_t=0.05)
         theta = geom.random_transform(rng, translation_scale=2.0)
         dm = qcqp.assemble(m)
-        x = qcqp_blocks.full_vector(theta.translation, theta.rotation, 1.0)
+        x = qcqp_blocks.full_vector(theta.translation, theta.rotation.m, 1.0)
         quad = float(x @ dm.q @ x)
         direct = solver.evaluate_cost(m, theta)
         assert abs(quad - direct) < 1e-10 * (1 + abs(direct))
@@ -228,7 +228,7 @@ def test_local_solve_stationary_gradient():
     r, t = result.extrinsic.rotation.m, result.extrinsic.translation
 
     def cost(delta):
-        rotation = RotationMatrix(r @ geom.rotation_exp(delta[:3]).m)
+        rotation = RotationMatrix(r @ geom.rotation_exp(delta[:3]))
         return solver.evaluate_cost(m, Transform(rotation, t + delta[3:]))
 
     eps = 1e-6
@@ -248,7 +248,7 @@ def test_local_solve_far_init_never_beats_convex():
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         offset = geom.rotation_about(axis, 3.0)
-        init = Transform(RotationMatrix(theta.rotation.m @ offset.m), theta.translation + 3.0)
+        init = Transform(RotationMatrix(theta.rotation.m @ offset), theta.translation + 3.0)
         local = solver.local_solve(m, init=init)
         assert local.cost >= convex.cost - 1e-9
         worst_gap = max(worst_gap, local.cost - convex.cost)
@@ -334,11 +334,11 @@ def test_newton_terms_match_finite_differences():
     # gradient and Hessian of w -> f(R exp([w]x)) against central differences
     m, _ = random_instance(41, n_motions=20, sigma_r=0.05, sigma_t=0.05)
     q_tilde = qcqp.assemble(m).q_tilde
-    r = geom.random_rotation(3)
-    f0, grad, hess = solver._newton_terms(q_tilde, r.m)
+    r = geom.random_rotation(3).m
+    f0, grad, hess = solver._newton_terms(q_tilde, r)
 
     def f(w):
-        return _reduced_cost(q_tilde, RotationMatrix(r.m @ geom.rotation_exp(w).m))
+        return _reduced_cost(q_tilde, r @ geom.rotation_exp(w))
 
     h = 1e-4
     basis = np.eye(3) * h
@@ -359,15 +359,15 @@ def test_polish_reaches_a_stationary_point_of_the_reduced_form(turn):
     relaxation = solver.relax(m)
     dm, rotation = relaxation.dm, solver.extract_solution(relaxation.lmi)
     turned = geom.rotation_about(np.array([1.0, 2.0, 2.0]) / 3.0, turn)
-    start = RotationMatrix(rotation.m @ turned.m)
+    start = rotation @ turned
     polished = solver._polish(dm.q_tilde, start)
     cost = _reduced_cost(dm.q_tilde, polished)
     assert cost <= _reduced_cost(dm.q_tilde, start)
-    _, grad, _ = solver._newton_terms(dm.q_tilde, polished.m)
+    _, grad, _ = solver._newton_terms(dm.q_tilde, polished)
     assert np.linalg.norm(grad) < 1e-10 * np.trace(dm.q_tilde)
     # q_tilde is the cost minimized over t, attained at recover_translation's t
     t = solver.recover_translation(dm, qcqp.reduced_vector(polished))
-    assert abs(cost - solver.evaluate_cost(m, Transform(polished, t))) <= 1e-12 * cost
+    assert abs(cost - solver.evaluate_cost(m, Transform(RotationMatrix(polished), t))) <= 1e-12 * cost
 
 
 def test_polish_never_raises_the_cost_from_a_poor_start(monkeypatch):
@@ -382,6 +382,6 @@ def test_polish_never_raises_the_cost_from_a_poor_start(monkeypatch):
         polished = solver._polish(dm.q_tilde, rotation)
         costs.append(_reduced_cost(dm.q_tilde, polished))
     assert all(later <= earlier for earlier, later in zip(costs, costs[1:]))
-    _, grad, hess = solver._newton_terms(dm.q_tilde, polished.m)
+    _, grad, hess = solver._newton_terms(dm.q_tilde, polished)
     assert np.linalg.norm(grad) < 1e-10 * np.trace(dm.q_tilde)
     assert np.linalg.eigvalsh(hess)[0] > 0
