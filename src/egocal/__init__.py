@@ -12,7 +12,6 @@ from .qcqp import DataMatrix, assemble, constraint_catalog
 from .solver import (
     CalibrationResult,
     Certificate,
-    Extrinsic,
     calibrate,
     evaluate_cost,
     local_solve,
@@ -31,7 +30,6 @@ __all__ = [
     "constraint_catalog",
     "CalibrationResult",
     "Certificate",
-    "Extrinsic",
     "calibrate",
     "evaluate_cost",
     "local_solve",

@@ -23,6 +23,7 @@ from .problem import (
     ingest_rotations,
     load_measurements,
     parse_pose,
+    translation_gram,
 )
 
 EXIT_OK = 0
@@ -121,7 +122,7 @@ def cmd_simulate(args) -> int:
         np.random.default_rng(args.seed), args.n_motions, args.sigma_r, args.sigma_t,
         radius=args.radius, amplitude=args.amplitude,
     )
-    report = check_observability(clean)
+    report = check_observability(translation_gram(clean))
 
     with open(f"{prefix}.jsonl", "w", encoding="utf-8") as fp:
         dump_measurements(noisy, fp)
@@ -173,8 +174,7 @@ def cmd_experiment(args) -> int:
         )
     with open(f"{args.output}.csv", "w", encoding="utf-8", newline="") as fp:
         sim.write_rows_csv(rows, fp)
-    with open(f"{args.output}.json", "w", encoding="utf-8") as fp:
-        sim.write_summary_json(summary, fp)
+    _write_report(summary, f"{args.output}.json")
     return EXIT_OK
 
 

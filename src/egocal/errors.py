@@ -44,14 +44,16 @@ class SingularQtt(CalibrationError):
 
     This is the algebraic signature of an unobservable instance: every rotating
     motion of sensor b shares one axis, so each I - R_b, and their weighted
-    Gram sum, is singular along it. The rule is `problem.observability`, which
-    `problem.check_observability` reports.
+    Gram sum, is singular along it. The rule is `problem.check_observability`,
+    which `qcqp.assemble` applies once per request and keeps as
+    `DataMatrix.observability`.
     """
 
 
 class NumericalFailure(CalibrationError):
-    """A LAPACK routine failed (numpy raised LinAlgError) outside the SDP solve,
-    which reports its own breakdowns as a status."""
+    """A numerical step failed outside the SDP solve, which reports its own
+    breakdowns as a status: a LAPACK routine raised LinAlgError, or weights too
+    large for their sums (kappa, tau) left the data matrix non-finite."""
 
 
 class RankDeficiencyAmbiguous(CalibrationError):

@@ -20,9 +20,10 @@ run the same conversion line by line, to name the first bad line in a
 ParseError.
 
 Calibration is observable when sensor b's rotations span two distinct axes.
-observability() reads that from the condition number of the translation block
-sum_i tau_i (I - R_b_i)^T (I - R_b_i), which is singular exactly when they do
-not; check_observability reports it and qcqp.assemble refuses singular data.
+check_observability() reads that from the condition number of the translation
+block q_tt = translation_gram(m) = sum_i tau_i (I - R_b_i)^T (I - R_b_i), which
+is singular exactly when they do not. qcqp.assemble applies it once per
+request, refusing singular data and keeping the report on its DataMatrix.
 """
 
 from __future__ import annotations
@@ -260,25 +261,18 @@ def translation_gram(m: MeasurementSet) -> np.ndarray:
     return (m.tau[:, None, None] * (np.swapaxes(d, 1, 2) @ d)).sum(axis=0)
 
 
-def observability(q_tt: np.ndarray) -> ObservabilityReport:
-    """The observability decision read from the 3x3 translation block q_tt.
+def check_observability(q_tt: np.ndarray) -> ObservabilityReport:
+    """Two-axis condition for a well-posed calibration, read from the 3x3 translation block q_tt.
 
-    The condition number is inf when the smallest eigenvalue is not positive;
-    the data are observable when it is at most SINGULAR_QTT_CONDITION.
+    Motion i adds tau_i (I - R_b)^T (I - R_b) = 2 tau_i (1 - cos theta_i)(I - a_i a_i^T)
+    to q_tt = translation_gram(m), for R_b's axis a_i and angle theta_i, so the block
+    is singular exactly when every rotating motion of sensor b shares one axis
+    (modulo sign), and near-singular when the axes nearly coincide or the angles
+    are tiny. The condition number is inf when the smallest eigenvalue is not
+    positive; the data are observable when it is at most SINGULAR_QTT_CONDITION.
+    qcqp.assemble refuses data by this rule.
     """
     with numerical("observability"):
         eigs = np.linalg.eigvalsh(q_tt)
     cond = float("inf") if eigs[0] <= 0 else float(eigs[-1] / eigs[0])
     return ObservabilityReport(observable=cond <= SINGULAR_QTT_CONDITION, condition_estimate=cond)
-
-
-def check_observability(m: MeasurementSet) -> ObservabilityReport:
-    """Two-axis condition for a well-posed calibration, as `observability(translation_gram(m))`.
-
-    Motion i adds tau_i (I - R_b)^T (I - R_b) = 2 tau_i (1 - cos theta_i)(I - a_i a_i^T)
-    to the translation block, for R_b's axis a_i and angle theta_i, so the block
-    is singular exactly when every rotating motion of sensor b shares one axis
-    (modulo sign), and near-singular when the axes nearly coincide or the angles
-    are tiny. qcqp.assemble refuses the same matrix by the same rule.
-    """
-    return observability(translation_gram(m))

@@ -3,7 +3,9 @@
 The homogenized decision vector is x = [t (3), r = vec(R) column-major (9), y (1)], so the data
 matrix is 13x13. After analytically minimizing over the unconstrained translation, the reduced
 problem acts on r_tilde = [r, y] with a 10x10 Schur complement. `assemble` sums the data matrix
-from a few weighted moments of the measurement columns, the one O(n) step.
+from a few weighted moments of the measurement columns, the one O(n) step, and decides
+observability from its translation block, once per request: it refuses unobservable or
+non-finite data and keeps the report on the DataMatrix.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularQtt, TooShort
-from .problem import MeasurementSet, observability, translation_gram
+from .errors import NumericalFailure, SingularQtt, TooShort
+from .problem import MeasurementSet, ObservabilityReport, check_observability, translation_gram
 
 DIM_FULL = 13
 DIM_REDUCED = 10
@@ -27,12 +29,14 @@ _LOWER = np.tril_indices(DIM_FULL, -1)
 
 @dataclass(frozen=True)
 class DataMatrix:
-    """The assembled 13x13 quadratic form and its translation-reduced pieces."""
+    """The assembled 13x13 quadratic form, its translation-reduced pieces and the
+    observability report read from its translation block."""
 
     q: np.ndarray            # 13x13, ordering [t, vec(R), y]
     q_tt: np.ndarray         # 3x3 translation block
     q_t_rtilde: np.ndarray   # 3x10 coupling block
     q_tilde: np.ndarray      # 10x10 Schur complement q / q_tt
+    observability: ObservabilityReport  # check_observability(q_tt)
 
 
 def _moment(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -52,8 +56,10 @@ def assemble(m: MeasurementSet) -> DataMatrix:
     y column [-sum tau D^T t_b, -sum tau t_a kron t_b, sum tau |t_b|^2]. Nothing assumes
     R^T R = I, so rotations within geom.ROTATION_TOL give the per-measurement sum to rounding.
 
-    Raises SingularQtt when `problem.observability` finds the translation
-    block numerically singular, the signature of single-axis data.
+    Raises SingularQtt when `problem.check_observability` finds the translation
+    block numerically singular, the signature of single-axis data, and then
+    NumericalFailure when weights too large for their sums (kappa, tau) leave q
+    with an infinite or NaN entry.
     """
     if m.n < 2:
         raise TooShort("calibration requires at least two relative motions")
@@ -73,10 +79,15 @@ def assemble(m: MeasurementSet) -> DataMatrix:
 
     q_tt = q[:3, :3]
     q_t_rtilde = q[:3, 3:]
-    if not observability(q_tt).observable:
+    report = check_observability(q_tt)
+    if not report.observable:
         raise SingularQtt(
             "translation block of the data matrix is singular; "
             "measured rotations likely share a single axis"
+        )
+    if not np.all(np.isfinite(q)):
+        raise NumericalFailure(
+            "data matrix is not finite: its sums weighted by kappa and tau overflow"
         )
     # Schur complement through a Cholesky factor keeps q_tilde symmetric to
     # machine precision. half = chol^-1 q_t_rtilde by forward substitution.
@@ -87,7 +98,7 @@ def assemble(m: MeasurementSet) -> DataMatrix:
         half[j + 1 :] -= np.outer(chol[j + 1 :, j], half[j])
     q_tilde = q[3:, 3:] - half.T @ half
     q_tilde = 0.5 * (q_tilde + q_tilde.T)
-    return DataMatrix(q=q, q_tt=q_tt, q_t_rtilde=q_t_rtilde, q_tilde=q_tilde)
+    return DataMatrix(q=q, q_tt=q_tt, q_t_rtilde=q_t_rtilde, q_tilde=q_tilde, observability=report)
 
 
 def reduced_vector(rotation: np.ndarray, y: float = 1.0) -> np.ndarray:

@@ -46,8 +46,7 @@ STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITER = "max_iter"
 STATUS_BREAKDOWN = "breakdown"
 
-# Stopping tolerances of `solve` (relative residuals, relative gap); TOL_FEAS is
-# also certify_lmi's PSD margin.
+# Stopping tolerances of `solve` (relative residuals, relative gap).
 TOL_FEAS = 1e-9
 TOL_GAP = 1e-9
 _STEP_FRACTION = 0.98
@@ -247,8 +246,7 @@ def certify_lmi(cost, constraints, multipliers) -> dict:
     Independent of solver internals: only the multipliers are consumed, so it
     serves any dual vector (the solver's, or one refined against a candidate).
     One eigendecomposition of H gives the eigenvectors (columns, by ascending
-    eigenvalue), the minimum eigenvalue and a PSD test relative to the norm
-    max|lambda|. A LAPACK failure raises NumericalFailure.
+    eigenvalue) and the minimum eigenvalue. A LAPACK failure raises NumericalFailure.
     """
     cost = np.asarray(cost, dtype=float)
     constraints = np.asarray(constraints, dtype=float)
@@ -259,9 +257,4 @@ def certify_lmi(cost, constraints, multipliers) -> dict:
     h = 0.5 * (h + h.T)
     with numerical("dual slack eigendecomposition"):
         eigenvalues, eigenvectors = np.linalg.eigh(h)
-    min_eig = float(eigenvalues[0])
-    return {
-        "eigenvectors": eigenvectors,
-        "min_eig": min_eig,
-        "psd": min_eig > -TOL_FEAS * (1.0 + np.abs(eigenvalues).max()),
-    }
+    return {"eigenvectors": eigenvectors, "min_eig": float(eigenvalues[0])}

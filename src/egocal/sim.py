@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -460,8 +459,3 @@ def write_rows_csv(rows, fp) -> None:
     writer = csv.DictWriter(fp, fieldnames=fieldnames)
     writer.writeheader()
     writer.writerows(rows)
-
-
-def write_summary_json(summary, fp) -> None:
-    json.dump(summary, fp, indent=2)
-    fp.write("\n")

@@ -1,7 +1,7 @@
-"""End-to-end calibration: assemble, reduce, solve the strengthened dual SDP,
-extract and polish the rotation, recover the translation, and certify it
-against a proven lower bound on the global minimum (`certify`, SE-Sync's
-verification step: Rosen et al., IJRR 2019).
+"""End-to-end calibration: assemble (which decides observability), reduce,
+solve the strengthened dual SDP, extract and polish the rotation, recover the
+translation, and certify it against a proven lower bound on the global minimum
+(`certify`, SE-Sync's verification step: Rosen et al., IJRR 2019).
 
 Also hosts the local Levenberg-Marquardt baseline used by the experiment
 harness for comparisons; it is the only user of scipy, imported on call.
@@ -17,10 +17,8 @@ import numpy as np
 from . import geom, qcqp, sdp
 from .errors import RankDeficiencyAmbiguous, numerical
 from .geom import RotationMatrix, Transform
-from .problem import MeasurementSet, ObservabilityReport, check_observability
+from .problem import MeasurementSet, ObservabilityReport, check_observability, translation_gram
 from .qcqp import DataMatrix
-
-Extrinsic = Transform
 
 VERDICT_CERTIFIED = "CertifiedGlobal"
 VERDICT_NOT_CERTIFIED = "NotCertified"
@@ -65,7 +63,7 @@ class Certificate:
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    extrinsic: Extrinsic
+    extrinsic: Transform
     cost: float
     certificate: Certificate
     observability: ObservabilityReport
@@ -102,7 +100,7 @@ def _residual_arrays(m: MeasurementSet, r: np.ndarray, t: np.ndarray):
     return r @ m.ra - m.rb @ r, (m.ta @ r.T) + t[None, :] - (m.rb @ t) - m.tb
 
 
-def evaluate_cost(m: MeasurementSet, theta: Extrinsic) -> float:
+def evaluate_cost(m: MeasurementSet, theta: Transform) -> float:
     """Weighted rotation + translation residual (the homogenized cost at y = 1)."""
     rot_res, trans_res = _residual_arrays(m, theta.rotation.m, theta.translation)
     return float(
@@ -208,14 +206,13 @@ def certify(relaxation: Relaxation, rotation: np.ndarray, cost: float) -> Certif
 def calibrate(m: MeasurementSet, constraint_set: str = "r+c+h") -> CalibrationResult:
     """Certifiably globally optimal calibration from relative motion pairs.
 
-    Pipeline: report observability, solve the relaxation (`relax`, whose
-    assembly raises SingularQtt on unobservable data), extract the rotation
-    from the dual slack and polish it on the reduced form, recover the
-    translation in closed form, price the estimate and certify it against
-    the proven dual bound (`certify`).
+    Pipeline: solve the relaxation (`relax`, whose assembly decides
+    observability, raising SingularQtt on unobservable data, and keeps the
+    report), extract the rotation from the dual slack and polish it on the
+    reduced form, recover the translation in closed form, price the estimate
+    and certify it against the proven dual bound (`certify`).
     """
     start = time.perf_counter()
-    report = check_observability(m)
     relaxation = relax(m, constraint_set)
     rotation = _polish(relaxation.dm.q_tilde, extract_solution(relaxation.lmi))
     translation = recover_translation(relaxation.dm, qcqp.reduced_vector(rotation))
@@ -232,7 +229,7 @@ def calibrate(m: MeasurementSet, constraint_set: str = "r+c+h") -> CalibrationRe
         extrinsic=theta,
         cost=cost,
         certificate=certify(relaxation, rotation, cost),
-        observability=report,
+        observability=relaxation.dm.observability,
         solve_stats=stats,
     )
 
@@ -290,7 +287,7 @@ def _residuals(params, m, r0, sqrt_kappa, sqrt_tau):
     )
 
 
-def local_solve(m: MeasurementSet, init: Extrinsic | None = None) -> CalibrationResult:
+def local_solve(m: MeasurementSet, init: Transform | None = None) -> CalibrationResult:
     """Levenberg-Marquardt on the shared cost from `init` (default the identity).
 
     The parameters are (w, t): the rotation is R0 exp([w]x) with R0 the start's
@@ -316,7 +313,7 @@ def local_solve(m: MeasurementSet, init: Extrinsic | None = None) -> Calibration
     )
     theta = Transform(RotationMatrix(r0 @ geom.rotation_exp(fit.x[:3])), fit.x[3:])
     cost = evaluate_cost(m, theta)
-    report = check_observability(m)
+    report = check_observability(translation_gram(m))
     certificate = Certificate(lower_bound=np.nan, cost=cost, min_eig_h=np.nan, scale=np.nan)
     stats = {
         "sdp_iters": 0,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from egocal import geom, sim
+from egocal import geom, sdp, sim
 from egocal.problem import relative_motions_from_trajectories
 
 
@@ -63,3 +63,12 @@ def constructed_sdp(rng, s=6, m=4, rank=2):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def lmi_is_psd(cost, constraints, multipliers):
+    """Whether `sdp.certify_lmi`'s minimum eigenvalue of H = cost - sum_i y_i A_i
+    clears the margin -TOL_FEAS * (1 + max|lambda|), with max|lambda| from H's spectrum."""
+    min_eig = sdp.certify_lmi(cost, constraints, multipliers)["min_eig"]
+    h = cost - np.einsum("k,kij->ij", multipliers, constraints)
+    eigenvalues = np.linalg.eigvalsh(0.5 * (h + h.T))
+    return min_eig > -sdp.TOL_FEAS * (1.0 + np.abs(eigenvalues).max())

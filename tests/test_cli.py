@@ -300,6 +300,23 @@ def test_calibrate_overflowing_weights_exit_one(tmp_path, capsys):
     assert "error: observability: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["calibrate", "certify"])
+def test_overflowing_kappa_exit_one(tmp_path, capsys, command):
+    # kappa = 1e308 on every line overflows the rotation moments to NaN: the data
+    # matrix is refused before the SDP, instead of failing inside it
+    prefix = str(tmp_path / "run")
+    assert cli.main(["simulate", "--output", prefix, "--seed", "0", "--n-motions", "10"]) == 0
+    log = Path(prefix + ".jsonl")
+    log.write_text(log.read_text().replace('"kappa": 1.0', '"kappa": 1e308'))
+    theta = ["--theta", prefix + "_truth.json"] if command == "certify" else []
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main([command, "--input", str(log), *theta]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: data matrix is not finite") and "kappa" in err
+    assert "Eigenvalues did not converge" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [["--amplitude", "1e300"], ["--radius", "1e300"], ["--radius", "1e-300"]],

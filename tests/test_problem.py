@@ -210,14 +210,14 @@ def _unit(v):
 
 def test_observability_single_axis():
     m = _pure_rotations([((0, 0, 1), 0.3), ((0, 0, 1), 0.9), ((0, 0, 1), 1.4)])
-    report = check_observability(m)
+    report = check_observability(translation_gram(m))
     assert not report.observable
     assert report.condition_estimate > SINGULAR_QTT_CONDITION
 
 
 def test_observability_antipodal_axes_count_once():
     m = _pure_rotations([((0, 0, 1), 0.5), ((0, 0, -1), 0.5)])
-    report = check_observability(m)
+    report = check_observability(translation_gram(m))
     assert not report.observable
     assert report.condition_estimate > SINGULAR_QTT_CONDITION
 
@@ -225,14 +225,14 @@ def test_observability_antipodal_axes_count_once():
 def test_observability_two_axes():
     # Quarter turns about x and y add 2 (I - a a^T) each: diag(2, 2, 4).
     m = _pure_rotations([((1, 0, 0), np.pi / 2), ((0, 1, 0), np.pi / 2)])
-    report = check_observability(m)
+    report = check_observability(translation_gram(m))
     assert report.observable
     assert report.condition_estimate == pytest.approx(2.0, rel=1e-12)
 
 
 def test_observability_identity_rotations():
     m = _pure_rotations([((0, 0, 1), 0.0), ((0, 0, 1), 0.0)])
-    report = check_observability(m)
+    report = check_observability(translation_gram(m))
     assert not report.observable
     assert report.condition_estimate == np.inf
 
@@ -240,15 +240,15 @@ def test_observability_identity_rotations():
 def test_observability_small_angle_second_axis_is_ill_conditioned():
     # 2 (1 - cos 1e-5) = 1e-10 against 2 (1 - cos 0.8) = 0.61: observable, barely.
     m = _pure_rotations([((1, 0, 0), 1e-5), ((0, 1, 0), 0.8)])
-    report = check_observability(m)
+    report = check_observability(translation_gram(m))
     assert report.observable
     assert 1e9 < report.condition_estimate <= SINGULAR_QTT_CONDITION
 
 
 def test_observability_order_invariant():
     motions = [((1, 0, 0), 0.5), ((0, 1, 0), 0.7), ((0, 0, 1), 0.9)]
-    a = check_observability(_pure_rotations(motions))
-    b = check_observability(_pure_rotations(motions[::-1]))
+    a = check_observability(translation_gram(_pure_rotations(motions)))
+    b = check_observability(translation_gram(_pure_rotations(motions[::-1])))
     assert a.observable == b.observable
     assert a.condition_estimate == pytest.approx(b.condition_estimate, rel=1e-12)
 
@@ -262,7 +262,7 @@ def test_observability_conjugation_invariant(seed, n, q_seed):
     m = _pure_rotations([(_unit(rng.normal(size=3)), rng.uniform(0.1, np.pi)) for _ in range(n)])
     q = geom.random_rotation(q_seed).m
     conj = replace(m, rb=q @ m.rb @ q.T)
-    a, b = check_observability(m), check_observability(conj)
+    a, b = check_observability(translation_gram(m)), check_observability(translation_gram(conj))
     assert a.observable == b.observable
     assert b.condition_estimate == pytest.approx(a.condition_estimate, rel=1e-9)
 
@@ -270,15 +270,15 @@ def test_observability_conjugation_invariant(seed, n, q_seed):
 def test_observability_condition_estimate_blows_up_single_axis():
     single = _pure_rotations([((0, 0, 1), 0.5), ((0, 0, 1), 1.1)])
     two = _pure_rotations([((1, 0, 0), np.pi / 2), ((0, 1, 0), np.pi / 2)])
-    assert check_observability(single).condition_estimate > 1e12
-    assert check_observability(two).condition_estimate < 1e3
+    assert check_observability(translation_gram(single)).condition_estimate > 1e12
+    assert check_observability(translation_gram(two)).condition_estimate < 1e3
 
 
 def test_observability_overflowing_weights_raise_numerical_failure():
     # tau = 1e308 overflows the translation block to inf, where eigvalsh fails
     m, _ = random_instance(3, n_motions=10)
     with pytest.raises(NumericalFailure, match="observability"):
-        check_observability(replace(m, tau=np.full(m.n, 1e308)))
+        check_observability(translation_gram(replace(m, tau=np.full(m.n, 1e308))))
 
 
 def _axis_set(kind, tiny, n, identities, rng):
@@ -311,12 +311,13 @@ def test_observability_is_the_refusal_of_assemble(seed, kind, tiny, n, identitie
     # Sensor a's rotations are unrelated to b's: the rule reads only R_b and tau.
     ra = np.array([geom.random_rotation(rng).m for _ in range(m.n)])
     m = replace(m, ra=ra, kappa=rng.lognormal(0.0, 2.0, m.n), tau=rng.lognormal(0.0, 2.0, m.n))
+    report = check_observability(translation_gram(m))
     try:
-        qcqp.assemble(m)
+        assert qcqp.assemble(m).observability == report  # the decision assembly keeps
         refused = False
     except SingularQtt:
         refused = True
-    assert check_observability(m).observable is not refused
+    assert report.observable is not refused
     # One axis is always refused and random axes never are; the tiny-angle and
     # tiny-separation families land on either side, depending on `tiny` and the weights.
     if kind == "one-axis":
@@ -346,7 +347,7 @@ def test_translation_gram_is_the_axis_angle_sum(seed, kind, n, identities):
 
 def test_report_serializes():
     m = _pure_rotations([((1, 0, 0), 0.5), ((0, 1, 0), 0.7)])
-    d = asdict(check_observability(m))
+    d = asdict(check_observability(translation_gram(m)))
     json.dumps(d)  # must be JSON-serializable
     assert d["observable"] is True
 

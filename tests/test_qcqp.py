@@ -6,7 +6,7 @@ import pytest
 import qcqp_blocks
 from conftest import random_instance
 from egocal import geom, problem, qcqp
-from egocal.errors import SingularQtt, TooShort
+from egocal.errors import NumericalFailure, SingularQtt, TooShort
 from egocal.problem import MeasurementSet
 
 
@@ -139,11 +139,22 @@ def test_assemble_does_not_assume_orthonormal_rotations():
 
 @pytest.mark.parametrize("n", [2, 129, 1000])
 def test_assemble_q_tt_is_the_observability_matrix(n):
-    # check_observability and assemble's SingularQtt refusal read one matrix.
+    # assemble decides observability on its own q_tt, which is translation_gram(m).
     m, _ = random_instance(26, n_motions=n, sigma_r=0.01, sigma_t=0.01)
     rng = np.random.default_rng(26)
     m = replace(m, kappa=rng.uniform(0.1, 5.0, n), tau=rng.uniform(0.1, 5.0, n))
     assert np.array_equal(qcqp.assemble(m).q_tt, problem.translation_gram(m))
+
+
+def test_assemble_refuses_a_non_finite_data_matrix():
+    # tau = 1e305 with |t_b| near 1e3 overflows sum tau |t_b|^2 while q_tt stays
+    # finite and observable: refused after the observability test, naming the weights
+    m, _ = random_instance(3, n_motions=10)
+    m = replace(m, tau=np.full(m.n, 1e305), tb=1e3 * m.tb)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.all(np.isfinite(problem.translation_gram(m)))
+        with pytest.raises(NumericalFailure, match="kappa and tau overflow"):
+            qcqp.assemble(m)
 
 
 def test_schur_complement_is_partial_minimum_over_t():

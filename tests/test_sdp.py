@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import constructed_sdp, random_instance
+from conftest import constructed_sdp, lmi_is_psd, random_instance
 from egocal import qcqp, sdp, sim, solver
 from egocal.sdp import SdpProblem
 
@@ -145,9 +145,9 @@ def test_scale_invariance():
     sol = sdp.solve(p)
     sol10 = sdp.solve(scaled)
     assert abs(sol10.primal_obj - 10.0 * sol.primal_obj) < 1e-5 * (1 + abs(obj))
-    a = sdp.certify_lmi(p.cost, p.constraints, sol.multipliers)
-    b = sdp.certify_lmi(scaled.cost, scaled.constraints, sol10.multipliers)
-    assert a["psd"] == b["psd"]
+    a = lmi_is_psd(p.cost, p.constraints, sol.multipliers)
+    b = lmi_is_psd(scaled.cost, scaled.constraints, sol10.multipliers)
+    assert a == b
 
 
 def test_max_iter_returns_best_iterate():
@@ -163,7 +163,7 @@ def test_certify_lmi_zero_multipliers_on_indefinite_cost():
     cost = np.diag([1.0, -1.0])
     constraints = np.eye(2)[None]
     out = sdp.certify_lmi(cost, constraints, np.zeros(1))
-    assert not out["psd"]
+    assert not lmi_is_psd(cost, constraints, np.zeros(1))
     assert out["min_eig"] < -0.5
 
 
@@ -173,7 +173,7 @@ def test_certify_lmi_noise_free_calibration():
     problem, _ = solver.build_sdp_problem(dm, qcqp.constraint_catalog("r+c+h"))
     sol = sdp.solve(problem)
     out = sdp.certify_lmi(problem.cost, problem.constraints, sol.multipliers)
-    assert out["psd"]
+    assert lmi_is_psd(problem.cost, problem.constraints, sol.multipliers)
     assert -1e-9 < out["min_eig"] < 1e-9  # zero-gap case: H touches zero
 
 
@@ -185,8 +185,7 @@ def test_certify_lmi_rejects_perturbed_homogenizer_multiplier():
     sol = sdp.solve(problem)
     bad = sol.multipliers.copy()
     bad[-1] += 1.0
-    out = sdp.certify_lmi(problem.cost, problem.constraints, bad)
-    assert not out["psd"]
+    assert not lmi_is_psd(problem.cost, problem.constraints, bad)
 
 
 def test_certify_lmi_requires_matching_multipliers():

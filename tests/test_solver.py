@@ -1,15 +1,15 @@
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 import qcqp_blocks
 from conftest import loose_two_motion_instance, random_instance
-from egocal import geom, qcqp, sdp, sim, solver
-from egocal.errors import RankDeficiencyAmbiguous, SingularQtt
+from egocal import geom, problem, qcqp, sdp, sim, solver
+from egocal.errors import NumericalFailure, RankDeficiencyAmbiguous, SingularQtt
 from egocal.geom import RotationMatrix, Transform
-from egocal.problem import MeasurementSet, check_observability
+from egocal.problem import MeasurementSet, check_observability, translation_gram
 
 
 def test_two_motion_instance_recovery():
@@ -88,6 +88,46 @@ def _planar_motions():
 def test_singular_qtt_propagates():
     with pytest.raises(SingularQtt):
         solver.calibrate(_planar_motions())
+
+
+def test_calibrate_decides_observability_once(monkeypatch):
+    # assembly reads q_tt once and the result reports that decision: one
+    # translation_gram pass and one 3x3 eigvalsh per request
+    m, _ = random_instance(27, n_motions=30, sigma_r=0.01, sigma_t=0.01)
+    gram, eigvalsh = problem.translation_gram, np.linalg.eigvalsh
+    grams, q_tt_eigs = [], []
+
+    def counted_gram(ms):
+        grams.append(ms)
+        return gram(ms)
+
+    def counted_eigvalsh(a, *args, **kwargs):
+        if np.shape(a) == (3, 3):
+            q_tt_eigs.append(a)
+        return eigvalsh(a, *args, **kwargs)
+
+    for module in (problem, qcqp, solver):
+        if vars(module).get("translation_gram") is gram:
+            monkeypatch.setattr(module, "translation_gram", counted_gram)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    result = solver.calibrate(m)
+    assert (len(grams), len(q_tt_eigs)) == (1, 1)
+    assert asdict(result.observability) == asdict(check_observability(gram(m)))
+
+
+def test_overflowing_kappa_is_refused_before_the_sdp(monkeypatch):
+    # kappa = 1e308 overflows the rotation moments to NaN while q_tt (tau only)
+    # stays observable: assembly refuses q before any SDP runs on it
+    m, _ = random_instance(3, n_motions=10)
+    m = replace(m, kappa=np.full(m.n, 1e308))
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("sdp.solve reached with a non-finite data matrix")
+
+    monkeypatch.setattr(sdp, "solve", unreachable)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalFailure, match="kappa and tau"):
+            solver.calibrate(m)
 
 
 def test_report_writes_an_infinite_condition_as_null():
@@ -269,7 +309,7 @@ def test_result_serialization_schema():
     assert d["certificate"]["lower_bound"] <= d["cost"]
     assert d["observability"] == {
         "observable": True,
-        "condition_estimate": check_observability(m).condition_estimate,
+        "condition_estimate": check_observability(translation_gram(m)).condition_estimate,
     }
     assert "sdp_iters" in d["solve_stats"]
     assert d["solve_stats"]["sdp_status"] == "optimal"
