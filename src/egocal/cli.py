@@ -194,11 +194,11 @@ def cmd_certify(args) -> int:
     relaxation = solver.relax(measurements, args.constraint_set)
     cost = solver.evaluate_cost(measurements, candidate)
     certificate = solver.certify(relaxation, candidate.rotation.m, cost)
+    numbers = dict(candidate_cost=certificate.cost, dual_lower_bound=certificate.lower_bound,
+                   gap=certificate.gap)
     report = {
         "schema_version": 1,
-        "candidate_cost": certificate.cost,
-        "dual_lower_bound": certificate.lower_bound,
-        "gap": certificate.gap,
+        **{key: value if np.isfinite(value) else None for key, value in numbers.items()},
         "certified": certificate.certified,
         "sdp_status": relaxation.solution.status,
         "certificate": certificate.to_dict(),

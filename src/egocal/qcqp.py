@@ -1,11 +1,11 @@
 """Quadratic-form assembly and the SO(3) constraint catalog.
 
 The homogenized decision vector is x = [t (3), r = vec(R) column-major (9), y (1)], so the data
-matrix is 13x13. After analytically minimizing over the unconstrained translation, the reduced
-problem acts on r_tilde = [r, y] with a 10x10 Schur complement. `assemble` sums the data matrix
-from a few weighted moments of the measurement columns, the one O(n) step, and decides
-observability from its translation block, once per request: it refuses unobservable or
-non-finite data and keeps the report on the DataMatrix.
+matrix is 13x13. `assemble` sums it from a few weighted moments of the measurement columns, the
+one O(n) step, refuses non-finite or unobservable data and keeps the observability report. It
+then eliminates the unconstrained translation, the only place that does: one solve with the 3x3
+translation block q_tt gives the optimal translation as a linear map t_map of r_tilde = [r, y]
+and the 10x10 Schur complement q_tilde on which the reduced problem acts.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailure, SingularQtt, TooShort
+from .errors import NumericalFailure, SingularQtt, TooShort, numerical
 from .problem import MeasurementSet, ObservabilityReport, check_observability, translation_gram
 
 DIM_FULL = 13
@@ -29,12 +29,12 @@ _LOWER = np.tril_indices(DIM_FULL, -1)
 
 @dataclass(frozen=True)
 class DataMatrix:
-    """The assembled 13x13 quadratic form, its translation-reduced pieces and the
-    observability report read from its translation block."""
+    """The assembled 13x13 quadratic form, the translation eliminated from it and
+    the observability report read from its translation block."""
 
     q: np.ndarray            # 13x13, ordering [t, vec(R), y]
-    q_tt: np.ndarray         # 3x3 translation block
-    q_t_rtilde: np.ndarray   # 3x10 coupling block
+    q_tt: np.ndarray         # 3x3 translation block q[:3, :3]
+    t_map: np.ndarray        # 3x10 -q_tt^-1 q[:3, 3:]: the optimal t is t_map @ r_tilde
     q_tilde: np.ndarray      # 10x10 Schur complement q / q_tt
     observability: ObservabilityReport  # check_observability(q_tt)
 
@@ -56,49 +56,44 @@ def assemble(m: MeasurementSet) -> DataMatrix:
     y column [-sum tau D^T t_b, -sum tau t_a kron t_b, sum tau |t_b|^2]. Nothing assumes
     R^T R = I, so rotations within geom.ROTATION_TOL give the per-measurement sum to rounding.
 
-    Raises SingularQtt when `problem.check_observability` finds the translation
-    block numerically singular, the signature of single-axis data, and then
-    NumericalFailure when weights too large for their sums (kappa, tau) leave q
-    with an infinite or NaN entry.
+    Raises NumericalFailure when weights too large for their sums (kappa, tau)
+    leave q with an infinite or NaN entry, then SingularQtt when
+    `problem.check_observability` finds the translation block numerically
+    singular, the signature of single-axis data.
     """
     if m.n < 2:
         raise TooShort("calibration requires at least two relative motions")
     kappa, tau, d = m.kappa, m.tau, _I3 - m.rb
-    k = _moment(kappa, m.ra, m.rb).transpose(0, 2, 1, 3).reshape(9, 9)
-    left = np.einsum("ijkj->ik", _moment(kappa, m.ra, m.ra)) + _moment(tau, m.ta, m.ta)
-    right = np.einsum("jijl->il", _moment(kappa, m.rb, m.rb))
-    kron = np.einsum("ij,kl->ikjl", left, _I3) + np.einsum("ij,kl->ikjl", _I3, right)
     q = np.zeros((DIM_FULL, DIM_FULL))
-    q[:3, :3] = translation_gram(m)
-    q[:3, 3:12] = _moment(tau, d, m.ta).transpose(1, 2, 0).reshape(3, 9)
-    q[:3, 12] = -np.einsum("jij->i", _moment(tau, d, m.tb))
-    q[3:12, 3:12] = kron.reshape(9, 9) - k - k.T
-    q[3:12, 12] = -_moment(tau, m.ta, m.tb).reshape(9)
-    q[12, 12] = np.trace(_moment(tau, m.tb, m.tb))
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check names an overflow
+        k = _moment(kappa, m.ra, m.rb).transpose(0, 2, 1, 3).reshape(9, 9)
+        left = np.einsum("ijkj->ik", _moment(kappa, m.ra, m.ra)) + _moment(tau, m.ta, m.ta)
+        right = np.einsum("jijl->il", _moment(kappa, m.rb, m.rb))
+        kron = np.einsum("ij,kl->ikjl", left, _I3) + np.einsum("ij,kl->ikjl", _I3, right)
+        q[:3, :3] = translation_gram(m)
+        q[:3, 3:12] = _moment(tau, d, m.ta).transpose(1, 2, 0).reshape(3, 9)
+        q[:3, 12] = -np.einsum("jij->i", _moment(tau, d, m.tb))
+        q[3:12, 3:12] = kron.reshape(9, 9) - k - k.T
+        q[3:12, 12] = -_moment(tau, m.ta, m.tb).reshape(9)
+        q[12, 12] = np.trace(_moment(tau, m.tb, m.tb))
     q[_LOWER] = q.T[_LOWER]  # exactly symmetric, and q_tt keeps its bits
+    if not np.all(np.isfinite(q)):
+        raise NumericalFailure(
+            "data matrix is not finite: its sums weighted by kappa and tau overflow"
+        )
 
     q_tt = q[:3, :3]
-    q_t_rtilde = q[:3, 3:]
     report = check_observability(q_tt)
     if not report.observable:
         raise SingularQtt(
             "translation block of the data matrix is singular; "
             "measured rotations likely share a single axis"
         )
-    if not np.all(np.isfinite(q)):
-        raise NumericalFailure(
-            "data matrix is not finite: its sums weighted by kappa and tau overflow"
-        )
-    # Schur complement through a Cholesky factor keeps q_tilde symmetric to
-    # machine precision. half = chol^-1 q_t_rtilde by forward substitution.
-    chol = np.linalg.cholesky(q_tt)
-    half = q_t_rtilde.copy()
-    for j in range(3):
-        half[j] /= chol[j, j]
-        half[j + 1 :] -= np.outer(chol[j + 1 :, j], half[j])
-    q_tilde = q[3:, 3:] - half.T @ half
+    with numerical("translation elimination"):
+        t_map = -np.linalg.solve(q_tt, q[:3, 3:])
+    q_tilde = q[3:, 3:] + q[:3, 3:].T @ t_map
     q_tilde = 0.5 * (q_tilde + q_tilde.T)
-    return DataMatrix(q=q, q_tt=q_tt, q_t_rtilde=q_t_rtilde, q_tilde=q_tilde, observability=report)
+    return DataMatrix(q=q, q_tt=q_tt, t_map=t_map, q_tilde=q_tilde, observability=report)
 
 
 def reduced_vector(rotation: np.ndarray, y: float = 1.0) -> np.ndarray:

@@ -35,7 +35,7 @@ POLISH_STEPS = 30
 @dataclass(frozen=True)
 class Certificate:
     """A proven lower bound on the global minimum, a candidate's cost and tr(q_tilde)
-    (`scale`). A NaN cost or bound (nothing priced or proven) never certifies."""
+    (`scale`). A cost or bound that is not finite (NaN or an overflowing inf) never certifies."""
 
     lower_bound: float
     cost: float
@@ -48,7 +48,8 @@ class Certificate:
 
     @property
     def certified(self) -> bool:
-        return bool(self.gap <= GAP_COST * self.cost + GAP_TRACE * self.scale)
+        finite = np.isfinite(self.cost) and np.isfinite(self.lower_bound)
+        return bool(finite and self.gap <= GAP_COST * self.cost + GAP_TRACE * self.scale)
 
     @property
     def verdict(self) -> str:
@@ -101,18 +102,19 @@ def _residual_arrays(m: MeasurementSet, r: np.ndarray, t: np.ndarray):
 
 
 def evaluate_cost(m: MeasurementSet, theta: Transform) -> float:
-    """Weighted rotation + translation residual (the homogenized cost at y = 1)."""
+    """Weighted rotation + translation residual (the homogenized cost at y = 1); inf on overflow."""
     rot_res, trans_res = _residual_arrays(m, theta.rotation.m, theta.translation)
-    return float(
-        np.sum(m.kappa * np.sum(rot_res**2, axis=(1, 2)))
-        + np.sum(m.tau * np.sum(trans_res**2, axis=1))
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(
+            np.sum(m.kappa * np.sum(rot_res**2, axis=(1, 2)))
+            + np.sum(m.tau * np.sum(trans_res**2, axis=1))
+        )
 
 
 def recover_translation(dm: DataMatrix, r_tilde: np.ndarray) -> np.ndarray:
-    """Closed-form optimal translation -q_tt^-1 q_t_rtilde r_tilde."""
-    with numerical("translation solve"):
-        return -np.linalg.solve(dm.q_tt, dm.q_t_rtilde @ r_tilde)
+    """The optimal translation t_map r_tilde (`qcqp.assemble` eliminated it). A product
+    that cannot fail, kept as a function so that profilers can time the translation step."""
+    return dm.t_map @ r_tilde
 
 
 def extract_solution(lmi: dict) -> np.ndarray:

@@ -213,7 +213,7 @@ def test_criterion_7_quadratic_form_equivalence():
         r = geom.random_rotation(rng).m
         r_tilde = qcqp.reduced_vector(r, 1.0)
         reduced = float(r_tilde @ dm.q_tilde @ r_tilde)
-        t_star = np.linalg.solve(dm.q_tt, -dm.q_t_rtilde @ r_tilde)
+        t_star = np.linalg.solve(dm.q_tt, -dm.q[:3, 3:] @ r_tilde)
         full = float(
             np.concatenate([t_star, r_tilde]) @ dm.q @ np.concatenate([t_star, r_tilde])
         )

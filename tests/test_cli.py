@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -269,7 +270,7 @@ def test_certify_non_optimal_sdp_exit_two(tmp_path, monkeypatch):
         ("eigh", (10, 10), "dual slack eigendecomposition"),
         ("lstsq", (10, 22), "certificate refinement"),
         ("eigh", (3, 3), "polish"),
-        ("solve", (3, 3), "translation solve"),
+        ("solve", (3, 3), "translation elimination"),
         ("svd", (3, 3), "rotation projection"),
     ],
 )
@@ -290,14 +291,17 @@ def test_lapack_failure_exit_one(tmp_path, capsys, monkeypatch, name, shape, whe
 
 
 def test_calibrate_overflowing_weights_exit_one(tmp_path, capsys):
-    # tau = 1e308 on every line overflows the q_tt sum, whose eigvalsh then fails
+    # tau = 1e308 on every line overflows the q_tt sum: refused by the finiteness
+    # check, naming the weights, before the observability test's eigvalsh runs on it
     prefix = str(tmp_path / "run")
     assert cli.main(["simulate", "--output", prefix, "--seed", "0", "--n-motions", "10"]) == 0
     log = Path(prefix + ".jsonl")
     log.write_text(log.read_text().replace('"tau": 1.0', '"tau": 1e308'))
     capsys.readouterr()
     assert cli.main(["calibrate", "--input", str(log)]) == 1
-    assert "error: observability: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: data matrix is not finite") and "kappa and tau" in err
+    assert "Eigenvalues did not converge" not in err
 
 
 @pytest.mark.parametrize("command", ["calibrate", "certify"])
@@ -310,11 +314,56 @@ def test_overflowing_kappa_exit_one(tmp_path, capsys, command):
     log.write_text(log.read_text().replace('"kappa": 1.0', '"kappa": 1e308'))
     theta = ["--theta", prefix + "_truth.json"] if command == "certify" else []
     capsys.readouterr()
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert cli.main([command, "--input", str(log), *theta]) == 1
+    assert cli.main([command, "--input", str(log), *theta]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: data matrix is not finite") and "kappa" in err
     assert "Eigenvalues did not converge" not in err
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def _overflow_case(tmp_path, case):
+    """A 10-motion log and the argv of a command that overflows on it: 'tau' or
+    'kappa' set to 1e308 on every line, or a candidate translation of 1e200."""
+    prefix = str(tmp_path / "run")
+    assert cli.main(["simulate", "--output", prefix, "--seed", "0", "--n-motions", "10",
+                     "--sigma-r", "0.01", "--sigma-t", "0.01"]) == 0
+    log = Path(prefix + ".jsonl")
+    if case == "candidate":
+        truth = json.loads(Path(prefix + "_truth.json").read_text())
+        truth["theta"]["t"] = [1e200, 0.0, 0.0]
+        theta = tmp_path / "far.json"
+        theta.write_text(json.dumps(truth))
+        return ["certify", "--input", str(log), "--theta", str(theta)]
+    log.write_text(log.read_text().replace(f'"{case}": 1.0', f'"{case}": 1e308'))
+    return ["calibrate", "--input", str(log)]
+
+
+def test_certify_refuses_an_infinite_candidate_cost(tmp_path, capsys):
+    # t = 1e200 prices the candidate at inf, and inf <= 1e-7 inf must not certify;
+    # the report writes the infinite cost and gap as null
+    argv = _overflow_case(tmp_path, "candidate")
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    report = _strict_json(capsys.readouterr().out)
+    assert report["certified"] is False
+    assert report["certificate"]["verdict"] == "NotCertified"
+    assert report["candidate_cost"] is None and report["gap"] is None
+    assert np.isfinite(report["dual_lower_bound"])
+
+
+@pytest.mark.parametrize("case, code", [("tau", 1), ("kappa", 1), ("candidate", 2)])
+def test_overflow_prints_no_runtime_warning(tmp_path, capsys, case, code):
+    # the error or the null cost is the report; numpy's overflow warnings are not
+    argv = _overflow_case(tmp_path, case)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(argv) == code
 
 
 @pytest.mark.parametrize(

@@ -148,7 +148,7 @@ def test_assemble_q_tt_is_the_observability_matrix(n):
 
 def test_assemble_refuses_a_non_finite_data_matrix():
     # tau = 1e305 with |t_b| near 1e3 overflows sum tau |t_b|^2 while q_tt stays
-    # finite and observable: refused after the observability test, naming the weights
+    # finite and observable: refused by the finiteness check, naming the weights
     m, _ = random_instance(3, n_motions=10)
     m = replace(m, tau=np.full(m.n, 1e305), tb=1e3 * m.tb)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -166,7 +166,7 @@ def test_schur_complement_is_partial_minimum_over_t():
         r = geom.random_rotation(rng).m
         r_tilde = qcqp.reduced_vector(r, 1.0)
         reduced = float(r_tilde @ dm.q_tilde @ r_tilde)
-        t_star = np.linalg.solve(dm.q_tt, -dm.q_t_rtilde @ r_tilde)
+        t_star = np.linalg.solve(dm.q_tt, -dm.q[:3, 3:] @ r_tilde)
         x = np.concatenate([t_star, r_tilde])
         full = float(x @ dm.q @ x)
         assert abs(reduced - full) < 1e-10 * (1 + abs(full))

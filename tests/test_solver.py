@@ -45,6 +45,16 @@ def test_certificate_gap_soundness():
     assert result.certificate.gap < 1e-6 * (1 + abs(result.cost))
 
 
+@pytest.mark.parametrize(
+    "cost, lower_bound", [(np.inf, 0.1), (1.0, np.inf), (np.nan, 0.1), (1.0, np.nan)]
+)
+def test_a_non_finite_cost_or_bound_never_certifies(cost, lower_bound):
+    # inf - 0.1 <= 1e-7 inf and 1 - inf <= 1e-7 hold in floating point; neither certifies
+    certificate = solver.Certificate(lower_bound=lower_bound, cost=cost, min_eig_h=0.0, scale=1.0)
+    assert not certificate.certified
+    assert certificate.verdict == "NotCertified"
+
+
 def test_certified_result_beats_random_local_restarts():
     m, _ = random_instance(4, n_motions=30, sigma_r=0.05, sigma_t=0.05)
     result = solver.calibrate(m)
@@ -125,9 +135,8 @@ def test_overflowing_kappa_is_refused_before_the_sdp(monkeypatch):
         raise AssertionError("sdp.solve reached with a non-finite data matrix")
 
     monkeypatch.setattr(sdp, "solve", unreachable)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalFailure, match="kappa and tau"):
-            solver.calibrate(m)
+    with pytest.raises(NumericalFailure, match="kappa and tau"):
+        solver.calibrate(m)
 
 
 def test_report_writes_an_infinite_condition_as_null():
@@ -209,7 +218,7 @@ def test_recover_translation_matches_normal_equations():
     r = geom.random_rotation(15).m
     r_tilde = qcqp.reduced_vector(r, 1.0)
     t = solver.recover_translation(dm, r_tilde)
-    expected = np.linalg.lstsq(dm.q_tt, -dm.q_t_rtilde @ r_tilde, rcond=None)[0]
+    expected = np.linalg.lstsq(dm.q_tt, -dm.q[:3, 3:] @ r_tilde, rcond=None)[0]
     assert np.linalg.norm(t - expected) < 1e-10
 
 
