@@ -21,6 +21,7 @@ from .problem import (
     dump_measurements,
     dump_trajectory,
     ingest_rotations,
+    json_numbers,
     load_measurements,
     parse_pose,
     translation_gram,
@@ -74,20 +75,39 @@ def build_parser() -> argparse.ArgumentParser:
     simp.add_argument("--sigma-t", type=sigma, default=0.0)
 
     exp = sub.add_parser("experiment", help="run one of the benchmark protocols")
-    exp.add_argument("kind", choices=["ablation", "noise-sweep", "heatmap", "runtime"])
-    exp.add_argument("--output", required=True, help="output prefix for CSV + JSON summary")
-    exp.add_argument("--seed", type=seed, required=True)
-    exp.add_argument("--jobs", type=count, default=1)
-    exp.add_argument("--n-trials", type=count, default=100)
-    exp.add_argument("--n-motions", type=motions, default=50)
-    exp.add_argument("--n-axes", type=count, default=100)
-    exp.add_argument("--translation-variant", action="store_true",
-                     help="ablation only: perturb a translation at fixed pi/2 rotation error")
-    exp.add_argument("--n-list", type=motions, nargs="+", default=[10, 100, 1000])
-    exp.add_argument("--n-runs", type=count, default=20)
-    exp.add_argument("--n-inits", type=count, default=64)
-    exp.add_argument("--sigma-r", type=sigma, nargs="+", default=[0.01, 0.05, 0.1])
-    exp.add_argument("--sigma-t", type=sigma, nargs="+", default=[0.01, 0.05, 0.1])
+    protocols = exp.add_subparsers(dest="protocol", required=True)
+
+    def protocol(name, run, help, seeded=True, parallel=True):
+        """The subcommand that runs `run`. Each option sets the keyword of `run` named by
+        its dest; one left out keeps run's default. Any other option is a usage error."""
+        cmd = protocols.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        cmd.add_argument("--output", required=True, help="output prefix for CSV + JSON summary")
+        if seeded:
+            cmd.add_argument("--seed", type=seed, required=True)
+        if parallel:
+            cmd.add_argument("--jobs", type=count)
+        cmd.set_defaults(run=run)
+        return cmd
+
+    abl = protocol("ablation", sim.ablation_experiment, "certified fraction per constraint set",
+                   seeded=False)
+    variant = abl.add_mutually_exclusive_group()
+    variant.add_argument("--n-axes", type=count)
+    variant.add_argument("--translation-variant", dest="translation_magnitudes",
+                         action="store_const", const=[0.1, 1.0, 10.0],
+                         help="perturb a translation at fixed pi/2 rotation error")
+    sweep = protocol("noise-sweep", sim.noise_sweep, "convex vs local accuracy over a noise grid")
+    sweep.add_argument("--n-trials", type=count)
+    sweep.add_argument("--n-motions", type=motions)
+    sweep.add_argument("--sigma-r", dest="sigmas_r", type=sigma, nargs="+")
+    sweep.add_argument("--sigma-t", dest="sigmas_t", type=sigma, nargs="+")
+    heat = protocol("heatmap", sim.init_heatmap, "local solver error from offset starts")
+    heat.add_argument("--n-inits", type=count)
+    heat.add_argument("--n-motions", type=motions)
+    runtime = protocol("runtime", sim.runtime_bench, "wall time against the number of motions",
+                       parallel=False)
+    runtime.add_argument("--n-list", type=motions, nargs="+")
+    runtime.add_argument("--n-runs", type=count)
 
     cert = sub.add_parser("certify", help="certify a candidate extrinsic against measurements")
     cert.add_argument("--input", required=True, help="measurement JSON-lines file")
@@ -144,34 +164,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    if args.kind == "ablation":
-        if args.translation_variant:
-            rows, summary = sim.ablation_experiment(
-                translation_magnitudes=[0.1, 1.0, 10.0],
-                jobs=args.jobs,
-            )
-        else:
-            rows, summary = sim.ablation_experiment(n_axes=args.n_axes, jobs=args.jobs)
-    elif args.kind == "noise-sweep":
-        rows, summary = sim.noise_sweep(
-            sigmas_r=tuple(args.sigma_r),
-            sigmas_t=tuple(args.sigma_t),
-            n_trials=args.n_trials,
-            n_motions=args.n_motions,
-            seed=args.seed,
-            jobs=args.jobs,
-        )
-    elif args.kind == "heatmap":
-        rows, summary = sim.init_heatmap(
-            n_inits=args.n_inits,
-            n_motions=args.n_motions,
-            seed=args.seed,
-            jobs=args.jobs,
-        )
-    else:
-        rows, summary = sim.runtime_bench(
-            n_list=tuple(args.n_list), n_runs=args.n_runs, seed=args.seed
-        )
+    cli_only = ("command", "protocol", "output", "run")
+    rows, summary = args.run(**{k: v for k, v in vars(args).items() if k not in cli_only})
     with open(f"{args.output}.csv", "w", encoding="utf-8", newline="") as fp:
         sim.write_rows_csv(rows, fp)
     _write_report(summary, f"{args.output}.json")
@@ -198,7 +192,7 @@ def cmd_certify(args) -> int:
                    gap=certificate.gap)
     report = {
         "schema_version": 1,
-        **{key: value if np.isfinite(value) else None for key, value in numbers.items()},
+        **json_numbers(numbers),
         "certified": certificate.certified,
         "sdp_status": relaxation.solution.status,
         "certificate": certificate.to_dict(),

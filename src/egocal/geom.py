@@ -29,6 +29,16 @@ def rotation_defects(m: np.ndarray):
     return drift, np.linalg.det(m)
 
 
+def require_so3(m: np.ndarray, what: str) -> None:
+    """The SO(3) rule: ||M^T M - I||_F and |det M - 1| at most ROTATION_TOL for each
+    matrix of the (..., 3, 3) stack m; else InvalidRotation saying which test `what` fails."""
+    drift, det = rotation_defects(m)
+    if not np.all(drift <= ROTATION_TOL):  # also rejects NaN
+        raise InvalidRotation(f"{what} is not orthonormal")
+    if not np.all(np.abs(det - 1.0) <= ROTATION_TOL):
+        raise InvalidRotation(f"{what} determinant is not +1")
+
+
 @dataclass(frozen=True)
 class RotationMatrix:
     """A proper rotation: 3x3 orthonormal matrix with determinant +1."""
@@ -39,11 +49,7 @@ class RotationMatrix:
         m = _as_locked(self.m)
         if m.shape != (3, 3):
             raise InvalidRotation(f"expected 3x3 matrix, got shape {m.shape}")
-        drift, det = rotation_defects(m)
-        if not drift <= ROTATION_TOL:  # also rejects NaN
-            raise InvalidRotation("matrix is not orthonormal")
-        if not abs(det - 1.0) <= ROTATION_TOL:
-            raise InvalidRotation("matrix determinant is not +1")
+        require_so3(m, "matrix")
         object.__setattr__(self, "m", m)
 
 

@@ -78,10 +78,7 @@ class MeasurementSet:
                 raise ValueError(f"{name} has non-finite entries")
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        drift, det = geom.rotation_defects(np.concatenate([self.ra, self.rb]))
-        tol = geom.ROTATION_TOL
-        if not (np.all(drift <= tol) and np.all(np.abs(det - 1.0) <= tol)):
-            raise InvalidRotation("a measured rotation is not in SO(3)")
+        geom.require_so3(np.concatenate([self.ra, self.rb]), "measured rotation")
         if np.any(self.kappa <= 0) or np.any(self.tau <= 0):
             raise ValueError("weights kappa and tau must be positive")
 
@@ -90,16 +87,20 @@ class MeasurementSet:
         return len(self.kappa)
 
 
+def json_numbers(numbers: dict) -> dict:
+    """Strict JSON values (RFC 8259): each NaN or infinite number is None (null)."""
+    return {key: value if np.isfinite(value) else None for key, value in numbers.items()}
+
+
 @dataclass(frozen=True)
 class ObservabilityReport:
     observable: bool
     condition_estimate: float
 
     def to_dict(self) -> dict:
-        """Strict JSON values: an infinite condition number is None (null)."""
-        cond = self.condition_estimate
-        cond = cond if cond < np.inf else None
-        return {"observable": self.observable, "condition_estimate": cond}
+        """An infinite condition number is written as null."""
+        cond = json_numbers({"condition_estimate": self.condition_estimate})
+        return {"observable": self.observable, **cond}
 
 
 def parse_pose(obj):
@@ -256,9 +257,11 @@ def relative_motions_from_trajectories(poses_a, poses_b) -> MeasurementSet:
 
 
 def translation_gram(m: MeasurementSet) -> np.ndarray:
-    """The 3x3 translation block sum_i tau_i (I - R_b_i)^T (I - R_b_i)."""
+    """The 3x3 translation block sum_i tau_i (I - R_b_i)^T (I - R_b_i); inf or NaN
+    entries where weights too large for the sum overflow it, without a warning."""
     d = np.eye(3) - m.rb
-    return (m.tau[:, None, None] * (np.swapaxes(d, 1, 2) @ d)).sum(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (m.tau[:, None, None] * (np.swapaxes(d, 1, 2) @ d)).sum(axis=0)
 
 
 def check_observability(q_tt: np.ndarray) -> ObservabilityReport:

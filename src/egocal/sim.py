@@ -216,7 +216,6 @@ def ablation_experiment(
     n_axes: int = 100,
     constraint_sets=CONSTRAINT_KINDS,
     translation_magnitudes=None,
-    theta: Transform = DEFAULT_THETA,
     jobs: int = 1,
 ):
     """Certified-percentage sweep over constraint sets on the two-motion instance.
@@ -225,48 +224,42 @@ def ablation_experiment(
     about n_axes sampled axes. Translation variant (translation_magnitudes
     given): rotation perturbation fixed at pi/2 and one translation perturbed
     over 256 trials (16 rotation axes x 16 translation directions) per
-    magnitude. failed_fraction counts the trials where calibrate raised.
+    magnitude. Each magnitude's trials run under every constraint set.
+    failed_fraction counts the trials where calibrate raised.
     """
     if perturb_magnitudes is None:
         perturb_magnitudes = [k * np.pi / 16 for k in range(1, 9)]
-    base = two_motion_instance(theta)
-    rows = []
-    tasks = []
+    base = two_motion_instance()
     if translation_magnitudes is None:
         axes = fibonacci_sphere(n_axes)
-        for magnitude in perturb_magnitudes:
-            for kind in constraint_sets:
-                trials = [
-                    _perturb_instance(base, axis, magnitude) for axis in axes
-                ]
-                tasks.append((magnitude, 0.0, kind, trials))
+        cases = [
+            (magnitude, 0.0, [_perturb_instance(base, axis, magnitude) for axis in axes])
+            for magnitude in perturb_magnitudes
+        ]
     else:
-        rot_axes = fibonacci_sphere(16)
-        trans_dirs = fibonacci_sphere(16)
-        for t_mag in translation_magnitudes:
-            for kind in constraint_sets:
-                trials = [
-                    _perturb_instance(base, axis, np.pi / 2, direction, t_mag)
-                    for axis in rot_axes
-                    for direction in trans_dirs
-                ]
-                tasks.append((np.pi / 2, t_mag, kind, trials))
+        grid = [(axis, d) for axis in fibonacci_sphere(16) for d in fibonacci_sphere(16)]
+        cases = [
+            (np.pi / 2, t_mag, [_perturb_instance(base, a, np.pi / 2, d, t_mag) for a, d in grid])
+            for t_mag in translation_magnitudes
+        ]
 
-    for magnitude, t_mag, kind, trials in tasks:
-        verdicts = _map_jobs(_certified, [(m, kind) for m in trials], jobs)
-        rows.append(
-            {
-                "rotation_magnitude": magnitude,
-                "translation_magnitude": t_mag,
-                "constraint_set": kind,
-                "n_trials": len(trials),
-                "certified_fraction": float(np.mean([f is True for f in verdicts])),
-                "failed_fraction": float(np.mean([f is None for f in verdicts])),
-            }
-        )
+    rows = []
+    for magnitude, t_mag, trials in cases:
+        for kind in constraint_sets:
+            verdicts = _map_jobs(_certified, [(m, kind) for m in trials], jobs)
+            rows.append(
+                {
+                    "rotation_magnitude": magnitude,
+                    "translation_magnitude": t_mag,
+                    "constraint_set": kind,
+                    "n_trials": len(trials),
+                    "certified_fraction": float(np.mean([f is True for f in verdicts])),
+                    "failed_fraction": float(np.mean([f is None for f in verdicts])),
+                }
+            )
     summary = {
         "experiment": "ablation",
-        "theta": {"R": theta.rotation.m.tolist(), "t": theta.translation.tolist()},
+        "theta": {"R": DEFAULT_THETA.rotation.m.tolist(), "t": DEFAULT_THETA.translation.tolist()},
         "rows": rows,
     }
     return rows, summary
@@ -358,20 +351,18 @@ def init_heatmap(
     angle_grid=(0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4, np.pi),
     dist_grid=(0.0, 0.5, 1.0, 2.0, 4.0),
     n_inits: int = 64,
-    sigma_r: float = 0.01,
-    sigma_t: float = 0.01,
     n_motions: int = 50,
     seed: int = 0,
     jobs: int = 1,
 ):
     """Max (local - convex) error over initializations at each offset magnitude.
 
-    One random path, calibration, and noise realization is shared by the whole
-    heatmap; each cell seeds the local solver with n_inits initial guesses
-    offset from the truth by the cell's rotation angle and translation distance.
+    One random path, calibration, and noise realization (sigma 0.01) is shared
+    by the whole heatmap; each cell seeds the local solver with n_inits initial
+    guesses offset from the truth by the cell's rotation angle and translation distance.
     """
     _, theta, _, noisy = terrain_instance(
-        np.random.default_rng([seed, 0]), n_motions, sigma_r, sigma_t
+        np.random.default_rng([seed, 0]), n_motions, 0.01, 0.01
     )
     convex = solver.calibrate(noisy)
     convex_rot_err, convex_trans_err = _errors(convex.extrinsic, theta)

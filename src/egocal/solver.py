@@ -17,7 +17,8 @@ import numpy as np
 from . import geom, qcqp, sdp
 from .errors import RankDeficiencyAmbiguous, numerical
 from .geom import RotationMatrix, Transform
-from .problem import MeasurementSet, ObservabilityReport, check_observability, translation_gram
+from .problem import (MeasurementSet, ObservabilityReport, check_observability, json_numbers,
+                      translation_gram)
 from .qcqp import DataMatrix
 
 VERDICT_CERTIFIED = "CertifiedGlobal"
@@ -56,10 +57,9 @@ class Certificate:
         return VERDICT_CERTIFIED if self.certified else VERDICT_NOT_CERTIFIED
 
     def to_dict(self) -> dict:
-        """Strict JSON values: a NaN or infinite number is None (null)."""
+        """A NaN or infinite number is written as null."""
         numbers = {"lower_bound": self.lower_bound, "gap": self.gap, "min_eig_H": self.min_eig_h}
-        finite = {key: value if np.isfinite(value) else None for key, value in numbers.items()}
-        return {**finite, "verdict": self.verdict}
+        return {**json_numbers(numbers), "verdict": self.verdict}
 
 
 @dataclass(frozen=True)

@@ -454,6 +454,103 @@ def test_experiment_noise_sweep_writes_outputs(tmp_path):
     assert "0.05,0.05" in summary["grid"]
 
 
+# The options each `egocal experiment` protocol reads besides --output, and the
+# keyword of its sim function that each one sets.
+PROTOCOL_OPTIONS = {
+    "ablation": {"--jobs": "jobs", "--n-axes": "n_axes",
+                 "--translation-variant": "translation_magnitudes"},
+    "noise-sweep": {"--seed": "seed", "--jobs": "jobs", "--n-trials": "n_trials",
+                    "--n-motions": "n_motions", "--sigma-r": "sigmas_r", "--sigma-t": "sigmas_t"},
+    "heatmap": {"--seed": "seed", "--jobs": "jobs", "--n-inits": "n_inits",
+                "--n-motions": "n_motions"},
+    "runtime": {"--seed": "seed", "--n-list": "n_list", "--n-runs": "n_runs"},
+}
+PROTOCOL_RUNS = {"ablation": "ablation_experiment", "noise-sweep": "noise_sweep",
+                 "heatmap": "init_heatmap", "runtime": "runtime_bench"}
+# Each option's arguments in a sample, and the value they parse to.
+OPTION_SAMPLES = {
+    "--seed": (["3"], 3), "--jobs": (["2"], 2), "--n-trials": (["1"], 1),
+    "--n-motions": (["10"], 10), "--n-axes": (["4"], 4),
+    "--translation-variant": ([], [0.1, 1.0, 10.0]), "--n-list": (["10", "20"], [10, 20]),
+    "--n-runs": (["1"], 1), "--n-inits": (["2"], 2), "--sigma-r": (["0.1"], [0.1]),
+    "--sigma-t": (["0.2", "0.3"], [0.2, 0.3]),
+}
+UNREAD = [
+    (protocol, option)
+    for protocol, read in PROTOCOL_OPTIONS.items()
+    for option in OPTION_SAMPLES
+    if option not in read
+]
+
+
+def _experiment_argv(tmp_path, protocol, options):
+    """`egocal experiment protocol` with each of `options` at its sample arguments."""
+    tokens = [token for option in options for token in [option, *OPTION_SAMPLES[option][0]]]
+    return ["experiment", protocol, "--output", str(tmp_path / "out"), *tokens]
+
+
+@pytest.mark.parametrize(
+    "protocol, options",
+    [
+        *[(p, ([] if p == "ablation" else ["--seed"]) + [o]) for p, o in UNREAD],
+        ("ablation", ["--n-axes", "--translation-variant"]),  # the variant ignores --n-axes
+    ],
+    ids=[f"{p} {o}" for p, o in UNREAD] + ["ablation --n-axes --translation-variant"],
+)
+def test_experiment_refuses_an_option_its_protocol_does_not_read(
+    tmp_path, capsys, monkeypatch, protocol, options
+):
+    assert len(UNREAD) == 28
+    for run in PROTOCOL_RUNS.values():
+        monkeypatch.setattr(sim, run, lambda **kwargs: pytest.fail(f"ran with {kwargs}"))
+    assert cli.main(_experiment_argv(tmp_path, protocol, options)) == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "protocol, options",
+    [
+        ("ablation", ["--jobs", "--n-axes"]),
+        ("ablation", ["--jobs", "--translation-variant"]),
+        *[(p, list(read)) for p, read in PROTOCOL_OPTIONS.items() if p != "ablation"],
+    ],
+)
+def test_experiment_passes_each_option_it_reads_to_its_protocol(
+    tmp_path, monkeypatch, protocol, options
+):
+    calls = []
+
+    def run(**kwargs):
+        calls.append(kwargs)
+        return [], {"experiment": protocol}
+
+    monkeypatch.setattr(sim, PROTOCOL_RUNS[protocol], run)
+    assert cli.main(_experiment_argv(tmp_path, protocol, options)) == 0
+    keywords = PROTOCOL_OPTIONS[protocol]
+    assert calls == [{keywords[option]: OPTION_SAMPLES[option][1] for option in options}]
+    assert json.loads((tmp_path / "out.json").read_text()) == {"experiment": protocol}
+
+
+@pytest.mark.parametrize(
+    "argv, run",
+    [
+        (["ablation", "--n-axes", "2", "--jobs", "2"],
+         lambda: sim.ablation_experiment(n_axes=2, jobs=2)),
+        (["heatmap", "--seed", "3", "--n-inits", "2", "--n-motions", "10"],
+         lambda: sim.init_heatmap(seed=3, n_inits=2, n_motions=10)),
+    ],
+    ids=["ablation", "heatmap"],
+)
+def test_experiment_writes_the_summary_of_a_direct_call(tmp_path, argv, run):
+    prefix = str(tmp_path / "out")
+    assert cli.main(["experiment", argv[0], "--output", prefix, *argv[1:]]) == 0
+    rows, summary = run()
+    assert Path(prefix + ".json").read_text() == json.dumps(summary, indent=2) + "\n"
+    assert len(Path(prefix + ".csv").read_text().splitlines()) == len(rows) + 1
+
+
 def test_seed_required_for_simulate(capsys):
     code = cli.main(["simulate", "--output", "x"])
     assert code == 1

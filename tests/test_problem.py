@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -279,6 +280,15 @@ def test_observability_overflowing_weights_raise_numerical_failure():
     m, _ = random_instance(3, n_motions=10)
     with pytest.raises(NumericalFailure, match="observability"):
         check_observability(translation_gram(replace(m, tau=np.full(m.n, 1e308))))
+
+
+def test_translation_gram_overflows_without_a_warning():
+    # called outside assemble too (local_solve, simulate): the inf entries are the report
+    m, _ = random_instance(3, n_motions=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gram = translation_gram(replace(m, tau=np.full(m.n, 1e308)))
+    assert not np.all(np.isfinite(gram))
 
 
 def _axis_set(kind, tiny, n, identities, rng):
