@@ -117,6 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--constraint-set", default="r+c+h", choices=list(qcqp.CONSTRAINT_KINDS)
     )
 
+    for command in [*sub.choices.values(), *protocols.choices.values()]:
+        command.set_defaults(parser=command)  # whose usage `main` prints on a usage error
     return parser
 
 
@@ -164,7 +166,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    cli_only = ("command", "protocol", "output", "run")
+    cli_only = ("command", "protocol", "output", "run", "parser")
     rows, summary = args.run(**{k: v for k, v in vars(args).items() if k not in cli_only})
     with open(f"{args.output}.csv", "w", encoding="utf-8", newline="") as fp:
         sim.write_rows_csv(rows, fp)
@@ -187,7 +189,7 @@ def cmd_certify(args) -> int:
     candidate = _load_theta(args.theta)
     relaxation = solver.relax(measurements, args.constraint_set)
     cost = solver.evaluate_cost(measurements, candidate)
-    certificate = solver.certify(relaxation, candidate.rotation.m, cost)
+    relaxation, _, _, certificate = solver.settle(relaxation, lambda _: (candidate, cost))
     numbers = dict(candidate_cost=certificate.cost, dual_lower_bound=certificate.lower_bound,
                    gap=certificate.gap)
     report = {
@@ -195,6 +197,7 @@ def cmd_certify(args) -> int:
         **json_numbers(numbers),
         "certified": certificate.certified,
         "sdp_status": relaxation.solution.status,
+        "sdp_tolerance": relaxation.tolerance,
         "certificate": certificate.to_dict(),
     }
     _write_report(report, args.output)
@@ -203,7 +206,12 @@ def cmd_certify(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        # argparse hands a subcommand's unknown arguments up to the root parser,
+        # whose error would print the root's usage; report them with the
+        # subcommand's usage, which lists the options it does take.
+        args, unknown = build_parser().parse_known_args(argv)
+        if unknown:
+            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
         return EXIT_ERROR if exc.code else EXIT_OK
     handlers = {

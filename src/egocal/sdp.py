@@ -17,21 +17,29 @@ and Mehrotra's predictor-corrector (Mehrotra, SIAM J. Optim. 1992; Todd, Toh
 have dimension <= 13 and at most 22 constraints, so all is dense and the
 constraint operator is one (m, s*s) matrix. Each iteration factors X and S once
 (one Cholesky pair and the inverse factors give W, S^-1 and all four step
-tests), builds the Schur matrix M = [<A_k, W A_l W>] once and runs two
-least-squares solves with it. The first has two columns, the affine predictor
-and the S^-1 part of the corrector, whose right-hand side is affine in
-sigma*mu; the centering weight sigma comes from the predictor's step. The
-second carries the predictor's second-order term. In the NT frame g, with
+tests), builds the Schur matrix M = [<A_k, W A_l W>] once and takes one SVD of
+it, whose pseudo-inverse serves all three right-hand sides. The first two, the
+affine predictor and the S^-1 part of the corrector, are solved together; the
+corrector's right-hand side is affine in sigma*mu, and the centering weight
+sigma comes from the predictor's step. The third carries the predictor's
+second-order term. In the NT frame g, with
 W = g g^T and g^-1 X g^-T = g^T S g = diag(sv), that term is
 T_c = -g Z g^T, where Z solves diag(sv) Z + Z diag(sv) = P + P^T for
 P = (g^-1 dX_a g^-T)(g^T dS_a g): Z_ij = (P + P^T)_ij / (sv_i + sv_j). The
 corrector's target for dX + W dS W is sigma*mu*S^-1 - X + T_c. Keeping the
 term roughly halves the iteration count (18 -> 10 in the median on the
 50-motion noise sweep) at the cost of one more solve per iteration.
-The solves are SVD-based (gelsd). 'r+c' and 'r+c+h' hold
-one exactly dependent constraint, but that is not why: with it dropped, a plain
-LU solve breaks down on about 20 of 256 two-motion instances, 'r+h' (no
-dependency) included, and eigh- or SVD-built pseudo-inverses break down too.
+The pseudo-inverse drops singular values up to 1e-13 sigma_max, gelsd's cutoff
+at rcond=1e-13. On 2048 two-motion-hard and 240 noise-sweep requests it takes
+the same iteration counts as two gelsd solves, except on the one request that
+breaks down, which does so at iteration 24 instead of 26. 'r+c' and 'r+c+h'
+hold one exactly dependent constraint, but that is not why a factorization
+without a cutoff is avoided: with it dropped, a plain LU solve breaks down on
+about 20 of 256 two-motion instances, 'r+h' (no dependency) included.
+
+`solve` stops at a caller's tolerance and can continue a stopped solve (its
+`start`), so the calibration pipeline solves to a loose tolerance first and
+continues to the strict TOL only when the loose answer does not certify.
 """
 
 from __future__ import annotations
@@ -46,9 +54,9 @@ STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITER = "max_iter"
 STATUS_BREAKDOWN = "breakdown"
 
-# Stopping tolerances of `solve` (relative residuals, relative gap).
-TOL_FEAS = 1e-9
-TOL_GAP = 1e-9
+# The strict stopping tolerance of `solve`, on the relative primal and dual
+# residuals and the relative complementarity gap.
+TOL = 1e-9
 _STEP_FRACTION = 0.98
 
 
@@ -85,7 +93,8 @@ class SdpProblem:
 @dataclass
 class SdpSolution:
     x_primal: np.ndarray
-    multipliers: np.ndarray    # dual vector y: slack S = cost - sum_i y_i A_i
+    multipliers: np.ndarray    # dual vector y
+    slack: np.ndarray          # S, which the iteration keeps near cost - sum_i y_i A_i
     primal_obj: float
     dual_obj: float
     kkt: dict                  # primal_residual, dual_residual, complementarity
@@ -120,6 +129,16 @@ def _nt_scaling(x: np.ndarray, s: np.ndarray):
     return inv_l, chol[0] @ vt.T / root, (root[:, None] * vt) @ inv_l[0], sv
 
 
+def _pseudo_inverse(schur: np.ndarray):
+    """y -> pinv(schur) @ y from one SVD, for every right-hand side of an
+    iteration; singular values up to 1e-13 sigma_max count as zero (the cutoff
+    of gelsd at rcond=1e-13)."""
+    u, sing, vt = np.linalg.svd(schur)
+    keep = sing > 1e-13 * sing[0]
+    left, right = u[:, keep].T, vt[keep].T / sing[keep]
+    return lambda rhs: right @ (left @ rhs)
+
+
 def _max_steps(inv_chol: np.ndarray, d: np.ndarray) -> list:
     """Per stacked pair (L^-1, d) of an inverse Cholesky factor and a direction, the
     largest alpha <= 1 keeping L L^T + alpha*d PSD, with a safety fraction."""
@@ -128,8 +147,16 @@ def _max_steps(inv_chol: np.ndarray, d: np.ndarray) -> list:
     return [1.0 if v >= 0 else min(1.0, -_STEP_FRACTION / v) for v in lam]
 
 
-def solve(p: SdpProblem, max_iter: int = 100) -> SdpSolution:
-    """Run the predictor-corrector iteration from the scaled-identity start.
+def solve(p: SdpProblem, max_iter: int = 100, tol: float = TOL,
+          start: SdpSolution | None = None) -> SdpSolution:
+    """Run the predictor-corrector iteration until the relative residuals and
+    gap are below `tol`, from the scaled-identity start or, given `start`, from
+    that optimal solution's last iterate.
+
+    A continued run repeats none of the work: `solve(p, start=solve(p, tol=t))`
+    returns exactly `solve(p)` (the same iterates, `iterations` and
+    `iterate_log`) for any t >= TOL, since the stopping test is the only part
+    of an iteration that reads `tol`.
 
     Ends with status STATUS_OPTIMAL, STATUS_MAX_ITER after `max_iter`
     iterations, or STATUS_BREAKDOWN when a factorization fails (LinAlgError);
@@ -143,19 +170,23 @@ def solve(p: SdpProblem, max_iter: int = 100) -> SdpSolution:
     a, b, c = p.constraints, p.rhs, p.cost
     op, adj = _operator(a)
 
-    scale = max(1.0, float(np.linalg.norm(c)) / np.sqrt(s_dim))
-    x = np.eye(s_dim)
-    s = np.eye(s_dim) * scale
-    y = np.zeros(a.shape[0])
+    if start is None:
+        scale = max(1.0, float(np.linalg.norm(c)) / np.sqrt(s_dim))
+        x, y, s = np.eye(s_dim), np.zeros(a.shape[0]), np.eye(s_dim) * scale
+        log, first = [], 1
+    elif start.status != STATUS_OPTIMAL:
+        raise ValueError(f"can only continue an optimal solve, not a {start.status!r} one")
+    else:
+        x, y, s = start.x_primal, start.multipliers, start.slack
+        log, first = list(start.iterate_log), start.iterations
 
     norm_b = 1.0 + np.linalg.norm(b)
     norm_c = 1.0 + np.linalg.norm(c)
 
-    log = []
     status = STATUS_MAX_ITER
-    it = 0
+    it = len(log)
     try:
-        for it in range(1, max_iter + 1):
+        for it in range(first, max_iter + 1):
             ax = op(x)
             rp = b - ax
             rd = c - adj(y) - s
@@ -165,23 +196,20 @@ def solve(p: SdpProblem, max_iter: int = 100) -> SdpSolution:
             dobj = float(b @ y)
             pres = float(np.linalg.norm(rp)) / norm_b
             dres = float(np.linalg.norm(rd)) / norm_c
-            log.append(
-                {
-                    "iter": it,
-                    "primal_obj": pobj,
-                    "dual_obj": dobj,
-                    "primal_residual": pres,
-                    "dual_residual": dres,
-                    "complementarity": gap,
-                    "mu": mu,
-                    "x_norm": float(np.linalg.norm(x)),
-                }
-            )
-            if (
-                pres < TOL_FEAS
-                and dres < TOL_FEAS
-                and gap < TOL_GAP * (1.0 + abs(pobj) + abs(dobj))
-            ):
+            if it > len(log):  # a continued run's first iterate is logged already
+                log.append(
+                    {
+                        "iter": it,
+                        "primal_obj": pobj,
+                        "dual_obj": dobj,
+                        "primal_residual": pres,
+                        "dual_residual": dres,
+                        "complementarity": gap,
+                        "mu": mu,
+                        "x_norm": float(np.linalg.norm(x)),
+                    }
+                )
+            if pres < tol and dres < tol and gap < tol * (1.0 + abs(pobj) + abs(dobj)):
                 status = STATUS_OPTIMAL
                 break
 
@@ -191,9 +219,8 @@ def solve(p: SdpProblem, max_iter: int = 100) -> SdpSolution:
 
             # Schur right-hand side rp - A(T) + A(W rd W) for a target T of
             # dX + W dS W; the predictor's T is -X.
-            schur = _schur(a, w)
-            r0 = rp + ax + op(w @ rd @ w)
-            cols, *_ = np.linalg.lstsq(schur, np.column_stack([r0, op(s_inv)]), rcond=1e-13)
+            schur_solve = _pseudo_inverse(_schur(a, w))
+            cols = schur_solve(np.column_stack([rp + ax + op(w @ rd @ w), op(s_inv)]))
 
             def direction(target, dy):
                 ds = rd - adj(dy)
@@ -213,8 +240,7 @@ def solve(p: SdpProblem, max_iter: int = 100) -> SdpSolution:
             # second-order term T_c = -g Z g^T (see the module docstring).
             prod = (g_inv @ dx_a @ g_inv.T) @ (g.T @ ds_a @ g)
             t_c = -g @ ((prod + prod.T) / (sv[:, None] + sv)) @ g.T
-            d_c, *_ = np.linalg.lstsq(schur, op(t_c), rcond=1e-13)
-            dy = cols[:, 0] - sigma * mu * cols[:, 1] - d_c
+            dy = cols[:, 0] - sigma * mu * cols[:, 1] - schur_solve(op(t_c))
             dx, ds = direction(sigma * mu * s_inv - x + t_c, dy)
             ap, ad = _max_steps(inv_l, np.stack([dx, ds]))
             x = 0.5 * ((x + ap * dx) + (x + ap * dx).T)
@@ -231,6 +257,7 @@ def solve(p: SdpProblem, max_iter: int = 100) -> SdpSolution:
     return SdpSolution(
         x_primal=x,
         multipliers=y,
+        slack=s,
         primal_obj=float(np.sum(c * x)),
         dual_obj=float(b @ y),
         kkt=kkt,

@@ -3,6 +3,11 @@ solve the strengthened dual SDP, extract and polish the rotation, recover the
 translation, and certify it against a proven lower bound on the global minimum
 (`certify`, SE-Sync's verification step: Rosen et al., IJRR 2019).
 
+The bound holds for any dual vector, so the SDP is solved only as far as the
+certificate needs: `relax` stops at CANDIDATE_TOL, and `settle` continues the
+same solve to the strict `sdp.TOL` (`tighten`) only when the answer does not
+certify there.
+
 Also hosts the local Levenberg-Marquardt baseline used by the experiment
 harness for comparisons; it is the only user of scipy, imported on call.
 """
@@ -10,7 +15,8 @@ harness for comparisons; it is the only user of scipy, imported on call.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +37,8 @@ GAP_COST = 1e-7
 GAP_TRACE = 1e-9
 # Cap on the rotation polish's Newton trials, taken or refused.
 POLISH_STEPS = 30
+# The tolerance of the first SDP stage (`relax`); `tighten` continues to sdp.TOL.
+CANDIDATE_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -87,13 +95,19 @@ class CalibrationResult:
 @dataclass(frozen=True)
 class Relaxation:
     """The solved SDP relaxation: the data, the trace-normalized problem and its
-    scale tr(q_tilde), the solver's result and `sdp.certify_lmi` of H at its y."""
+    scale tr(q_tilde), the solver's result and the tolerance it was solved to."""
 
     dm: DataMatrix
     problem: sdp.SdpProblem
     scale: float
     solution: sdp.SdpSolution
-    lmi: dict
+    tolerance: float
+
+    @cached_property
+    def lmi(self) -> dict:
+        """`sdp.certify_lmi` of H at the solver's y."""
+        return sdp.certify_lmi(self.problem.cost, self.problem.constraints,
+                               self.solution.multipliers)
 
 
 def _residual_arrays(m: MeasurementSet, r: np.ndarray, t: np.ndarray):
@@ -148,7 +162,8 @@ def build_sdp_problem(dm: DataMatrix, constraints: np.ndarray):
 
 
 def relax(m: MeasurementSet, constraint_set="r+c+h") -> Relaxation:
-    """Assemble `m`, solve its SDP relaxation and decompose the dual slack.
+    """Assemble `m`, solve its SDP relaxation to CANDIDATE_TOL and decompose
+    the dual slack.
 
     Any final status is kept: an iteration cap or a factorization breakdown
     (`sdp.solve`'s "max_iter" and "breakdown") still leaves a dual vector,
@@ -156,9 +171,14 @@ def relax(m: MeasurementSet, constraint_set="r+c+h") -> Relaxation:
     """
     dm = qcqp.assemble(m)
     problem, scale = build_sdp_problem(dm, qcqp.constraint_catalog(constraint_set))
-    solution = sdp.solve(problem)
-    lmi = sdp.certify_lmi(problem.cost, problem.constraints, solution.multipliers)
-    return Relaxation(dm, problem, scale, solution, lmi)
+    return Relaxation(dm, problem, scale, sdp.solve(problem, tol=CANDIDATE_TOL), CANDIDATE_TOL)
+
+
+def tighten(relaxation: Relaxation) -> Relaxation:
+    """`relaxation` with its optimal solve continued from its last iterate to
+    the strict `sdp.TOL`: the same solution as a solve run to sdp.TOL at once."""
+    solution = sdp.solve(relaxation.problem, start=relaxation.solution)
+    return replace(relaxation, solution=solution, tolerance=sdp.TOL)
 
 
 def _dual_bound(lmi: dict, y: np.ndarray) -> float:
@@ -205,6 +225,25 @@ def certify(relaxation: Relaxation, rotation: np.ndarray, cost: float) -> Certif
     return Certificate(lower_bound=scale * bound, cost=cost, min_eig_h=lmi["min_eig"], scale=scale)
 
 
+def settle(relaxation: Relaxation, propose):
+    """Certify the candidate `propose(relaxation)` returns, a (Transform, cost)
+    pair; when it does not certify and the relaxation's solve is optimal,
+    tighten the solve and certify `propose` of the tightened relaxation.
+
+    Returns (relaxation, theta, cost, certificate) of the last stage. A
+    certificate at CANDIDATE_TOL is sound, since the bound holds for any dual
+    vector; a request that does not certify there gets the strict solve's
+    answer. Shared by `calibrate` and `egocal certify`.
+    """
+    theta, cost = propose(relaxation)
+    certificate = certify(relaxation, theta.rotation.m, cost)
+    if not certificate.certified and relaxation.solution.status == sdp.STATUS_OPTIMAL:
+        relaxation = tighten(relaxation)
+        theta, cost = propose(relaxation)
+        certificate = certify(relaxation, theta.rotation.m, cost)
+    return relaxation, theta, cost, certificate
+
+
 def calibrate(m: MeasurementSet, constraint_set: str = "r+c+h") -> CalibrationResult:
     """Certifiably globally optimal calibration from relative motion pairs.
 
@@ -212,25 +251,30 @@ def calibrate(m: MeasurementSet, constraint_set: str = "r+c+h") -> CalibrationRe
     observability, raising SingularQtt on unobservable data, and keeps the
     report), extract the rotation from the dual slack and polish it on the
     reduced form, recover the translation in closed form, price the estimate
-    and certify it against the proven dual bound (`certify`).
+    and certify it against the proven dual bound (`certify`); when it does not
+    certify, do all of that again from the strict solve (`settle`).
     """
     start = time.perf_counter()
-    relaxation = relax(m, constraint_set)
-    rotation = _polish(relaxation.dm.q_tilde, extract_solution(relaxation.lmi))
-    translation = recover_translation(relaxation.dm, qcqp.reduced_vector(rotation))
-    theta = Transform(RotationMatrix(rotation), translation)
-    cost = evaluate_cost(m, theta)
+
+    def propose(relaxation):
+        rotation = _polish(relaxation.dm.q_tilde, extract_solution(relaxation.lmi))
+        translation = recover_translation(relaxation.dm, qcqp.reduced_vector(rotation))
+        theta = Transform(RotationMatrix(rotation), translation)
+        return theta, evaluate_cost(m, theta)
+
+    relaxation, theta, cost, certificate = settle(relax(m, constraint_set), propose)
     solution = relaxation.solution
     stats = {
         "sdp_iters": solution.iterations,
         "sdp_status": solution.status,
+        "sdp_tolerance": relaxation.tolerance,
         "kkt": solution.kkt,
         "wall_time_seconds": time.perf_counter() - start,
     }
     return CalibrationResult(
         extrinsic=theta,
         cost=cost,
-        certificate=certify(relaxation, rotation, cost),
+        certificate=certificate,
         observability=relaxation.dm.observability,
         solve_stats=stats,
     )
@@ -260,6 +304,9 @@ def _polish(q_tilde: np.ndarray, r: np.ndarray) -> np.ndarray:
     curvature (lifting it only to d gives a step ~1/d long); a refused step
     sets mu to max(10 mu, d), a taken one to 0. The polish ends when a refused
     step predicts a decrease below the rounding of f, eps * trace(q_tilde).
+    That last step is still taken when it shrinks the gradient and raises f by
+    no more than that rounding: f resolves the rotation only to about
+    sqrt(eps), the gradient to about eps, whatever the start's accuracy.
     """
     f, grad, hess = _newton_terms(q_tilde, r)
     resolution = np.finfo(float).eps * abs(np.trace(q_tilde))
@@ -275,6 +322,9 @@ def _polish(q_tilde: np.ndarray, r: np.ndarray) -> np.ndarray:
         if terms[0] < f:
             r, (f, grad, hess), mu = candidate, terms, 0.0
         elif -0.5 * (grad @ step) <= resolution:
+            # f cannot tell this step from rounding, but its gradient can.
+            if terms[0] <= f + resolution and np.linalg.norm(terms[1]) < np.linalg.norm(grad):
+                r = candidate
             break
         else:
             mu = max(10.0 * mu, damping)

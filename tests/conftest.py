@@ -67,8 +67,8 @@ def rng():
 
 def lmi_is_psd(cost, constraints, multipliers):
     """Whether `sdp.certify_lmi`'s minimum eigenvalue of H = cost - sum_i y_i A_i
-    clears the margin -TOL_FEAS * (1 + max|lambda|), with max|lambda| from H's spectrum."""
+    clears the margin -TOL * (1 + max|lambda|), with max|lambda| from H's spectrum."""
     min_eig = sdp.certify_lmi(cost, constraints, multipliers)["min_eig"]
     h = cost - np.einsum("k,kij->ij", multipliers, constraints)
     eigenvalues = np.linalg.eigvalsh(0.5 * (h + h.T))
-    return min_eig > -sdp.TOL_FEAS * (1.0 + np.abs(eigenvalues).max())
+    return min_eig > -sdp.TOL * (1.0 + np.abs(eigenvalues).max())

@@ -167,6 +167,25 @@ def test_certify_self_consistency(tmp_path):
     assert code == 0
     cert = json.loads(out.read_text())
     assert cert["certified"] is True
+    assert cert["sdp_tolerance"] == solver.CANDIDATE_TOL
+
+
+def test_certify_continues_the_solve_for_a_candidate_that_does_not_certify(tmp_path):
+    # the identity is no optimum of the terrain log: the candidate-tolerance
+    # bound refuses it, and so does the strict one it is then checked against
+    fixture = tmp_path / "run.jsonl"
+    m = sim.terrain_instance(np.random.default_rng([0, 50]), 50, 0.01, 0.01)[3]
+    with open(fixture, "w", encoding="utf-8") as fp:
+        dump_measurements(m, fp)
+    theta_path = tmp_path / "theta.json"
+    theta_path.write_text(json.dumps({"theta": {"R": np.eye(3).tolist(), "t": [0.0, 0.0, 0.0]}}))
+    out = tmp_path / "cert.json"
+    args = ["certify", "--input", str(fixture), "--theta", str(theta_path), "--output", str(out)]
+    assert cli.main(args) == 2
+    cert = json.loads(out.read_text())
+    assert cert["certified"] is False
+    assert cert["sdp_status"] == "optimal"
+    assert cert["sdp_tolerance"] == sdp.TOL
 
 
 def test_certify_ground_truth_zero_gap(tmp_path):
@@ -506,6 +525,25 @@ def test_experiment_refuses_an_option_its_protocol_does_not_read(
     assert cli.main(_experiment_argv(tmp_path, protocol, options)) == 1
     err = capsys.readouterr().err
     assert "usage:" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, usage, unread",
+    [
+        (["experiment", "heatmap", "--seed", "0"], "egocal experiment heatmap", "--sigma-r 0.1"),
+        (["experiment", "runtime", "--seed", "0"], "egocal experiment runtime", "--jobs 2"),
+        (["calibrate", "--input", "m.jsonl"], "egocal calibrate", "--no-such-flag"),
+    ],
+    ids=["heatmap", "runtime", "calibrate"],
+)
+def test_an_unread_option_prints_its_subcommands_usage(tmp_path, capsys, argv, usage, unread):
+    # not the root's "usage: egocal [-h] {calibrate,...}": the subcommand's,
+    # which lists the options it does take
+    assert cli.main([*argv, "--output", str(tmp_path / "out"), *unread.split()]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: {usage} [-h]")
+    assert f"{usage}: error: unrecognized arguments: {unread}" in err
     assert not list(tmp_path.iterdir())
 
 

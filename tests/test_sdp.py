@@ -150,6 +150,32 @@ def test_scale_invariance():
     assert a == b
 
 
+def _assert_same_solution(a, b):
+    for name in ("x_primal", "multipliers", "slack"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert (a.status, a.iterations, a.kkt) == (b.status, b.iterations, b.kkt)
+    assert a.iterate_log == b.iterate_log
+
+
+def test_a_continued_solve_is_the_uninterrupted_one():
+    m = sim.terrain_instance(np.random.default_rng([3, 50]), 50, 0.05, 0.05)[3]
+    calibration, _ = solver.build_sdp_problem(qcqp.assemble(m), qcqp.constraint_catalog("r+c+h"))
+    problems = [constructed_sdp(np.random.default_rng([26, k]))[0] for k in range(5)]
+    for p in [calibration, *problems]:
+        strict = sdp.solve(p)
+        loose = sdp.solve(p, tol=1e-4)
+        assert loose.status == sdp.STATUS_OPTIMAL and loose.iterations < strict.iterations
+        assert strict.iterate_log[: loose.iterations] == loose.iterate_log
+        _assert_same_solution(sdp.solve(p, start=loose), strict)
+        _assert_same_solution(sdp.solve(p, start=strict), strict)  # nothing left to do
+
+
+def test_only_an_optimal_solve_is_continued():
+    p, _, _ = constructed_sdp(np.random.default_rng(27))
+    with pytest.raises(ValueError, match="max_iter"):
+        sdp.solve(p, start=sdp.solve(p, max_iter=2))
+
+
 def test_max_iter_returns_best_iterate():
     rng = np.random.default_rng(22)
     p, _, _ = constructed_sdp(rng)

@@ -355,8 +355,34 @@ def _assert_answered_with_a_valid_bound(status):
 def test_calibrate_answers_at_the_iteration_cap(monkeypatch):
     # an SDP stopped at its cap still leaves a dual vector, hence a bound
     solve = sdp.solve
-    monkeypatch.setattr(sdp, "solve", lambda p: solve(p, max_iter=2))
+    monkeypatch.setattr(sdp, "solve", lambda p, **kw: solve(p, **{**kw, "max_iter": 2}))
     _assert_answered_with_a_valid_bound("max_iter")
+
+
+def test_report_names_the_tolerance_that_answered():
+    # a certified terrain request stops at the candidate tolerance; the loose
+    # two-motion instance never certifies under 'r', so its solve is continued
+    m = sim.terrain_instance(np.random.default_rng([0, 50]), 50, 0.01, 0.01)[3]
+    result = solver.calibrate(m)
+    assert result.certificate.certified
+    assert result.solve_stats["sdp_tolerance"] == solver.CANDIDATE_TOL == 1e-4
+    loose = solver.calibrate(loose_two_motion_instance(), "r")
+    assert not loose.certificate.certified
+    assert loose.solve_stats["sdp_tolerance"] == sdp.TOL == 1e-9
+
+
+def test_an_uncertified_answer_is_the_strict_pipelines_bit_for_bit(monkeypatch):
+    # With CANDIDATE_TOL at the strict tolerance, relax solves as the pipeline
+    # did before the two stages (and tighten finds it converged already).
+    m = loose_two_motion_instance()
+    staged = solver.calibrate(m, "r")
+    monkeypatch.setattr(solver, "CANDIDATE_TOL", sdp.TOL)
+    strict = solver.calibrate(m, "r")
+    assert np.array_equal(staged.extrinsic.rotation.m, strict.extrinsic.rotation.m)
+    assert np.array_equal(staged.extrinsic.translation, strict.extrinsic.translation)
+    assert staged.cost == strict.cost
+    assert staged.certificate == strict.certificate
+    assert staged.solve_stats["sdp_iters"] == strict.solve_stats["sdp_iters"]
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
@@ -417,6 +443,19 @@ def test_polish_reaches_a_stationary_point_of_the_reduced_form(turn):
     # q_tilde is the cost minimized over t, attained at recover_translation's t
     t = solver.recover_translation(dm, qcqp.reduced_vector(polished))
     assert abs(cost - solver.evaluate_cost(m, Transform(RotationMatrix(polished), t))) <= 1e-12 * cost
+
+
+def test_polish_resolves_the_rotation_below_the_rounding_of_its_cost():
+    # On noise-free data f resolves the rotation only to about sqrt(eps) = 1e-8,
+    # so from a start 1e-4 off a last Newton step that f cannot see is needed
+    # to reach the rounding of the rotation itself; the gradient shows it.
+    axis = np.array([1.0, 2.0, 2.0]) / 3.0
+    for seed in range(5):
+        m, theta = random_instance(seed, n_motions=20)
+        q_tilde = qcqp.assemble(m).q_tilde
+        for turn in (1e-3, 1e-4, 1e-5, 1e-6):
+            start = theta.rotation.m @ geom.rotation_about(axis, turn)
+            assert np.linalg.norm(solver._polish(q_tilde, start) - theta.rotation.m) < 1e-13
 
 
 def test_polish_never_raises_the_cost_from_a_poor_start(monkeypatch):
