@@ -158,6 +158,24 @@ def _build_catalog(kind: str) -> np.ndarray:
 
 _CATALOGS = {kind: _build_catalog(kind) for kind in CONSTRAINT_KINDS}
 
+# The dual margin of `interior_point`: its slack is C + INTERIOR_MARGIN * I.
+INTERIOR_MARGIN = 0.1
+# Rows of the diagonal row-orthogonality constraints (R R^T)_ii = y^2, which
+# lead every catalog: the (0,0), (1,1) and (2,2) entries of `_orthogonality`.
+_ROW_DIAGONAL = [0, 3, 5]
+
+
+def _build_interior(kind: str):
+    x = np.diag(np.r_[np.full(9, 1.0 / 3.0), 1.0])
+    y = np.zeros(len(_CATALOGS[kind]))
+    y[_ROW_DIAGONAL] = -INTERIOR_MARGIN
+    y[-1] = -4.0 * INTERIOR_MARGIN
+    x.flags.writeable = y.flags.writeable = False
+    return x, y
+
+
+_INTERIORS = {kind: _build_interior(kind) for kind in CONSTRAINT_KINDS}
+
 
 def constraint_catalog(kind: str = "r+c+h") -> np.ndarray:
     """The constraint matrices of one of the four ablation sets, as a read-only
@@ -167,6 +185,24 @@ def constraint_catalog(kind: str = "r+c+h") -> np.ndarray:
     'r' is row orthogonality (6 matrices); '+c' adds the redundant column
     orthogonality (6 more); '+h' adds the right-handedness cross products (9).
     """
+    return _CATALOGS[_kind(kind)]
+
+
+def interior_point(kind: str):
+    """A strictly feasible primal-dual pair (X0, y0) of the SDP over catalog
+    `kind`, the same for every cost C of trace 1 and PSD (read-only arrays).
+
+    X0 = diag(I_9/3, 1) satisfies every constraint of every catalog: each
+    orthogonality constraint reads 3 * 1/3 - 1 = 0 or an off-diagonal zero,
+    each handedness constraint only off-diagonal entries, the homogenizer 1.
+    y0 is -a on the three diagonal row-orthogonality constraints and -4a on
+    the homogenizer (a = INTERIOR_MARGIN), so sum_i y0_i A_i = -a I and the
+    dual slack C - sum_i y0_i A_i = C + a I is positive definite.
+    """
+    return _INTERIORS[_kind(kind)]
+
+
+def _kind(kind: str) -> str:
     if kind.lower() not in _CATALOGS:
         raise ValueError(f"unknown constraint set {kind!r}; expected one of {CONSTRAINT_KINDS}")
-    return _CATALOGS[kind.lower()]
+    return kind.lower()

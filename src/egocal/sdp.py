@@ -11,31 +11,44 @@ together with its dual
     maximize    b^T y
     subject to  S = C - sum_i y_i A_i >= 0,
 
-using an infeasible-start path-following method with Nesterov-Todd scaling
-and Mehrotra's predictor-corrector (Mehrotra, SIAM J. Optim. 1992; Todd, Toh
-& Tutuncu, SIAM J. Optim. 1998, the NT direction of SDPT3). The problems here
-have dimension <= 13 and at most 22 constraints, so all is dense and the
-constraint operator is one (m, s*s) matrix. Each iteration factors X and S once
-(one Cholesky pair and the inverse factors give W, S^-1 and all four step
-tests), builds the Schur matrix M = [<A_k, W A_l W>] once and takes one SVD of
-it, whose pseudo-inverse serves all three right-hand sides. The first two, the
-affine predictor and the S^-1 part of the corrector, are solved together; the
+using a path-following method with Nesterov-Todd scaling and Mehrotra's
+predictor-corrector (Mehrotra, SIAM J. Optim. 1992; Todd, Toh & Tutuncu,
+SIAM J. Optim. 1998, the NT direction of SDPT3). It starts at a problem's
+known strictly feasible point (`SdpProblem.interior`; the calibration SDP's
+is `qcqp.interior_point`), as feasible path-following methods do (Wright,
+Primal-Dual Interior-Point Methods, SIAM 1997, ch. 5): with both residuals
+zero at the start, every step keeps A(X) = b and S = C - sum_i y_i A_i to
+rounding, and the iteration only has to close the gap. A problem with no
+such point starts at the infeasible scaled identity, and the residual terms
+of the same step drive it to feasibility. On 360 requests of the 50-motion
+noise sweep the interior start takes 5 iterations to 1e-4 and 8 to 1e-9 in
+the median, the first iterate counted as 1 (7 and 10 from the scaled
+identity).
+
+The problems here have dimension <= 13 and at most 22 constraints, so all is
+dense and the constraint operator is one (m, s*s) matrix. Each iteration
+factors X and S once (one Cholesky pair and the inverse factors give W, S^-1
+and all four step tests), builds the Schur matrix M = [<A_k, W A_l W>] once
+and takes one eigendecomposition of it (M is symmetric PSD), whose
+pseudo-inverse serves all three right-hand sides. The first two, the affine
+predictor and the S^-1 part of the corrector, are solved together; the
 corrector's right-hand side is affine in sigma*mu, and the centering weight
 sigma comes from the predictor's step. The third carries the predictor's
-second-order term. In the NT frame g, with
-W = g g^T and g^-1 X g^-T = g^T S g = diag(sv), that term is
-T_c = -g Z g^T, where Z solves diag(sv) Z + Z diag(sv) = P + P^T for
-P = (g^-1 dX_a g^-T)(g^T dS_a g): Z_ij = (P + P^T)_ij / (sv_i + sv_j). The
-corrector's target for dX + W dS W is sigma*mu*S^-1 - X + T_c. Keeping the
-term roughly halves the iteration count (18 -> 10 in the median on the
-50-motion noise sweep) at the cost of one more solve per iteration.
-The pseudo-inverse drops singular values up to 1e-13 sigma_max, gelsd's cutoff
-at rcond=1e-13. On 2048 two-motion-hard and 240 noise-sweep requests it takes
-the same iteration counts as two gelsd solves, except on the one request that
-breaks down, which does so at iteration 24 instead of 26. 'r+c' and 'r+c+h'
-hold one exactly dependent constraint, but that is not why a factorization
-without a cutoff is avoided: with it dropped, a plain LU solve breaks down on
-about 20 of 256 two-motion instances, 'r+h' (no dependency) included.
+second-order term. In the NT frame g, with W = g g^T and
+g^-1 X g^-T = g^T S g = diag(sv), that term is T_c = -g Z g^T, where Z solves
+diag(sv) Z + Z diag(sv) = P + P^T for P = (g^-1 dX_a g^-T)(g^T dS_a g):
+Z_ij = (P + P^T)_ij / (sv_i + sv_j). The corrector's target for
+dX + W dS W is sigma*mu*S^-1 - X + T_c. Keeping the term more than halves
+the iteration count to 1e-9 (18 -> 8 in the median on those requests) at the
+cost of one more solve per iteration.
+The pseudo-inverse drops eigenvalues up to 1e-13 max|lambda| in magnitude,
+gelsd's cutoff at rcond=1e-13. On 1024 two-motion-hard and 360 noise-sweep
+requests it takes the same iteration counts as the SVD with that cutoff,
+except on the one request that breaks down, which does so at iteration 20
+instead of 23. 'r+c' and 'r+c+h' hold one exactly dependent constraint, but
+that is not why a factorization without a cutoff is avoided: with it
+dropped, a plain LU solve breaks down on about 20 of 256 two-motion
+instances, 'r+h' (no dependency) included.
 
 `solve` stops at a caller's tolerance and can continue a stopped solve (its
 `start`), so the calibration pipeline solves to a loose tolerance first and
@@ -65,6 +78,9 @@ class SdpProblem:
     cost: np.ndarray          # s x s symmetric
     constraints: np.ndarray   # m x s x s, each symmetric
     rhs: np.ndarray           # m
+    # A known strictly feasible (X0, y0): A(X0) = b, X0 > 0 and
+    # cost - sum_i y0_i A_i > 0. `solve` starts there when given.
+    interior: tuple | None = None
 
     def __post_init__(self):
         cost = np.asarray(self.cost, dtype=float)
@@ -76,6 +92,11 @@ class SdpProblem:
             raise ValueError("constraints must be (m, s, s) matching the cost")
         if b.shape != (a.shape[0],) or a.shape[0] == 0:
             raise ValueError("rhs must have one entry per constraint")
+        if self.interior is not None and (
+            np.shape(self.interior[0]) != cost.shape or np.shape(self.interior[1]) != b.shape
+        ):
+            raise ValueError("interior point must be an (s, s) matrix and one multiplier "
+                             "per constraint")
         mats = np.concatenate([cost[None], a])
         bound = 1e-12 * (1.0 + np.max(np.abs(mats), axis=(1, 2)))
         if (asym := np.max(np.abs(mats - np.swapaxes(mats, 1, 2)), axis=(1, 2)) > bound).any():
@@ -130,13 +151,15 @@ def _nt_scaling(x: np.ndarray, s: np.ndarray):
 
 
 def _pseudo_inverse(schur: np.ndarray):
-    """y -> pinv(schur) @ y from one SVD, for every right-hand side of an
-    iteration; singular values up to 1e-13 sigma_max count as zero (the cutoff
-    of gelsd at rcond=1e-13)."""
-    u, sing, vt = np.linalg.svd(schur)
-    keep = sing > 1e-13 * sing[0]
-    left, right = u[:, keep].T, vt[keep].T / sing[keep]
-    return lambda rhs: right @ (left @ rhs)
+    """y -> pinv(schur) @ y from one eigendecomposition of the symmetric Schur
+    matrix, for every right-hand side of an iteration; eigenvalues up to
+    1e-13 max|lambda| in magnitude count as zero (the cutoff of gelsd at
+    rcond=1e-13, since the singular values are the |lambda|)."""
+    lam, vec = np.linalg.eigh(schur)
+    keep = np.abs(lam) > 1e-13 * np.abs(lam).max()
+    left = vec[:, keep]
+    right = left / lam[keep]
+    return lambda rhs: right @ (left.T @ rhs)
 
 
 def _max_steps(inv_chol: np.ndarray, d: np.ndarray) -> list:
@@ -150,8 +173,10 @@ def _max_steps(inv_chol: np.ndarray, d: np.ndarray) -> list:
 def solve(p: SdpProblem, max_iter: int = 100, tol: float = TOL,
           start: SdpSolution | None = None) -> SdpSolution:
     """Run the predictor-corrector iteration until the relative residuals and
-    gap are below `tol`, from the scaled-identity start or, given `start`, from
-    that optimal solution's last iterate.
+    gap are below `tol`, from `p.interior` (else the scaled identity) or,
+    given `start`, from that optimal solution's last iterate. A fresh start
+    logs its first iterate as iteration 1, and `iterations` is the length of
+    `iterate_log`.
 
     A continued run repeats none of the work: `solve(p, start=solve(p, tol=t))`
     returns exactly `solve(p)` (the same iterates, `iterations` and
@@ -162,23 +187,26 @@ def solve(p: SdpProblem, max_iter: int = 100, tol: float = TOL,
     iterations, or STATUS_BREAKDOWN when a factorization fails (LinAlgError);
     the last two return the last complete iterate, whose dual vector still
     gives a valid bound. There is no infeasibility exit: the calibration SDP is
-    strictly feasible on both sides (the primal at X = diag(I_9/3, 1), the dual
-    at the row-orthogonality multipliers), so a solve that does not converge
-    ends as one of the last two.
+    strictly feasible on both sides (`qcqp.interior_point`, where its solve
+    starts), so a solve that does not converge ends as one of the last two.
     """
     s_dim = p.dim
     a, b, c = p.constraints, p.rhs, p.cost
     op, adj = _operator(a)
 
-    if start is None:
-        scale = max(1.0, float(np.linalg.norm(c)) / np.sqrt(s_dim))
-        x, y, s = np.eye(s_dim), np.zeros(a.shape[0]), np.eye(s_dim) * scale
-        log, first = [], 1
-    elif start.status != STATUS_OPTIMAL:
-        raise ValueError(f"can only continue an optimal solve, not a {start.status!r} one")
-    else:
+    if start is not None:
+        if start.status != STATUS_OPTIMAL:
+            raise ValueError(f"can only continue an optimal solve, not a {start.status!r} one")
         x, y, s = start.x_primal, start.multipliers, start.slack
         log, first = list(start.iterate_log), start.iterations
+    else:
+        if p.interior is not None:
+            x, y = p.interior
+            s = c - adj(y)
+        else:
+            scale = max(1.0, float(np.linalg.norm(c)) / np.sqrt(s_dim))
+            x, y, s = np.eye(s_dim), np.zeros(a.shape[0]), np.eye(s_dim) * scale
+        log, first = [], 1
 
     norm_b = 1.0 + np.linalg.norm(b)
     norm_c = 1.0 + np.linalg.norm(c)

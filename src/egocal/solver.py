@@ -39,6 +39,8 @@ GAP_TRACE = 1e-9
 POLISH_STEPS = 30
 # The tolerance of the first SDP stage (`relax`); `tighten` continues to sdp.TOL.
 CANDIDATE_TOL = 1e-4
+# Cap on the local baseline's cost evaluations (scipy's max_nfev).
+LM_MAX_EVALUATIONS = 1600
 
 
 @dataclass(frozen=True)
@@ -146,18 +148,22 @@ def extract_solution(lmi: dict) -> np.ndarray:
     return geom.nearest_rotations((v[:9] / v[qcqp.Y_INDEX]).reshape(3, 3, order="F"))
 
 
-def build_sdp_problem(dm: DataMatrix, constraints: np.ndarray):
-    """Trace-normalized reduced SDP: min tr(q_tilde X) over a `qcqp.constraint_catalog` stack.
+def build_sdp_problem(dm: DataMatrix, constraint_set: str):
+    """Trace-normalized reduced SDP: min tr(q_tilde X) over the catalog
+    `qcqp.constraint_catalog(constraint_set)`, carrying the catalog's
+    `qcqp.interior_point` as the solver's start.
 
     Returns (problem, scale); multipliers and objectives of the solved problem
     must be multiplied by `scale` to refer to the unnormalized cost.
     """
+    constraints = qcqp.constraint_catalog(constraint_set)
     scale = float(np.trace(dm.q_tilde))
     if scale <= 0:
         scale = 1.0
     rhs = np.zeros(len(constraints))
     rhs[-1] = 1.0
-    problem = sdp.SdpProblem(cost=dm.q_tilde / scale, constraints=constraints, rhs=rhs)
+    problem = sdp.SdpProblem(cost=dm.q_tilde / scale, constraints=constraints, rhs=rhs,
+                             interior=qcqp.interior_point(constraint_set))
     return problem, scale
 
 
@@ -170,7 +176,7 @@ def relax(m: MeasurementSet, constraint_set="r+c+h") -> Relaxation:
     which `certify` turns into a valid, if weaker, bound.
     """
     dm = qcqp.assemble(m)
-    problem, scale = build_sdp_problem(dm, qcqp.constraint_catalog(constraint_set))
+    problem, scale = build_sdp_problem(dm, constraint_set)
     return Relaxation(dm, problem, scale, sdp.solve(problem, tol=CANDIDATE_TOL), CANDIDATE_TOL)
 
 
@@ -346,6 +352,9 @@ def local_solve(m: MeasurementSet, init: Transform | None = None) -> Calibration
     rotation, so w = 0 at the start, and t starts at its translation. This is
     the iterative baseline: it returns a stationary point with no
     optimality guarantee, so the certificate verdict is always NotCertified.
+    `solve_stats` says why it stopped: scipy's `lm_status`, and
+    `lm_stopped_at_max_nfev` when that was the LM_MAX_EVALUATIONS cap rather
+    than a tolerance.
     """
     from scipy.optimize import least_squares
 
@@ -361,7 +370,7 @@ def local_solve(m: MeasurementSet, init: Transform | None = None) -> Calibration
         xtol=1e-14,
         ftol=1e-14,
         gtol=1e-14,
-        max_nfev=1600,
+        max_nfev=LM_MAX_EVALUATIONS,
     )
     theta = Transform(RotationMatrix(r0 @ geom.rotation_exp(fit.x[:3])), fit.x[3:])
     cost = evaluate_cost(m, theta)
@@ -370,6 +379,9 @@ def local_solve(m: MeasurementSet, init: Transform | None = None) -> Calibration
     stats = {
         "sdp_iters": 0,
         "lm_evaluations": int(fit.nfev),
+        # scipy's reason for stopping: 0 is the evaluation cap, 1-4 a tolerance.
+        "lm_status": int(fit.status),
+        "lm_stopped_at_max_nfev": fit.status == 0,
         "wall_time_seconds": time.perf_counter() - start,
     }
     return CalibrationResult(

@@ -157,9 +157,7 @@ def test_criterion_5_sdp_solver_suite():
                     duality_violations += 1
 
     m, _ = random_instance(7, n_motions=20)
-    problem, _ = solver.build_sdp_problem(
-        qcqp.assemble(m), qcqp.constraint_catalog("r+c+h")
-    )
+    problem, _ = solver.build_sdp_problem(qcqp.assemble(m), "r+c+h")
     sol = sdp.solve(problem)
     good = lmi_is_psd(problem.cost, problem.constraints, sol.multipliers)
     bad_mult = sol.multipliers.copy()

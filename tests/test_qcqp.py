@@ -253,3 +253,23 @@ def test_full_catalog_gram_rank():
     cs = qcqp.constraint_catalog("r+c+h")
     flat = cs[:-1].reshape(len(cs) - 1, -1)
     assert np.linalg.matrix_rank(flat, tol=1e-10) == 20
+
+
+@pytest.mark.parametrize("kind", qcqp.CONSTRAINT_KINDS)
+def test_interior_point_is_strictly_feasible(kind):
+    # A(X0) = b to rounding with X0 > 0, and S0 = C - sum_i y0_i A_i = C + a I > 0
+    # for the trace-normalized cost of a noisy instance.
+    cs = qcqp.constraint_catalog(kind)
+    x0, y0 = qcqp.interior_point(kind)
+    assert not x0.flags.writeable and not y0.flags.writeable
+    rhs = np.zeros(len(cs))
+    rhs[-1] = 1.0
+    assert np.abs(np.einsum("kij,ij->k", cs, x0) - rhs).max() < 1e-15
+    assert np.linalg.eigvalsh(x0)[0] > 0.3
+    m, _ = random_instance(8, n_motions=20, sigma_r=0.05, sigma_t=0.05)
+    q_tilde = qcqp.assemble(m).q_tilde
+    c = q_tilde / np.trace(q_tilde)
+    s0 = c - np.einsum("k,kij->ij", y0, cs)
+    alpha = qcqp.INTERIOR_MARGIN
+    assert np.abs(s0 - (c + alpha * np.eye(qcqp.DIM_REDUCED))).max() < 1e-15
+    assert np.linalg.eigvalsh(s0)[0] > 0.99 * alpha

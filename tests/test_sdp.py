@@ -26,7 +26,7 @@ def test_problem_validation_names_first_asymmetric_constraint():
 
 def test_matrix_form_operator_matches_einsum():
     m, _ = random_instance(4, n_motions=20)
-    problem, _ = solver.build_sdp_problem(qcqp.assemble(m), qcqp.constraint_catalog("r+c+h"))
+    problem, _ = solver.build_sdp_problem(qcqp.assemble(m), "r+c+h")
     a = problem.constraints
     rng = np.random.default_rng(24)
     g = rng.standard_normal((problem.dim, problem.dim))
@@ -57,12 +57,13 @@ def test_nt_scaling_diagonalizes_both_factors():
 
 
 def test_calibrate_iteration_budget():
-    # The second-order corrector keeps the paper's default request under 15
-    # interior-point iterations; without it the median is 18 and the max 26.
+    # From the catalog's strictly feasible point every one of these requests
+    # certifies at the candidate tolerance after 4 interior-point steps, 5
+    # iterates counting the start as iteration 1 (7 from the scaled identity).
     for i in range(30):
         sigma = (0.01, 0.05, 0.1)[i % 3]
         m = sim.terrain_instance(np.random.default_rng([i, 50]), 50, sigma, sigma)[3]
-        assert solver.calibrate(m).solve_stats["sdp_iters"] <= 14
+        assert solver.calibrate(m).solve_stats["sdp_iters"] <= 5
 
 
 def test_trivial_eigenvalue_problem():
@@ -77,7 +78,7 @@ def test_trivial_eigenvalue_problem():
 def test_calibration_problem_noise_free():
     m, theta = random_instance(1, n_motions=20)
     dm = qcqp.assemble(m)
-    problem, _ = solver.build_sdp_problem(dm, qcqp.constraint_catalog("r+c+h"))
+    problem, _ = solver.build_sdp_problem(dm, "r+c+h")
     sol = sdp.solve(problem)
     assert sol.status == sdp.STATUS_OPTIMAL
     assert sol.primal_obj < 1e-8
@@ -158,16 +159,61 @@ def _assert_same_solution(a, b):
 
 
 def test_a_continued_solve_is_the_uninterrupted_one():
+    # The calibration SDP of every constraint set starts at its interior
+    # point, the constructed SDPs at the scaled identity.
     m = sim.terrain_instance(np.random.default_rng([3, 50]), 50, 0.05, 0.05)[3]
-    calibration, _ = solver.build_sdp_problem(qcqp.assemble(m), qcqp.constraint_catalog("r+c+h"))
+    dm = qcqp.assemble(m)
+    calibrations = [solver.build_sdp_problem(dm, kind)[0] for kind in qcqp.CONSTRAINT_KINDS]
     problems = [constructed_sdp(np.random.default_rng([26, k]))[0] for k in range(5)]
-    for p in [calibration, *problems]:
+    for p in [*calibrations, *problems]:
         strict = sdp.solve(p)
         loose = sdp.solve(p, tol=1e-4)
         assert loose.status == sdp.STATUS_OPTIMAL and loose.iterations < strict.iterations
+        assert [it["iter"] for it in strict.iterate_log] == list(range(1, strict.iterations + 1))
         assert strict.iterate_log[: loose.iterations] == loose.iterate_log
         _assert_same_solution(sdp.solve(p, start=loose), strict)
         _assert_same_solution(sdp.solve(p, start=strict), strict)  # nothing left to do
+
+
+def test_solve_starts_at_the_interior_point_else_at_the_scaled_identity():
+    m = sim.terrain_instance(np.random.default_rng([4, 50]), 50, 0.05, 0.05)[3]
+    dm = qcqp.assemble(m)
+    for kind in qcqp.CONSTRAINT_KINDS:
+        p, _ = solver.build_sdp_problem(dm, kind)
+        x0, y0 = qcqp.interior_point(kind)
+        assert p.interior[0] is x0 and p.interior[1] is y0
+        first = sdp.solve(p).iterate_log[0]
+        assert first["iter"] == 1 and first["x_norm"] == np.linalg.norm(x0)
+        assert first["primal_residual"] < 1e-15
+    p, _, _ = constructed_sdp(np.random.default_rng(28))
+    assert p.interior is None
+    first = sdp.solve(p).iterate_log[0]
+    assert first["iter"] == 1 and first["x_norm"] == np.linalg.norm(np.eye(p.dim))
+
+
+def test_problem_validation_checks_the_interior_point_shape():
+    a, b = np.eye(2)[None], np.ones(1)
+    with pytest.raises(ValueError, match="interior point"):
+        SdpProblem(cost=np.eye(2), constraints=a, rhs=b, interior=(np.eye(3), np.zeros(1)))
+    with pytest.raises(ValueError, match="interior point"):
+        SdpProblem(cost=np.eye(2), constraints=a, rhs=b, interior=(np.eye(2), np.zeros(2)))
+
+
+def test_pseudo_inverse_matches_the_svd_on_a_rank_deficient_schur_matrix():
+    # 'r+c+h' holds one exactly dependent constraint, so every Schur matrix
+    # of it is singular; the eigh pseudo-inverse drops that direction as the
+    # SVD one does at the same relative cutoff.
+    a = qcqp.constraint_catalog("r+c+h")
+    rng = np.random.default_rng(29)
+    for _ in range(5):
+        g = rng.standard_normal((10, 10))
+        schur = sdp._schur(a, g @ g.T + 0.1 * np.eye(10))
+        sing = np.linalg.svd(schur, compute_uv=False)
+        assert sing[-1] < 1e-15 * sing[0] and sing[-2] > 1e-4 * sing[0]
+        rhs = rng.standard_normal((len(a), 3))
+        want = np.linalg.pinv(schur, rcond=1e-13) @ rhs
+        got = sdp._pseudo_inverse(schur)(rhs)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_only_an_optimal_solve_is_continued():
@@ -196,7 +242,7 @@ def test_certify_lmi_zero_multipliers_on_indefinite_cost():
 def test_certify_lmi_noise_free_calibration():
     m, _ = random_instance(2, n_motions=20)
     dm = qcqp.assemble(m)
-    problem, _ = solver.build_sdp_problem(dm, qcqp.constraint_catalog("r+c+h"))
+    problem, _ = solver.build_sdp_problem(dm, "r+c+h")
     sol = sdp.solve(problem)
     out = sdp.certify_lmi(problem.cost, problem.constraints, sol.multipliers)
     assert lmi_is_psd(problem.cost, problem.constraints, sol.multipliers)
@@ -207,7 +253,7 @@ def test_certify_lmi_rejects_perturbed_homogenizer_multiplier():
     # bumping the homogenizer multiplier by +1 pushes H below zero
     m, _ = random_instance(3, n_motions=20)
     dm = qcqp.assemble(m)
-    problem, _ = solver.build_sdp_problem(dm, qcqp.constraint_catalog("r+c+h"))
+    problem, _ = solver.build_sdp_problem(dm, "r+c+h")
     sol = sdp.solve(problem)
     bad = sol.multipliers.copy()
     bad[-1] += 1.0

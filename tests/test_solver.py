@@ -270,6 +270,23 @@ def test_local_solve_never_certifies():
     assert not result.certificate.certified
 
 
+def test_local_solve_reports_why_it_stopped(monkeypatch):
+    # a tolerance stop is scipy status 1-4; a stop at the evaluation cap is status 0
+    import scipy.optimize
+
+    m, _ = random_instance(21, n_motions=10, sigma_r=0.01, sigma_t=0.01)
+    stats = solver.local_solve(m).solve_stats
+    assert stats["lm_status"] in (1, 2, 3, 4)
+    assert stats["lm_stopped_at_max_nfev"] is False
+    least_squares = scipy.optimize.least_squares
+    monkeypatch.setattr(scipy.optimize, "least_squares",
+                        lambda *a, **kw: least_squares(*a, **{**kw, "max_nfev": 3}))
+    capped = solver.local_solve(m).solve_stats
+    assert capped["lm_status"] == 0
+    assert capped["lm_stopped_at_max_nfev"] is True
+    json.dumps(capped, allow_nan=False)
+
+
 def test_local_solve_stationary_gradient():
     # finite-difference gradient of f(R exp([w]x), t + d) at (w, d) = 0
     m, _ = random_instance(22, n_motions=20, sigma_r=0.05, sigma_t=0.05)
