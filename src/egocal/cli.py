@@ -19,7 +19,6 @@ from .geom import RotationMatrix, Transform
 from .problem import (
     check_observability,
     dump_measurements,
-    dump_trajectory,
     ingest_rotations,
     json_numbers,
     load_measurements,
@@ -160,8 +159,6 @@ def cmd_simulate(args) -> int:
         fp.write("step,x,y,z\n")
         for i, (x, y, z) in enumerate(path.positions):
             fp.write(f"{i},{x},{y},{z}\n")
-    with open(f"{prefix}_trajectory_b.jsonl", "w", encoding="utf-8") as fp:
-        dump_trajectory((path.rotations, path.positions), fp)
     return EXIT_OK
 
 
@@ -187,17 +184,17 @@ def cmd_certify(args) -> int:
     with open(args.input, "rb") as fp:
         measurements = load_measurements(fp)
     candidate = _load_theta(args.theta)
-    relaxation = solver.relax(measurements, args.constraint_set)
+    dm = qcqp.assemble(measurements)
     cost = solver.evaluate_cost(measurements, candidate)
-    relaxation, _, _, certificate = solver.settle(relaxation, lambda _: (candidate, cost))
+    solution, _, _, certificate = solver.settle(dm, args.constraint_set, lambda _: (candidate, cost))
     numbers = dict(candidate_cost=certificate.cost, dual_lower_bound=certificate.lower_bound,
                    gap=certificate.gap)
     report = {
         "schema_version": 1,
         **json_numbers(numbers),
         "certified": certificate.certified,
-        "sdp_status": relaxation.solution.status,
-        "sdp_tolerance": relaxation.tolerance,
+        "sdp_status": solution.status,
+        "sdp_tolerance": solution.tolerance,
         "certificate": certificate.to_dict(),
     }
     _write_report(report, args.output)

@@ -1,15 +1,9 @@
 """The columnar MeasurementSet, JSON-lines ingestion, and the observability test.
 
-File formats (one JSON object per line):
-
-measurements::
+The measurement format, one JSON object per line::
 
     {"t": 0, "a": {"R": [[...],[...],[...]], "t": [x, y, z]},
               "b": {"R": ..., "t": ...}, "kappa": 1.0, "tau": 1.0}
-
-trajectories (one file per sensor)::
-
-    {"t": 0, "pose": {"R": [[...],[...],[...]], "t": [x, y, z]}}
 
 Entries are JSON numbers: rotations row-major 3x3, translations in meters.
 kappa/tau default to 1.
@@ -210,13 +204,6 @@ def load_measurements(source) -> MeasurementSet:
     return MeasurementSet(*rotations.swapaxes(0, 1), *translations.swapaxes(0, 1), *weights.T)
 
 
-def load_trajectory(source):
-    """Parse a JSON-lines trajectory file (one world-frame pose per line) into the
-    pose pair (R (n, 3, 3), t (n, 3))."""
-    rotations, translations, _ = _read_poses(source, ("pose",), (), "trajectory")
-    return rotations[:, 0], translations[:, 0]
-
-
 def dump_measurements(m: MeasurementSet, fp) -> None:
     columns = zip(
         m.ra.tolist(), m.ta.tolist(), m.rb.tolist(), m.tb.tolist(), m.kappa.tolist(), m.tau.tolist()
@@ -224,13 +211,6 @@ def dump_measurements(m: MeasurementSet, fp) -> None:
     for i, (ra, ta, rb, tb, kappa, tau) in enumerate(columns):
         a, b = {"R": ra, "t": ta}, {"R": rb, "t": tb}
         fp.write(json.dumps({"t": i, "a": a, "b": b, "kappa": kappa, "tau": tau}) + "\n")
-
-
-def dump_trajectory(poses, fp) -> None:
-    """Write the pose pair (R (n, 3, 3), t (n, 3)) as JSON lines, one pose a line."""
-    rotations, translations = (np.asarray(column).tolist() for column in poses)
-    for i, (r, t) in enumerate(zip(rotations, translations)):
-        fp.write(json.dumps({"t": i, "pose": {"R": r, "t": t}}) + "\n")
 
 
 def relative_motions_from_trajectories(poses_a, poses_b) -> MeasurementSet:

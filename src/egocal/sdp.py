@@ -121,6 +121,7 @@ class SdpSolution:
     kkt: dict                  # primal_residual, dual_residual, complementarity
     status: str
     iterations: int
+    tolerance: float           # the stopping tolerance the solve was run to
     iterate_log: list = field(default_factory=list)
 
 
@@ -175,8 +176,8 @@ def solve(p: SdpProblem, max_iter: int = 100, tol: float = TOL,
     """Run the predictor-corrector iteration until the relative residuals and
     gap are below `tol`, from `p.interior` (else the scaled identity) or,
     given `start`, from that optimal solution's last iterate. A fresh start
-    logs its first iterate as iteration 1, and `iterations` is the length of
-    `iterate_log`.
+    logs its first iterate as iteration 1, `iterations` is the length of
+    `iterate_log`, and `tolerance` is `tol`.
 
     A continued run repeats none of the work: `solve(p, start=solve(p, tol=t))`
     returns exactly `solve(p)` (the same iterates, `iterations` and
@@ -240,6 +241,8 @@ def solve(p: SdpProblem, max_iter: int = 100, tol: float = TOL,
             if pres < tol and dres < tol and gap < tol * (1.0 + abs(pobj) + abs(dobj)):
                 status = STATUS_OPTIMAL
                 break
+            if it == max_iter:  # return the last logged iterate, not one step past it
+                break
 
             inv_l, g, g_inv, sv = _nt_scaling(x, s)
             w = g @ g.T
@@ -291,17 +294,19 @@ def solve(p: SdpProblem, max_iter: int = 100, tol: float = TOL,
         kkt=kkt,
         status=status,
         iterations=it,
+        tolerance=tol,
         iterate_log=log,
     )
 
 
-def certify_lmi(cost, constraints, multipliers) -> dict:
+def certify_lmi(cost, constraints, multipliers):
     """Rebuild the dual slack H = cost - sum_i y_i A_i and decompose it.
 
     Independent of solver internals: only the multipliers are consumed, so it
     serves any dual vector (the solver's, or one refined against a candidate).
-    One eigendecomposition of H gives the eigenvectors (columns, by ascending
-    eigenvalue) and the minimum eigenvalue. A LAPACK failure raises NumericalFailure.
+    Returns np.linalg.eigh's pair (eigenvalues, eigenvectors), ascending, the
+    eigenvectors as columns; unpack it by position (numpy 1 returns a plain
+    tuple). A LAPACK failure raises NumericalFailure.
     """
     cost = np.asarray(cost, dtype=float)
     constraints = np.asarray(constraints, dtype=float)
@@ -311,5 +316,4 @@ def certify_lmi(cost, constraints, multipliers) -> dict:
     h = cost - np.einsum("k,kij->ij", multipliers, constraints)
     h = 0.5 * (h + h.T)
     with numerical("dual slack eigendecomposition"):
-        eigenvalues, eigenvectors = np.linalg.eigh(h)
-    return {"eigenvectors": eigenvectors, "min_eig": float(eigenvalues[0])}
+        return np.linalg.eigh(h)

@@ -1,12 +1,13 @@
 """End-to-end calibration: assemble (which decides observability), reduce,
 solve the strengthened dual SDP, extract and polish the rotation, recover the
-translation, and certify it against a proven lower bound on the global minimum
-(`certify`, SE-Sync's verification step: Rosen et al., IJRR 2019).
+translation, and certify it against a proven lower bound on the global minimum.
 
-The bound holds for any dual vector, so the SDP is solved only as far as the
-certificate needs: `relax` stops at CANDIDATE_TOL, and `settle` continues the
-same solve to the strict `sdp.TOL` (`tighten`) only when the answer does not
-certify there.
+The bound is a function of the problem and a dual vector y (`_dual_bound`):
+y_hom + 4 min(0, lambda_min H(y)) holds for every y, the verification step of
+Carlone et al. (IROS 2015) and SE-Sync (Rosen et al., IJRR 2019). So the SDP
+is solved only as far as the certificate needs: `settle`, shared by
+`calibrate` and `egocal certify`, solves to CANDIDATE_TOL and continues the
+same solve to the strict `sdp.TOL` only when the answer does not certify there.
 
 Also hosts the local Levenberg-Marquardt baseline used by the experiment
 harness for comparisons; it is the only user of scipy, imported on call.
@@ -15,8 +16,7 @@ harness for comparisons; it is the only user of scipy, imported on call.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,7 @@ GAP_COST = 1e-7
 GAP_TRACE = 1e-9
 # Cap on the rotation polish's Newton trials, taken or refused.
 POLISH_STEPS = 30
-# The tolerance of the first SDP stage (`relax`); `tighten` continues to sdp.TOL.
+# The tolerance of `settle`'s first SDP stage; the second continues to sdp.TOL.
 CANDIDATE_TOL = 1e-4
 # Cap on the local baseline's cost evaluations (scipy's max_nfev).
 LM_MAX_EVALUATIONS = 1600
@@ -94,24 +94,6 @@ class CalibrationResult:
         }
 
 
-@dataclass(frozen=True)
-class Relaxation:
-    """The solved SDP relaxation: the data, the trace-normalized problem and its
-    scale tr(q_tilde), the solver's result and the tolerance it was solved to."""
-
-    dm: DataMatrix
-    problem: sdp.SdpProblem
-    scale: float
-    solution: sdp.SdpSolution
-    tolerance: float
-
-    @cached_property
-    def lmi(self) -> dict:
-        """`sdp.certify_lmi` of H at the solver's y."""
-        return sdp.certify_lmi(self.problem.cost, self.problem.constraints,
-                               self.solution.multipliers)
-
-
 def _residual_arrays(m: MeasurementSet, r: np.ndarray, t: np.ndarray):
     """Per-measurement R R_a - R_b R (n, 3, 3) and R t_a + t - R_b t - t_b (n, 3)."""
     return r @ m.ra - m.rb @ r, (m.ta @ r.T) + t[None, :] - (m.rb @ t) - m.tb
@@ -133,8 +115,9 @@ def recover_translation(dm: DataMatrix, r_tilde: np.ndarray) -> np.ndarray:
     return dm.t_map @ r_tilde
 
 
-def extract_solution(lmi: dict) -> np.ndarray:
-    """The rotation encoded by the minimum eigenvector of the dual slack H.
+def extract_solution(eigenvectors: np.ndarray) -> np.ndarray:
+    """The rotation encoded by the minimum eigenvector of the dual slack H, the
+    first of its `eigenvectors` (columns, by ascending eigenvalue).
 
     At a zero-gap optimum H annihilates the lifted minimizer, so that vector
     is the minimizer to the solver's accuracy. It is rescaled so its
@@ -142,7 +125,7 @@ def extract_solution(lmi: dict) -> np.ndarray:
 
     Raises RankDeficiencyAmbiguous when the homogenizer entry is zero.
     """
-    v = lmi["eigenvectors"][:, 0]
+    v = eigenvectors[:, 0]
     if abs(v[qcqp.Y_INDEX]) < 1e-9:
         raise RankDeficiencyAmbiguous("homogenizer entry of the extracted vector is zero")
     return geom.nearest_rotations((v[:9] / v[qcqp.Y_INDEX]).reshape(3, 3, order="F"))
@@ -167,39 +150,20 @@ def build_sdp_problem(dm: DataMatrix, constraint_set: str):
     return problem, scale
 
 
-def relax(m: MeasurementSet, constraint_set="r+c+h") -> Relaxation:
-    """Assemble `m`, solve its SDP relaxation to CANDIDATE_TOL and decompose
-    the dual slack.
-
-    Any final status is kept: an iteration cap or a factorization breakdown
-    (`sdp.solve`'s "max_iter" and "breakdown") still leaves a dual vector,
-    which `certify` turns into a valid, if weaker, bound.
-    """
-    dm = qcqp.assemble(m)
-    problem, scale = build_sdp_problem(dm, constraint_set)
-    return Relaxation(dm, problem, scale, sdp.solve(problem, tol=CANDIDATE_TOL), CANDIDATE_TOL)
-
-
-def tighten(relaxation: Relaxation) -> Relaxation:
-    """`relaxation` with its optimal solve continued from its last iterate to
-    the strict `sdp.TOL`: the same solution as a solve run to sdp.TOL at once."""
-    solution = sdp.solve(relaxation.problem, start=relaxation.solution)
-    return replace(relaxation, solution=solution, tolerance=sdp.TOL)
-
-
-def _dual_bound(lmi: dict, y: np.ndarray) -> float:
+def _dual_bound(problem: sdp.SdpProblem, y: np.ndarray):
     """A lower bound on r^T (q_tilde/s) r over lifted rotations r = [vec R, 1],
-    valid for every dual vector y of the trace-normalized SDP (s = tr q_tilde).
+    valid for every dual vector y of the trace-normalized SDP (s = tr q_tilde),
+    and `sdp.certify_lmi`'s (eigenvalues, eigenvectors) of H = q_tilde/s - sum_i y_i A_i.
 
-    With H = q_tilde/s - sum_i y_i A_i (`lmi` its decomposition), r^T A_i r is
-    0 for the rotation constraints and 1 for the homogenizer, and |r|^2 = 4, so
-    r^T (q_tilde/s) r = y_hom + r^T H r >= y_hom + 4 min(0, lambda_min H - delta),
+    r^T A_i r is 0 for the rotation constraints and 1 for the homogenizer, and
+    |r|^2 = 4, so r^T (q_tilde/s) r = y_hom + r^T H r >= y_hom + 4 min(0, lambda_min H - delta),
     y_hom = y[-1] being the homogenizer's multiplier.
     delta covers rounding: q_tilde/s and every A_i have spectral norm <= 1, so
     the computed H and its eigh err by a small multiple of eps * (1 + |y|_1).
     """
+    decomposition = sdp.certify_lmi(problem.cost, problem.constraints, y)
     delta = 1000.0 * np.finfo(float).eps * (1.0 + np.abs(y).sum())
-    return float(y[-1] + 4.0 * min(0.0, lmi["min_eig"] - delta))
+    return float(y[-1] + 4.0 * min(0.0, decomposition[0][0] - delta)), decomposition
 
 
 def _refine(problem: sdp.SdpProblem, y: np.ndarray, r_tilde: np.ndarray) -> np.ndarray:
@@ -211,69 +175,68 @@ def _refine(problem: sdp.SdpProblem, y: np.ndarray, r_tilde: np.ndarray) -> np.n
         return y + np.linalg.lstsq(b, problem.cost @ r_tilde - b @ y, rcond=None)[0]
 
 
-def certify(relaxation: Relaxation, rotation: np.ndarray, cost: float) -> Certificate:
-    """The proven bound for a candidate 3x3 rotation priced at `cost`, and its verdict.
+def settle(dm: DataMatrix, constraint_set: str, propose):
+    """Solve the SDP relaxation of `dm` under `constraint_set` and certify the
+    candidate (Transform, cost) pair that `propose(eigenvectors)` returns.
 
-    The bound is the larger of `_dual_bound` at the solver's y and at y
-    refined against the lifted candidate (`_refine`). At a tight optimum the
-    refined bound meets the cost to the rounding margin, whatever the
-    interior-point method's last digits.
+    The SDP is solved to CANDIDATE_TOL first. At each stage H is decomposed
+    once at the solver's y, for `propose` and for the bound there, and once at
+    y refined against the candidate (`_refine`); the certificate keeps the
+    larger bound. At a tight optimum the refined bound meets the cost to the
+    rounding margin, whatever the interior-point method's last digits. When the
+    answer does not certify and the solve is optimal, the same solve is
+    continued to the strict `sdp.TOL` and the stage is repeated. Any other
+    final status is kept: an iteration cap or a factorization breakdown still
+    leaves a dual vector, which gives a valid, if weaker, bound.
+
+    Returns (solution, theta, cost, certificate) of the last stage. Shared by
+    `calibrate` and `egocal certify`.
     """
-    problem, y = relaxation.problem, relaxation.solution.multipliers
-    refined = _refine(problem, y, qcqp.reduced_vector(rotation))
-    lmi = sdp.certify_lmi(problem.cost, problem.constraints, refined)
-    bound, lmi = max(
-        (_dual_bound(relaxation.lmi, y), relaxation.lmi),
-        (_dual_bound(lmi, refined), lmi),
-        key=lambda pair: pair[0],
-    )
-    scale = relaxation.scale
-    return Certificate(lower_bound=scale * bound, cost=cost, min_eig_h=lmi["min_eig"], scale=scale)
+    problem, scale = build_sdp_problem(dm, constraint_set)
 
+    def stage(solution):
+        y = solution.multipliers
+        bound, (eigenvalues, eigenvectors) = _dual_bound(problem, y)
+        theta, cost = propose(eigenvectors)
+        refined = _refine(problem, y, qcqp.reduced_vector(theta.rotation.m))
+        refined_bound, (refined_eigenvalues, _) = _dual_bound(problem, refined)
+        if refined_bound > bound:
+            bound, eigenvalues = refined_bound, refined_eigenvalues
+        return theta, cost, Certificate(lower_bound=scale * bound, cost=cost,
+                                        min_eig_h=float(eigenvalues[0]), scale=scale)
 
-def settle(relaxation: Relaxation, propose):
-    """Certify the candidate `propose(relaxation)` returns, a (Transform, cost)
-    pair; when it does not certify and the relaxation's solve is optimal,
-    tighten the solve and certify `propose` of the tightened relaxation.
-
-    Returns (relaxation, theta, cost, certificate) of the last stage. A
-    certificate at CANDIDATE_TOL is sound, since the bound holds for any dual
-    vector; a request that does not certify there gets the strict solve's
-    answer. Shared by `calibrate` and `egocal certify`.
-    """
-    theta, cost = propose(relaxation)
-    certificate = certify(relaxation, theta.rotation.m, cost)
-    if not certificate.certified and relaxation.solution.status == sdp.STATUS_OPTIMAL:
-        relaxation = tighten(relaxation)
-        theta, cost = propose(relaxation)
-        certificate = certify(relaxation, theta.rotation.m, cost)
-    return relaxation, theta, cost, certificate
+    solution = sdp.solve(problem, tol=CANDIDATE_TOL)
+    theta, cost, certificate = stage(solution)
+    if not certificate.certified and solution.status == sdp.STATUS_OPTIMAL:
+        solution = sdp.solve(problem, start=solution)
+        theta, cost, certificate = stage(solution)
+    return solution, theta, cost, certificate
 
 
 def calibrate(m: MeasurementSet, constraint_set: str = "r+c+h") -> CalibrationResult:
     """Certifiably globally optimal calibration from relative motion pairs.
 
-    Pipeline: solve the relaxation (`relax`, whose assembly decides
-    observability, raising SingularQtt on unobservable data, and keeps the
-    report), extract the rotation from the dual slack and polish it on the
+    Pipeline: assemble the data matrix (which decides observability, raising
+    SingularQtt on unobservable data, and keeps the report), solve the
+    relaxation, extract the rotation from the dual slack and polish it on the
     reduced form, recover the translation in closed form, price the estimate
-    and certify it against the proven dual bound (`certify`); when it does not
-    certify, do all of that again from the strict solve (`settle`).
+    and certify it against the proven dual bound (`settle`, which repeats the
+    stage from the strict solve when the answer does not certify).
     """
     start = time.perf_counter()
+    dm = qcqp.assemble(m)
 
-    def propose(relaxation):
-        rotation = _polish(relaxation.dm.q_tilde, extract_solution(relaxation.lmi))
-        translation = recover_translation(relaxation.dm, qcqp.reduced_vector(rotation))
+    def propose(eigenvectors):
+        rotation = _polish(dm.q_tilde, extract_solution(eigenvectors))
+        translation = recover_translation(dm, qcqp.reduced_vector(rotation))
         theta = Transform(RotationMatrix(rotation), translation)
         return theta, evaluate_cost(m, theta)
 
-    relaxation, theta, cost, certificate = settle(relax(m, constraint_set), propose)
-    solution = relaxation.solution
+    solution, theta, cost, certificate = settle(dm, constraint_set, propose)
     stats = {
         "sdp_iters": solution.iterations,
         "sdp_status": solution.status,
-        "sdp_tolerance": relaxation.tolerance,
+        "sdp_tolerance": solution.tolerance,
         "kkt": solution.kkt,
         "wall_time_seconds": time.perf_counter() - start,
     }
@@ -281,7 +244,7 @@ def calibrate(m: MeasurementSet, constraint_set: str = "r+c+h") -> CalibrationRe
         extrinsic=theta,
         cost=cost,
         certificate=certificate,
-        observability=relaxation.dm.observability,
+        observability=dm.observability,
         solve_stats=stats,
     )
 

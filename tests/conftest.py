@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from egocal import geom, sdp, sim
+from egocal import geom, qcqp, sdp, sim, solver
 from egocal.problem import relative_motions_from_trajectories
 
 
@@ -60,15 +60,24 @@ def constructed_sdp(rng, s=6, m=4, rank=2):
     return problem, float(np.sum(c * x_star)), x_star
 
 
+def first_stage(m, kind="r+c+h"):
+    """What `solver.settle`'s first stage sees: the data matrix, the trace-normalized
+    problem and its scale, the dual vector y of the solve to CANDIDATE_TOL, and the
+    rotation extracted from H(y)."""
+    dm = qcqp.assemble(m)
+    problem, scale = solver.build_sdp_problem(dm, kind)
+    y = sdp.solve(problem, tol=solver.CANDIDATE_TOL).multipliers
+    eigenvectors = sdp.certify_lmi(problem.cost, problem.constraints, y)[1]
+    return dm, problem, scale, y, solver.extract_solution(eigenvectors)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
 
 
 def lmi_is_psd(cost, constraints, multipliers):
-    """Whether `sdp.certify_lmi`'s minimum eigenvalue of H = cost - sum_i y_i A_i
-    clears the margin -TOL * (1 + max|lambda|), with max|lambda| from H's spectrum."""
-    min_eig = sdp.certify_lmi(cost, constraints, multipliers)["min_eig"]
-    h = cost - np.einsum("k,kij->ij", multipliers, constraints)
-    eigenvalues = np.linalg.eigvalsh(0.5 * (h + h.T))
-    return min_eig > -sdp.TOL * (1.0 + np.abs(eigenvalues).max())
+    """Whether the minimum eigenvalue of H = cost - sum_i y_i A_i, from `sdp.certify_lmi`'s
+    spectrum, clears the margin -TOL * (1 + max|lambda|)."""
+    eigenvalues = sdp.certify_lmi(cost, constraints, multipliers)[0]
+    return eigenvalues[0] > -sdp.TOL * (1.0 + np.abs(eigenvalues).max())

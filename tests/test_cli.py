@@ -172,7 +172,9 @@ def test_certify_self_consistency(tmp_path):
 
 def test_certify_continues_the_solve_for_a_candidate_that_does_not_certify(tmp_path):
     # the identity is no optimum of the terrain log: the candidate-tolerance
-    # bound refuses it, and so does the strict one it is then checked against
+    # bound refuses it, and so does the strict one it is then checked against.
+    # The bound is still tight on the global minimum: it is the bound at the
+    # solver's y, since y refined against the identity proves only about -7.4.
     fixture = tmp_path / "run.jsonl"
     m = sim.terrain_instance(np.random.default_rng([0, 50]), 50, 0.01, 0.01)[3]
     with open(fixture, "w", encoding="utf-8") as fp:
@@ -186,6 +188,9 @@ def test_certify_continues_the_solve_for_a_candidate_that_does_not_certify(tmp_p
     assert cert["certified"] is False
     assert cert["sdp_status"] == "optimal"
     assert cert["sdp_tolerance"] == sdp.TOL
+    optimum = solver.calibrate(m).cost
+    assert cert["dual_lower_bound"] <= cert["candidate_cost"]
+    assert abs(cert["dual_lower_bound"] - optimum) <= 1e-5 * optimum
 
 
 def test_certify_ground_truth_zero_gap(tmp_path):

@@ -26,9 +26,7 @@ from egocal.problem import (
     MeasurementSet,
     check_observability,
     dump_measurements,
-    dump_trajectory,
     load_measurements,
-    load_trajectory,
     relative_motions_from_trajectories,
     translation_gram,
 )
@@ -107,29 +105,6 @@ def test_dump_load_round_trip():
     assert back.n == m.n
     for name in ("ra", "rb", "ta", "tb"):
         assert np.abs(getattr(m, name) - getattr(back, name)).max() < 1e-12
-
-
-def test_load_trajectory():
-    lines = []
-    poses = [geom.random_transform(i) for i in range(3)]
-    for i, pose in enumerate(poses):
-        lines.append(
-            json.dumps({"t": i, "pose": {"R": pose.rotation.m.tolist(), "t": pose.translation.tolist()}})
-        )
-    rotations, translations = load_trajectory("\n".join(lines))
-    assert rotations.shape == (3, 3, 3) and translations.shape == (3, 3)
-    for p, r, t in zip(poses, rotations, translations):
-        assert np.hypot(np.linalg.norm(p.rotation.m - r), np.linalg.norm(p.translation - t)) < 1e-9
-
-
-def test_dump_trajectory_round_trip():
-    path = sim.generate_path(n_steps=30, seed=2)
-    buf = io.StringIO()
-    dump_trajectory((path.rotations, path.positions), buf)
-    rotations, translations = load_trajectory(buf.getvalue())
-    # JSON keeps every bit of a float; the loader projects the rotations onto SO(3)
-    assert np.array_equal(translations, path.positions)
-    assert np.abs(rotations - path.rotations).max() < 1e-15
 
 
 def _pair(poses):
@@ -503,15 +478,6 @@ def test_booleans_outside_the_poses_load_like_the_plain_log(good_log_lines):
     plain, with_booleans = load_measurements("\n".join(lines)), load_measurements("\n".join(marked))
     for name in ("ra", "rb", "ta", "tb", "kappa", "tau"):
         assert getattr(with_booleans, name).tobytes() == getattr(plain, name).tobytes()
-
-
-def test_load_trajectory_names_a_malformed_line():
-    pose = '{"R": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "t": %s}'
-    translations = ["[0, 0, 0]", '["1", 0, 0]', "[0, 0, 1]"]
-    lines = ['{"t": %d, "pose": %s}' % (i, pose % t) for i, t in enumerate(translations)]
-    with pytest.raises(ParseError) as exc:
-        load_trajectory("\n".join(lines))
-    assert exc.value.line == 2
 
 
 @pytest.mark.parametrize(

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import record_scan
-from conftest import random_instance
-from egocal import geom, qcqp, sdp, sim, solver
+from conftest import first_stage, random_instance
+from egocal import geom, qcqp, sim, solver
 from egocal.errors import CalibrationError, ParseError
 from egocal.problem import MeasurementSet, dump_measurements, load_measurements
 
@@ -113,14 +113,14 @@ def test_dual_bound_never_exceeds_the_cost_of_a_rotation(seed, n, sigma, kind, s
     # unchanged but round the computed H by about eps * |y|.
     rng = np.random.default_rng(seed)
     m = sim.terrain_instance(rng, n, sigma, sigma)[3]
-    relaxation = solver.relax(m, kind)
-    problem, scale, q_tilde = relaxation.problem, relaxation.scale, relaxation.dm.q_tilde
-    candidate = solver._polish(q_tilde, solver.extract_solution(relaxation.lmi))
-    y = solver._refine(problem, relaxation.solution.multipliers, qcqp.reduced_vector(candidate))
+    dm, problem, scale, y, rotation = first_stage(m, kind)
+    q_tilde = dm.q_tilde
+    candidate = solver._polish(q_tilde, rotation)
+    y = solver._refine(problem, y, qcqp.reduced_vector(candidate))
     y = y + spread * rng.normal(size=y.shape)
     y[-1] += shift
     y = y + step * _dependencies(problem.constraints).sum(axis=0)
-    bound = scale * solver._dual_bound(sdp.certify_lmi(problem.cost, problem.constraints, y), y)
+    bound = scale * solver._dual_bound(problem, y)[0]
     for rotation in [candidate, *(geom.random_rotation(rng).m for _ in range(3))]:
         r_tilde = qcqp.reduced_vector(rotation)
         assert bound <= r_tilde @ q_tilde @ r_tilde + 1e-12 * scale

@@ -229,14 +229,17 @@ def test_max_iter_returns_best_iterate():
     assert sol.status == sdp.STATUS_MAX_ITER
     assert sol.iterations == 3
     assert np.isfinite(sol.kkt["complementarity"])
+    # the returned point is the last one logged, not one step past it
+    assert sol.primal_obj == sol.iterate_log[-1]["primal_obj"]
+    assert sol.kkt["complementarity"] == sol.iterate_log[-1]["complementarity"]
 
 
 def test_certify_lmi_zero_multipliers_on_indefinite_cost():
     cost = np.diag([1.0, -1.0])
     constraints = np.eye(2)[None]
-    out = sdp.certify_lmi(cost, constraints, np.zeros(1))
+    eigenvalues, _ = sdp.certify_lmi(cost, constraints, np.zeros(1))
     assert not lmi_is_psd(cost, constraints, np.zeros(1))
-    assert out["min_eig"] < -0.5
+    assert eigenvalues[0] < -0.5
 
 
 def test_certify_lmi_noise_free_calibration():
@@ -244,9 +247,9 @@ def test_certify_lmi_noise_free_calibration():
     dm = qcqp.assemble(m)
     problem, _ = solver.build_sdp_problem(dm, "r+c+h")
     sol = sdp.solve(problem)
-    out = sdp.certify_lmi(problem.cost, problem.constraints, sol.multipliers)
+    eigenvalues, _ = sdp.certify_lmi(problem.cost, problem.constraints, sol.multipliers)
     assert lmi_is_psd(problem.cost, problem.constraints, sol.multipliers)
-    assert -1e-9 < out["min_eig"] < 1e-9  # zero-gap case: H touches zero
+    assert -1e-9 < eigenvalues[0] < 1e-9  # zero-gap case: H touches zero
 
 
 def test_certify_lmi_rejects_perturbed_homogenizer_multiplier():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qcqp_blocks
-from conftest import loose_two_motion_instance, random_instance
+from conftest import first_stage, loose_two_motion_instance, random_instance
 from egocal import geom, problem, qcqp, sdp, sim, solver
 from egocal.errors import NumericalFailure, RankDeficiencyAmbiguous, SingularQtt
 from egocal.geom import RotationMatrix, Transform
@@ -155,12 +155,12 @@ def test_local_report_writes_its_unproven_bound_as_null():
 
 
 def _slack_annihilating(*vectors, seed):
-    """certify_lmi's decomposition of a 10x10 H whose nullspace is spanned by
+    """certify_lmi's eigenvectors of a 10x10 H whose nullspace is spanned by
     `vectors`; its other eigenvalues lie in [1, 2]."""
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(np.column_stack([*vectors, rng.normal(size=(10, 10 - len(vectors)))]))
     eigenvalues = np.concatenate([np.zeros(len(vectors)), rng.uniform(1.0, 2.0, 10 - len(vectors))])
-    return sdp.certify_lmi(q @ np.diag(eigenvalues) @ q.T, np.zeros((1, 10, 10)), np.zeros(1))
+    return sdp.certify_lmi(q @ np.diag(eigenvalues) @ q.T, np.zeros((1, 10, 10)), np.zeros(1))[1]
 
 
 def test_extract_solution_rank_one_exact():
@@ -389,8 +389,8 @@ def test_report_names_the_tolerance_that_answered():
 
 
 def test_an_uncertified_answer_is_the_strict_pipelines_bit_for_bit(monkeypatch):
-    # With CANDIDATE_TOL at the strict tolerance, relax solves as the pipeline
-    # did before the two stages (and tighten finds it converged already).
+    # With CANDIDATE_TOL at the strict tolerance, the first stage solves as the
+    # pipeline did before the two stages, and no second stage runs.
     m = loose_two_motion_instance()
     staged = solver.calibrate(m, "r")
     monkeypatch.setattr(solver, "CANDIDATE_TOL", sdp.TOL)
@@ -400,6 +400,19 @@ def test_an_uncertified_answer_is_the_strict_pipelines_bit_for_bit(monkeypatch):
     assert staged.cost == strict.cost
     assert staged.certificate == strict.certificate
     assert staged.solve_stats["sdp_iters"] == strict.solve_stats["sdp_iters"]
+
+
+def test_each_stage_decomposes_the_dual_slack_twice(monkeypatch):
+    # once at the solver's y, for extraction and its bound, and once at the refined y
+    certify_lmi, calls = sdp.certify_lmi, []
+    monkeypatch.setattr(sdp, "certify_lmi", lambda *args: calls.append(args) or certify_lmi(*args))
+    m = sim.terrain_instance(np.random.default_rng([0, 50]), 50, 0.01, 0.01)[3]
+    assert solver.calibrate(m).certificate.certified
+    assert len(calls) == 2
+    calls.clear()
+    continued = solver.calibrate(loose_two_motion_instance(), "r")
+    assert continued.solve_stats["sdp_tolerance"] == sdp.TOL
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
@@ -446,10 +459,9 @@ def test_newton_terms_match_finite_differences():
 
 @pytest.mark.parametrize("turn", [0.0, 0.05])
 def test_polish_reaches_a_stationary_point_of_the_reduced_form(turn):
-    # from relax's extracted rotation, and from that rotation turned 0.05 rad
+    # from the first stage's extracted rotation, and from that rotation turned 0.05 rad
     m, _ = random_instance(40, n_motions=30, sigma_r=0.05, sigma_t=0.05)
-    relaxation = solver.relax(m)
-    dm, rotation = relaxation.dm, solver.extract_solution(relaxation.lmi)
+    dm, _, _, _, rotation = first_stage(m)
     turned = geom.rotation_about(np.array([1.0, 2.0, 2.0]) / 3.0, turn)
     start = rotation @ turned
     polished = solver._polish(dm.q_tilde, start)
@@ -479,8 +491,7 @@ def test_polish_never_raises_the_cost_from_a_poor_start(monkeypatch):
     # A two-motion-hard instance under 'r': the relaxation is not tight and the
     # extracted rotation is about 54 degrees from the polished one. The cost
     # must not rise at any trial budget, so each step taken lowers it.
-    relaxation = solver.relax(loose_two_motion_instance(), "r")
-    dm, rotation = relaxation.dm, solver.extract_solution(relaxation.lmi)
+    dm, _, _, _, rotation = first_stage(loose_two_motion_instance(), "r")
     costs = [_reduced_cost(dm.q_tilde, rotation)]
     for budget in range(1, solver.POLISH_STEPS + 1):
         monkeypatch.setattr(solver, "POLISH_STEPS", budget)
