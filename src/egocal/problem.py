@@ -118,36 +118,13 @@ def ingest_rotations(rotations: np.ndarray, where) -> np.ndarray:
     return geom.nearest_rotations(rotations)
 
 
-def _read_poses(source, keys, weight_keys, what):
-    """_columns of the JSON-lines records in `source`, with the rotations projected onto SO(3).
-
-    Raises ParseError naming the first bad line, InvalidRotation, or EmptyInput.
-    """
-    data = source if isinstance(source, (str, bytes)) else source.read()
-    # Bytes that are not UTF-8 decode to lone surrogates, which _columns refuses.
-    text = data.decode("utf-8", "surrogateescape") if isinstance(data, bytes) else data
-    lines = [(no, line) for no, raw in enumerate(text.split("\n"), 1) if (line := raw.strip())]
-    if not lines:
-        raise EmptyInput(f"{what} source contained no records")
-    try:
-        rotations, translations, weights = _columns([line for _, line in lines], keys, weight_keys)
-    except ParseError:
-        # Run the same checks line by line, only to name the first bad line in the file.
-        for line_no, line in lines:
-            try:
-                _columns([line], keys, weight_keys)
-            except ParseError as exc:
-                raise ParseError(str(exc), line=line_no) from None
-        raise
-    return ingest_rotations(rotations, lambda i: f"line {lines[i][0]}"), translations, weights
-
-
-def _columns(texts, keys, weight_keys):
+def _columns(texts, keys=("a", "b"), weight_keys=("kappa", "tau")):
     """Rotations (n, k, 3, 3), translations (n, k, 3) and weights (n, w) of n JSON texts.
 
     Each text is an object holding the k poses `keys` ({"R": 3x3, "t": 3-vector})
-    and the w weights `weight_keys` (default 1). Each column is one np.array
-    conversion, checked in bulk; ParseError, without a line number, if any is malformed.
+    and the w weights `weight_keys` (default 1), by default a measurement record's.
+    Each column is one np.array conversion, checked in bulk; ParseError, without
+    a line number, if any is malformed.
     """
     try:
         for text in texts:
@@ -193,14 +170,29 @@ def _numbers(rows, shape, suspects, low, message):
 
 
 def load_measurements(source) -> MeasurementSet:
-    """Parse JSON-lines relative-motion records (see module docstring).
+    """Parse JSON-lines relative-motion records (see module docstring), with the
+    rotations projected onto SO(3).
 
     `source` may be an open text or binary file, a string, or bytes. Raises ParseError
-    (with line number), InvalidRotation, or EmptyInput.
+    (naming the first bad line), InvalidRotation, or EmptyInput.
     """
-    rotations, translations, weights = _read_poses(
-        source, ("a", "b"), ("kappa", "tau"), "measurement"
-    )
+    data = source if isinstance(source, (str, bytes)) else source.read()
+    # Bytes that are not UTF-8 decode to lone surrogates, which _columns refuses.
+    text = data.decode("utf-8", "surrogateescape") if isinstance(data, bytes) else data
+    lines = [(no, line) for no, raw in enumerate(text.split("\n"), 1) if (line := raw.strip())]
+    if not lines:
+        raise EmptyInput("measurement source contained no records")
+    try:
+        rotations, translations, weights = _columns([line for _, line in lines])
+    except ParseError:
+        # Run the same checks line by line, only to name the first bad line in the file.
+        for line_no, line in lines:
+            try:
+                _columns([line])
+            except ParseError as exc:
+                raise ParseError(str(exc), line=line_no) from None
+        raise
+    rotations = ingest_rotations(rotations, lambda i: f"line {lines[i][0]}")
     return MeasurementSet(*rotations.swapaxes(0, 1), *translations.swapaxes(0, 1), *weights.T)
 
 

@@ -23,7 +23,8 @@ such point starts at the infeasible scaled identity, and the residual terms
 of the same step drive it to feasibility. On 360 requests of the 50-motion
 noise sweep the interior start takes 5 iterations to 1e-4 and 8 to 1e-9 in
 the median, the first iterate counted as 1 (7 and 10 from the scaled
-identity).
+identity). The calibration pipeline runs those iterations on 49 of the 360
+only: the other 311 certify at the start point itself (below).
 
 The problems here have dimension <= 13 and at most 22 constraints, so all is
 dense and the constraint operator is one (m, s*s) matrix. Each iteration
@@ -51,8 +52,11 @@ dropped, a plain LU solve breaks down on about 20 of 256 two-motion
 instances, 'r+h' (no dependency) included.
 
 `solve` stops at a caller's tolerance and can continue a stopped solve (its
-`start`), so the calibration pipeline solves to a loose tolerance first and
-continues to the strict TOL only when the loose answer does not certify.
+`start`), so the calibration pipeline (`solver.settle`) walks a ladder of
+tolerances, continuing one solve only while its answer does not certify:
+1.0, at which the solve stops at its start point (iteration 1, no step; the
+residuals are zero there and the gap is below 1 + |pobj| + |dobj|), then
+1e-4, then the strict TOL.
 """
 
 from __future__ import annotations

@@ -6,8 +6,12 @@ The bound is a function of the problem and a dual vector y (`_dual_bound`):
 y_hom + 4 min(0, lambda_min H(y)) holds for every y, the verification step of
 Carlone et al. (IROS 2015) and SE-Sync (Rosen et al., IJRR 2019). So the SDP
 is solved only as far as the certificate needs: `settle`, shared by
-`calibrate` and `egocal certify`, solves to CANDIDATE_TOL and continues the
-same solve to the strict `sdp.TOL` only when the answer does not certify there.
+`calibrate` and `egocal certify`, walks the tolerance ladder LADDER, one
+continued solve. Its first rung, 1.0, stops at the SDP's start point
+(`qcqp.interior_point`) with no interior-point step, and certifies most
+requests from the minimum eigenvector of H(y0) = q_tilde/s + alpha I; the
+solve goes on to CANDIDATE_TOL, and then to the strict `sdp.TOL`, only while
+the answer does not certify.
 
 Also hosts the local Levenberg-Marquardt baseline used by the experiment
 harness for comparisons; it is the only user of scipy, imported on call.
@@ -37,8 +41,12 @@ GAP_COST = 1e-7
 GAP_TRACE = 1e-9
 # Cap on the rotation polish's Newton trials, taken or refused.
 POLISH_STEPS = 30
-# The tolerance of `settle`'s first SDP stage; the second continues to sdp.TOL.
+# The tolerance of `settle`'s middle rung.
 CANDIDATE_TOL = 1e-4
+# The tolerances `settle` solves the SDP to, in turn, until the answer certifies.
+# The first stops at the start point: there the residuals are zero to rounding
+# and the gap <X0, S0> = pobj - dobj is below 1 + |pobj| + |dobj|.
+LADDER = (1.0, CANDIDATE_TOL, sdp.TOL)
 # Cap on the local baseline's cost evaluations (scipy's max_nfev).
 LM_MAX_EVALUATIONS = 1600
 
@@ -179,15 +187,16 @@ def settle(dm: DataMatrix, constraint_set: str, propose):
     """Solve the SDP relaxation of `dm` under `constraint_set` and certify the
     candidate (Transform, cost) pair that `propose(eigenvectors)` returns.
 
-    The SDP is solved to CANDIDATE_TOL first. At each stage H is decomposed
-    once at the solver's y, for `propose` and for the bound there, and once at
-    y refined against the candidate (`_refine`); the certificate keeps the
-    larger bound. At a tight optimum the refined bound meets the cost to the
-    rounding margin, whatever the interior-point method's last digits. When the
-    answer does not certify and the solve is optimal, the same solve is
-    continued to the strict `sdp.TOL` and the stage is repeated. Any other
-    final status is kept: an iteration cap or a factorization breakdown still
-    leaves a dual vector, which gives a valid, if weaker, bound.
+    The SDP is solved to each tolerance of LADDER in turn, each rung
+    continuing the same solve, and a stage runs at each rung. A stage
+    decomposes H once at the solver's y, for `propose` and for the bound there,
+    and once at y refined against the candidate (`_refine`); the certificate
+    keeps the larger bound. At a tight optimum the refined bound meets the cost
+    to the rounding margin, whatever the interior-point method's last digits,
+    so the first rung (the start point, no interior-point step) already
+    certifies most requests. The ladder stops at the first certified answer, or
+    at a final status other than optimal: an iteration cap or a factorization
+    breakdown still leaves a dual vector, which gives a valid, if weaker, bound.
 
     Returns (solution, theta, cost, certificate) of the last stage. Shared by
     `calibrate` and `egocal certify`.
@@ -205,11 +214,12 @@ def settle(dm: DataMatrix, constraint_set: str, propose):
         return theta, cost, Certificate(lower_bound=scale * bound, cost=cost,
                                         min_eig_h=float(eigenvalues[0]), scale=scale)
 
-    solution = sdp.solve(problem, tol=CANDIDATE_TOL)
-    theta, cost, certificate = stage(solution)
-    if not certificate.certified and solution.status == sdp.STATUS_OPTIMAL:
-        solution = sdp.solve(problem, start=solution)
+    solution = None
+    for tol in LADDER:
+        solution = sdp.solve(problem, tol=tol, start=solution)
         theta, cost, certificate = stage(solution)
+        if certificate.certified or solution.status != sdp.STATUS_OPTIMAL:
+            break
     return solution, theta, cost, certificate
 
 
@@ -220,8 +230,8 @@ def calibrate(m: MeasurementSet, constraint_set: str = "r+c+h") -> CalibrationRe
     SingularQtt on unobservable data, and keeps the report), solve the
     relaxation, extract the rotation from the dual slack and polish it on the
     reduced form, recover the translation in closed form, price the estimate
-    and certify it against the proven dual bound (`settle`, which repeats the
-    stage from the strict solve when the answer does not certify).
+    and certify it against the proven dual bound (`settle`, which continues the
+    SDP solve up its tolerance ladder while the answer does not certify).
     """
     start = time.perf_counter()
     dm = qcqp.assemble(m)
@@ -249,6 +259,10 @@ def calibrate(m: MeasurementSet, constraint_set: str = "r+c+h") -> CalibrationRe
     )
 
 
+# The generators [e_k]x of so(3), stacked over k.
+_GENERATORS = np.stack([geom.skew(e) for e in np.eye(3)])
+
+
 def _newton_terms(q_tilde: np.ndarray, r: np.ndarray):
     """f(R) = r_tilde^T q_tilde r_tilde, and the gradient g and Hessian H of
     w -> f(R exp([w]x)) at 0. With A = q_tilde[:9, :9], b = q_tilde[:9, 9],
@@ -258,7 +272,7 @@ def _newton_terms(q_tilde: np.ndarray, r: np.ndarray):
     grad_vec = a @ vec + b
     p = r.T @ grad_vec.reshape(3, 3, order="F")
     grad = 2.0 * np.array([p[2, 1] - p[1, 2], p[0, 2] - p[2, 0], p[1, 0] - p[0, 1]])
-    jac = np.stack([(r @ geom.skew(e)).reshape(9, order="F") for e in np.eye(3)], axis=1)
+    jac = (r @ _GENERATORS).transpose(0, 2, 1).reshape(3, 9).T
     hess = 2.0 * (jac.T @ a @ jac + 0.5 * (p + p.T) - np.trace(p) * np.eye(3))
     return float(vec @ grad_vec + b @ vec + q_tilde[9, 9]), grad, hess
 

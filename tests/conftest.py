@@ -60,10 +60,10 @@ def constructed_sdp(rng, s=6, m=4, rank=2):
     return problem, float(np.sum(c * x_star)), x_star
 
 
-def first_stage(m, kind="r+c+h"):
-    """What `solver.settle`'s first stage sees: the data matrix, the trace-normalized
-    problem and its scale, the dual vector y of the solve to CANDIDATE_TOL, and the
-    rotation extracted from H(y)."""
+def candidate_stage(m, kind="r+c+h"):
+    """What a stage of `solver.settle` sees on its CANDIDATE_TOL rung: the data matrix,
+    the trace-normalized problem and its scale, the dual vector y of the solve to
+    CANDIDATE_TOL, and the rotation extracted from H(y)."""
     dm = qcqp.assemble(m)
     problem, scale = solver.build_sdp_problem(dm, kind)
     y = sdp.solve(problem, tol=solver.CANDIDATE_TOL).multipliers

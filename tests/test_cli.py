@@ -167,7 +167,30 @@ def test_certify_self_consistency(tmp_path):
     assert code == 0
     cert = json.loads(out.read_text())
     assert cert["certified"] is True
-    assert cert["sdp_tolerance"] == solver.CANDIDATE_TOL
+    assert cert["sdp_tolerance"] == solver.LADDER[0] == 1.0
+
+
+def test_a_start_rung_answer_takes_no_interior_point_step(tmp_path, monkeypatch):
+    # The first rung stops the solve at its start point, so calibrate and certify
+    # answer from y0 and the dual vector refined from it, with no NT scaling.
+    def no_step(*_):
+        raise AssertionError("an interior-point step was taken")
+
+    monkeypatch.setattr(sdp, "_nt_scaling", no_step)
+    m = sim.terrain_instance(np.random.default_rng([0, 50]), 50, 0.01, 0.01)[3]
+    result = solver.calibrate(m)
+    assert result.certificate.certified
+    assert result.solve_stats["sdp_iters"] == 1
+    assert result.solve_stats["sdp_tolerance"] == 1.0
+    fixture, report_path, out = tmp_path / "run.jsonl", tmp_path / "report.json", tmp_path / "cert.json"
+    with open(fixture, "w", encoding="utf-8") as fp:
+        dump_measurements(m, fp)
+    report_path.write_text(json.dumps(result.to_dict()))
+    args = ["certify", "--input", str(fixture), "--theta", str(report_path), "--output", str(out)]
+    assert cli.main(args) == 0
+    cert = json.loads(out.read_text())
+    assert cert["certified"] is True
+    assert cert["sdp_tolerance"] == 1.0
 
 
 def test_certify_continues_the_solve_for_a_candidate_that_does_not_certify(tmp_path):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import record_scan
-from conftest import first_stage, random_instance
+from conftest import candidate_stage, random_instance
 from egocal import geom, qcqp, sim, solver
 from egocal.errors import CalibrationError, ParseError
 from egocal.problem import MeasurementSet, dump_measurements, load_measurements
@@ -113,7 +113,7 @@ def test_dual_bound_never_exceeds_the_cost_of_a_rotation(seed, n, sigma, kind, s
     # unchanged but round the computed H by about eps * |y|.
     rng = np.random.default_rng(seed)
     m = sim.terrain_instance(rng, n, sigma, sigma)[3]
-    dm, problem, scale, y, rotation = first_stage(m, kind)
+    dm, problem, scale, y, rotation = candidate_stage(m, kind)
     q_tilde = dm.q_tilde
     candidate = solver._polish(q_tilde, rotation)
     y = solver._refine(problem, y, qcqp.reduced_vector(candidate))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qcqp_blocks
-from conftest import first_stage, loose_two_motion_instance, random_instance
+from conftest import candidate_stage, loose_two_motion_instance, random_instance
 from egocal import geom, problem, qcqp, sdp, sim, solver
 from egocal.errors import NumericalFailure, RankDeficiencyAmbiguous, SingularQtt
 from egocal.geom import RotationMatrix, Transform
@@ -377,23 +377,25 @@ def test_calibrate_answers_at_the_iteration_cap(monkeypatch):
 
 
 def test_report_names_the_tolerance_that_answered():
-    # a certified terrain request stops at the candidate tolerance; the loose
-    # two-motion instance never certifies under 'r', so its solve is continued
+    # a certified terrain request answers on the start rung; the loose two-motion
+    # instance never certifies under 'r', so its solve is continued up the ladder
+    assert solver.LADDER == (1.0, solver.CANDIDATE_TOL, sdp.TOL) == (1.0, 1e-4, 1e-9)
     m = sim.terrain_instance(np.random.default_rng([0, 50]), 50, 0.01, 0.01)[3]
     result = solver.calibrate(m)
     assert result.certificate.certified
-    assert result.solve_stats["sdp_tolerance"] == solver.CANDIDATE_TOL == 1e-4
+    assert result.solve_stats["sdp_tolerance"] == 1.0
     loose = solver.calibrate(loose_two_motion_instance(), "r")
     assert not loose.certificate.certified
-    assert loose.solve_stats["sdp_tolerance"] == sdp.TOL == 1e-9
+    assert loose.solve_stats["sdp_tolerance"] == 1e-9
 
 
 def test_an_uncertified_answer_is_the_strict_pipelines_bit_for_bit(monkeypatch):
-    # With CANDIDATE_TOL at the strict tolerance, the first stage solves as the
-    # pipeline did before the two stages, and no second stage runs.
+    # A ladder of the strict tolerance alone solves straight to sdp.TOL and runs
+    # one stage. An answer that certifies on no rung is that pipeline's: each
+    # rung continues the same solve, and a stage reads only its rung's solution.
     m = loose_two_motion_instance()
     staged = solver.calibrate(m, "r")
-    monkeypatch.setattr(solver, "CANDIDATE_TOL", sdp.TOL)
+    monkeypatch.setattr(solver, "LADDER", (sdp.TOL,))
     strict = solver.calibrate(m, "r")
     assert np.array_equal(staged.extrinsic.rotation.m, strict.extrinsic.rotation.m)
     assert np.array_equal(staged.extrinsic.translation, strict.extrinsic.translation)
@@ -412,7 +414,7 @@ def test_each_stage_decomposes_the_dual_slack_twice(monkeypatch):
     calls.clear()
     continued = solver.calibrate(loose_two_motion_instance(), "r")
     assert continued.solve_stats["sdp_tolerance"] == sdp.TOL
-    assert len(calls) == 4
+    assert len(calls) == 2 * len(solver.LADDER) == 6
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
@@ -459,9 +461,9 @@ def test_newton_terms_match_finite_differences():
 
 @pytest.mark.parametrize("turn", [0.0, 0.05])
 def test_polish_reaches_a_stationary_point_of_the_reduced_form(turn):
-    # from the first stage's extracted rotation, and from that rotation turned 0.05 rad
+    # from the rotation extracted at the CANDIDATE_TOL rung, and from it turned 0.05 rad
     m, _ = random_instance(40, n_motions=30, sigma_r=0.05, sigma_t=0.05)
-    dm, _, _, _, rotation = first_stage(m)
+    dm, _, _, _, rotation = candidate_stage(m)
     turned = geom.rotation_about(np.array([1.0, 2.0, 2.0]) / 3.0, turn)
     start = rotation @ turned
     polished = solver._polish(dm.q_tilde, start)
@@ -491,7 +493,7 @@ def test_polish_never_raises_the_cost_from_a_poor_start(monkeypatch):
     # A two-motion-hard instance under 'r': the relaxation is not tight and the
     # extracted rotation is about 54 degrees from the polished one. The cost
     # must not rise at any trial budget, so each step taken lowers it.
-    dm, _, _, _, rotation = first_stage(loose_two_motion_instance(), "r")
+    dm, _, _, _, rotation = candidate_stage(loose_two_motion_instance(), "r")
     costs = [_reduced_cost(dm.q_tilde, rotation)]
     for budget in range(1, solver.POLISH_STEPS + 1):
         monkeypatch.setattr(solver, "POLISH_STEPS", budget)
