@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egocal import geom
 from egocal.errors import InvalidRotation, SingularInput
 from egocal.geom import RotationMatrix, Transform
+from egocal.problem import INGEST_ROTATION_TOL, ingest_rotations
+
+PROPERTY = settings(deadline=None, max_examples=100, derandomize=True)
 
 
 def test_rotation_matrix_rejects_non_orthonormal():
@@ -132,3 +137,51 @@ def test_skew_matches_cross_product():
     v = rng.normal(size=3)
     w = rng.normal(size=3)
     assert np.allclose(geom.skew(v) @ w, np.cross(v, w))
+
+
+def _rotations(rng, n):
+    return np.array([geom.random_rotation(rng).m for _ in range(n)])
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), size=st.floats(0.0, 1.0))
+def test_polar_rotations_match_the_svd_within_the_ingest_tolerance(seed, size):
+    # Each matrix is a rotation plus a perturbation of Frobenius norm up to
+    # INGEST_ROTATION_TOL, in a (4, 2, 3, 3) stack like the loader's.
+    rng = np.random.default_rng(seed)
+    e = rng.normal(size=(4, 2, 3, 3))
+    e *= size * INGEST_ROTATION_TOL / np.linalg.norm(e, axis=(-2, -1), keepdims=True)
+    m = _rotations(rng, 8).reshape(4, 2, 3, 3) + e
+    out = geom.polar_rotations(m)
+    assert out.shape == m.shape
+    assert np.abs(out - geom.nearest_rotations(m)).max() <= 1e-13
+    geom.require_so3(out, "projected rotation")
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1))
+def test_polar_rotations_fix_an_exact_rotation(seed):
+    r = _rotations(np.random.default_rng(seed), 8)
+    assert np.abs(geom.polar_rotations(r) - r).max() <= 1e-14
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1.0))
+def test_rotation_defects_determinant_is_the_lu_determinant(seed, scale):
+    m = scale * np.random.default_rng(seed).uniform(-1.0, 1.0, size=(16, 3, 3))
+    _, det = geom.rotation_defects(m)
+    expected = np.linalg.det(m)
+    assert np.all(np.abs(det - expected) <= 1e-13 * (1.0 + np.abs(expected)))
+
+
+@pytest.mark.parametrize("index", np.ndindex(3, 3))
+def test_a_nan_entry_gives_a_nan_determinant_and_is_refused(index):
+    m = geom.random_rotation(17).m.copy()
+    m[index] = np.nan
+    drift, det = geom.rotation_defects(m)
+    assert np.isnan(drift) and np.isnan(det)
+    with pytest.raises(InvalidRotation):
+        geom.require_so3(m, "matrix")
+    stack = np.stack([np.eye(3), m])[None]  # one record holding a good and a NaN rotation
+    with pytest.raises(InvalidRotation, match="^record 0: "):
+        ingest_rotations(stack, lambda i: f"record {i}")

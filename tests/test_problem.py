@@ -22,6 +22,7 @@ from egocal.errors import (
 )
 from egocal.geom import RotationMatrix, Transform
 from egocal.problem import (
+    INGEST_ROTATION_TOL,
     SINGULAR_QTT_CONDITION,
     MeasurementSet,
     check_observability,
@@ -77,6 +78,32 @@ def test_load_reorthonormalizes_slightly_off_input():
     m = load_measurements(_record(r_a=r))
     got = m.ra[0]
     assert np.linalg.norm(got.T @ got - np.eye(3)) < 1e-12
+
+
+def _drifted(seed, drift):
+    """R (I + S) for a random rotation R and symmetric S, with ||M^T M - I||_F about
+    `drift`: M^T M - I = 2S + S^2."""
+    rng = np.random.default_rng(seed)
+    s = rng.normal(size=(3, 3))
+    s += s.T
+    return geom.random_rotation(rng).m @ (np.eye(3) + drift / (2 * np.linalg.norm(s)) * s)
+
+
+def test_load_projects_a_rotation_just_inside_the_ingest_tolerance():
+    near_edge = _drifted(3, 0.999 * INGEST_ROTATION_TOL)
+    drift, _ = geom.rotation_defects(near_edge)
+    assert 0.99 * INGEST_ROTATION_TOL < drift < INGEST_ROTATION_TOL
+    m = load_measurements(_record() + "\n" + _record(r_a=near_edge, r_b=near_edge.T))
+    assert np.abs(m.ra[1] - geom.nearest_rotations(near_edge)).max() <= 1e-13
+    assert np.abs(m.rb[1] - geom.nearest_rotations(near_edge.T)).max() <= 1e-13
+
+
+def test_load_refuses_a_rotation_at_twice_the_ingest_tolerance():
+    outside = _drifted(3, 2 * INGEST_ROTATION_TOL)
+    drift, _ = geom.rotation_defects(outside)
+    assert 1.9 * INGEST_ROTATION_TOL < drift
+    with pytest.raises(InvalidRotation, match="^line 3: "):
+        load_measurements("\n".join([_record(), _record(), _record(r_b=outside), _record()]))
 
 
 def test_load_parse_error_carries_line_number():
