@@ -23,8 +23,8 @@ such point starts at the infeasible scaled identity, and the residual terms
 of the same step drive it to feasibility. On 360 requests of the 50-motion
 noise sweep the interior start takes 5 iterations to 1e-4 and 8 to 1e-9 in
 the median, the first iterate counted as 1 (7 and 10 from the scaled
-identity). The calibration pipeline runs those iterations on 49 of the 360
-only: the other 311 certify at the start point itself (below).
+identity). The calibration pipeline runs them on only 1 of the 360: the
+other 359 certify at the start point itself (below).
 
 The problems here have dimension <= 13 and at most 22 constraints, so all is
 dense and the constraint operator is one (m, s*s) matrix. Each iteration

@@ -8,10 +8,11 @@ Carlone et al. (IROS 2015) and SE-Sync (Rosen et al., IJRR 2019). So the SDP
 is solved only as far as the certificate needs: `settle`, shared by
 `calibrate` and `egocal certify`, walks the tolerance ladder LADDER, one
 continued solve. Its first rung, 1.0, stops at the SDP's start point
-(`qcqp.interior_point`) with no interior-point step, and certifies most
-requests from the minimum eigenvector of H(y0) = q_tilde/s + alpha I; the
-solve goes on to CANDIDATE_TOL, and then to the strict `sdp.TOL`, only while
-the answer does not certify.
+(`qcqp.interior_point`) with no interior-point step: the candidate is the
+minimum eigenvector of H(y0) = q_tilde/s + alpha I, and most requests
+certify with the least-norm y that annihilates it. The solve goes on to
+CANDIDATE_TOL, and then to the strict `sdp.TOL`, only while the answer does
+not certify; the answer is the cheapest candidate of the rungs run.
 
 Also hosts the local Levenberg-Marquardt baseline used by the experiment
 harness for comparisons; it is the only user of scipy, imported on call.
@@ -177,7 +178,8 @@ def _dual_bound(problem: sdp.SdpProblem, y: np.ndarray):
 def _refine(problem: sdp.SdpProblem, y: np.ndarray, r_tilde: np.ndarray) -> np.ndarray:
     """y + dy, with dy the least-norm solution of B dy = H(y) r_tilde for
     B[:, i] = A_i r_tilde, so that H(y + dy) annihilates r_tilde (one 10 x m
-    least-squares solve). H(y) r_tilde = cost r_tilde - B y."""
+    least-squares solve). H(y) r_tilde = cost r_tilde - B y. From y = 0 it is
+    the least-norm y with H(y) r_tilde = 0 (Carlone et al., IROS 2015)."""
     b = (problem.constraints @ r_tilde).T
     with numerical("certificate refinement"):
         return y + np.linalg.lstsq(b, problem.cost @ r_tilde - b @ y, rcond=None)[0]
@@ -190,16 +192,21 @@ def settle(dm: DataMatrix, constraint_set: str, propose):
     The SDP is solved to each tolerance of LADDER in turn, each rung
     continuing the same solve, and a stage runs at each rung. A stage
     decomposes H once at the solver's y, for `propose` and for the bound there,
-    and once at y refined against the candidate (`_refine`); the certificate
-    keeps the larger bound. At a tight optimum the refined bound meets the cost
-    to the rounding margin, whatever the interior-point method's last digits,
-    so the first rung (the start point, no interior-point step) already
-    certifies most requests. The ladder stops at the first certified answer, or
-    at a final status other than optimal: an iteration cap or a factorization
+    and once at a y refined against the candidate (`_refine`), and keeps the
+    larger bound. The refinement starts from the solver's y, except at the
+    start point (iteration 1), whose y0 knows nothing of the data: there it
+    starts from 0. At a tight optimum the refined bound meets the cost to the
+    rounding margin, so the first rung (no interior-point step) already
+    certifies most requests.
+
+    The answer is the cheapest candidate of the rungs run (the earliest of
+    equal ones) with the largest bound: each rung's bound holds for the global
+    minimum. The ladder stops at the first answer that certifies, or at a
+    final status other than optimal: an iteration cap or a factorization
     breakdown still leaves a dual vector, which gives a valid, if weaker, bound.
 
-    Returns (solution, theta, cost, certificate) of the last stage. Shared by
-    `calibrate` and `egocal certify`.
+    Returns (solution, theta, cost, certificate), the solution of the last
+    rung. Shared by `calibrate` and `egocal certify`.
     """
     problem, scale = build_sdp_problem(dm, constraint_set)
 
@@ -207,20 +214,26 @@ def settle(dm: DataMatrix, constraint_set: str, propose):
         y = solution.multipliers
         bound, (eigenvalues, eigenvectors) = _dual_bound(problem, y)
         theta, cost = propose(eigenvectors)
-        refined = _refine(problem, y, qcqp.reduced_vector(theta.rotation.m))
+        start = y if solution.iterations > 1 else np.zeros_like(y)
+        refined = _refine(problem, start, qcqp.reduced_vector(theta.rotation.m))
         refined_bound, (refined_eigenvalues, _) = _dual_bound(problem, refined)
         if refined_bound > bound:
             bound, eigenvalues = refined_bound, refined_eigenvalues
-        return theta, cost, Certificate(lower_bound=scale * bound, cost=cost,
-                                        min_eig_h=float(eigenvalues[0]), scale=scale)
+        return theta, cost, bound, float(eigenvalues[0])
 
-    solution = None
+    solution = best = proof = None
     for tol in LADDER:
         solution = sdp.solve(problem, tol=tol, start=solution)
-        theta, cost, certificate = stage(solution)
+        theta, cost, bound, min_eig_h = stage(solution)
+        if best is None or cost < best[1]:
+            best = theta, cost
+        if proof is None or bound > proof[0]:
+            proof = bound, min_eig_h
+        certificate = Certificate(lower_bound=scale * proof[0], cost=best[1],
+                                  min_eig_h=proof[1], scale=scale)
         if certificate.certified or solution.status != sdp.STATUS_OPTIMAL:
             break
-    return solution, theta, cost, certificate
+    return solution, *best, certificate
 
 
 def calibrate(m: MeasurementSet, constraint_set: str = "r+c+h") -> CalibrationResult:

@@ -25,12 +25,49 @@ def random_instance(seed, n_motions=50, sigma_r=0.0, sigma_t=0.0, amplitude=1.0)
     return m, theta
 
 
+def two_motion_hard_instance(i, j):
+    """The two-motion-hard instance with a quarter turn about fibonacci_sphere(16)[i]
+    and a 10 m translation perturbation along fibonacci_sphere(16)[j]."""
+    axes = sim.fibonacci_sphere(16)
+    return sim._perturb_instance(sim.two_motion_instance(), axes[i], np.pi / 2, axes[j], 10.0)
+
+
 def loose_two_motion_instance():
     """A two-motion-hard instance (quarter turns plus a 10 m translation
     perturbation) whose 'r' relaxation is not tight: every dual vector's bound
     stays well below the best cost, so it is never certified under 'r'."""
-    axes = sim.fibonacci_sphere(16)
-    return sim._perturb_instance(sim.two_motion_instance(), axes[8], np.pi / 2, axes[11], 10.0)
+    return two_motion_hard_instance(8, 11)
+
+
+def brute_force_minimum(q_tilde, rng, samples=30_000, polished=10):
+    """An upper bound on min f(R) = r_tilde^T q_tilde r_tilde over SO(3), found
+    without the SDP: f at `samples` Haar-random rotations (normalized Gaussian
+    quaternions) in one einsum, the `polished` least of them polished by
+    `solver._polish`, and the least f of those."""
+    q = rng.normal(size=(samples, 4))
+    w, x, y, z = (q / np.linalg.norm(q, axis=1, keepdims=True)).T
+    # vec(R) column-major, then the homogenizer 1
+    lifted = np.stack([1 - 2 * (y * y + z * z), 2 * (x * y + w * z), 2 * (x * z - w * y),
+                       2 * (x * y - w * z), 1 - 2 * (x * x + z * z), 2 * (y * z + w * x),
+                       2 * (x * z + w * y), 2 * (y * z - w * x), 1 - 2 * (x * x + y * y),
+                       np.ones(samples)], axis=1)
+    f = np.einsum("ki,ij,kj->k", lifted, q_tilde, lifted)
+    costs = []
+    for k in np.argsort(f)[:polished]:
+        r_tilde = qcqp.reduced_vector(solver._polish(q_tilde, lifted[k, :9].reshape(3, 3, order="F")))
+        costs.append(r_tilde @ q_tilde @ r_tilde)
+    return min(costs)
+
+
+def assert_below_brute_force(result, q_tilde, oracle):
+    """The two checks any rotation's cost `oracle` allows on a calibrate `result`:
+    its proven bound is no higher (to the rounding of 1e-12 tr q_tilde that
+    `_dual_bound`'s margin covers), and a certified cost exceeds it by no more
+    than the verdict's slack."""
+    scale = float(np.trace(q_tilde))
+    assert result.certificate.lower_bound <= oracle + 1e-12 * scale
+    if result.certificate.certified:
+        assert result.cost <= oracle + solver.GAP_COST * result.cost + solver.GAP_TRACE * scale
 
 
 def constructed_sdp(rng, s=6, m=4, rank=2):

@@ -172,25 +172,30 @@ def test_certify_self_consistency(tmp_path):
 
 def test_a_start_rung_answer_takes_no_interior_point_step(tmp_path, monkeypatch):
     # The first rung stops the solve at its start point, so calibrate and certify
-    # answer from y0 and the dual vector refined from it, with no NT scaling.
+    # answer from y0 and the least-norm y that annihilates the candidate, with no
+    # NT scaling. Refined from y0 instead, seed 3's candidate does not certify
+    # there: it answers at the candidate tolerance after 5 iterations.
     def no_step(*_):
         raise AssertionError("an interior-point step was taken")
 
     monkeypatch.setattr(sdp, "_nt_scaling", no_step)
-    m = sim.terrain_instance(np.random.default_rng([0, 50]), 50, 0.01, 0.01)[3]
-    result = solver.calibrate(m)
-    assert result.certificate.certified
-    assert result.solve_stats["sdp_iters"] == 1
-    assert result.solve_stats["sdp_tolerance"] == 1.0
-    fixture, report_path, out = tmp_path / "run.jsonl", tmp_path / "report.json", tmp_path / "cert.json"
-    with open(fixture, "w", encoding="utf-8") as fp:
-        dump_measurements(m, fp)
-    report_path.write_text(json.dumps(result.to_dict()))
-    args = ["certify", "--input", str(fixture), "--theta", str(report_path), "--output", str(out)]
-    assert cli.main(args) == 0
-    cert = json.loads(out.read_text())
-    assert cert["certified"] is True
-    assert cert["sdp_tolerance"] == 1.0
+    for seed in (0, 3):
+        m = sim.terrain_instance(np.random.default_rng([seed, 50]), 50, 0.01, 0.01)[3]
+        result = solver.calibrate(m)
+        assert result.certificate.certified
+        assert result.solve_stats["sdp_iters"] == 1
+        assert result.solve_stats["sdp_tolerance"] == 1.0
+        run = tmp_path / f"seed{seed}"
+        run.mkdir()
+        fixture, report_path, out = run / "run.jsonl", run / "report.json", run / "cert.json"
+        with open(fixture, "w", encoding="utf-8") as fp:
+            dump_measurements(m, fp)
+        report_path.write_text(json.dumps(result.to_dict()))
+        args = ["certify", "--input", str(fixture), "--theta", str(report_path), "--output", str(out)]
+        assert cli.main(args) == 0
+        cert = json.loads(out.read_text())
+        assert cert["certified"] is True
+        assert cert["sdp_tolerance"] == 1.0
 
 
 def test_certify_continues_the_solve_for_a_candidate_that_does_not_certify(tmp_path):

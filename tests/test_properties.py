@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import record_scan
-from conftest import candidate_stage, random_instance
+from conftest import assert_below_brute_force, brute_force_minimum, candidate_stage, random_instance
 from egocal import geom, qcqp, sim, solver
 from egocal.errors import CalibrationError, ParseError
 from egocal.problem import MeasurementSet, dump_measurements, load_measurements
@@ -140,6 +140,21 @@ def test_certified_cost_is_no_worse_than_local_restarts(seed, n, sigma):
     for _ in range(5):
         local = solver.local_solve(m, init=geom.random_transform(rng, translation_scale=2.0))
         assert result.cost <= local.cost + 1e-9 * (1.0 + result.cost)
+
+
+@settings(deadline=None, max_examples=20, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30), sigma=st.floats(0.0, 0.1))
+def test_terrain_answers_respect_a_brute_force_minimum(seed, n, sigma):
+    # The checks of test_solver.py's two-motion run, on terrain drives under every catalog.
+    rng = np.random.default_rng(seed)
+    m = sim.terrain_instance(rng, n, sigma, sigma)[3]
+    try:
+        q_tilde = qcqp.assemble(m).q_tilde
+    except CalibrationError:
+        return
+    oracle = brute_force_minimum(q_tilde, rng)
+    for kind in qcqp.CONSTRAINT_KINDS:
+        assert_below_brute_force(solver.calibrate(m, kind), q_tilde, oracle)
 
 
 _finite = st.floats(-1e6, 1e6, allow_nan=False)

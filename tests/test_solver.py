@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import qcqp_blocks
-from conftest import candidate_stage, loose_two_motion_instance, random_instance
+from conftest import (assert_below_brute_force, brute_force_minimum, candidate_stage,
+                      loose_two_motion_instance, random_instance, two_motion_hard_instance)
 from egocal import geom, problem, qcqp, sdp, sim, solver
 from egocal.errors import NumericalFailure, RankDeficiencyAmbiguous, SingularQtt
 from egocal.geom import RotationMatrix, Transform
@@ -391,8 +392,10 @@ def test_report_names_the_tolerance_that_answered():
 
 def test_an_uncertified_answer_is_the_strict_pipelines_bit_for_bit(monkeypatch):
     # A ladder of the strict tolerance alone solves straight to sdp.TOL and runs
-    # one stage. An answer that certifies on no rung is that pipeline's: each
-    # rung continues the same solve, and a stage reads only its rung's solution.
+    # one stage. An answer that certifies on no rung is no worse than that
+    # pipeline's: each rung continues the same solve, a stage reads only its
+    # rung's solution, and the cheapest candidate is kept. Here the strict
+    # rung's candidate is the cheapest, so the answers agree bit for bit.
     m = loose_two_motion_instance()
     staged = solver.calibrate(m, "r")
     monkeypatch.setattr(solver, "LADDER", (sdp.TOL,))
@@ -402,6 +405,36 @@ def test_an_uncertified_answer_is_the_strict_pipelines_bit_for_bit(monkeypatch):
     assert staged.cost == strict.cost
     assert staged.certificate == strict.certificate
     assert staged.solve_stats["sdp_iters"] == strict.solve_stats["sdp_iters"]
+
+
+def test_an_uncertified_answer_is_the_cheapest_candidate_of_its_rungs(monkeypatch):
+    # Under 'r' this instance certifies on no rung, and its 1e-4 rung proposes a
+    # cheaper candidate (23.6438) than the strict rung does (23.8288).
+    m = two_motion_hard_instance(13, 15)
+    price, proposed = solver.evaluate_cost, []
+    monkeypatch.setattr(solver, "evaluate_cost", lambda *args: proposed.append(price(*args)) or proposed[-1])
+    result = solver.calibrate(m, "r")
+    assert not result.certificate.certified
+    assert result.solve_stats["sdp_tolerance"] == sdp.TOL
+    assert len(proposed) == len(solver.LADDER)
+    assert result.cost == min(proposed) == proposed[1] < 0.999 * proposed[-1]
+    assert result.certificate.cost == result.cost
+    assert result.cost == price(m, result.extrinsic)
+
+
+def test_answers_respect_a_brute_force_minimum():
+    # The minimum of f over 30 000 random rotations, polished, is an upper bound
+    # on the global minimum found without the SDP, so no proven bound may exceed
+    # it and no certified cost may exceed it by more than the verdict's slack.
+    # The pairs include (12, 9), whose 'r+c' answer is a NotCertified local
+    # minimum 17.7% above the global one.
+    rng = np.random.default_rng(0)
+    for i in range(16):
+        m = two_motion_hard_instance(i, (i + 13) % 16)
+        q_tilde = qcqp.assemble(m).q_tilde
+        oracle = brute_force_minimum(q_tilde, rng)
+        for kind in qcqp.CONSTRAINT_KINDS:
+            assert_below_brute_force(solver.calibrate(m, kind), q_tilde, oracle)
 
 
 def test_each_stage_decomposes_the_dual_slack_twice(monkeypatch):
