@@ -28,11 +28,14 @@ def rotation_defects(m: np.ndarray):
 
     The determinant is the triple product row_0 . (row_1 x row_2) of M^T (det M^T
     = det M), NaN for a NaN matrix. m.T holds the entries of each M^T on its
-    leading axes, so the arithmetic runs on whole arrays of entries.
+    leading axes, so the arithmetic runs on whole arrays of entries. Entries too
+    large for the products give an inf or NaN defect, which no check accepts,
+    without a warning.
     """
-    drift = np.linalg.norm(np.swapaxes(m, -1, -2) @ m - np.eye(3), axis=(-2, -1))
-    (a, b, c), (d, e, f), (g, h, i) = m.T
-    return drift, (a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g)).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = np.linalg.norm(np.swapaxes(m, -1, -2) @ m - np.eye(3), axis=(-2, -1))
+        (a, b, c), (d, e, f), (g, h, i) = m.T
+        return drift, (a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g)).T
 
 
 def require_so3(m: np.ndarray, what: str) -> None:

@@ -8,12 +8,14 @@ The measurement format, one JSON object per line::
 Entries are JSON numbers: rotations row-major 3x3, translations in meters.
 kappa/tau default to 1.
 
-The loader parses each non-blank line with json.loads and builds each column
-with one np.array conversion, checked in bulk; only when a check fails does it
-run the same conversion line by line, to name the first bad line in a
-ParseError. It refuses a rotation more than INGEST_ROTATION_TOL from
-orthonormal or with a negative determinant, and projects the rest onto SO(3)
-with two Newton polar steps instead of a batched SVD (see ingest_rotations).
+The loader parses each stripped non-blank line with one JSONDecoder.raw_decode
+scan (json.loads without its wrapper), with the garbage collector paused: the
+parse's lists and dicts form no cycle. It builds each column with one np.array
+conversion, checked in bulk; only when a check fails does it run the same
+conversion line by line, to name the first bad line in a ParseError. It
+refuses a rotation more than INGEST_ROTATION_TOL from orthonormal or with a
+negative determinant, and projects the rest onto SO(3) with two Newton polar
+steps instead of a batched SVD (see ingest_rotations).
 
 Calibration is observable when sensor b's rotations span two distinct axes.
 check_observability() reads that from the condition number of the translation
@@ -24,6 +26,7 @@ request, refusing singular data and keeping the report on its DataMatrix.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
 
@@ -43,6 +46,8 @@ INGEST_ROTATION_TOL = 1e-6
 # Largest condition number of the translation block that counts as observable.
 SINGULAR_QTT_CONDITION = 1e12
 
+
+_DECODER = json.JSONDecoder()
 
 _COLUMNS = {"ra": (3, 3), "rb": (3, 3), "ta": (3,), "tb": (3,), "kappa": (), "tau": ()}
 
@@ -137,7 +142,7 @@ def _columns(texts, keys=("a", "b"), weight_keys=("kappa", "tau")):
         for text in texts:
             if not text.isascii():
                 text.encode("utf-8")  # a lone surrogate does not encode
-        records = [json.loads(text) for text in texts]
+        records = [_decode(text) for text in texts]
         r = [[record[key]["R"] for key in keys] for record in records]
         t = [[record[key]["t"] for key in keys] for record in records]
         w = [[record.get(key, 1.0) for key in weight_keys] for record in records]
@@ -153,6 +158,14 @@ def _columns(texts, keys=("a", "b"), weight_keys=("kappa", "tau")):
         _numbers(t, (n, k, 3), suspects, -np.inf, "pose 't' must be 3 finite numbers"),
         _numbers(w, (n, len(weight_keys)), suspects, 0.0, f"{names} must be positive and finite"),
     )
+
+
+def _decode(text):
+    """The JSON value of a stripped text, as json.loads gives it, without its wrapper."""
+    value, end = _DECODER.raw_decode(text)
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    return value
 
 
 def _boolean_suspects(texts):
@@ -189,6 +202,7 @@ def load_measurements(source) -> MeasurementSet:
     """Parse JSON-lines relative-motion records (see module docstring), with the
     rotations projected onto SO(3).
 
+    The garbage collector is paused for the parse and left as the caller had it.
     `source` may be an open text or binary file, a string, or bytes. Raises ParseError
     (naming the first bad line), InvalidRotation, or EmptyInput.
     """
@@ -198,6 +212,8 @@ def load_measurements(source) -> MeasurementSet:
     lines = [(no, line) for no, raw in enumerate(text.split("\n"), 1) if (line := raw.strip())]
     if not lines:
         raise EmptyInput("measurement source contained no records")
+    collecting = gc.isenabled()
+    gc.disable()  # the parse's lists and dicts form no cycle
     try:
         rotations, translations, weights = _columns([line for _, line in lines])
     except ParseError:
@@ -208,6 +224,9 @@ def load_measurements(source) -> MeasurementSet:
             except ParseError as exc:
                 raise ParseError(str(exc), line=line_no) from None
         raise
+    finally:
+        if collecting:
+            gc.enable()
     rotations = ingest_rotations(rotations, lambda i: f"line {lines[i][0]}")
     return MeasurementSet(*rotations.swapaxes(0, 1), *translations.swapaxes(0, 1), *weights.T)
 
@@ -246,10 +265,13 @@ def relative_motions_from_trajectories(poses_a, poses_b) -> MeasurementSet:
 
 def translation_gram(m: MeasurementSet) -> np.ndarray:
     """The 3x3 translation block sum_i tau_i (I - R_b_i)^T (I - R_b_i); inf or NaN
-    entries where weights too large for the sum overflow it, without a warning."""
-    d = np.eye(3) - m.rb
+    entries where weights too large for the sum overflow it, without a warning.
+    One weighted moment of D = I - R_b flattened to (n, 9), symmetrized exactly."""
+    d = (np.eye(3) - m.rb).reshape(m.n, 9)
     with np.errstate(over="ignore", invalid="ignore"):
-        return (m.tau[:, None, None] * (np.swapaxes(d, 1, 2) @ d)).sum(axis=0)
+        moment = ((m.tau[:, None] * d).T @ d).reshape(3, 3, 3, 3)
+        gram = np.einsum("ijil->jl", moment)
+        return 0.5 * (gram + gram.T)  # exactly symmetric, as assemble's q keeps it
 
 
 def check_observability(q_tt: np.ndarray) -> ObservabilityReport:

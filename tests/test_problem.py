@@ -1,3 +1,5 @@
+import contextlib
+import gc
 import io
 import json
 import sys
@@ -104,6 +106,16 @@ def test_load_refuses_a_rotation_at_twice_the_ingest_tolerance():
     assert 1.9 * INGEST_ROTATION_TOL < drift
     with pytest.raises(InvalidRotation, match="^line 3: "):
         load_measurements("\n".join([_record(), _record(), _record(r_b=outside), _record()]))
+
+
+def test_rotation_too_large_for_its_products_is_refused_without_a_warning():
+    huge = np.diag([0.0, 0.0, 1e200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidRotation, match="^line 2: "):
+            load_measurements("\n".join([_record(), _record(r_a=huge)]))
+        with pytest.raises(InvalidRotation):
+            RotationMatrix(huge)
 
 
 def test_load_parse_error_carries_line_number():
@@ -357,6 +369,19 @@ def test_translation_gram_is_the_axis_angle_sum(seed, kind, n, identities):
     assert np.all(np.abs(gram - expected) <= 1e-12 * np.trace(expected))
 
 
+@pytest.mark.parametrize("n", [2, 1000, 10_000])
+def test_translation_gram_is_the_per_measurement_sum(n):
+    m, _ = random_instance(27, n_motions=n, sigma_r=0.01, sigma_t=0.01)
+    m = replace(m, tau=np.random.default_rng(27).lognormal(0.0, 1.0, n))
+    loop = np.zeros((3, 3))
+    for tau, rb in zip(m.tau, m.rb):
+        d = np.eye(3) - rb
+        loop += tau * (d.T @ d)
+    gram = translation_gram(m)
+    assert np.max(np.abs(gram - loop)) <= 1e-13 * np.max(np.abs(loop))
+    assert np.array_equal(gram, gram.T)
+
+
 def test_report_serializes():
     m = _pure_rotations([((1, 0, 0), 0.5), ((0, 1, 0), 0.7)])
     d = asdict(check_observability(translation_gram(m)))
@@ -395,6 +420,11 @@ _BAD_LINES = {
     '"b": {"R": [[1, 0, 0], [0, true, 0], [0, 0, 1]], "t": [0, 0, 0]}}',
     "mixed-false-translation": '{"a": {"R": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], '
     '"t": [false, 0, 0]}, "b": ' + _IDENTITY_POSE + "}",
+    # One decoder scan per line refuses what follows the record, as json.loads does.
+    "trailing-text": _GOOD_LINE + " x",
+    "trailing-record": _GOOD_LINE + _GOOD_LINE,
+    "trailing-comma-record": _GOOD_LINE + ", " + _GOOD_LINE,
+    "trailing-bracket": _GOOD_LINE + "]",
 }
 
 
@@ -432,6 +462,34 @@ def test_malformed_field_in_a_long_log_names_its_line(name, good_log_lines, tmp_
             with pytest.raises(ParseError) as exc:
                 load_measurements(source)
             assert exc.value.line == 700
+
+
+@pytest.mark.parametrize("name", [name for name in _BAD_LINES if name.startswith("trailing-")])
+def test_trailing_data_is_extra_data(name):
+    with pytest.raises(ParseError, match="Extra data") as exc:
+        load_measurements(_GOOD_LINE + "\n" + _BAD_LINES[name])
+    assert exc.value.line == 2
+
+
+_SOURCES = {  # a log and the error its load raises
+    "good": (_GOOD_LINE + "\n" + _GOOD_LINE, None),
+    "bad-line": (_GOOD_LINE + "\n{not json\n" + _GOOD_LINE, ParseError),
+    "bad-rotation": (_GOOD_LINE + "\n" + _record(r_a=np.eye(3) + 1e-3), InvalidRotation),
+}
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize("source", sorted(_SOURCES))
+def test_load_leaves_the_collector_as_it_found_it(collecting, source):
+    text, error = _SOURCES[source]
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        with pytest.raises(error) if error else contextlib.nullcontext():
+            load_measurements(text)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_invalid_rotation_after_blank_lines_names_its_line(good_log_lines):

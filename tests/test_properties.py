@@ -207,7 +207,15 @@ _pose = st.fixed_dictionaries(
 _record = st.fixed_dictionaries(
     {"a": _pose | _json, "b": _pose}, optional={"kappa": _json, "tau": _json}
 )
-_line = _record.map(json.dumps) | _json.map(json.dumps) | st.text(max_size=30)
+_line = (
+    _record.map(json.dumps)
+    | _json.map(json.dumps)
+    | st.text(max_size=30)
+    # A record, often a valid one, with trailing data: both loaders must refuse it alike.
+    | st.tuples(
+        _record.map(json.dumps) | st.deferred(lambda: _log_records()), st.text(max_size=5)
+    ).map("".join)
+)
 
 
 @FAST
