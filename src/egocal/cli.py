@@ -186,7 +186,7 @@ def cmd_certify(args) -> int:
     candidate = _load_theta(args.theta)
     dm = qcqp.assemble(measurements)
     cost = solver.evaluate_cost(measurements, candidate)
-    solution, _, _, certificate = solver.settle(dm, args.constraint_set, lambda _: (candidate, cost))
+    solution, _, certificate = solver.settle(dm, args.constraint_set, lambda _: (candidate, cost))
     numbers = dict(candidate_cost=certificate.cost, dual_lower_bound=certificate.lower_bound,
                    gap=certificate.gap)
     report = {

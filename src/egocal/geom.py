@@ -118,10 +118,11 @@ def rotation_exp(w) -> np.ndarray:
 
 def nearest_rotations(m: np.ndarray) -> np.ndarray:
     """Frobenius-nearest rotation U diag(1, 1, det(U V^T)) V^T of each matrix in a
-    (..., 3, 3) stack, from its SVD."""
+    (..., 3, 3) stack, from its SVD. The projection is scale invariant, so a matrix
+    is refused as singular by its condition, sv_min <= 1e-12 sv_max, not its size."""
     with numerical("rotation projection"):
         u, sv, vt = np.linalg.svd(m)
-    if np.any(sv[..., -1] < 1e-12):
+    if np.any(sv[..., -1] <= 1e-12 * sv[..., 0]):
         raise SingularInput("matrix is numerically singular; projection undefined")
     u[..., :, 2] *= np.sign(np.linalg.det(u @ vt))[..., None]
     return u @ vt

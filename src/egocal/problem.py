@@ -263,14 +263,19 @@ def relative_motions_from_trajectories(poses_a, poses_b) -> MeasurementSet:
     return MeasurementSet(**columns, kappa=ones, tau=ones)
 
 
+def _moment(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_i w_i a_i (outer) b_i over the leading axis, with index order a[1:] + b[1:]."""
+    moment = (w[:, None] * a.reshape(len(a), -1)).T @ b.reshape(len(b), -1)
+    return moment.reshape(a.shape[1:] + b.shape[1:])
+
+
 def translation_gram(m: MeasurementSet) -> np.ndarray:
     """The 3x3 translation block sum_i tau_i (I - R_b_i)^T (I - R_b_i); inf or NaN
     entries where weights too large for the sum overflow it, without a warning.
-    One weighted moment of D = I - R_b flattened to (n, 9), symmetrized exactly."""
-    d = (np.eye(3) - m.rb).reshape(m.n, 9)
+    One weighted moment of D = I - R_b, symmetrized exactly."""
+    d = np.eye(3) - m.rb
     with np.errstate(over="ignore", invalid="ignore"):
-        moment = ((m.tau[:, None] * d).T @ d).reshape(3, 3, 3, 3)
-        gram = np.einsum("ijil->jl", moment)
+        gram = np.einsum("ijil->jl", _moment(m.tau, d, d))
         return 0.5 * (gram + gram.T)  # exactly symmetric, as assemble's q keeps it
 
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure, SingularQtt, TooShort, numerical
-from .problem import MeasurementSet, ObservabilityReport, check_observability, translation_gram
+from .problem import (MeasurementSet, ObservabilityReport, _moment, check_observability,
+                      translation_gram)
 
 DIM_FULL = 13
 DIM_REDUCED = 10
@@ -37,12 +38,6 @@ class DataMatrix:
     t_map: np.ndarray        # 3x10 -q_tt^-1 q[:3, 3:]: the optimal t is t_map @ r_tilde
     q_tilde: np.ndarray      # 10x10 Schur complement q / q_tt
     observability: ObservabilityReport  # check_observability(q_tt)
-
-
-def _moment(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_i w_i a_i (outer) b_i over the leading axis, with index order a[1:] + b[1:]."""
-    moment = (w[:, None] * a.reshape(len(a), -1)).T @ b.reshape(len(b), -1)
-    return moment.reshape(a.shape[1:] + b.shape[1:])
 
 
 def assemble(m: MeasurementSet) -> DataMatrix:

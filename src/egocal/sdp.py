@@ -74,6 +74,8 @@ STATUS_BREAKDOWN = "breakdown"
 # The strict stopping tolerance of `solve`, on the relative primal and dual
 # residuals and the relative complementarity gap.
 TOL = 1e-9
+# The iteration cap of `solve`, over a solve and its continuations.
+MAX_ITER = 100
 _STEP_FRACTION = 0.98
 
 
@@ -101,11 +103,9 @@ class SdpProblem:
         ):
             raise ValueError("interior point must be an (s, s) matrix and one multiplier "
                              "per constraint")
-        mats = np.concatenate([cost[None], a])
-        bound = 1e-12 * (1.0 + np.max(np.abs(mats), axis=(1, 2)))
-        if (asym := np.max(np.abs(mats - np.swapaxes(mats, 1, 2)), axis=(1, 2)) > bound).any():
-            name = "cost" if asym[0] else f"constraint {np.argmax(asym) - 1}"
-            raise ValueError(f"{name} matrix is not symmetric")
+        # The constraints' symmetry is the caller's: qcqp's catalog builds them symmetric.
+        if np.max(np.abs(cost - cost.T)) > 1e-12 * (1.0 + np.max(np.abs(cost))):
+            raise ValueError("cost matrix is not symmetric")
         object.__setattr__(self, "cost", cost)
         object.__setattr__(self, "constraints", a)
         object.__setattr__(self, "rhs", b)
@@ -175,20 +175,21 @@ def _max_steps(inv_chol: np.ndarray, d: np.ndarray) -> list:
     return [1.0 if v >= 0 else min(1.0, -_STEP_FRACTION / v) for v in lam]
 
 
-def solve(p: SdpProblem, max_iter: int = 100, tol: float = TOL,
-          start: SdpSolution | None = None) -> SdpSolution:
+def solve(p: SdpProblem, tol: float = TOL, start: SdpSolution | None = None) -> SdpSolution:
     """Run the predictor-corrector iteration until the relative residuals and
     gap are below `tol`, from `p.interior` (else the scaled identity) or,
     given `start`, from that optimal solution's last iterate. A fresh start
-    logs its first iterate as iteration 1, `iterations` is the length of
-    `iterate_log`, and `tolerance` is `tol`.
+    logs its first iterate as iteration 1. The returned iterate is the last
+    one logged: its objectives and `kkt` residuals are that entry's, as the
+    loop computed them, `iterations` is the length of `iterate_log`, and
+    `tolerance` is `tol`.
 
     A continued run repeats none of the work: `solve(p, start=solve(p, tol=t))`
     returns exactly `solve(p)` (the same iterates, `iterations` and
     `iterate_log`) for any t >= TOL, since the stopping test is the only part
     of an iteration that reads `tol`.
 
-    Ends with status STATUS_OPTIMAL, STATUS_MAX_ITER after `max_iter`
+    Ends with status STATUS_OPTIMAL, STATUS_MAX_ITER after MAX_ITER
     iterations, or STATUS_BREAKDOWN when a factorization fails (LinAlgError);
     the last two return the last complete iterate, whose dual vector still
     gives a valid bound. There is no infeasibility exit: the calibration SDP is
@@ -217,9 +218,8 @@ def solve(p: SdpProblem, max_iter: int = 100, tol: float = TOL,
     norm_c = 1.0 + np.linalg.norm(c)
 
     status = STATUS_MAX_ITER
-    it = len(log)
     try:
-        for it in range(first, max_iter + 1):
+        for it in range(first, MAX_ITER + 1):
             ax = op(x)
             rp = b - ax
             rd = c - adj(y) - s
@@ -245,7 +245,7 @@ def solve(p: SdpProblem, max_iter: int = 100, tol: float = TOL,
             if pres < tol and dres < tol and gap < tol * (1.0 + abs(pobj) + abs(dobj)):
                 status = STATUS_OPTIMAL
                 break
-            if it == max_iter:  # return the last logged iterate, not one step past it
+            if it == MAX_ITER:  # return the last logged iterate, not one step past it
                 break
 
             inv_l, g, g_inv, sv = _nt_scaling(x, s)
@@ -284,27 +284,24 @@ def solve(p: SdpProblem, max_iter: int = 100, tol: float = TOL,
     except np.linalg.LinAlgError:
         status = STATUS_BREAKDOWN
 
-    kkt = {
-        "primal_residual": float(np.linalg.norm(b - op(x))) / norm_b,
-        "dual_residual": float(np.linalg.norm(c - adj(y) - s)) / norm_c,
-        "complementarity": float(np.sum(x * s)),
-    }
+    last = log[-1]
+    kkt = {key: last[key] for key in ("primal_residual", "dual_residual", "complementarity")}
     return SdpSolution(
         x_primal=x,
         multipliers=y,
         slack=s,
-        primal_obj=float(np.sum(c * x)),
-        dual_obj=float(b @ y),
+        primal_obj=last["primal_obj"],
+        dual_obj=last["dual_obj"],
         kkt=kkt,
         status=status,
-        iterations=it,
+        iterations=len(log),
         tolerance=tol,
         iterate_log=log,
     )
 
 
 def certify_lmi(cost, constraints, multipliers):
-    """Rebuild the dual slack H = cost - sum_i y_i A_i and decompose it.
+    """Rebuild the dual slack H = cost - sum_i y_i A_i from float arrays and decompose it.
 
     Independent of solver internals: only the multipliers are consumed, so it
     serves any dual vector (the solver's, or one refined against a candidate).
@@ -312,10 +309,7 @@ def certify_lmi(cost, constraints, multipliers):
     eigenvectors as columns; unpack it by position (numpy 1 returns a plain
     tuple). A LAPACK failure raises NumericalFailure.
     """
-    cost = np.asarray(cost, dtype=float)
-    constraints = np.asarray(constraints, dtype=float)
-    multipliers = np.asarray(multipliers, dtype=float)
-    if constraints.shape[0] != multipliers.shape[0]:
+    if len(constraints) != len(multipliers):  # einsum would broadcast a single constraint
         raise ValueError("need one multiplier per constraint")
     h = cost - np.einsum("k,kij->ij", multipliers, constraints)
     h = 0.5 * (h + h.T)

@@ -205,8 +205,9 @@ def settle(dm: DataMatrix, constraint_set: str, propose):
     final status other than optimal: an iteration cap or a factorization
     breakdown still leaves a dual vector, which gives a valid, if weaker, bound.
 
-    Returns (solution, theta, cost, certificate), the solution of the last
-    rung. Shared by `calibrate` and `egocal certify`.
+    Returns (solution, theta, certificate): the solution of the last rung, and
+    the answer, whose cost is `certificate.cost`. Shared by `calibrate` and
+    `egocal certify`.
     """
     problem, scale = build_sdp_problem(dm, constraint_set)
 
@@ -233,7 +234,7 @@ def settle(dm: DataMatrix, constraint_set: str, propose):
                                   min_eig_h=proof[1], scale=scale)
         if certificate.certified or solution.status != sdp.STATUS_OPTIMAL:
             break
-    return solution, *best, certificate
+    return solution, best[0], certificate
 
 
 def calibrate(m: MeasurementSet, constraint_set: str = "r+c+h") -> CalibrationResult:
@@ -255,7 +256,7 @@ def calibrate(m: MeasurementSet, constraint_set: str = "r+c+h") -> CalibrationRe
         theta = Transform(RotationMatrix(rotation), translation)
         return theta, evaluate_cost(m, theta)
 
-    solution, theta, cost, certificate = settle(dm, constraint_set, propose)
+    solution, theta, certificate = settle(dm, constraint_set, propose)
     stats = {
         "sdp_iters": solution.iterations,
         "sdp_status": solution.status,
@@ -265,7 +266,7 @@ def calibrate(m: MeasurementSet, constraint_set: str = "r+c+h") -> CalibrationRe
     }
     return CalibrationResult(
         extrinsic=theta,
-        cost=cost,
+        cost=certificate.cost,
         certificate=certificate,
         observability=dm.observability,
         solve_stats=stats,
@@ -319,8 +320,9 @@ def _polish(q_tilde: np.ndarray, r: np.ndarray) -> np.ndarray:
             r, (f, grad, hess), mu = candidate, terms, 0.0
         elif -0.5 * (grad @ step) <= resolution:
             # f cannot tell this step from rounding, but its gradient can.
-            if terms[0] <= f + resolution and np.linalg.norm(terms[1]) < np.linalg.norm(grad):
-                r = candidate
+            with np.errstate(over="ignore"):  # the norm of a gradient past 1e154 overflows
+                if terms[0] <= f + resolution and np.linalg.norm(terms[1]) < np.linalg.norm(grad):
+                    r = candidate
             break
         else:
             mu = max(10.0 * mu, damping)

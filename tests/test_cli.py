@@ -301,8 +301,7 @@ def test_certify_applies_the_calibrate_rule(tmp_path):
 
 def test_certify_non_optimal_sdp_exit_two(tmp_path, monkeypatch):
     # an SDP stopped at its iteration cap still gives a bound, as in calibrate
-    solve = sdp.solve
-    monkeypatch.setattr(sdp, "solve", lambda p, **kw: solve(p, **{**kw, "max_iter": 2}))
+    monkeypatch.setattr(sdp, "MAX_ITER", 2)
     fixture = tmp_path / "hard.jsonl"
     with open(fixture, "w", encoding="utf-8") as fp:
         dump_measurements(loose_two_motion_instance(), fp)

@@ -16,14 +16,6 @@ def test_problem_validation():
         SdpProblem(cost=np.eye(2), constraints=np.eye(3)[None], rhs=np.ones(1))
 
 
-def test_problem_validation_names_first_asymmetric_constraint():
-    a = np.stack([np.eye(2)] * 3)
-    a[1, 0, 1] = 1.0
-    a[2, 1, 0] = 1.0
-    with pytest.raises(ValueError, match="constraint 1 matrix"):
-        SdpProblem(cost=np.eye(2), constraints=a, rhs=np.ones(3))
-
-
 def test_matrix_form_operator_matches_einsum():
     m, _ = random_instance(4, n_motions=20)
     problem, _ = solver.build_sdp_problem(qcqp.assemble(m), "r+c+h")
@@ -224,22 +216,44 @@ def test_pseudo_inverse_matches_the_svd_on_a_rank_deficient_schur_matrix():
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def test_only_an_optimal_solve_is_continued():
+def test_only_an_optimal_solve_is_continued(monkeypatch):
     p, _, _ = constructed_sdp(np.random.default_rng(27))
+    monkeypatch.setattr(sdp, "MAX_ITER", 2)
     with pytest.raises(ValueError, match="max_iter"):
-        sdp.solve(p, start=sdp.solve(p, max_iter=2))
+        sdp.solve(p, start=sdp.solve(p))
 
 
-def test_max_iter_returns_best_iterate():
-    rng = np.random.default_rng(22)
-    p, _, _ = constructed_sdp(rng)
-    sol = sdp.solve(p, max_iter=3)
-    assert sol.status == sdp.STATUS_MAX_ITER
-    assert sol.iterations == 3
-    assert np.isfinite(sol.kkt["complementarity"])
-    # the returned point is the last one logged, not one step past it
-    assert sol.primal_obj == sol.iterate_log[-1]["primal_obj"]
-    assert sol.kkt["complementarity"] == sol.iterate_log[-1]["complementarity"]
+@pytest.mark.parametrize("status", ["optimal", "continued", "max_iter", "breakdown"])
+def test_max_iter_returns_best_iterate(monkeypatch, status):
+    # On every exit the returned point is the last one logged, not one step past
+    # it, and its objectives and residuals are that entry's exactly.
+    p, _, _ = constructed_sdp(np.random.default_rng(22))
+    start = sdp.solve(p, tol=1e-4) if status == "continued" else None
+    if status == "max_iter":
+        monkeypatch.setattr(sdp, "MAX_ITER", 3)
+    if status == "breakdown":
+        scaling, calls = sdp._nt_scaling, []
+
+        def failing(x, s):
+            calls.append(None)
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("injected breakdown")
+            return scaling(x, s)
+
+        monkeypatch.setattr(sdp, "_nt_scaling", failing)
+    sol = sdp.solve(p, start=start)
+    assert sol.status == ("optimal" if status == "continued" else status)
+    if status in ("max_iter", "breakdown"):
+        assert sol.iterations == 3
+    last = sol.iterate_log[-1]
+    assert sol.iterations == len(sol.iterate_log) == last["iter"]
+    assert sol.primal_obj == last["primal_obj"] and sol.dual_obj == last["dual_obj"]
+    assert sol.kkt == {key: last[key] for key in ("primal_residual", "dual_residual", "complementarity")}
+    # and the logged numbers are those of the returned point
+    x, y, s = sol.x_primal, sol.multipliers, sol.slack
+    assert last["x_norm"] == float(np.linalg.norm(x))
+    assert last["complementarity"] == float(np.sum(x * s))
+    assert last["primal_obj"] == float(np.sum(p.cost * x)) and last["dual_obj"] == float(p.rhs @ y)
 
 
 def test_certify_lmi_zero_multipliers_on_indefinite_cost():

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -138,6 +139,18 @@ def test_overflowing_kappa_is_refused_before_the_sdp(monkeypatch):
     monkeypatch.setattr(sdp, "solve", unreachable)
     with pytest.raises(NumericalFailure, match="kappa and tau"):
         solver.calibrate(m)
+
+
+@pytest.mark.parametrize("kappa, tau", [(1e16, 1.0), (1.0, 1e200)])
+def test_lopsided_or_huge_weights_certify_without_a_warning(kappa, tau):
+    # kappa/tau = 1e16 extracts a rotation of about 4e-14 R from the start rung,
+    # which the projection takes by its condition; tau = 1e200 puts the polish's
+    # gradients past the range of their norms
+    m = sim.terrain_instance(np.random.default_rng([0, 50]), 50, 0.01, 0.01)[3]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = solver.calibrate(replace(m, kappa=np.full(m.n, kappa), tau=np.full(m.n, tau)))
+    assert result.certificate.certified and np.isfinite(result.cost)
 
 
 def test_report_writes_an_infinite_condition_as_null():
@@ -372,8 +385,7 @@ def _assert_answered_with_a_valid_bound(status):
 
 def test_calibrate_answers_at_the_iteration_cap(monkeypatch):
     # an SDP stopped at its cap still leaves a dual vector, hence a bound
-    solve = sdp.solve
-    monkeypatch.setattr(sdp, "solve", lambda p, **kw: solve(p, **{**kw, "max_iter": 2}))
+    monkeypatch.setattr(sdp, "MAX_ITER", 2)
     _assert_answered_with_a_valid_bound("max_iter")
 
 
