@@ -54,15 +54,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    cal = sub.add_parser("calibrate", help="calibrate from a JSON-lines measurement file")
-    cal.add_argument("--input", required=True, help="measurement JSON-lines file")
-    cal.add_argument("--output", default=None, help="where to write the JSON report (default stdout)")
-    cal.add_argument(
-        "--constraint-set",
-        default="r+c+h",
-        choices=list(qcqp.CONSTRAINT_KINDS),
-        help="SO(3) constraint set for the dual",
-    )
+    def solve_command(name, help, candidate=False):
+        """calibrate, or certify with its `--theta` candidate: the options the two share,
+        in the order their usage lines list them."""
+        cmd = sub.add_parser(name, help=help)
+        cmd.add_argument("--input", required=True, help="measurement JSON-lines file")
+        if candidate:
+            cmd.add_argument("--theta", required=True, help="candidate extrinsic JSON file")
+        cmd.add_argument("--output", default=None,
+                         help="where to write the JSON report (default stdout)")
+        cmd.add_argument("--constraint-set", default="r+c+h", choices=list(qcqp.CONSTRAINT_KINDS),
+                         help="SO(3) constraint set for the dual")
+
+    solve_command("calibrate", "calibrate from a JSON-lines measurement file")
 
     simp = sub.add_parser("simulate", help="generate synthetic measurements from a terrain path")
     simp.add_argument("--output", required=True, help="output prefix (writes <prefix>.jsonl etc.)")
@@ -108,13 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     runtime.add_argument("--n-list", type=motions, nargs="+")
     runtime.add_argument("--n-runs", type=count)
 
-    cert = sub.add_parser("certify", help="certify a candidate extrinsic against measurements")
-    cert.add_argument("--input", required=True, help="measurement JSON-lines file")
-    cert.add_argument("--theta", required=True, help="candidate extrinsic JSON file")
-    cert.add_argument("--output", default=None)
-    cert.add_argument(
-        "--constraint-set", default="r+c+h", choices=list(qcqp.CONSTRAINT_KINDS)
-    )
+    solve_command("certify", "certify a candidate extrinsic against measurements", candidate=True)
 
     for command in [*sub.choices.values(), *protocols.choices.values()]:
         command.set_defaults(parser=command)  # whose usage `main` prints on a usage error
@@ -219,10 +217,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except CalibrationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (CalibrationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

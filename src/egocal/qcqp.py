@@ -54,7 +54,8 @@ def assemble(m: MeasurementSet) -> DataMatrix:
     Raises NumericalFailure when weights too large for their sums (kappa, tau)
     leave q with an infinite or NaN entry, then SingularQtt when
     `problem.check_observability` finds the translation block numerically
-    singular, the signature of single-axis data.
+    singular, the signature of single-axis data, then NumericalFailure when
+    subnormal weights leave the eliminated translation t_map or q_tilde non-finite.
     """
     if m.n < 2:
         raise TooShort("calibration requires at least two relative motions")
@@ -88,6 +89,10 @@ def assemble(m: MeasurementSet) -> DataMatrix:
         t_map = -np.linalg.solve(q_tt, q[:3, 3:])
     q_tilde = q[3:, 3:] + q[:3, 3:].T @ t_map
     q_tilde = 0.5 * (q_tilde + q_tilde.T)
+    if not (np.all(np.isfinite(t_map)) and np.all(np.isfinite(q_tilde))):
+        raise NumericalFailure(
+            "translation elimination is not finite: kappa and tau are too small for its solve"
+        )
     return DataMatrix(q=q, q_tt=q_tt, t_map=t_map, q_tilde=q_tilde, observability=report)
 
 

@@ -20,11 +20,7 @@ Primal-Dual Interior-Point Methods, SIAM 1997, ch. 5): with both residuals
 zero at the start, every step keeps A(X) = b and S = C - sum_i y_i A_i to
 rounding, and the iteration only has to close the gap. A problem with no
 such point starts at the infeasible scaled identity, and the residual terms
-of the same step drive it to feasibility. On 360 requests of the 50-motion
-noise sweep the interior start takes 5 iterations to 1e-4 and 8 to 1e-9 in
-the median, the first iterate counted as 1 (7 and 10 from the scaled
-identity). The calibration pipeline runs them on only 1 of the 360: the
-other 359 certify at the start point itself (below).
+of the same step drive it to feasibility.
 
 The problems here have dimension <= 13 and at most 22 constraints, so all is
 dense and the constraint operator is one (m, s*s) matrix. Each iteration
@@ -61,7 +57,7 @@ residuals are zero there and the gap is below 1 + |pobj| + |dobj|), then
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,8 +100,9 @@ class SdpProblem:
             raise ValueError("interior point must be an (s, s) matrix and one multiplier "
                              "per constraint")
         # The constraints' symmetry is the caller's: qcqp's catalog builds them symmetric.
-        if np.max(np.abs(cost - cost.T)) > 1e-12 * (1.0 + np.max(np.abs(cost))):
-            raise ValueError("cost matrix is not symmetric")
+        # A NaN or infinite entry fails the comparison too.
+        if not np.max(np.abs(cost - cost.T)) <= 1e-12 * (1.0 + np.max(np.abs(cost))):
+            raise ValueError("cost matrix is not finite and symmetric")
         object.__setattr__(self, "cost", cost)
         object.__setattr__(self, "constraints", a)
         object.__setattr__(self, "rhs", b)
@@ -117,16 +114,33 @@ class SdpProblem:
 
 @dataclass
 class SdpSolution:
+    """The last iterate of a solve and its `iterate_log`, one entry per iterate, the
+    first logged as iteration 1. `iterations`, `kkt`, `primal_obj` and `dual_obj`
+    read the log: its length, and the last entry's numbers as the loop computed them."""
+
     x_primal: np.ndarray
     multipliers: np.ndarray    # dual vector y
     slack: np.ndarray          # S, which the iteration keeps near cost - sum_i y_i A_i
-    primal_obj: float
-    dual_obj: float
-    kkt: dict                  # primal_residual, dual_residual, complementarity
     status: str
-    iterations: int
     tolerance: float           # the stopping tolerance the solve was run to
-    iterate_log: list = field(default_factory=list)
+    iterate_log: list
+
+    @property
+    def iterations(self) -> int:
+        return len(self.iterate_log)
+
+    @property
+    def kkt(self) -> dict:
+        return {key: self.iterate_log[-1][key]
+                for key in ("primal_residual", "dual_residual", "complementarity")}
+
+    @property
+    def primal_obj(self) -> float:
+        return self.iterate_log[-1]["primal_obj"]
+
+    @property
+    def dual_obj(self) -> float:
+        return self.iterate_log[-1]["dual_obj"]
 
 
 def _operator(a: np.ndarray):
@@ -180,9 +194,8 @@ def solve(p: SdpProblem, tol: float = TOL, start: SdpSolution | None = None) -> 
     gap are below `tol`, from `p.interior` (else the scaled identity) or,
     given `start`, from that optimal solution's last iterate. A fresh start
     logs its first iterate as iteration 1. The returned iterate is the last
-    one logged: its objectives and `kkt` residuals are that entry's, as the
-    loop computed them, `iterations` is the length of `iterate_log`, and
-    `tolerance` is `tol`.
+    one logged (`SdpSolution` reads its objectives, `kkt` residuals and
+    `iterations` from `iterate_log`), and `tolerance` is `tol`.
 
     A continued run repeats none of the work: `solve(p, start=solve(p, tol=t))`
     returns exactly `solve(p)` (the same iterates, `iterations` and
@@ -284,20 +297,8 @@ def solve(p: SdpProblem, tol: float = TOL, start: SdpSolution | None = None) -> 
     except np.linalg.LinAlgError:
         status = STATUS_BREAKDOWN
 
-    last = log[-1]
-    kkt = {key: last[key] for key in ("primal_residual", "dual_residual", "complementarity")}
-    return SdpSolution(
-        x_primal=x,
-        multipliers=y,
-        slack=s,
-        primal_obj=last["primal_obj"],
-        dual_obj=last["dual_obj"],
-        kkt=kkt,
-        status=status,
-        iterations=len(log),
-        tolerance=tol,
-        iterate_log=log,
-    )
+    return SdpSolution(x_primal=x, multipliers=y, slack=s, status=status, tolerance=tol,
+                       iterate_log=log)
 
 
 def certify_lmi(cost, constraints, multipliers):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -266,9 +267,11 @@ def ablation_experiment(
 
 
 def _map_jobs(fn, arg_tuples, jobs):
-    if jobs <= 1:
+    """[fn(*args) for args in arg_tuples] in at most min(jobs, tasks, CPUs) processes."""
+    workers = min(jobs, len(arg_tuples), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(*args) for args in arg_tuples]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, *zip(*arg_tuples)))
 
 

@@ -84,10 +84,13 @@ class Certificate:
 @dataclass(frozen=True)
 class CalibrationResult:
     extrinsic: Transform
-    cost: float
     certificate: Certificate
     observability: ObservabilityReport
     solve_stats: dict
+
+    @property
+    def cost(self) -> float:
+        return self.certificate.cost
 
     def to_dict(self) -> dict:
         return {
@@ -160,9 +163,10 @@ def build_sdp_problem(dm: DataMatrix, constraint_set: str):
 
 
 def _dual_bound(problem: sdp.SdpProblem, y: np.ndarray):
-    """A lower bound on r^T (q_tilde/s) r over lifted rotations r = [vec R, 1],
-    valid for every dual vector y of the trace-normalized SDP (s = tr q_tilde),
-    and `sdp.certify_lmi`'s (eigenvalues, eigenvectors) of H = q_tilde/s - sum_i y_i A_i.
+    """(bound, lambda_min, eigenvectors) at a dual vector y of the trace-normalized
+    SDP (s = tr q_tilde): a lower bound on r^T (q_tilde/s) r over lifted rotations
+    r = [vec R, 1], valid for every y, and the smallest eigenvalue and the
+    eigenvectors (columns, ascending) of H = q_tilde/s - sum_i y_i A_i from `sdp.certify_lmi`.
 
     r^T A_i r is 0 for the rotation constraints and 1 for the homogenizer, and
     |r|^2 = 4, so r^T (q_tilde/s) r = y_hom + r^T H r >= y_hom + 4 min(0, lambda_min H - delta),
@@ -170,9 +174,10 @@ def _dual_bound(problem: sdp.SdpProblem, y: np.ndarray):
     delta covers rounding: q_tilde/s and every A_i have spectral norm <= 1, so
     the computed H and its eigh err by a small multiple of eps * (1 + |y|_1).
     """
-    decomposition = sdp.certify_lmi(problem.cost, problem.constraints, y)
+    eigenvalues, eigenvectors = sdp.certify_lmi(problem.cost, problem.constraints, y)
+    min_eig = float(eigenvalues[0])
     delta = 1000.0 * np.finfo(float).eps * (1.0 + np.abs(y).sum())
-    return float(y[-1] + 4.0 * min(0.0, decomposition[0][0] - delta)), decomposition
+    return float(y[-1] + 4.0 * min(0.0, min_eig - delta)), min_eig, eigenvectors
 
 
 def _refine(problem: sdp.SdpProblem, y: np.ndarray, r_tilde: np.ndarray) -> np.ndarray:
@@ -190,46 +195,38 @@ def settle(dm: DataMatrix, constraint_set: str, propose):
     candidate (Transform, cost) pair that `propose(eigenvectors)` returns.
 
     The SDP is solved to each tolerance of LADDER in turn, each rung
-    continuing the same solve, and a stage runs at each rung. A stage
-    decomposes H once at the solver's y, for `propose` and for the bound there,
-    and once at a y refined against the candidate (`_refine`), and keeps the
-    larger bound. The refinement starts from the solver's y, except at the
-    start point (iteration 1), whose y0 knows nothing of the data: there it
-    starts from 0. At a tight optimum the refined bound meets the cost to the
-    rounding margin, so the first rung (no interior-point step) already
-    certifies most requests.
+    continuing the same solve. Each rung decomposes H at the solver's y, for
+    `propose` and for the bound there, and again at a y refined against the
+    candidate (`_refine`). The refinement starts from the solver's y, except
+    at the start point (iteration 1), whose y0 knows nothing of the data:
+    there it starts from 0.
 
-    The answer is the cheapest candidate of the rungs run (the earliest of
-    equal ones) with the largest bound: each rung's bound holds for the global
-    minimum. The ladder stops at the first answer that certifies, or at a
-    final status other than optimal: an iteration cap or a factorization
-    breakdown still leaves a dual vector, which gives a valid, if weaker, bound.
+    Every bound holds for the global minimum, so the proof is the largest
+    bound of the rungs run (the earliest of equal ones, the solver's y before
+    the refined one) with its lambda_min, and the answer is the cheapest
+    candidate (the earliest of equal ones). The ladder stops at the first
+    answer that certifies, or at a final status other than optimal: an
+    iteration cap or a factorization breakdown still leaves a dual vector,
+    which gives a valid, if weaker, bound.
 
     Returns (solution, theta, certificate): the solution of the last rung, and
     the answer, whose cost is `certificate.cost`. Shared by `calibrate` and
     `egocal certify`.
     """
     problem, scale = build_sdp_problem(dm, constraint_set)
-
-    def stage(solution):
-        y = solution.multipliers
-        bound, (eigenvalues, eigenvectors) = _dual_bound(problem, y)
-        theta, cost = propose(eigenvectors)
-        start = y if solution.iterations > 1 else np.zeros_like(y)
-        refined = _refine(problem, start, qcqp.reduced_vector(theta.rotation.m))
-        refined_bound, (refined_eigenvalues, _) = _dual_bound(problem, refined)
-        if refined_bound > bound:
-            bound, eigenvalues = refined_bound, refined_eigenvalues
-        return theta, cost, bound, float(eigenvalues[0])
-
     solution = best = proof = None
     for tol in LADDER:
         solution = sdp.solve(problem, tol=tol, start=solution)
-        theta, cost, bound, min_eig_h = stage(solution)
+        y = solution.multipliers
+        at_y = _dual_bound(problem, y)
+        theta, cost = propose(at_y[2])
+        start = y if solution.iterations > 1 else np.zeros_like(y)
+        refined = _refine(problem, start, qcqp.reduced_vector(theta.rotation.m))
+        for bound, min_eig_h, _ in (at_y, _dual_bound(problem, refined)):
+            if proof is None or bound > proof[0]:
+                proof = bound, min_eig_h
         if best is None or cost < best[1]:
             best = theta, cost
-        if proof is None or bound > proof[0]:
-            proof = bound, min_eig_h
         certificate = Certificate(lower_bound=scale * proof[0], cost=best[1],
                                   min_eig_h=proof[1], scale=scale)
         if certificate.certified or solution.status != sdp.STATUS_OPTIMAL:
@@ -266,7 +263,6 @@ def calibrate(m: MeasurementSet, constraint_set: str = "r+c+h") -> CalibrationRe
     }
     return CalibrationResult(
         extrinsic=theta,
-        cost=certificate.cost,
         certificate=certificate,
         observability=dm.observability,
         solve_stats=stats,
@@ -365,9 +361,9 @@ def local_solve(m: MeasurementSet, init: Transform | None = None) -> Calibration
         max_nfev=LM_MAX_EVALUATIONS,
     )
     theta = Transform(RotationMatrix(r0 @ geom.rotation_exp(fit.x[:3])), fit.x[3:])
-    cost = evaluate_cost(m, theta)
     report = check_observability(translation_gram(m))
-    certificate = Certificate(lower_bound=np.nan, cost=cost, min_eig_h=np.nan, scale=np.nan)
+    certificate = Certificate(lower_bound=np.nan, cost=evaluate_cost(m, theta), min_eig_h=np.nan,
+                              scale=np.nan)
     stats = {
         "sdp_iters": 0,
         "lm_evaluations": int(fit.nfev),
@@ -378,7 +374,6 @@ def local_solve(m: MeasurementSet, init: Transform | None = None) -> Calibration
     }
     return CalibrationResult(
         extrinsic=theta,
-        cost=cost,
         certificate=certificate,
         observability=report,
         solve_stats=stats,

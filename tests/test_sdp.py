@@ -16,6 +16,14 @@ def test_problem_validation():
         SdpProblem(cost=np.eye(2), constraints=np.eye(3)[None], rhs=np.ones(1))
 
 
+def test_problem_refuses_a_nan_cost():
+    # a NaN entry makes the symmetry test's comparison false, not true
+    cost = np.eye(2)
+    cost[0, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        SdpProblem(cost=cost, constraints=np.eye(2)[None], rhs=np.ones(1))
+
+
 def test_matrix_form_operator_matches_einsum():
     m, _ = random_instance(4, n_motions=20)
     problem, _ = solver.build_sdp_problem(qcqp.assemble(m), "r+c+h")
@@ -100,6 +108,27 @@ def test_constructed_optima():
         assert sol.status == sdp.STATUS_OPTIMAL
         worst = max(worst, abs(sol.primal_obj - obj))
     assert worst < 1e-7
+
+
+def test_a_blocked_predictor_step_recenters(monkeypatch):
+    # A predictor step shorter than 0.05 raises the centering weight to at least
+    # 0.5. No request here blocks one, so the first predictor's primal step is
+    # reported as 0.01: from that step alone sigma would be about 0.016 and
+    # the next iterate's mu about a tenth of the first's (0.71 of 6.8), and
+    # recentered it is about a quarter. The solve still reaches the optimum.
+    p, obj, _ = constructed_sdp(np.random.default_rng([100, 0]))
+    max_steps, calls = sdp._max_steps, []
+
+    def blocked_first_predictor(inv_chol, d):
+        calls.append(d)
+        steps = max_steps(inv_chol, d)
+        return [0.01, steps[1]] if len(calls) == 1 else steps
+
+    monkeypatch.setattr(sdp, "_max_steps", blocked_first_predictor)
+    sol = sdp.solve(p)
+    assert sol.status == sdp.STATUS_OPTIMAL and abs(sol.primal_obj - obj) < 1e-7
+    mu = [entry["mu"] for entry in sol.iterate_log]
+    assert mu[1] > 0.2 * mu[0]
 
 
 def test_weak_duality_on_feasible_iterates():

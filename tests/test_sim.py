@@ -265,6 +265,32 @@ def test_ablation_parallel_matches_serial():
     assert rows1 == rows2
 
 
+def test_map_jobs_asks_for_no_more_workers_than_tasks(monkeypatch):
+    # A fork-started pool launches all of its max_workers processes on the first
+    # submit, so --jobs is capped by the task count (and the CPUs), and a single
+    # task builds no pool. A recording stand-in starts no process.
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 64)
+    assert sim._map_jobs(pow, [(2, 1), (2, 2), (2, 3)], 10**6) == [2, 4, 8]
+    assert sim._map_jobs(pow, [(2, 5)], 10**6) == [32]
+    assert pools == [3]
+
+
 def test_noise_sweep_zero_noise():
     rows, summary = sim.noise_sweep(
         sigmas_r=(0.0,), sigmas_t=(0.0,), n_trials=3, n_motions=15, seed=1

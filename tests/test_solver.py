@@ -141,6 +141,16 @@ def test_overflowing_kappa_is_refused_before_the_sdp(monkeypatch):
         solver.calibrate(m)
 
 
+def test_subnormal_weights_are_refused_by_name():
+    # tau = 1e-310 passes the loader, assembly's finiteness check and the
+    # observability test, but the translation solve on the subnormal q_tt gives
+    # a NaN t_map and q_tilde: refused there, naming the weights, not left to
+    # fail in the dual slack's eigendecomposition
+    m = sim.terrain_instance(np.random.default_rng(0), 50, 0.01, 0.01)[3]
+    with pytest.raises(NumericalFailure, match="kappa and tau"):
+        solver.calibrate(replace(m, tau=np.full(m.n, 1e-310)))
+
+
 @pytest.mark.parametrize("kappa, tau", [(1e16, 1.0), (1.0, 1e200)])
 def test_lopsided_or_huge_weights_certify_without_a_warning(kappa, tau):
     # kappa/tau = 1e16 extracts a rotation of about 4e-14 R from the start rung,
