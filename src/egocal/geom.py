@@ -8,6 +8,7 @@ extrinsic enters or leaves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +34,8 @@ def rotation_defects(m: np.ndarray):
     without a warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        drift = np.linalg.norm(np.swapaxes(m, -1, -2) @ m - np.eye(3), axis=(-2, -1))
+        gap = np.swapaxes(m, -1, -2) @ m - np.eye(3)
+        drift = np.sqrt(np.einsum("...ij,...ij->...", gap, gap))
         (a, b, c), (d, e, f), (g, h, i) = m.T
         return drift, (a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g)).T
 
@@ -109,11 +111,21 @@ def rotation_about(axis, angle: float) -> np.ndarray:
 
 
 def rotation_exp(w) -> np.ndarray:
-    """Exponential of the rotation vector w (angle |w| about w / |w|)."""
-    angle = float(np.linalg.norm(w))
+    """Exponential of the rotation vector w (angle |w| about w / |w|): `rotation_about`'s
+    formula on Python floats. An angle below 1e-14 gives exactly I, and a non-finite w
+    a matrix of NaN, without a warning."""
+    x, y, z = np.asarray(w, dtype=float).tolist()
+    angle = math.hypot(x, y, z)
     if angle < 1e-14:
         return np.eye(3)
-    return rotation_about(np.asarray(w, dtype=float) / angle, angle)
+    if not math.isfinite(angle):  # math.sin refuses an infinite angle
+        return np.full((3, 3), math.nan)
+    x, y, z = x / angle, y / angle, z / angle
+    s, c = math.sin(angle), 1.0 - math.cos(angle)
+    xy, xz, yz = c * (x * y), c * (x * z), c * (y * z)
+    return np.array([[1.0 - c * (y * y + z * z), xy - s * z, xz + s * y],
+                     [xy + s * z, 1.0 - c * (x * x + z * z), yz - s * x],
+                     [xz - s * y, yz + s * x, 1.0 - c * (x * x + y * y)]])
 
 
 def nearest_rotations(m: np.ndarray) -> np.ndarray:

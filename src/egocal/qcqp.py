@@ -44,12 +44,15 @@ def assemble(m: MeasurementSet) -> DataMatrix:
     """Sum the per-measurement quadratic forms and Schur-reduce over translation.
 
     Measurement i prices kappa_i |vec(R R_a - R_b R)|^2 + tau_i |R t_a + t - R_b t - y t_b|^2
-    (`tests/qcqp_blocks.py` holds its blocks). Each block of the sum is a weighted moment,
-    one O(n) product. With D = I - R_b and K = sum kappa R_a kron R_b: q_tt is sum tau D^T D
-    (`translation_gram`), the rotation block (sum kappa R_a R_a^T + tau t_a t_a^T) kron I +
-    I kron (sum kappa R_b^T R_b) - K - K^T, the t-vec(R) block sum tau t_a^T kron D^T and the
-    y column [-sum tau D^T t_b, -sum tau t_a kron t_b, sum tau |t_b|^2]. Nothing assumes
-    R^T R = I, so rotations within geom.ROTATION_TOL give the per-measurement sum to rounding.
+    (`tests/qcqp_blocks.py` holds its blocks). With D = I - R_b, each block of the sum but q_tt
+    is read from one of two weighted moments, one O(n) product each: kappa's of the columns
+    [R_a, R_b] (n x 18) with themselves, and tau's of [D, t_a, t_b] (n x 15) with [t_a, t_b].
+    With K = sum kappa R_a kron R_b: the rotation block is (sum kappa R_a R_a^T +
+    tau t_a t_a^T) kron I + I kron (sum kappa R_b^T R_b) - K - K^T, the t-vec(R) block
+    sum tau t_a^T kron D^T and the y column [-sum tau D^T t_b, -sum tau t_a kron t_b,
+    sum tau |t_b|^2]. q_tt = sum tau D^T D is `translation_gram`'s, the matrix the
+    observability test reads. Nothing assumes R^T R = I, so rotations within
+    geom.ROTATION_TOL give the per-measurement sum to rounding.
 
     Raises NumericalFailure when weights too large for their sums (kappa, tau)
     leave q with an infinite or NaN entry, then SingularQtt when
@@ -59,19 +62,22 @@ def assemble(m: MeasurementSet) -> DataMatrix:
     """
     if m.n < 2:
         raise TooShort("calibration requires at least two relative motions")
-    kappa, tau, d = m.kappa, m.tau, _I3 - m.rb
+    rotations = np.concatenate([m.ra, m.rb], axis=1)  # (n, 6, 3): rows of R_a, then of R_b
+    shifts = np.concatenate([_I3 - m.rb, m.ta[:, None], m.tb[:, None]], axis=1)  # [D, t_a, t_b]
     q = np.zeros((DIM_FULL, DIM_FULL))
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check names an overflow
-        k = _moment(kappa, m.ra, m.rb).transpose(0, 2, 1, 3).reshape(9, 9)
-        left = np.einsum("ijkj->ik", _moment(kappa, m.ra, m.ra)) + _moment(tau, m.ta, m.ta)
-        right = np.einsum("jijl->il", _moment(kappa, m.rb, m.rb))
+        rot = _moment(m.kappa, rotations, rotations)  # (6, 3, 6, 3)
+        shift = _moment(m.tau, shifts, shifts[:, 3:])  # (5, 3, 2, 3): [D, t_a, t_b] by [t_a, t_b]
+        k = rot[:3, :, 3:].transpose(0, 2, 1, 3).reshape(9, 9)
+        left = np.einsum("ijkj->ik", rot[:3, :, :3]) + shift[3, :, 0]
+        right = np.einsum("jijl->il", rot[3:, :, 3:])
         kron = np.einsum("ij,kl->ikjl", left, _I3) + np.einsum("ij,kl->ikjl", _I3, right)
         q[:3, :3] = translation_gram(m)
-        q[:3, 3:12] = _moment(tau, d, m.ta).transpose(1, 2, 0).reshape(3, 9)
-        q[:3, 12] = -np.einsum("jij->i", _moment(tau, d, m.tb))
+        q[:3, 3:12] = shift[:3, :, 0].transpose(1, 2, 0).reshape(3, 9)
+        q[:3, 12] = -np.einsum("jij->i", shift[:3, :, 1])
         q[3:12, 3:12] = kron.reshape(9, 9) - k - k.T
-        q[3:12, 12] = -_moment(tau, m.ta, m.tb).reshape(9)
-        q[12, 12] = np.trace(_moment(tau, m.tb, m.tb))
+        q[3:12, 12] = -shift[3, :, 1].reshape(9)
+        q[12, 12] = np.trace(shift[4, :, 1])
     q[_LOWER] = q.T[_LOWER]  # exactly symmetric, and q_tt keeps its bits
     if not np.all(np.isfinite(q)):
         raise NumericalFailure(

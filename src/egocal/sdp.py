@@ -100,8 +100,10 @@ class SdpProblem:
             raise ValueError("interior point must be an (s, s) matrix and one multiplier "
                              "per constraint")
         # The constraints' symmetry is the caller's: qcqp's catalog builds them symmetric.
-        # A NaN or infinite entry fails the comparison too.
-        if not np.max(np.abs(cost - cost.T)) <= 1e-12 * (1.0 + np.max(np.abs(cost))):
+        # Finiteness is tested first: an infinite entry makes the comparison inf <= inf,
+        # or a NaN with a warning.
+        if not (np.all(np.isfinite(cost))
+                and np.max(np.abs(cost - cost.T)) <= 1e-12 * (1.0 + np.max(np.abs(cost)))):
             raise ValueError("cost matrix is not finite and symmetric")
         object.__setattr__(self, "cost", cost)
         object.__setattr__(self, "constraints", a)

@@ -12,7 +12,8 @@ continued solve. Its first rung, 1.0, stops at the SDP's start point
 minimum eigenvector of H(y0) = q_tilde/s + alpha I, and most requests
 certify with the least-norm y that annihilates it. The solve goes on to
 CANDIDATE_TOL, and then to the strict `sdp.TOL`, only while the answer does
-not certify; the answer is the cheapest candidate of the rungs run.
+not certify; the answer is the cheapest candidate of the rungs run (the
+latest of those equal to the polish's resolution).
 
 Also hosts the local Levenberg-Marquardt baseline used by the experiment
 harness for comparisons; it is the only user of scipy, imported on call.
@@ -204,7 +205,12 @@ def settle(dm: DataMatrix, constraint_set: str, propose):
     Every bound holds for the global minimum, so the proof is the largest
     bound of the rungs run (the earliest of equal ones, the solver's y before
     the refined one) with its lambda_min, and the answer is the cheapest
-    candidate (the earliest of equal ones). The ladder stops at the first
+    candidate. A later candidate replaces the answer unless it costs more by
+    over eps * tr(q_tilde), the polish's resolution: candidates that close
+    are one minimum to the polish, and the later one comes from the more
+    accurate solve. So an answer that certifies on no rung is the strict
+    rung's candidate, which a ladder of sdp.TOL alone would return, unless an
+    earlier rung found a cheaper one. The ladder stops at the first
     answer that certifies, or at a final status other than optimal: an
     iteration cap or a factorization breakdown still leaves a dual vector,
     which gives a valid, if weaker, bound.
@@ -214,6 +220,7 @@ def settle(dm: DataMatrix, constraint_set: str, propose):
     `egocal certify`.
     """
     problem, scale = build_sdp_problem(dm, constraint_set)
+    resolution = np.finfo(float).eps * scale
     solution = best = proof = None
     for tol in LADDER:
         solution = sdp.solve(problem, tol=tol, start=solution)
@@ -225,7 +232,7 @@ def settle(dm: DataMatrix, constraint_set: str, propose):
         for bound, min_eig_h, _ in (at_y, _dual_bound(problem, refined)):
             if proof is None or bound > proof[0]:
                 proof = bound, min_eig_h
-        if best is None or cost < best[1]:
+        if best is None or cost <= best[1] + resolution:
             best = theta, cost
         certificate = Certificate(lower_bound=scale * proof[0], cost=best[1],
                                   min_eig_h=proof[1], scale=scale)
@@ -269,29 +276,70 @@ def calibrate(m: MeasurementSet, constraint_set: str = "r+c+h") -> CalibrationRe
     )
 
 
-# The generators [e_k]x of so(3), stacked over k.
-_GENERATORS = np.stack([geom.skew(e) for e in np.eye(3)])
+def _newton_constants():
+    """Constant factors of `_newton_model`'s stack: the left factors (130, 10) and
+    the padded Jacobian maps N_k, stacked as N_k^T over rows (30, 10) and N_k
+    side by side (10, 30).
+
+    With r_tilde = [vec R, 1], column k of R is r_tilde[3k:3k+3], so
+    P_kl = r_tilde^T E_kl q_tilde r_tilde for E_kl moving rows 3l..3l+2 to
+    rows 3k..3k+2. vec(R [e_k]x) = ([e_k]x^T kron I) vec R, and N_k r_tilde is
+    that vector padded with a 0, so (J^T A J)_kl = r_tilde^T N_k^T q_tilde N_l r_tilde.
+    """
+    generators = np.stack([geom.skew(e) for e in np.eye(3)])
+    moves = np.zeros((3, 3, 10, 10))
+    for k, l in np.ndindex(3, 3):
+        moves[k, l, 3 * k:3 * k + 3, 3 * l:3 * l + 3] = np.eye(3)
+    trace = moves[0, 0] + moves[1, 1] + moves[2, 2]
+    left = np.stack([np.eye(10),
+                     2.0 * (moves[2, 1] - moves[1, 2]),
+                     2.0 * (moves[0, 2] - moves[2, 0]),
+                     2.0 * (moves[1, 0] - moves[0, 1]),
+                     *(moves[k, l] + moves[l, k] - 2.0 * (k == l) * trace
+                       for k, l in np.ndindex(3, 3))])
+    jac = np.zeros((3, 10, 10))
+    for k, a, b in np.ndindex(3, 3, 3):  # block (a, b) of [e_k]x^T kron I
+        jac[k, 3 * a:3 * a + 3, 3 * b:3 * b + 3] = generators[k, b, a] * np.eye(3)
+    return (left.reshape(130, 10), jac.transpose(0, 2, 1).reshape(30, 10),
+            jac.transpose(1, 0, 2).reshape(10, 30))
 
 
-def _newton_terms(q_tilde: np.ndarray, r: np.ndarray):
-    """f(R) = r_tilde^T q_tilde r_tilde, and the gradient g and Hessian H of
-    w -> f(R exp([w]x)) at 0. With A = q_tilde[:9, :9], b = q_tilde[:9, 9],
-    P = R^T unvec(A vec R + b) and J = [vec(R [e_k]x)]: g_k = 2 <P, [e_k]x>
-    and H = 2 (J^T A J + sym P - tr P I)."""
-    a, b, vec = q_tilde[:9, :9], q_tilde[:9, 9], r.reshape(9, order="F")
-    grad_vec = a @ vec + b
-    p = r.T @ grad_vec.reshape(3, 3, order="F")
-    grad = 2.0 * np.array([p[2, 1] - p[1, 2], p[0, 2] - p[2, 0], p[1, 0] - p[0, 1]])
-    jac = (r @ _GENERATORS).transpose(0, 2, 1).reshape(3, 9).T
-    hess = 2.0 * (jac.T @ a @ jac + 0.5 * (p + p.T) - np.trace(p) * np.eye(3))
-    return float(vec @ grad_vec + b @ vec + q_tilde[9, 9]), grad, hess
+_MODEL_LEFT, _JAC_ROWS, _JAC_COLUMNS = _newton_constants()
+
+
+def _newton_model(q_tilde: np.ndarray) -> np.ndarray:
+    """The quadratic model of `_polish`: a stack of 13 10x10 matrices T, as (130, 10),
+    each linear in q_tilde, such that r_tilde^T T r_tilde at r_tilde = [vec R, 1] is
+    f(R) = r_tilde^T q_tilde r_tilde, then the gradient g and then the Hessian H
+    (row-major) of w -> f(R exp([w]x)) at 0.
+
+    With A = q_tilde[:9, :9], P = R^T unvec(q_tilde[:9] r_tilde) and
+    J = [vec(R [e_k]x)]: g_k = 2 <P, [e_k]x> and H = 2 (J^T A J + sym P - tr P I).
+    Each entry of P and of J^T A J is a quadratic form in r_tilde (`_newton_constants`),
+    so the stack is q_tilde, 2 sum_ab [e_k]x_ab E_ab q_tilde and
+    2 N_k^T q_tilde N_l + (E_kl + E_lk - 2 delta_kl sum_m E_mm) q_tilde.
+    """
+    model = (_MODEL_LEFT @ q_tilde).reshape(13, 10, 10)
+    jtaj = (_JAC_ROWS @ q_tilde @ _JAC_COLUMNS).reshape(3, 10, 3, 10).transpose(0, 2, 1, 3)
+    model[4:] += 2.0 * jtaj.reshape(9, 10, 10)
+    return model.reshape(130, 10)
+
+
+def _newton_terms(model: np.ndarray, r: np.ndarray):
+    """(f, g, H) of `_newton_model`'s stack at the rotation r: two matrix-vector products."""
+    r_tilde = qcqp.reduced_vector(r)
+    terms = (model @ r_tilde).reshape(13, 10) @ r_tilde
+    return terms[0], terms[1:4], terms[4:].reshape(3, 3)
 
 
 def _polish(q_tilde: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Damped Riemannian Newton on f(R) = r_tilde^T q_tilde r_tilde over SO(3).
 
     q_tilde is the cost minimized over the translation (variable projection),
-    so a step is O(1) in the number of measurements. The step R exp([w]x),
+    so a step is O(1) in the number of measurements. f, its gradient g and
+    Hessian H in the chart w -> R exp([w]x) are quadratic forms in r_tilde,
+    built once from q_tilde (`_newton_model`), so a trial evaluates them with
+    two matrix-vector products. The step R exp([w]x),
     w = -(H + mu I)^-1 g, is taken only when f falls. Each trial takes
     mu >= d - 2 min eig H with d = 1e-3 max|eig H|, which mirrors negative
     curvature (lifting it only to d gives a step ~1/d long); a refused step
@@ -301,7 +349,8 @@ def _polish(q_tilde: np.ndarray, r: np.ndarray) -> np.ndarray:
     no more than that rounding: f resolves the rotation only to about
     sqrt(eps), the gradient to about eps, whatever the start's accuracy.
     """
-    f, grad, hess = _newton_terms(q_tilde, r)
+    model = _newton_model(q_tilde)
+    f, grad, hess = _newton_terms(model, r)
     resolution = np.finfo(float).eps * abs(np.trace(q_tilde))
     mu = 0.0
     for _ in range(POLISH_STEPS):
@@ -311,7 +360,7 @@ def _polish(q_tilde: np.ndarray, r: np.ndarray) -> np.ndarray:
         mu = max(mu, damping - 2.0 * eigvals[0])
         step = -eigvecs @ ((eigvecs.T @ grad) / (eigvals + mu))
         candidate = r @ geom.rotation_exp(step)
-        terms = _newton_terms(q_tilde, candidate)
+        terms = _newton_terms(model, candidate)
         if terms[0] < f:
             r, (f, grad, hess), mu = candidate, terms, 0.0
         elif -0.5 * (grad @ step) <= resolution:

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,6 +44,30 @@ def test_rotation_from_axis_angle_z_quarter_turn():
     r = geom.rotation_about(np.array([0.0, 0.0, 1.0]), np.pi / 2)
     expected = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     assert np.allclose(r, expected)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), angle=st.floats(1e-13, 20.0))
+def test_rotation_exp_is_rotation_about_its_axis_and_angle(seed, angle):
+    # the scalar Rodrigues formula agrees with the array one to rounding
+    axis = np.random.default_rng(seed).normal(size=3)
+    w = angle * axis / np.linalg.norm(axis)
+    norm = math.hypot(*w)
+    assert np.abs(geom.rotation_exp(w) - geom.rotation_about(w / norm, norm)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("w", [[0.0, 0.0, 0.0], [9e-15, 0.0, 0.0], [-5e-15, 5e-15, 5e-15]])
+def test_rotation_exp_of_a_tiny_vector_is_exactly_the_identity(w):
+    assert np.array_equal(geom.rotation_exp(np.array(w)), np.eye(3))
+
+
+@pytest.mark.parametrize("w", [[np.inf, 0.0, 0.0], [0.0, -np.inf, 0.0], [np.nan, 0.0, 0.0],
+                               [np.inf, np.nan, 1.0]])
+def test_rotation_exp_of_a_non_finite_vector_is_nan_without_a_warning(w):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = geom.rotation_exp(np.array(w))
+    assert r.shape == (3, 3) and np.all(np.isnan(r))
 
 
 def test_project_to_so3_fixed_point():

@@ -13,6 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import newton_terms
 import record_scan
 from conftest import assert_below_brute_force, brute_force_minimum, candidate_stage, random_instance
 from egocal import geom, qcqp, sim, solver
@@ -301,3 +302,23 @@ def test_one_conversion_matches_the_record_scan(records, blanks, order, newline)
         loaded, scanned = _load_both(source)
         assert isinstance(scanned, MeasurementSet)
         _assert_same_columns(loaded, scanned)
+
+
+@functools.cache
+def _scaled_q_tilde(seed, weight):
+    _, _, _, m = sim.terrain_instance(np.random.default_rng([seed, 30]), 30, 0.05, 0.05)
+    return qcqp.assemble(replace(m, kappa=weight * m.kappa, tau=weight * m.tau)).q_tilde
+
+
+@FAST
+@given(seed=st.integers(0, 2), weight=st.sampled_from([1e-12, 1.0, 1e200]),
+       r_seed=st.integers(0, 2**32 - 1))
+def test_newton_model_matches_the_explicit_formulas(seed, weight, r_seed):
+    # the polish's quadratic model against f, g and H from their formulas
+    q_tilde = _scaled_q_tilde(seed, weight)
+    r = geom.random_rotation(r_seed).m
+    got = solver._newton_terms(solver._newton_model(q_tilde), r)
+    want = newton_terms.newton_terms(q_tilde, r)
+    bound = 1e-12 * np.trace(q_tilde)
+    for a, b in zip(got, want):
+        assert np.all(np.abs(np.asarray(a) - b) <= bound)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,20 @@ def test_problem_refuses_a_nan_cost():
     cost[0, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
         SdpProblem(cost=cost, constraints=np.eye(2)[None], rhs=np.ones(1))
+
+
+@pytest.mark.parametrize("entries", [[(0, 1)], [(0, 1), (1, 0)], [(1, 1)]],
+                         ids=["one-off-diagonal", "symmetric-pair", "diagonal"])
+def test_problem_refuses_an_infinite_cost_without_a_warning(entries):
+    # a lone inf makes |c - c^T| and its bound both inf, so the symmetry
+    # comparison alone holds; a symmetric or diagonal one subtracts inf - inf
+    cost = np.eye(10)
+    for entry in entries:
+        cost[entry] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            SdpProblem(cost=cost, constraints=np.eye(10)[None], rhs=np.ones(1))
 
 
 def test_matrix_form_operator_matches_einsum():

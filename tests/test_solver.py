@@ -416,8 +416,9 @@ def test_an_uncertified_answer_is_the_strict_pipelines_bit_for_bit(monkeypatch):
     # A ladder of the strict tolerance alone solves straight to sdp.TOL and runs
     # one stage. An answer that certifies on no rung is no worse than that
     # pipeline's: each rung continues the same solve, a stage reads only its
-    # rung's solution, and the cheapest candidate is kept. Here the strict
-    # rung's candidate is the cheapest, so the answers agree bit for bit.
+    # rung's solution, and the cheapest candidate is kept, the later of two
+    # equal to the polish's resolution. Here the three rungs' candidates are one
+    # minimum, their costs a few ulps apart, so the answers agree bit for bit.
     m = loose_two_motion_instance()
     staged = solver.calibrate(m, "r")
     monkeypatch.setattr(solver, "LADDER", (sdp.TOL,))
@@ -497,7 +498,7 @@ def test_newton_terms_match_finite_differences():
     m, _ = random_instance(41, n_motions=20, sigma_r=0.05, sigma_t=0.05)
     q_tilde = qcqp.assemble(m).q_tilde
     r = geom.random_rotation(3).m
-    f0, grad, hess = solver._newton_terms(q_tilde, r)
+    f0, grad, hess = solver._newton_terms(solver._newton_model(q_tilde), r)
 
     def f(w):
         return _reduced_cost(q_tilde, r @ geom.rotation_exp(w))
@@ -524,7 +525,7 @@ def test_polish_reaches_a_stationary_point_of_the_reduced_form(turn):
     polished = solver._polish(dm.q_tilde, start)
     cost = _reduced_cost(dm.q_tilde, polished)
     assert cost <= _reduced_cost(dm.q_tilde, start)
-    _, grad, _ = solver._newton_terms(dm.q_tilde, polished)
+    _, grad, _ = solver._newton_terms(solver._newton_model(dm.q_tilde), polished)
     assert np.linalg.norm(grad) < 1e-10 * np.trace(dm.q_tilde)
     # q_tilde is the cost minimized over t, attained at recover_translation's t
     t = solver.recover_translation(dm, qcqp.reduced_vector(polished))
@@ -555,6 +556,6 @@ def test_polish_never_raises_the_cost_from_a_poor_start(monkeypatch):
         polished = solver._polish(dm.q_tilde, rotation)
         costs.append(_reduced_cost(dm.q_tilde, polished))
     assert all(later <= earlier for earlier, later in zip(costs, costs[1:]))
-    _, grad, hess = solver._newton_terms(dm.q_tilde, polished)
+    _, grad, hess = solver._newton_terms(solver._newton_model(dm.q_tilde), polished)
     assert np.linalg.norm(grad) < 1e-10 * np.trace(dm.q_tilde)
     assert np.linalg.eigvalsh(hess)[0] > 0
