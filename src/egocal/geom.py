@@ -34,7 +34,7 @@ def rotation_defects(m: np.ndarray):
     without a warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        gap = np.swapaxes(m, -1, -2) @ m - np.eye(3)
+        gap = m.swapaxes(-1, -2) @ m - np.eye(3)
         drift = np.sqrt(np.einsum("...ij,...ij->...", gap, gap))
         (a, b, c), (d, e, f), (g, h, i) = m.T
         return drift, (a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g)).T
@@ -44,9 +44,9 @@ def require_so3(m: np.ndarray, what: str) -> None:
     """The SO(3) rule: ||M^T M - I||_F and |det M - 1| at most ROTATION_TOL for each
     matrix of the (..., 3, 3) stack m; else InvalidRotation saying which test `what` fails."""
     drift, det = rotation_defects(m)
-    if not np.all(drift <= ROTATION_TOL):  # also rejects NaN
+    if not (drift <= ROTATION_TOL).all():  # also rejects NaN
         raise InvalidRotation(f"{what} is not orthonormal")
-    if not np.all(np.abs(det - 1.0) <= ROTATION_TOL):
+    if not (abs(det - 1.0) <= ROTATION_TOL).all():
         raise InvalidRotation(f"{what} determinant is not +1")
 
 
@@ -134,7 +134,7 @@ def nearest_rotations(m: np.ndarray) -> np.ndarray:
     is refused as singular by its condition, sv_min <= 1e-12 sv_max, not its size."""
     with numerical("rotation projection"):
         u, sv, vt = np.linalg.svd(m)
-    if np.any(sv[..., -1] <= 1e-12 * sv[..., 0]):
+    if (sv[..., -1] <= 1e-12 * sv[..., 0]).any():
         raise SingularInput("matrix is numerically singular; projection undefined")
     u[..., :, 2] *= np.sign(np.linalg.det(u @ vt))[..., None]
     return u @ vt

@@ -69,17 +69,18 @@ def assemble(m: MeasurementSet) -> DataMatrix:
         rot = _moment(m.kappa, rotations, rotations)  # (6, 3, 6, 3)
         shift = _moment(m.tau, shifts, shifts[:, 3:])  # (5, 3, 2, 3): [D, t_a, t_b] by [t_a, t_b]
         k = rot[:3, :, 3:].transpose(0, 2, 1, 3).reshape(9, 9)
-        left = np.einsum("ijkj->ik", rot[:3, :, :3]) + shift[3, :, 0]
-        right = np.einsum("jijl->il", rot[3:, :, 3:])
-        kron = np.einsum("ij,kl->ikjl", left, _I3) + np.einsum("ij,kl->ikjl", _I3, right)
+        left = rot[:3, :, :3].trace(axis1=1, axis2=3) + shift[3, :, 0]
+        right = rot[3:, :, 3:].trace(axis1=0, axis2=2)
+        # left kron I + I kron right, as (3, 3, 3, 3) indexed [i, k, j, l] for row 3i+k, column 3j+l
+        kron = left[:, None, :, None] * _I3[:, None] + _I3[:, None, :, None] * right[:, None]
         q[:3, :3] = translation_gram(m)
         q[:3, 3:12] = shift[:3, :, 0].transpose(1, 2, 0).reshape(3, 9)
-        q[:3, 12] = -np.einsum("jij->i", shift[:3, :, 1])
+        q[:3, 12] = -shift[:3, :, 1].trace(axis1=0, axis2=2)
         q[3:12, 3:12] = kron.reshape(9, 9) - k - k.T
         q[3:12, 12] = -shift[3, :, 1].reshape(9)
-        q[12, 12] = np.trace(shift[4, :, 1])
+        q[12, 12] = shift[4, :, 1].trace()
     q[_LOWER] = q.T[_LOWER]  # exactly symmetric, and q_tt keeps its bits
-    if not np.all(np.isfinite(q)):
+    if not np.isfinite(q).all():
         raise NumericalFailure(
             "data matrix is not finite: its sums weighted by kappa and tau overflow"
         )
@@ -95,7 +96,7 @@ def assemble(m: MeasurementSet) -> DataMatrix:
         t_map = -np.linalg.solve(q_tt, q[:3, 3:])
     q_tilde = q[3:, 3:] + q[:3, 3:].T @ t_map
     q_tilde = 0.5 * (q_tilde + q_tilde.T)
-    if not (np.all(np.isfinite(t_map)) and np.all(np.isfinite(q_tilde))):
+    if not (np.isfinite(t_map).all() and np.isfinite(q_tilde).all()):
         raise NumericalFailure(
             "translation elimination is not finite: kappa and tau are too small for its solve"
         )

@@ -57,6 +57,7 @@ residuals are zero there and the gap is below 1 + |pobj| + |dobj|), then
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,8 +103,8 @@ class SdpProblem:
         # The constraints' symmetry is the caller's: qcqp's catalog builds them symmetric.
         # Finiteness is tested first: an infinite entry makes the comparison inf <= inf,
         # or a NaN with a warning.
-        if not (np.all(np.isfinite(cost))
-                and np.max(np.abs(cost - cost.T)) <= 1e-12 * (1.0 + np.max(np.abs(cost)))):
+        if not (np.isfinite(cost).all()
+                and abs(cost - cost.T).max() <= 1e-12 * (1.0 + abs(cost).max())):
             raise ValueError("cost matrix is not finite and symmetric")
         object.__setattr__(self, "cost", cost)
         object.__setattr__(self, "constraints", a)
@@ -145,6 +146,13 @@ class SdpSolution:
         return self.iterate_log[-1]["dual_obj"]
 
 
+def norm(a: np.ndarray) -> float:
+    """np.linalg.norm(a) by its own formula, the square root of the flat array's dot with
+    itself, without its argument handling. The dot overflows to inf with numpy's warning."""
+    flat = a.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
+
+
 def _operator(a: np.ndarray):
     """A(X) = amat @ vec(X) and A^T y = (y @ amat).reshape(s, s), amat = a as (m, s*s)."""
     amat = a.reshape(len(a), -1)
@@ -173,11 +181,12 @@ def _nt_scaling(x: np.ndarray, s: np.ndarray):
 
 def _pseudo_inverse(schur: np.ndarray):
     """y -> pinv(schur) @ y from one eigendecomposition of the symmetric Schur
-    matrix, for every right-hand side of an iteration; eigenvalues up to
-    1e-13 max|lambda| in magnitude count as zero (the cutoff of gelsd at
-    rcond=1e-13, since the singular values are the |lambda|)."""
+    matrix, for every right-hand side of an iteration (and of `solver._refine`'s
+    Gram matrix); eigenvalues up to 1e-13 max|lambda| in magnitude count as
+    zero (the cutoff of gelsd at rcond=1e-13, since the singular values are the
+    |lambda|). max|lambda| is read from the two ends of the ascending lambda."""
     lam, vec = np.linalg.eigh(schur)
-    keep = np.abs(lam) > 1e-13 * np.abs(lam).max()
+    keep = abs(lam) > 1e-13 * max(-lam[0], lam[-1])
     left = vec[:, keep]
     right = left / lam[keep]
     return lambda rhs: right @ (left.T @ rhs)
@@ -225,12 +234,12 @@ def solve(p: SdpProblem, tol: float = TOL, start: SdpSolution | None = None) -> 
             x, y = p.interior
             s = c - adj(y)
         else:
-            scale = max(1.0, float(np.linalg.norm(c)) / np.sqrt(s_dim))
+            scale = max(1.0, norm(c) / np.sqrt(s_dim))
             x, y, s = np.eye(s_dim), np.zeros(a.shape[0]), np.eye(s_dim) * scale
         log, first = [], 1
 
-    norm_b = 1.0 + np.linalg.norm(b)
-    norm_c = 1.0 + np.linalg.norm(c)
+    norm_b = 1.0 + norm(b)
+    norm_c = 1.0 + norm(c)
 
     status = STATUS_MAX_ITER
     try:
@@ -238,12 +247,12 @@ def solve(p: SdpProblem, tol: float = TOL, start: SdpSolution | None = None) -> 
             ax = op(x)
             rp = b - ax
             rd = c - adj(y) - s
-            gap = float(np.sum(x * s))
+            gap = float((x * s).sum())
             mu = gap / s_dim
-            pobj = float(np.sum(c * x))
+            pobj = float((c * x).sum())
             dobj = float(b @ y)
-            pres = float(np.linalg.norm(rp)) / norm_b
-            dres = float(np.linalg.norm(rd)) / norm_c
+            pres = norm(rp) / norm_b
+            dres = norm(rd) / norm_c
             if it > len(log):  # a continued run's first iterate is logged already
                 log.append(
                     {
@@ -254,7 +263,7 @@ def solve(p: SdpProblem, tol: float = TOL, start: SdpSolution | None = None) -> 
                         "dual_residual": dres,
                         "complementarity": gap,
                         "mu": mu,
-                        "x_norm": float(np.linalg.norm(x)),
+                        "x_norm": norm(x),
                     }
                 )
             if pres < tol and dres < tol and gap < tol * (1.0 + abs(pobj) + abs(dobj)):
@@ -280,7 +289,7 @@ def solve(p: SdpProblem, tol: float = TOL, start: SdpSolution | None = None) -> 
             # Predictor (affine scaling) chooses the centering weight.
             dx_a, ds_a = direction(-x, cols[:, 0])
             ap, ad = _max_steps(inv_l, np.stack([dx_a, ds_a]))
-            mu_aff = float(np.sum((x + ap * dx_a) * (s + ad * ds_a))) / s_dim
+            mu_aff = float(((x + ap * dx_a) * (s + ad * ds_a)).sum()) / s_dim
             sigma = max(min(1.0, max(mu_aff / mu, 0.0) ** 3), 1e-4)
             # Recenter instead of stalling when the affine step is blocked.
             if min(ap, ad) < 0.05:
@@ -312,9 +321,9 @@ def certify_lmi(cost, constraints, multipliers):
     eigenvectors as columns; unpack it by position (numpy 1 returns a plain
     tuple). A LAPACK failure raises NumericalFailure.
     """
-    if len(constraints) != len(multipliers):  # einsum would broadcast a single constraint
+    if len(constraints) != len(multipliers):  # matmul refuses it too, naming gufunc operands
         raise ValueError("need one multiplier per constraint")
-    h = cost - np.einsum("k,kij->ij", multipliers, constraints)
+    h = cost - (multipliers @ constraints.reshape(len(constraints), -1)).reshape(cost.shape)
     h = 0.5 * (h + h.T)
     with numerical("dual slack eigendecomposition"):
         return np.linalg.eigh(h)

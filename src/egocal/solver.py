@@ -21,6 +21,7 @@ harness for comparisons; it is the only user of scipy, imported on call.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -51,6 +52,7 @@ CANDIDATE_TOL = 1e-4
 LADDER = (1.0, CANDIDATE_TOL, sdp.TOL)
 # Cap on the local baseline's cost evaluations (scipy's max_nfev).
 LM_MAX_EVALUATIONS = 1600
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,7 @@ class Certificate:
 
     @property
     def certified(self) -> bool:
-        finite = np.isfinite(self.cost) and np.isfinite(self.lower_bound)
+        finite = math.isfinite(self.cost) and math.isfinite(self.lower_bound)
         return bool(finite and self.gap <= GAP_COST * self.cost + GAP_TRACE * self.scale)
 
     @property
@@ -116,10 +118,8 @@ def evaluate_cost(m: MeasurementSet, theta: Transform) -> float:
     """Weighted rotation + translation residual (the homogenized cost at y = 1); inf on overflow."""
     rot_res, trans_res = _residual_arrays(m, theta.rotation.m, theta.translation)
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(
-            np.sum(m.kappa * np.sum(rot_res**2, axis=(1, 2)))
-            + np.sum(m.tau * np.sum(trans_res**2, axis=1))
-        )
+        return float((m.kappa * (rot_res**2).sum(axis=(1, 2))).sum()
+                     + (m.tau * (trans_res**2).sum(axis=1)).sum())
 
 
 def recover_translation(dm: DataMatrix, r_tilde: np.ndarray) -> np.ndarray:
@@ -153,7 +153,7 @@ def build_sdp_problem(dm: DataMatrix, constraint_set: str):
     must be multiplied by `scale` to refer to the unnormalized cost.
     """
     constraints = qcqp.constraint_catalog(constraint_set)
-    scale = float(np.trace(dm.q_tilde))
+    scale = float(dm.q_tilde.trace())
     if scale <= 0:
         scale = 1.0
     rhs = np.zeros(len(constraints))
@@ -177,18 +177,24 @@ def _dual_bound(problem: sdp.SdpProblem, y: np.ndarray):
     """
     eigenvalues, eigenvectors = sdp.certify_lmi(problem.cost, problem.constraints, y)
     min_eig = float(eigenvalues[0])
-    delta = 1000.0 * np.finfo(float).eps * (1.0 + np.abs(y).sum())
+    delta = 1000.0 * _EPS * (1.0 + abs(y).sum())
     return float(y[-1] + 4.0 * min(0.0, min_eig - delta)), min_eig, eigenvectors
 
 
 def _refine(problem: sdp.SdpProblem, y: np.ndarray, r_tilde: np.ndarray) -> np.ndarray:
     """y + dy, with dy the least-norm solution of B dy = H(y) r_tilde for
-    B[:, i] = A_i r_tilde, so that H(y + dy) annihilates r_tilde (one 10 x m
-    least-squares solve). H(y) r_tilde = cost r_tilde - B y. From y = 0 it is
-    the least-norm y with H(y) r_tilde = 0 (Carlone et al., IROS 2015)."""
-    b = (problem.constraints @ r_tilde).T
+    B[:, i] = A_i r_tilde, so that H(y + dy) annihilates r_tilde.
+    H(y) r_tilde = cost r_tilde - B y. From y = 0 it is the least-norm y with
+    H(y) r_tilde = 0 (Carlone et al., IROS 2015).
+
+    dy = B^T pinv(B B^T) (H(y) r_tilde), with the pseudo-inverse from one 10 x 10
+    eigendecomposition (`sdp._pseudo_inverse`, its 1e-13 cutoff). B has rank 7
+    under every catalog: at a rotation, the three tangent directions of SO(3)
+    are its left null space, which the cutoff drops."""
+    b = problem.constraints @ r_tilde  # B^T, (m, 10)
     with numerical("certificate refinement"):
-        return y + np.linalg.lstsq(b, problem.cost @ r_tilde - b @ y, rcond=None)[0]
+        gram_solve = sdp._pseudo_inverse(b.T @ b)
+    return y + b @ gram_solve(problem.cost @ r_tilde - y @ b)
 
 
 def settle(dm: DataMatrix, constraint_set: str, propose):
@@ -220,7 +226,7 @@ def settle(dm: DataMatrix, constraint_set: str, propose):
     `egocal certify`.
     """
     problem, scale = build_sdp_problem(dm, constraint_set)
-    resolution = np.finfo(float).eps * scale
+    resolution = _EPS * scale
     solution = best = proof = None
     for tol in LADDER:
         solution = sdp.solve(problem, tol=tol, start=solution)
@@ -351,26 +357,27 @@ def _polish(q_tilde: np.ndarray, r: np.ndarray) -> np.ndarray:
     """
     model = _newton_model(q_tilde)
     f, grad, hess = _newton_terms(model, r)
-    resolution = np.finfo(float).eps * abs(np.trace(q_tilde))
+    resolution = _EPS * abs(q_tilde.trace())
     mu = 0.0
-    for _ in range(POLISH_STEPS):
-        with numerical("polish"):
+    with numerical("polish"):
+        for _ in range(POLISH_STEPS):
             eigvals, eigvecs = np.linalg.eigh(hess)
-        damping = 1e-3 * np.abs(eigvals).max()
-        mu = max(mu, damping - 2.0 * eigvals[0])
-        step = -eigvecs @ ((eigvecs.T @ grad) / (eigvals + mu))
-        candidate = r @ geom.rotation_exp(step)
-        terms = _newton_terms(model, candidate)
-        if terms[0] < f:
-            r, (f, grad, hess), mu = candidate, terms, 0.0
-        elif -0.5 * (grad @ step) <= resolution:
-            # f cannot tell this step from rounding, but its gradient can.
-            with np.errstate(over="ignore"):  # the norm of a gradient past 1e154 overflows
-                if terms[0] <= f + resolution and np.linalg.norm(terms[1]) < np.linalg.norm(grad):
-                    r = candidate
-            break
-        else:
-            mu = max(10.0 * mu, damping)
+            damping = 1e-3 * max(-eigvals[0], eigvals[-1])  # max |eig H|, eigvals ascending
+            mu = max(mu, damping - 2.0 * eigvals[0])
+            step = -eigvecs @ ((eigvecs.T @ grad) / (eigvals + mu))
+            candidate = r @ geom.rotation_exp(step)
+            terms = _newton_terms(model, candidate)
+            if terms[0] < f:
+                r, (f, grad, hess), mu = candidate, terms, 0.0
+            elif -0.5 * (grad @ step) <= resolution:
+                # f cannot tell this step from rounding, but its gradient can. A gradient
+                # past 1e154 has a squared norm, and so a norm, that overflows to inf.
+                with np.errstate(over="ignore"):
+                    if terms[0] <= f + resolution and sdp.norm(terms[1]) < sdp.norm(grad):
+                        r = candidate
+                break
+            else:
+                mu = max(10.0 * mu, damping)
     return r
 
 

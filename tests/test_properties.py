@@ -127,6 +127,43 @@ def test_dual_bound_never_exceeds_the_cost_of_a_rotation(seed, n, sigma, kind, s
         assert bound <= r_tilde @ q_tilde @ r_tilde + 1e-12 * scale
 
 
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(5, 60),
+    sigma=st.floats(1e-3, 0.1),
+    kind=st.sampled_from(qcqp.CONSTRAINT_KINDS),
+    weight=st.sampled_from([1e-12, 1.0, 1e200]),
+    from_solver=st.booleans(),
+)
+def test_refine_is_the_least_squares_least_norm_step(seed, n, sigma, kind, weight, from_solver):
+    # _refine's dy against np.linalg.lstsq's least-norm solution of B dy = H(y) r_tilde,
+    # B[:, i] = A_i r_tilde, from y = 0 and from the solver's y, at a polished candidate.
+    # What H(y + dy) r_tilde keeps beyond rounding is orthogonal to range(B): the
+    # tangential part, half the candidate's gradient, which no multiplier reaches.
+    rng = np.random.default_rng(seed)
+    m = sim.terrain_instance(rng, n, sigma, sigma)[3]
+    m = replace(m, kappa=weight * m.kappa, tau=weight * m.tau)
+    try:
+        dm, problem, _, y, rotation = candidate_stage(m, kind)
+    except CalibrationError:
+        return
+    r_tilde = qcqp.reduced_vector(solver._polish(dm.q_tilde, rotation))
+    start = y if from_solver else np.zeros_like(y)
+    b = (problem.constraints @ r_tilde).T
+    dy = np.linalg.lstsq(b, problem.cost @ r_tilde - b @ start, rcond=None)[0]
+    refined = solver._refine(problem, start, r_tilde)
+    scale = np.linalg.norm(dy) + np.linalg.norm(start)
+    assert np.linalg.norm(refined - (start + dy)) <= 1e-12 * scale
+
+    def residual(multipliers):
+        return problem.cost @ r_tilde - b @ multipliers
+
+    rounding = 100 * np.finfo(float).eps * (1.0 + np.abs(refined).sum())
+    assert np.linalg.norm(b.T @ residual(refined)) <= rounding
+    assert np.linalg.norm(residual(refined)) <= np.linalg.norm(residual(start + dy)) + rounding
+
+
 @SLOW
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 30), sigma=st.floats(0.0, 0.1))
 def test_certified_cost_is_no_worse_than_local_restarts(seed, n, sigma):

@@ -5,7 +5,7 @@ import pytest
 
 import qcqp_blocks
 from conftest import random_instance
-from egocal import geom, problem, qcqp
+from egocal import geom, problem, qcqp, sim
 from egocal.errors import NumericalFailure, SingularQtt, TooShort
 from egocal.problem import MeasurementSet
 
@@ -144,6 +144,16 @@ def test_assemble_q_tt_is_the_observability_matrix(n):
     rng = np.random.default_rng(26)
     m = replace(m, kappa=rng.uniform(0.1, 5.0, n), tau=rng.uniform(0.1, 5.0, n))
     assert np.array_equal(qcqp.assemble(m).q_tt, problem.translation_gram(m))
+
+
+@pytest.mark.parametrize("n", [10, 50, 1000])
+@pytest.mark.parametrize("sigma", [0.01, 0.05, 0.1])
+def test_assemble_is_the_einsum_sums_bit_for_bit(n, sigma):
+    # the traces and broadcast products of assemble round as the einsums do, at any weight scale
+    m = sim.terrain_instance(np.random.default_rng([26, n]), n, sigma, sigma)[3]
+    for weight in (1e-12, 1.0, 1e200):
+        scaled = replace(m, kappa=weight * m.kappa, tau=weight * m.tau)
+        assert np.array_equal(qcqp.assemble(scaled).q, qcqp_blocks.einsum_data_matrix(scaled))
 
 
 def test_assemble_refuses_a_non_finite_data_matrix():

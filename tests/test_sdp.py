@@ -8,6 +8,24 @@ from egocal import qcqp, sdp, sim, solver
 from egocal.sdp import SdpProblem
 
 
+@pytest.mark.parametrize("shape", [(22,), (10, 10), (3, 4, 5)])
+def test_norm_is_numpys_norm_bit_for_bit(shape):
+    # numpy sums the flat array in memory order, so F-ordered and strided arrays too
+    rng = np.random.default_rng(len(shape))
+    for a in (rng.normal(size=shape), np.asfortranarray(rng.normal(size=shape)),
+              rng.normal(size=shape + (2,))[..., 0], np.zeros(shape)):
+        assert sdp.norm(a).hex() == float(np.linalg.norm(a)).hex()
+
+
+def test_norm_overflows_to_inf_as_numpy_does():
+    # a squared norm past the float range is inf, without a warning under the caller's errstate
+    a = np.array([1e200, -3e154, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"):
+            assert sdp.norm(a) == np.linalg.norm(a) == np.inf
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         SdpProblem(cost=np.eye(2), constraints=np.zeros((0, 2, 2)), rhs=np.zeros(0))
