@@ -112,20 +112,28 @@ def rotation_about(axis, angle: float) -> np.ndarray:
 
 def rotation_exp(w) -> np.ndarray:
     """Exponential of the rotation vector w (angle |w| about w / |w|): `rotation_about`'s
-    formula on Python floats. An angle below 1e-14 gives exactly I, and a non-finite w
-    a matrix of NaN, without a warning."""
-    x, y, z = np.asarray(w, dtype=float).tolist()
+    formula on Python floats (`exp_entries`). An angle below 1e-14 gives exactly I, and a
+    non-finite w a matrix of NaN, without a warning."""
+    return np.array(exp_entries(*np.asarray(w, dtype=float).tolist())).reshape(3, 3)
+
+
+_IDENTITY_ENTRIES = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+
+
+def exp_entries(x: float, y: float, z: float) -> tuple:
+    """The 9 entries of exp([w]x), row by row, for the rotation vector w = (x, y, z):
+    exactly I below an angle of 1e-14, NaN for a non-finite w."""
     angle = math.hypot(x, y, z)
     if angle < 1e-14:
-        return np.eye(3)
+        return _IDENTITY_ENTRIES
     if not math.isfinite(angle):  # math.sin refuses an infinite angle
-        return np.full((3, 3), math.nan)
+        return (math.nan,) * 9
     x, y, z = x / angle, y / angle, z / angle
     s, c = math.sin(angle), 1.0 - math.cos(angle)
     xy, xz, yz = c * (x * y), c * (x * z), c * (y * z)
-    return np.array([[1.0 - c * (y * y + z * z), xy - s * z, xz + s * y],
-                     [xy + s * z, 1.0 - c * (x * x + z * z), yz - s * x],
-                     [xz - s * y, yz + s * x, 1.0 - c * (x * x + y * y)]])
+    return (1.0 - c * (y * y + z * z), xy - s * z, xz + s * y,
+            xy + s * z, 1.0 - c * (x * x + z * z), yz - s * x,
+            xz - s * y, yz + s * x, 1.0 - c * (x * x + y * y))
 
 
 def nearest_rotations(m: np.ndarray) -> np.ndarray:

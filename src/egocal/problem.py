@@ -275,7 +275,7 @@ def translation_gram(m: MeasurementSet) -> np.ndarray:
     One weighted moment of D = I - R_b, symmetrized exactly."""
     d = np.eye(3) - m.rb
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = np.einsum("ijil->jl", _moment(m.tau, d, d))
+        gram = _moment(m.tau, d, d).trace(axis1=0, axis2=2)
         return 0.5 * (gram + gram.T)  # exactly symmetric, as assemble's q keeps it
 
 

@@ -25,7 +25,44 @@ Y_INDEX = 9  # index of the homogenizing variable inside r_tilde
 CONSTRAINT_KINDS = ("r", "r+c", "r+h", "r+c+h")
 
 _I3 = np.eye(3)
-_LOWER = np.tril_indices(DIM_FULL, -1)
+
+
+def _gather_tables() -> np.ndarray:
+    """Index tables (4, 13, 13) into `assemble`'s buffer [kappa's moment (6, 3, 6, 3),
+    tau's moment (5, 3, 2, 3), left (3, 3), right (3, 3), the t-y trace (3), the y-y
+    trace, q_tt (3, 3), 0], such that q = ((buf[A] + buf[B]) - buf[K1]) - buf[K2].
+
+    Each block is placed by slicing index arrays as the moments themselves would be
+    sliced, so the block formulas are written here alone. With
+    K = sum kappa R_a kron R_b: the rotation block is (left kron I + I kron right) - K - K^T,
+    the t-vec(R) block sum tau t_a^T kron D^T and the y column
+    [-sum tau D^T t_b, -sum tau t_a kron t_b, sum tau |t_b|^2]. The lower triangle
+    repeats the upper's indices, so q is exactly symmetric and q_tt keeps its bits.
+    """
+    rot, shift, left, right, t_y, y_y, q_tt, (zero,) = np.split(
+        np.arange(446), np.cumsum([324, 90, 9, 9, 3, 1, 9]))
+    rot, shift = rot.reshape(6, 3, 6, 3), shift.reshape(5, 3, 2, 3)
+    left, right, q_tt = left.reshape(3, 3), right.reshape(3, 3), q_tt.reshape(3, 3)
+    a, b, k1, k2 = np.full((4, DIM_FULL, DIM_FULL), zero)
+    eye = np.eye(3, dtype=bool)
+    k = rot[:3, :, 3:].transpose(0, 2, 1, 3).reshape(9, 9)
+    # left kron I and I kron right, as (3, 3, 3, 3) indexed [i, k, j, l] for row 3i+k, column 3j+l
+    a[3:12, 3:12] = np.where(eye[:, None], left[:, None, :, None], zero).reshape(9, 9)
+    b[3:12, 3:12] = np.where(eye[:, None, :, None], right[:, None], zero).reshape(9, 9)
+    k1[3:12, 3:12], k2[3:12, 3:12] = k, k.T
+    a[:3, :3] = q_tt
+    a[:3, 3:12] = shift[:3, :, 0].transpose(1, 2, 0).reshape(3, 9)
+    k1[:3, 12] = t_y
+    k1[3:12, 12] = shift[3, :, 1].reshape(9)
+    a[12, 12] = y_y[0]
+    tables = np.stack([a, b, k1, k2])
+    lower = np.tril_indices(DIM_FULL, -1)
+    tables[:, lower[0], lower[1]] = tables[:, lower[1], lower[0]]
+    tables.flags.writeable = False
+    return tables
+
+
+_GATHER = _gather_tables()
 
 
 @dataclass(frozen=True)
@@ -47,12 +84,14 @@ def assemble(m: MeasurementSet) -> DataMatrix:
     (`tests/qcqp_blocks.py` holds its blocks). With D = I - R_b, each block of the sum but q_tt
     is read from one of two weighted moments, one O(n) product each: kappa's of the columns
     [R_a, R_b] (n x 18) with themselves, and tau's of [D, t_a, t_b] (n x 15) with [t_a, t_b].
-    With K = sum kappa R_a kron R_b: the rotation block is (sum kappa R_a R_a^T +
-    tau t_a t_a^T) kron I + I kron (sum kappa R_b^T R_b) - K - K^T, the t-vec(R) block
-    sum tau t_a^T kron D^T and the y column [-sum tau D^T t_b, -sum tau t_a kron t_b,
-    sum tau |t_b|^2]. q_tt = sum tau D^T D is `translation_gram`'s, the matrix the
-    observability test reads. Nothing assumes R^T R = I, so rotations within
-    geom.ROTATION_TOL give the per-measurement sum to rounding.
+    With K = sum kappa R_a kron R_b: the rotation block is left kron I + I kron right - K - K^T,
+    left = sum kappa R_a R_a^T + tau t_a t_a^T and right = sum kappa R_b^T R_b, the
+    t-vec(R) block sum tau t_a^T kron D^T and the y column [-sum tau D^T t_b,
+    -sum tau t_a kron t_b, sum tau |t_b|^2]. q_tt = sum tau D^T D is `translation_gram`'s,
+    the matrix the observability test reads. The moments, left, right, the two traces
+    of the y column and q_tt go into one buffer, and q is placed from it with one
+    gather through fixed index tables (`_gather_tables`). Nothing assumes R^T R = I, so
+    rotations within geom.ROTATION_TOL give the per-measurement sum to rounding.
 
     Raises NumericalFailure when weights too large for their sums (kappa, tau)
     leave q with an infinite or NaN entry, then SingularQtt when
@@ -64,22 +103,15 @@ def assemble(m: MeasurementSet) -> DataMatrix:
         raise TooShort("calibration requires at least two relative motions")
     rotations = np.concatenate([m.ra, m.rb], axis=1)  # (n, 6, 3): rows of R_a, then of R_b
     shifts = np.concatenate([_I3 - m.rb, m.ta[:, None], m.tb[:, None]], axis=1)  # [D, t_a, t_b]
-    q = np.zeros((DIM_FULL, DIM_FULL))
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check names an overflow
         rot = _moment(m.kappa, rotations, rotations)  # (6, 3, 6, 3)
         shift = _moment(m.tau, shifts, shifts[:, 3:])  # (5, 3, 2, 3): [D, t_a, t_b] by [t_a, t_b]
-        k = rot[:3, :, 3:].transpose(0, 2, 1, 3).reshape(9, 9)
         left = rot[:3, :, :3].trace(axis1=1, axis2=3) + shift[3, :, 0]
         right = rot[3:, :, 3:].trace(axis1=0, axis2=2)
-        # left kron I + I kron right, as (3, 3, 3, 3) indexed [i, k, j, l] for row 3i+k, column 3j+l
-        kron = left[:, None, :, None] * _I3[:, None] + _I3[:, None, :, None] * right[:, None]
-        q[:3, :3] = translation_gram(m)
-        q[:3, 3:12] = shift[:3, :, 0].transpose(1, 2, 0).reshape(3, 9)
-        q[:3, 12] = -shift[:3, :, 1].trace(axis1=0, axis2=2)
-        q[3:12, 3:12] = kron.reshape(9, 9) - k - k.T
-        q[3:12, 12] = -shift[3, :, 1].reshape(9)
-        q[12, 12] = shift[4, :, 1].trace()
-    q[_LOWER] = q.T[_LOWER]  # exactly symmetric, and q_tt keeps its bits
+        buf = np.concatenate((rot, shift, left, right, shift[:3, :, 1].trace(axis1=0, axis2=2),
+                              shift[4, :, 1].trace(), translation_gram(m), 0.0), axis=None)
+        a, b, k1, k2 = buf.take(_GATHER)
+        q = ((a + b) - k1) - k2
     if not np.isfinite(q).all():
         raise NumericalFailure(
             "data matrix is not finite: its sums weighted by kappa and tau overflow"

@@ -331,11 +331,123 @@ def _newton_model(q_tilde: np.ndarray) -> np.ndarray:
     return model.reshape(130, 10)
 
 
-def _newton_terms(model: np.ndarray, r: np.ndarray):
-    """(f, g, H) of `_newton_model`'s stack at the rotation r: two matrix-vector products."""
-    r_tilde = qcqp.reduced_vector(r)
-    terms = (model @ r_tilde).reshape(13, 10) @ r_tilde
-    return terms[0], terms[1:4], terms[4:].reshape(3, 3)
+def _newton_terms(model: np.ndarray, r_tilde):
+    """(f, g, H) of `_newton_model`'s stack at r_tilde = [vec R, 1] (a sequence of 10 floats),
+    as Python floats (g a list of 3, H a list of 3 rows): two matrix-vector products."""
+    r_tilde = np.array(r_tilde)
+    terms = ((model @ r_tilde).reshape(13, 10) @ r_tilde).tolist()
+    return terms[0], terms[1:4], [terms[4:7], terms[7:10], terms[10:13]]
+
+
+def _turned(r_tilde, w) -> list:
+    """[vec(R exp([w]x)), 1] for r_tilde = [vec R, 1], on Python floats: column j of
+    R exp([w]x) is R's columns weighted by column j of exp([w]x)."""
+    e = geom.exp_entries(*w)
+    c0, c1, c2 = r_tilde[0:3], r_tilde[3:6], r_tilde[6:9]
+    out = []
+    for a, b, c in (e[0::3], e[1::3], e[2::3]):
+        out += [c0[0] * a + c1[0] * b + c2[0] * c, c0[1] * a + c1[1] * b + c2[1] * c,
+                c0[2] * a + c1[2] * b + c2[2] * c]
+    out.append(1.0)
+    return out
+
+
+_THIRD_TURN = 2.0 * math.pi / 3.0
+_SQRT6 = math.sqrt(6.0)
+
+
+def _cofactors(a00, a11, a22, a10, a20, a21):
+    """(C00, C10, C20, C11, C21, C22): the lower triangle of the adjugate of the symmetric
+    3x3 [[a00, a10, a20], [a10, a11, a21], [a20, a21, a22]]."""
+    return (a11 * a22 - a21 * a21, a21 * a20 - a10 * a22, a10 * a21 - a11 * a20,
+            a00 * a22 - a20 * a20, a10 * a20 - a00 * a21, a00 * a11 - a10 * a10)
+
+
+def _extreme_eigenvalues(h00, h11, h22, h10, h20, h21):
+    """(lambda_min, lambda_max) of the symmetric 3x3 H, on Python floats, each within a small
+    multiple of eps |H|.
+
+    H = m I + p B with m = tr H / 3 and p = |H - m I|_F / sqrt 6, so that B has trace 0,
+    |B|_F^2 = 6 and, by Smith's trigonometric formula (CACM 1961), the eigenvalues
+    2 cos(phi - 2 pi k / 3) with cos(3 phi) = det B / 2. The arccos amplifies the rounding
+    of det B by 1 / sqrt(1 - cos^2(3 phi)), so the formula is read directly only while
+    |cos(3 phi)| < 0.99, that is while no two eigenvalues of B are within 0.16 of each
+    other. Otherwise it is exact only for the eigenvalue farthest from the other two, the
+    largest when det B >= 0, and loses up to sqrt(eps) of the nearly repeated pair, so
+    the pair is deflated (Scherzinger and Dohrmann, CMAME 2008): that eigenvalue's unit
+    eigenvector v is the best-conditioned column of adj(B - beta I), a multiple of v v^T
+    at least 6 in size, and the pair is c +- |P (B - c I) P|_F / sqrt 2 for
+    P = I - v v^T and c their mean.
+    """
+    mean = (h00 + h11 + h22) / 3.0
+    d0, d1, d2 = h00 - mean, h11 - mean, h22 - mean
+    p = math.hypot(d0, d1, d2, h10, h10, h20, h20, h21, h21) / _SQRT6  # hypot cannot underflow
+    if p == 0.0:
+        return mean, mean
+    b00, b11, b22, b10, b20, b21 = d0 / p, d1 / p, d2 / p, h10 / p, h20 / p, h21 / p
+    c00, c10, c20 = _cofactors(b00, b11, b22, b10, b20, b21)[:3]
+    half_det = 0.5 * (b00 * c00 + b10 * c10 + b20 * c20)
+    phi = math.acos(min(1.0, max(-1.0, half_det))) / 3.0
+    if abs(half_det) < 0.99:
+        return mean + 2.0 * p * math.cos(phi + _THIRD_TURN), mean + 2.0 * p * math.cos(phi)
+    distinct = 2.0 * math.cos(phi if half_det >= 0.0 else phi + _THIRD_TURN)
+    c00, c10, c20, c11, c21, c22 = _cofactors(b00 - distinct, b11 - distinct, b22 - distinct,
+                                              b10, b20, b21)
+    a0, a1, a2 = abs(c00), abs(c11), abs(c22)
+    v0, v1, v2 = ((c00, c10, c20) if a0 >= a1 and a0 >= a2
+                  else (c10, c11, c21) if a1 >= a2 else (c20, c21, c22))
+    norm = math.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
+    v0, v1, v2 = v0 / norm, v1 / norm, v2 / norm
+    centre = 0.5 * (b00 + b11 + b22 - distinct)
+    e00, e11, e22 = b00 - centre, b11 - centre, b22 - centre
+    z0 = e00 * v0 + b10 * v1 + b20 * v2  # z = (B - c I) v, s = v^T z
+    z1 = b10 * v0 + e11 * v1 + b21 * v2
+    z2 = b20 * v0 + b21 * v1 + e22 * v2
+    s = v0 * z0 + v1 * z1 + v2 * z2
+    # P (B - c I) P = (B - c I) - v z^T - z v^T + s v v^T
+    f00 = e00 - v0 * (2.0 * z0 - s * v0)
+    f11 = e11 - v1 * (2.0 * z1 - s * v1)
+    f22 = e22 - v2 * (2.0 * z2 - s * v2)
+    f10 = b10 - v1 * z0 - v0 * (z1 - s * v1)
+    f20 = b20 - v2 * z0 - v0 * (z2 - s * v2)
+    f21 = b21 - v2 * z1 - v1 * (z2 - s * v2)
+    half_gap = math.sqrt(0.5 * (f00 * f00 + f11 * f11 + f22 * f22)
+                         + f10 * f10 + f20 * f20 + f21 * f21)
+    if half_det >= 0.0:
+        return mean + p * (centre - half_gap), mean + p * distinct
+    return mean + p * distinct, mean + p * (centre + half_gap)
+
+
+def _damped_step(hess, grad, mu: float):
+    """(w, mu, d) of one trial of `_polish`: w = -(H + mu I)^-1 g for the 3x3 symmetric H
+    (its lower triangle is read) and the gradient g, where mu is raised to at least
+    d - 2 lambda_min(H) and d = 1e-3 max|lambda(H)|; None when H is zero or not finite.
+
+    In closed form on Python floats, with no LAPACK call. H, g and mu are first divided
+    by the largest power of two s at most H's largest |entry|, so no product over- or
+    underflows and the scaling itself rounds nothing. lambda_min and lambda_max are
+    `_extreme_eigenvalues`', and the step is the adjugate of H + mu I applied to g over
+    its determinant. H + mu I has its smallest eigenvalue at least d / 2, so the step is
+    well conditioned.
+    """
+    (h00, _, _), (h10, h11, _), (h20, h21, h22) = hess
+    biggest = max(abs(h00), abs(h10), abs(h11), abs(h20), abs(h21), abs(h22))
+    if not 0.0 < biggest < math.inf or math.isnan(h00 + h10 + h11 + h20 + h21 + h22):
+        return None
+    scale = math.ldexp(1.0, math.frexp(biggest)[1] - 1)  # biggest / scale is in [1, 2)
+    h00, h11, h22 = h00 / scale, h11 / scale, h22 / scale
+    h10, h20, h21 = h10 / scale, h20 / scale, h21 / scale
+    lowest, highest = _extreme_eigenvalues(h00, h11, h22, h10, h20, h21)
+    damping = 1e-3 * max(-lowest, highest)
+    shift = max(mu / scale, damping - 2.0 * lowest)
+    a00, a11, a22 = h00 + shift, h11 + shift, h22 + shift
+    c00, c10, c20, c11, c21, c22 = _cofactors(a00, a11, a22, h10, h20, h21)
+    det = a00 * c00 + h10 * c10 + h20 * c20
+    g0, g1, g2 = grad[0] / scale, grad[1] / scale, grad[2] / scale
+    step = (-(c00 * g0 + c10 * g1 + c20 * g2) / det,
+            -(c10 * g0 + c11 * g1 + c21 * g2) / det,
+            -(c20 * g0 + c21 * g1 + c22 * g2) / det)
+    return step, shift * scale, damping * scale
 
 
 def _polish(q_tilde: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -349,36 +461,37 @@ def _polish(q_tilde: np.ndarray, r: np.ndarray) -> np.ndarray:
     w = -(H + mu I)^-1 g, is taken only when f falls. Each trial takes
     mu >= d - 2 min eig H with d = 1e-3 max|eig H|, which mirrors negative
     curvature (lifting it only to d gives a step ~1/d long); a refused step
-    sets mu to max(10 mu, d), a taken one to 0. The polish ends when a refused
-    step predicts a decrease below the rounding of f, eps * trace(q_tilde).
-    That last step is still taken when it shrinks the gradient and raises f by
+    sets mu to max(10 mu, d), a taken one to 0. The step, mu and d are computed
+    in closed form (`_damped_step`), and the trial rotation on Python floats
+    (`_turned`), so the polish calls no LAPACK routine.
+    The polish ends when a refused step predicts a decrease below the rounding
+    of f, eps * trace(q_tilde). That last step is still taken when it shrinks the
+    gradient, compared by `math.hypot`, which does not overflow, and raises f by
     no more than that rounding: f resolves the rotation only to about
     sqrt(eps), the gradient to about eps, whatever the start's accuracy.
     """
     model = _newton_model(q_tilde)
-    f, grad, hess = _newton_terms(model, r)
+    r_tilde = qcqp.reduced_vector(r).tolist()
+    f, grad, hess = _newton_terms(model, r_tilde)
     resolution = _EPS * abs(q_tilde.trace())
     mu = 0.0
-    with numerical("polish"):
-        for _ in range(POLISH_STEPS):
-            eigvals, eigvecs = np.linalg.eigh(hess)
-            damping = 1e-3 * max(-eigvals[0], eigvals[-1])  # max |eig H|, eigvals ascending
-            mu = max(mu, damping - 2.0 * eigvals[0])
-            step = -eigvecs @ ((eigvecs.T @ grad) / (eigvals + mu))
-            candidate = r @ geom.rotation_exp(step)
-            terms = _newton_terms(model, candidate)
-            if terms[0] < f:
-                r, (f, grad, hess), mu = candidate, terms, 0.0
-            elif -0.5 * (grad @ step) <= resolution:
-                # f cannot tell this step from rounding, but its gradient can. A gradient
-                # past 1e154 has a squared norm, and so a norm, that overflows to inf.
-                with np.errstate(over="ignore"):
-                    if terms[0] <= f + resolution and sdp.norm(terms[1]) < sdp.norm(grad):
-                        r = candidate
-                break
-            else:
-                mu = max(10.0 * mu, damping)
-    return r
+    for _ in range(POLISH_STEPS):
+        damped = _damped_step(hess, grad, mu)
+        if damped is None:
+            break
+        step, mu, damping = damped
+        candidate = _turned(r_tilde, step)
+        terms = _newton_terms(model, candidate)
+        if terms[0] < f:
+            r_tilde, (f, grad, hess), mu = candidate, terms, 0.0
+        elif -0.5 * (grad[0] * step[0] + grad[1] * step[1] + grad[2] * step[2]) <= resolution:
+            # f cannot tell this step from rounding, but its gradient can
+            if terms[0] <= f + resolution and math.hypot(*terms[1]) < math.hypot(*grad):
+                r_tilde = candidate
+            break
+        else:
+            mu = max(10.0 * mu, damping)
+    return np.array([r_tilde[0:9:3], r_tilde[1:9:3], r_tilde[2:9:3]])  # rows of R
 
 
 def _residuals(params, m, r0, sqrt_kappa, sqrt_tau):

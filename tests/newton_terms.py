@@ -1,4 +1,5 @@
-"""The polish's Newton terms from their explicit formulas, a test oracle for `solver._newton_model`.
+"""The polish's Newton terms from their explicit formulas, a test oracle for `solver._newton_model`,
+and its damped step from `np.linalg.eigh`, an oracle for `solver._damped_step`.
 
 `_polish` never evaluates these formulas: it reads f, g and H as quadratic forms
 in r_tilde = [vec R, 1] from a stack built once from q_tilde. The tests check
@@ -25,3 +26,14 @@ def newton_terms(q_tilde: np.ndarray, r: np.ndarray):
     jac = (r @ _GENERATORS).transpose(0, 2, 1).reshape(3, 9).T
     hess = 2.0 * (jac.T @ a @ jac + 0.5 * (p + p.T) - np.trace(p) * np.eye(3))
     return float(vec @ grad_vec + b @ vec + q_tilde[9, 9]), grad, hess
+
+
+def eigh_step(hess, grad, mu: float):
+    """(w, mu, d) of one polish trial from `np.linalg.eigh`: d = 1e-3 max|lambda(H)|,
+    mu raised to d - 2 lambda_min(H) and w = -(H + mu I)^-1 g, an oracle for
+    `solver._damped_step`."""
+    eigvals, eigvecs = np.linalg.eigh(np.asarray(hess, dtype=float))
+    damping = 1e-3 * max(-eigvals[0], eigvals[-1])
+    mu = max(mu, damping - 2.0 * eigvals[0])
+    step = -eigvecs @ ((eigvecs.T @ np.asarray(grad, dtype=float)) / (eigvals + mu))
+    return step, mu, damping

@@ -333,7 +333,7 @@ _FAIL_WITHIN = {"certificate refinement": "_refine"}
     [
         ("eigh", (10, 10), "dual slack eigendecomposition"),
         ("eigh", (10, 10), "certificate refinement"),
-        ("eigh", (3, 3), "polish"),
+        ("eigvalsh", (3, 3), "observability"),
         ("solve", (3, 3), "translation elimination"),
         ("svd", (3, 3), "rotation projection"),
     ],

@@ -382,6 +382,17 @@ def test_translation_gram_is_the_per_measurement_sum(n):
     assert np.array_equal(gram, gram.T)
 
 
+@pytest.mark.parametrize("n", [2, 50, 10_000])
+@pytest.mark.parametrize("weight", [1e-300, 1e-12, 1.0, 1e200])
+def test_translation_gram_is_the_einsum_contraction_bit_for_bit(n, weight):
+    # the moment contracted over D's row index by ndarray.trace, as by einsum("ijil->jl")
+    m, _ = random_instance(32, n_motions=n, sigma_r=0.05, sigma_t=0.05)
+    m = replace(m, tau=weight * np.random.default_rng(32).lognormal(0.0, 1.0, n))
+    d = (np.eye(3) - m.rb).reshape(n, 9)
+    gram = np.einsum("ijil->jl", ((m.tau[:, None] * d).T @ d).reshape(3, 3, 3, 3))
+    assert np.array_equal(translation_gram(m), 0.5 * (gram + gram.T))
+
+
 def test_report_serializes():
     m = _pure_rotations([((1, 0, 0), 0.5), ((0, 1, 0), 0.7)])
     d = asdict(check_observability(translation_gram(m)))

@@ -10,7 +10,7 @@ import json
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import newton_terms
@@ -354,8 +354,49 @@ def test_newton_model_matches_the_explicit_formulas(seed, weight, r_seed):
     # the polish's quadratic model against f, g and H from their formulas
     q_tilde = _scaled_q_tilde(seed, weight)
     r = geom.random_rotation(r_seed).m
-    got = solver._newton_terms(solver._newton_model(q_tilde), r)
+    got = solver._newton_terms(solver._newton_model(q_tilde), qcqp.reduced_vector(r))
     want = newton_terms.newton_terms(q_tilde, r)
     bound = 1e-12 * np.trace(q_tilde)
     for a, b in zip(got, want):
         assert np.all(np.abs(np.asarray(a) - b) <= bound)
+
+
+@settings(deadline=None, max_examples=400, derandomize=True)
+@given(
+    r_seed=st.integers(0, 2**32 - 1),
+    eigenvalues=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+    gap=st.sampled_from([None, 0.0, 1e-16, 1e-13, 1e-10, 1e-7, 1e-4]),
+    low=st.sampled_from([None, 1e-4, 4e-4, 5e-4, 6e-4, -5e-4]),
+    exponent=st.integers(-300, 300),
+    g_seed=st.integers(0, 2**32 - 1),
+    prior=st.sampled_from([0.0, 1e-6, 1e-3, 1.0]),
+)
+def test_damped_step_matches_the_eigh_step(r_seed, eigenvalues, gap, low, exponent, g_seed,
+                                           prior):
+    # H = s Q diag(lambda) Q^T with max|lambda| = 1: eigenvalues of both signs, a pair
+    # repeated or nearly so (relative gap down to 1e-16), optionally placed around
+    # d / 2 = 5e-4, where mu = d - 2 lambda_min is most sensitive to lambda_min's
+    # error, and s from 1e-300 to 1e300. mu (relative to max|lambda(H)|) and the
+    # step match the eigh oracle within 1e-7 relative, and H + mu I keeps its
+    # smallest eigenvalue at d / 2 or above.
+    lam = np.array(eigenvalues)
+    if gap is not None:
+        lam[1] = lam[0] * (1.0 + gap)
+    assume(np.abs(lam).max() > 0.0)
+    lam /= np.abs(lam).max()
+    if low is not None:
+        lam[:2] = low * np.array([1.0, 1.0 + (gap or 0.0)])
+        lam[2] = 1.0 if lam[2] >= 0.0 else -1.0
+    size = 10.0**exponent
+    q = geom.random_rotation(r_seed).m
+    hess = size * ((q * lam) @ q.T)
+    grad = size * np.random.default_rng(g_seed).normal(size=3)
+    norm = size * np.abs(lam).max()
+    step, mu, damping = solver._damped_step(hess.tolist(), grad.tolist(), prior * norm)
+    want_step, want_mu, want_damping = newton_terms.eigh_step(hess, grad, prior * norm)
+    assert abs(mu - want_mu) <= 1e-7 * norm
+    assert abs(damping - want_damping) <= 1e-7 * want_damping
+    assert np.linalg.norm(np.array(step) - want_step) <= 1e-7 * np.linalg.norm(want_step)
+    lower = np.tril(hess)
+    shifted = lower + np.tril(hess, -1).T + mu * np.eye(3)
+    assert np.linalg.eigvalsh(shifted)[0] >= 0.5 * damping - 1e-12 * norm

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 from dataclasses import asdict, replace
 
@@ -155,7 +156,7 @@ def test_subnormal_weights_are_refused_by_name():
 def test_lopsided_or_huge_weights_certify_without_a_warning(kappa, tau):
     # kappa/tau = 1e16 extracts a rotation of about 4e-14 R from the start rung,
     # which the projection takes by its condition; tau = 1e200 puts the polish's
-    # gradients past the range of their norms
+    # gradients past the square root of the float range, so |g|^2 would overflow
     m = sim.terrain_instance(np.random.default_rng([0, 50]), 50, 0.01, 0.01)[3]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -488,6 +489,11 @@ def test_calibrate_answers_after_an_sdp_breakdown(monkeypatch, k):
     _assert_answered_with_a_valid_bound("breakdown")
 
 
+def _newton_terms_at(q_tilde, rotation):
+    """(f, g, H) of the polish's quadratic model of q_tilde at a rotation."""
+    return solver._newton_terms(solver._newton_model(q_tilde), qcqp.reduced_vector(rotation))
+
+
 def _reduced_cost(q_tilde, rotation):
     r_tilde = qcqp.reduced_vector(rotation)
     return float(r_tilde @ q_tilde @ r_tilde)
@@ -498,7 +504,7 @@ def test_newton_terms_match_finite_differences():
     m, _ = random_instance(41, n_motions=20, sigma_r=0.05, sigma_t=0.05)
     q_tilde = qcqp.assemble(m).q_tilde
     r = geom.random_rotation(3).m
-    f0, grad, hess = solver._newton_terms(solver._newton_model(q_tilde), r)
+    f0, grad, hess = _newton_terms_at(q_tilde, r)
 
     def f(w):
         return _reduced_cost(q_tilde, r @ geom.rotation_exp(w))
@@ -525,7 +531,7 @@ def test_polish_reaches_a_stationary_point_of_the_reduced_form(turn):
     polished = solver._polish(dm.q_tilde, start)
     cost = _reduced_cost(dm.q_tilde, polished)
     assert cost <= _reduced_cost(dm.q_tilde, start)
-    _, grad, _ = solver._newton_terms(solver._newton_model(dm.q_tilde), polished)
+    _, grad, _ = _newton_terms_at(dm.q_tilde, polished)
     assert np.linalg.norm(grad) < 1e-10 * np.trace(dm.q_tilde)
     # q_tilde is the cost minimized over t, attained at recover_translation's t
     t = solver.recover_translation(dm, qcqp.reduced_vector(polished))
@@ -556,6 +562,38 @@ def test_polish_never_raises_the_cost_from_a_poor_start(monkeypatch):
         polished = solver._polish(dm.q_tilde, rotation)
         costs.append(_reduced_cost(dm.q_tilde, polished))
     assert all(later <= earlier for earlier, later in zip(costs, costs[1:]))
-    _, grad, hess = solver._newton_terms(solver._newton_model(dm.q_tilde), polished)
+    _, grad, hess = _newton_terms_at(dm.q_tilde, polished)
     assert np.linalg.norm(grad) < 1e-10 * np.trace(dm.q_tilde)
     assert np.linalg.eigvalsh(hess)[0] > 0
+
+
+def _start_rung_candidate(dm):
+    """The rotation the start rung of `settle` extracts, at the SDP's start point."""
+    problem, _ = solver.build_sdp_problem(dm, "r+c+h")
+    y = sdp.solve(problem, tol=solver.LADDER[0]).multipliers
+    return solver.extract_solution(solver._dual_bound(problem, y)[2])
+
+
+@pytest.mark.parametrize("log", [(15, 7), (3, 3), (5, 2)])
+@pytest.mark.parametrize("weight", [1e-300, 1e-12, 1.0, 1e200])
+def test_polish_resolves_the_gradient_at_any_weight_scale(log, weight):
+    # From the start rung's candidate the polish takes its last step by the gradient
+    # alone, so |g| reaches the rounding of q_tilde whatever the weights' units, also
+    # where |g|^2 underflows (x1e-300) or overflows (x1e200) the float range.
+    m = sim.terrain_instance(np.random.default_rng(list(log)), 38, 0.047, 0.047)[3]
+    dm = qcqp.assemble(replace(m, kappa=weight * m.kappa, tau=weight * m.tau))
+    polished = solver._polish(dm.q_tilde, _start_rung_candidate(dm))
+    grad = _newton_terms_at(dm.q_tilde, polished)[1]
+    assert math.hypot(*grad) <= 1e-15 * dm.q_tilde.trace()
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (1, 0), (2, 1), (2, 2)])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_damped_step_declines_a_non_finite_hessian(entry, value):
+    hess = [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]
+    hess[entry[0]][entry[1]] = value
+    assert solver._damped_step(hess, [1.0, 1.0, 1.0], 0.0) is None
+
+
+def test_damped_step_declines_a_zero_hessian():
+    assert solver._damped_step([[0.0] * 3] * 3, [1.0, 1.0, 1.0], 0.0) is None
