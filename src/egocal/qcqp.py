@@ -10,6 +10,7 @@ and the 10x10 Schur complement q_tilde on which the reduced problem acts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,13 +98,15 @@ def assemble(m: MeasurementSet) -> DataMatrix:
     leave q with an infinite or NaN entry, then SingularQtt when
     `problem.check_observability` finds the translation block numerically
     singular, the signature of single-axis data, then NumericalFailure when
-    subnormal weights leave the eliminated translation t_map or q_tilde non-finite.
+    subnormal weights leave the eliminated translation t_map non-finite, or
+    when weights too large leave q_tilde or its trace, which the SDP's
+    normalization and the polish read, non-finite.
     """
     if m.n < 2:
         raise TooShort("calibration requires at least two relative motions")
     rotations = np.concatenate([m.ra, m.rb], axis=1)  # (n, 6, 3): rows of R_a, then of R_b
     shifts = np.concatenate([_I3 - m.rb, m.ta[:, None], m.tb[:, None]], axis=1)  # [D, t_a, t_b]
-    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check names an overflow
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness checks name an overflow
         rot = _moment(m.kappa, rotations, rotations)  # (6, 3, 6, 3)
         shift = _moment(m.tau, shifts, shifts[:, 3:])  # (5, 3, 2, 3): [D, t_a, t_b] by [t_a, t_b]
         left = rot[:3, :, :3].trace(axis1=1, axis2=3) + shift[3, :, 0]
@@ -112,26 +115,30 @@ def assemble(m: MeasurementSet) -> DataMatrix:
                               shift[4, :, 1].trace(), translation_gram(m), 0.0), axis=None)
         a, b, k1, k2 = buf.take(_GATHER)
         q = ((a + b) - k1) - k2
-    if not np.isfinite(q).all():
-        raise NumericalFailure(
-            "data matrix is not finite: its sums weighted by kappa and tau overflow"
-        )
+        if not np.isfinite(q).all():
+            raise NumericalFailure(
+                "data matrix is not finite: its sums weighted by kappa and tau overflow"
+            )
 
-    q_tt = q[:3, :3]
-    report = check_observability(q_tt)
-    if not report.observable:
-        raise SingularQtt(
-            "translation block of the data matrix is singular; "
-            "measured rotations likely share a single axis"
-        )
-    with numerical("translation elimination"):
-        t_map = -np.linalg.solve(q_tt, q[:3, 3:])
-    q_tilde = q[3:, 3:] + q[:3, 3:].T @ t_map
-    q_tilde = 0.5 * (q_tilde + q_tilde.T)
-    if not (np.isfinite(t_map).all() and np.isfinite(q_tilde).all()):
-        raise NumericalFailure(
-            "translation elimination is not finite: kappa and tau are too small for its solve"
-        )
+        q_tt = q[:3, :3]
+        report = check_observability(q_tt)
+        if not report.observable:
+            raise SingularQtt(
+                "translation block of the data matrix is singular; "
+                "measured rotations likely share a single axis"
+            )
+        with numerical("translation elimination"):
+            t_map = -np.linalg.solve(q_tt, q[:3, 3:])
+        if not np.isfinite(t_map).all():
+            raise NumericalFailure(
+                "translation elimination is not finite: kappa and tau are too small for its solve"
+            )
+        q_tilde = q[3:, 3:] + q[:3, 3:].T @ t_map
+        q_tilde = 0.5 * (q_tilde + q_tilde.T)
+        if not (np.isfinite(q_tilde).all() and math.isfinite(q_tilde.trace())):
+            raise NumericalFailure(
+                "reduced data matrix or its trace is not finite: kappa and tau are too large"
+            )
     return DataMatrix(q=q, q_tt=q_tt, t_map=t_map, q_tilde=q_tilde, observability=report)
 
 

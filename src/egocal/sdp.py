@@ -47,12 +47,11 @@ that is not why a factorization without a cutoff is avoided: with it
 dropped, a plain LU solve breaks down on about 20 of 256 two-motion
 instances, 'r+h' (no dependency) included.
 
-`solve` stops at a caller's tolerance and can continue a stopped solve (its
-`start`), so the calibration pipeline (`solver.settle`) walks a ladder of
-tolerances, continuing one solve only while its answer does not certify:
-1.0, at which the solve stops at its start point (iteration 1, no step; the
-residuals are zero there and the gap is below 1 + |pobj| + |dobj|), then
-1e-4, then the strict TOL.
+`solve` stops at a caller's tolerance, so the calibration pipeline
+(`solver.settle`) solves only as far as its certificate needs: first to 1.0,
+at which the solve stops at its start point (iteration 1, no step; the
+residuals are zero there and the gap is below 1 + |pobj| + |dobj|), then,
+only when that answer does not certify, afresh to the strict TOL.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ STATUS_BREAKDOWN = "breakdown"
 # The strict stopping tolerance of `solve`, on the relative primal and dual
 # residuals and the relative complementarity gap.
 TOL = 1e-9
-# The iteration cap of `solve`, over a solve and its continuations.
+# The iteration cap of one `solve`.
 MAX_ITER = 100
 _STEP_FRACTION = 0.98
 
@@ -123,7 +122,6 @@ class SdpSolution:
 
     x_primal: np.ndarray
     multipliers: np.ndarray    # dual vector y
-    slack: np.ndarray          # S, which the iteration keeps near cost - sum_i y_i A_i
     status: str
     tolerance: float           # the stopping tolerance the solve was run to
     iterate_log: list
@@ -200,18 +198,14 @@ def _max_steps(inv_chol: np.ndarray, d: np.ndarray) -> list:
     return [1.0 if v >= 0 else min(1.0, -_STEP_FRACTION / v) for v in lam]
 
 
-def solve(p: SdpProblem, tol: float = TOL, start: SdpSolution | None = None) -> SdpSolution:
+def solve(p: SdpProblem, tol: float = TOL) -> SdpSolution:
     """Run the predictor-corrector iteration until the relative residuals and
-    gap are below `tol`, from `p.interior` (else the scaled identity) or,
-    given `start`, from that optimal solution's last iterate. A fresh start
-    logs its first iterate as iteration 1. The returned iterate is the last
-    one logged (`SdpSolution` reads its objectives, `kkt` residuals and
-    `iterations` from `iterate_log`), and `tolerance` is `tol`.
-
-    A continued run repeats none of the work: `solve(p, start=solve(p, tol=t))`
-    returns exactly `solve(p)` (the same iterates, `iterations` and
-    `iterate_log`) for any t >= TOL, since the stopping test is the only part
-    of an iteration that reads `tol`.
+    gap are below `tol`, from `p.interior` (else the scaled identity), logging
+    the start as iteration 1. The returned iterate is the last one logged
+    (`SdpSolution` reads its objectives, `kkt` residuals and `iterations` from
+    `iterate_log`), and `tolerance` is `tol`. The stopping test is the only
+    part of an iteration that reads `tol`, so a solve to a looser tolerance
+    logs a prefix of the strict solve's iterates.
 
     Ends with status STATUS_OPTIMAL, STATUS_MAX_ITER after MAX_ITER
     iterations, or STATUS_BREAKDOWN when a factorization fails (LinAlgError);
@@ -224,26 +218,20 @@ def solve(p: SdpProblem, tol: float = TOL, start: SdpSolution | None = None) -> 
     a, b, c = p.constraints, p.rhs, p.cost
     op, adj = _operator(a)
 
-    if start is not None:
-        if start.status != STATUS_OPTIMAL:
-            raise ValueError(f"can only continue an optimal solve, not a {start.status!r} one")
-        x, y, s = start.x_primal, start.multipliers, start.slack
-        log, first = list(start.iterate_log), start.iterations
+    if p.interior is not None:
+        x, y = p.interior
+        s = c - adj(y)
     else:
-        if p.interior is not None:
-            x, y = p.interior
-            s = c - adj(y)
-        else:
-            scale = max(1.0, norm(c) / np.sqrt(s_dim))
-            x, y, s = np.eye(s_dim), np.zeros(a.shape[0]), np.eye(s_dim) * scale
-        log, first = [], 1
+        scale = max(1.0, norm(c) / np.sqrt(s_dim))
+        x, y, s = np.eye(s_dim), np.zeros(a.shape[0]), np.eye(s_dim) * scale
+    log = []
 
     norm_b = 1.0 + norm(b)
     norm_c = 1.0 + norm(c)
 
     status = STATUS_MAX_ITER
     try:
-        for it in range(first, MAX_ITER + 1):
+        for it in range(1, MAX_ITER + 1):
             ax = op(x)
             rp = b - ax
             rd = c - adj(y) - s
@@ -253,19 +241,18 @@ def solve(p: SdpProblem, tol: float = TOL, start: SdpSolution | None = None) -> 
             dobj = float(b @ y)
             pres = norm(rp) / norm_b
             dres = norm(rd) / norm_c
-            if it > len(log):  # a continued run's first iterate is logged already
-                log.append(
-                    {
-                        "iter": it,
-                        "primal_obj": pobj,
-                        "dual_obj": dobj,
-                        "primal_residual": pres,
-                        "dual_residual": dres,
-                        "complementarity": gap,
-                        "mu": mu,
-                        "x_norm": norm(x),
-                    }
-                )
+            log.append(
+                {
+                    "iter": it,
+                    "primal_obj": pobj,
+                    "dual_obj": dobj,
+                    "primal_residual": pres,
+                    "dual_residual": dres,
+                    "complementarity": gap,
+                    "mu": mu,
+                    "x_norm": norm(x),
+                }
+            )
             if pres < tol and dres < tol and gap < tol * (1.0 + abs(pobj) + abs(dobj)):
                 status = STATUS_OPTIMAL
                 break
@@ -308,8 +295,7 @@ def solve(p: SdpProblem, tol: float = TOL, start: SdpSolution | None = None) -> 
     except np.linalg.LinAlgError:
         status = STATUS_BREAKDOWN
 
-    return SdpSolution(x_primal=x, multipliers=y, slack=s, status=status, tolerance=tol,
-                       iterate_log=log)
+    return SdpSolution(x_primal=x, multipliers=y, status=status, tolerance=tol, iterate_log=log)
 
 
 def certify_lmi(cost, constraints, multipliers):

@@ -6,14 +6,14 @@ The bound is a function of the problem and a dual vector y (`_dual_bound`):
 y_hom + 4 min(0, lambda_min H(y)) holds for every y, the verification step of
 Carlone et al. (IROS 2015) and SE-Sync (Rosen et al., IJRR 2019). So the SDP
 is solved only as far as the certificate needs: `settle`, shared by
-`calibrate` and `egocal certify`, walks the tolerance ladder LADDER, one
-continued solve. Its first rung, 1.0, stops at the SDP's start point
-(`qcqp.interior_point`) with no interior-point step: the candidate is the
-minimum eigenvector of H(y0) = q_tilde/s + alpha I, and most requests
-certify with the least-norm y that annihilates it. The solve goes on to
-CANDIDATE_TOL, and then to the strict `sdp.TOL`, only while the answer does
-not certify; the answer is the cheapest candidate of the rungs run (the
-latest of those equal to the polish's resolution).
+`calibrate` and `egocal certify`, runs the two rungs of LADDER. The first,
+1.0, stops at the SDP's start point (`qcqp.interior_point`) with no
+interior-point step: the candidate is the minimum eigenvector of
+H(y0) = q_tilde/s + alpha I, and most requests certify with the least-norm y
+that annihilates it. Only when that answer does not certify is the SDP solved
+afresh to the strict `sdp.TOL`, where a second candidate, from H's second
+eigenvector, follows the first if that does not certify; the answer is the
+cheapest candidate (the latest of those equal to the polish's resolution).
 
 Also hosts the local Levenberg-Marquardt baseline used by the experiment
 harness for comparisons; it is the only user of scipy, imported on call.
@@ -44,12 +44,10 @@ GAP_COST = 1e-7
 GAP_TRACE = 1e-9
 # Cap on the rotation polish's Newton trials, taken or refused.
 POLISH_STEPS = 30
-# The tolerance of `settle`'s middle rung.
-CANDIDATE_TOL = 1e-4
-# The tolerances `settle` solves the SDP to, in turn, until the answer certifies.
+# The tolerances `settle` solves the SDP to, each afresh, until the answer certifies.
 # The first stops at the start point: there the residuals are zero to rounding
 # and the gap <X0, S0> = pobj - dobj is below 1 + |pobj| + |dobj|.
-LADDER = (1.0, CANDIDATE_TOL, sdp.TOL)
+LADDER = (1.0, sdp.TOL)
 # Cap on the local baseline's cost evaluations (scipy's max_nfev).
 LM_MAX_EVALUATIONS = 1600
 _EPS = np.finfo(float).eps
@@ -201,25 +199,25 @@ def settle(dm: DataMatrix, constraint_set: str, propose):
     """Solve the SDP relaxation of `dm` under `constraint_set` and certify the
     candidate (Transform, cost) pair that `propose(eigenvectors)` returns.
 
-    The SDP is solved to each tolerance of LADDER in turn, each rung
-    continuing the same solve. Each rung decomposes H at the solver's y, for
-    `propose` and for the bound there, and again at a y refined against the
-    candidate (`_refine`). The refinement starts from the solver's y, except
-    at the start point (iteration 1), whose y0 knows nothing of the data:
-    there it starts from 0.
+    The SDP is solved afresh to each tolerance of LADDER in turn. Each rung
+    decomposes H at the solver's y, for `propose` and for the bound there,
+    and again at a y refined against the candidate (`_refine`). The
+    refinement starts from the solver's y, except at the start point
+    (iteration 1), whose y0 knows nothing of the data: there it starts from 0.
+    When the last rung's candidate leaves the answer uncertified, a second
+    one is proposed from H's eigenvectors after the first, so from its second
+    eigenvector, and refined from the solver's y in turn.
 
     Every bound holds for the global minimum, so the proof is the largest
-    bound of the rungs run (the earliest of equal ones, the solver's y before
-    the refined one) with its lambda_min, and the answer is the cheapest
+    bound found (the earliest of equal ones, the solver's y before the
+    refined one) with its lambda_min, and the answer is the cheapest
     candidate. A later candidate replaces the answer unless it costs more by
     over eps * tr(q_tilde), the polish's resolution: candidates that close
     are one minimum to the polish, and the later one comes from the more
-    accurate solve. So an answer that certifies on no rung is the strict
-    rung's candidate, which a ladder of sdp.TOL alone would return, unless an
-    earlier rung found a cheaper one. The ladder stops at the first
-    answer that certifies, or at a final status other than optimal: an
-    iteration cap or a factorization breakdown still leaves a dual vector,
-    which gives a valid, if weaker, bound.
+    accurate solve or the second eigenvector. `settle` stops at the first
+    answer that certifies. A strict solve that ends at the iteration cap or
+    in a factorization breakdown still leaves a dual vector, which gives a
+    valid, if weaker, bound.
 
     Returns (solution, theta, certificate): the solution of the last rung, and
     the answer, whose cost is `certificate.cost`. Shared by `calibrate` and
@@ -227,23 +225,24 @@ def settle(dm: DataMatrix, constraint_set: str, propose):
     """
     problem, scale = build_sdp_problem(dm, constraint_set)
     resolution = _EPS * scale
-    solution = best = proof = None
+    bounds, best = [], None
     for tol in LADDER:
-        solution = sdp.solve(problem, tol=tol, start=solution)
+        solution = sdp.solve(problem, tol=tol)
         y = solution.multipliers
-        at_y = _dual_bound(problem, y)
-        theta, cost = propose(at_y[2])
+        bounds.append(_dual_bound(problem, y))
+        eigenvectors = bounds[-1][2]
         start = y if solution.iterations > 1 else np.zeros_like(y)
-        refined = _refine(problem, start, qcqp.reduced_vector(theta.rotation.m))
-        for bound, min_eig_h, _ in (at_y, _dual_bound(problem, refined)):
-            if proof is None or bound > proof[0]:
-                proof = bound, min_eig_h
-        if best is None or cost <= best[1] + resolution:
-            best = theta, cost
-        certificate = Certificate(lower_bound=scale * proof[0], cost=best[1],
-                                  min_eig_h=proof[1], scale=scale)
-        if certificate.certified or solution.status != sdp.STATUS_OPTIMAL:
-            break
+        for column in range(2 if tol == LADDER[-1] else 1):
+            theta, cost = propose(eigenvectors[:, column:])
+            refined = _refine(problem, start, qcqp.reduced_vector(theta.rotation.m))
+            bounds.append(_dual_bound(problem, refined))
+            if best is None or cost <= best[1] + resolution:
+                best = theta, cost
+            proof = max(bounds, key=lambda bound: bound[0])  # the first of the largest
+            certificate = Certificate(lower_bound=scale * proof[0], cost=best[1],
+                                      min_eig_h=proof[1], scale=scale)
+            if certificate.certified:
+                return solution, best[0], certificate
     return solution, best[0], certificate
 
 
@@ -254,8 +253,8 @@ def calibrate(m: MeasurementSet, constraint_set: str = "r+c+h") -> CalibrationRe
     SingularQtt on unobservable data, and keeps the report), solve the
     relaxation, extract the rotation from the dual slack and polish it on the
     reduced form, recover the translation in closed form, price the estimate
-    and certify it against the proven dual bound (`settle`, which continues the
-    SDP solve up its tolerance ladder while the answer does not certify).
+    and certify it against the proven dual bound (`settle`, which solves the
+    SDP to the strict tolerance only when the start point's answer does not certify).
     """
     start = time.perf_counter()
     dm = qcqp.assemble(m)

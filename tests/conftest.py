@@ -98,12 +98,12 @@ def constructed_sdp(rng, s=6, m=4, rank=2):
 
 
 def candidate_stage(m, kind="r+c+h"):
-    """What a stage of `solver.settle` sees on its CANDIDATE_TOL rung: the data matrix,
-    the trace-normalized problem and its scale, the dual vector y of the solve to
-    CANDIDATE_TOL, and the rotation extracted from H(y)."""
+    """A stage as `solver.settle` runs one, at a dual vector a few interior-point steps
+    from the start: the data matrix, the trace-normalized problem and its scale, the
+    dual vector y of the SDP solved to 1e-4, and the rotation extracted from H(y)."""
     dm = qcqp.assemble(m)
     problem, scale = solver.build_sdp_problem(dm, kind)
-    y = sdp.solve(problem, tol=solver.CANDIDATE_TOL).multipliers
+    y = sdp.solve(problem, tol=1e-4).multipliers
     eigenvectors = sdp.certify_lmi(problem.cost, problem.constraints, y)[1]
     return dm, problem, scale, y, solver.extract_solution(eigenvectors)
 

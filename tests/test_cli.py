@@ -174,7 +174,7 @@ def test_a_start_rung_answer_takes_no_interior_point_step(tmp_path, monkeypatch)
     # The first rung stops the solve at its start point, so calibrate and certify
     # answer from y0 and the least-norm y that annihilates the candidate, with no
     # NT scaling. Refined from y0 instead, seed 3's candidate does not certify
-    # there: it answers at the candidate tolerance after 5 iterations.
+    # there, and the SDP is solved on to the strict tolerance.
     def no_step(*_):
         raise AssertionError("an interior-point step was taken")
 
@@ -199,8 +199,8 @@ def test_a_start_rung_answer_takes_no_interior_point_step(tmp_path, monkeypatch)
 
 
 def test_certify_continues_the_solve_for_a_candidate_that_does_not_certify(tmp_path):
-    # the identity is no optimum of the terrain log: the candidate-tolerance
-    # bound refuses it, and so does the strict one it is then checked against.
+    # the identity is no optimum of the terrain log: the start rung's bound
+    # refuses it, and so does the strict one it is then checked against.
     # The bound is still tight on the global minimum: it is the bound at the
     # solver's y, since y refined against the identity proves only about -7.4.
     fixture = tmp_path / "run.jsonl"
