@@ -142,11 +142,11 @@ def assemble(m: MeasurementSet) -> DataMatrix:
     return DataMatrix(q=q, q_tt=q_tt, t_map=t_map, q_tilde=q_tilde, observability=report)
 
 
-def reduced_vector(rotation: np.ndarray, y: float = 1.0) -> np.ndarray:
-    """r_tilde = [vec(R) (column-major), y] for a 3x3 rotation R."""
+def reduced_vector(rotation: np.ndarray) -> np.ndarray:
+    """r_tilde = [vec(R) (column-major), 1] for a 3x3 rotation R."""
     out = np.empty(DIM_REDUCED)
     out[:9] = rotation.reshape(9, order="F")
-    out[9] = y
+    out[9] = 1.0
     return out
 
 

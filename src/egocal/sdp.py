@@ -48,10 +48,11 @@ dropped, a plain LU solve breaks down on about 20 of 256 two-motion
 instances, 'r+h' (no dependency) included.
 
 `solve` stops at a caller's tolerance, so the calibration pipeline
-(`solver.settle`) solves only as far as its certificate needs: first to 1.0,
-at which the solve stops at its start point (iteration 1, no step; the
-residuals are zero there and the gap is below 1 + |pobj| + |dobj|), then,
-only when that answer does not certify, afresh to the strict TOL.
+(`solver.settle`) solves only as far as its certificate needs, in two stages:
+the start stage solves to 1.0, at which the solve stops at its start point
+(iteration 1, no step; the residuals are zero there and the gap is below
+1 + |pobj| + |dobj|), and the strict stage, run only when the start stage's
+answer does not certify, solves afresh to the strict TOL.
 """
 
 from __future__ import annotations

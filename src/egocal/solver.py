@@ -6,14 +6,15 @@ The bound is a function of the problem and a dual vector y (`_dual_bound`):
 y_hom + 4 min(0, lambda_min H(y)) holds for every y, the verification step of
 Carlone et al. (IROS 2015) and SE-Sync (Rosen et al., IJRR 2019). So the SDP
 is solved only as far as the certificate needs: `settle`, shared by
-`calibrate` and `egocal certify`, runs the two rungs of LADDER. The first,
-1.0, stops at the SDP's start point (`qcqp.interior_point`) with no
+`calibrate` and `egocal certify`, runs two stages. The start stage stops the
+solve at its start point (`qcqp.interior_point`, tolerance 1.0) with no
 interior-point step: the candidate is the minimum eigenvector of
 H(y0) = q_tilde/s + alpha I, and most requests certify with the least-norm y
-that annihilates it. Only when that answer does not certify is the SDP solved
-afresh to the strict `sdp.TOL`, where a second candidate, from H's second
-eigenvector, follows the first if that does not certify; the answer is the
-cheapest candidate (the latest of those equal to the polish's resolution).
+that annihilates it. Only when that answer does not certify does the strict
+stage solve the SDP afresh to `sdp.TOL`, where a second candidate, from H's
+second eigenvector, follows the first if that does not certify. The answer is
+the cheaper of the strict stage's candidates; the proof is the largest bound
+of both stages.
 
 Also hosts the local Levenberg-Marquardt baseline used by the experiment
 harness for comparisons; it is the only user of scipy, imported on call.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,10 +45,6 @@ GAP_COST = 1e-7
 GAP_TRACE = 1e-9
 # Cap on the rotation polish's Newton trials, taken or refused.
 POLISH_STEPS = 30
-# The tolerances `settle` solves the SDP to, each afresh, until the answer certifies.
-# The first stops at the start point: there the residuals are zero to rounding
-# and the gap <X0, S0> = pobj - dobj is below 1 + |pobj| + |dobj|.
-LADDER = (1.0, sdp.TOL)
 # Cap on the local baseline's cost evaluations (scipy's max_nfev).
 LM_MAX_EVALUATIONS = 1600
 _EPS = np.finfo(float).eps
@@ -197,53 +194,57 @@ def _refine(problem: sdp.SdpProblem, y: np.ndarray, r_tilde: np.ndarray) -> np.n
 
 def settle(dm: DataMatrix, constraint_set: str, propose):
     """Solve the SDP relaxation of `dm` under `constraint_set` and certify the
-    candidate (Transform, cost) pair that `propose(eigenvectors)` returns.
+    candidate (Transform, cost) pairs that `propose(eigenvectors)` returns.
 
-    The SDP is solved afresh to each tolerance of LADDER in turn. Each rung
-    decomposes H at the solver's y, for `propose` and for the bound there,
-    and again at a y refined against the candidate (`_refine`). The
-    refinement starts from the solver's y, except at the start point
-    (iteration 1), whose y0 knows nothing of the data: there it starts from 0.
-    When the last rung's candidate leaves the answer uncertified, a second
-    one is proposed from H's eigenvectors after the first, so from its second
-    eigenvector, and refined from the solver's y in turn.
+    Two stages, the second run only when the first's answer does not certify.
+    The start stage stops the solve at its start point (tolerance 1.0), decomposes
+    H at y0, for `propose` and for the bound there, and again at the least-norm y
+    that annihilates the candidate (`_refine` from 0, since y0 knows nothing of the
+    data). The strict stage solves the SDP afresh to `sdp.TOL` and decomposes H at
+    the solver's y. Its first candidate comes from H's minimum eigenvector; when
+    that leaves the answer uncertified, a second comes from the eigenvectors after
+    it, so from H's second eigenvector. Each is refined from the solver's y, and
+    the stage answers with the cheaper of its own candidates.
 
-    Every bound holds for the global minimum, so the proof is the largest
-    bound found (the earliest of equal ones, the solver's y before the
-    refined one) with its lambda_min, and the answer is the cheapest
-    candidate. A later candidate replaces the answer unless it costs more by
-    over eps * tr(q_tilde), the polish's resolution: candidates that close
-    are one minimum to the polish, and the later one comes from the more
-    accurate solve or the second eigenvector. `settle` stops at the first
-    answer that certifies. A strict solve that ends at the iteration cap or
-    in a factorization breakdown still leaves a dual vector, which gives a
-    valid, if weaker, bound.
+    Every bound holds for the global minimum, so the proof is the largest bound of
+    both stages (the earliest of equal ones, the solver's y before the refined one)
+    with its lambda_min. A strict solve that ends at the iteration cap or in a
+    factorization breakdown still leaves a dual vector, which gives a valid, if
+    weaker, bound.
 
-    Returns (solution, theta, certificate): the solution of the last rung, and
-    the answer, whose cost is `certificate.cost`. Shared by `calibrate` and
-    `egocal certify`.
+    Returns (solution, theta, certificate): the solution of the stage that
+    answered, and the answer, whose cost is `certificate.cost`. Shared by
+    `calibrate` and `egocal certify`.
     """
     problem, scale = build_sdp_problem(dm, constraint_set)
-    resolution = _EPS * scale
-    bounds, best = [], None
-    for tol in LADDER:
-        solution = sdp.solve(problem, tol=tol)
-        y = solution.multipliers
-        bounds.append(_dual_bound(problem, y))
+    bounds = []
+
+    def candidate(eigenvectors, start):
+        """theta from `propose(eigenvectors)`, and its Certificate by the largest
+        bound so far, with the bound at y refined against it from `start`."""
+        theta, cost = propose(eigenvectors)
+        refined = _refine(problem, start, qcqp.reduced_vector(theta.rotation.m))
+        bounds.append(_dual_bound(problem, refined))
+        proof = max(bounds, key=lambda bound: bound[0])  # the first of the largest
+        return theta, Certificate(lower_bound=scale * proof[0], cost=cost, min_eig_h=proof[1],
+                                  scale=scale)
+
+    # The start stage. At tolerance 1.0 the solve stops at its start point: there the
+    # residuals are zero to rounding and the gap <X0, S0> is below 1 + |pobj| + |dobj|.
+    solution = sdp.solve(problem, tol=1.0)
+    bounds.append(_dual_bound(problem, solution.multipliers))
+    theta, certificate = candidate(bounds[-1][2], np.zeros_like(solution.multipliers))
+    if not certificate.certified:  # the strict stage, a fresh solve from the interior start
+        solution = sdp.solve(problem)
+        bounds.append(_dual_bound(problem, solution.multipliers))
         eigenvectors = bounds[-1][2]
-        start = y if solution.iterations > 1 else np.zeros_like(y)
-        for column in range(2 if tol == LADDER[-1] else 1):
-            theta, cost = propose(eigenvectors[:, column:])
-            refined = _refine(problem, start, qcqp.reduced_vector(theta.rotation.m))
-            bounds.append(_dual_bound(problem, refined))
-            if best is None or cost <= best[1] + resolution:
-                best = theta, cost
-            proof = max(bounds, key=lambda bound: bound[0])  # the first of the largest
-            certificate = Certificate(lower_bound=scale * proof[0], cost=best[1],
-                                      min_eig_h=proof[1], scale=scale)
-            if certificate.certified:
-                return solution, best[0], certificate
-    return solution, best[0], certificate
+        theta, certificate = candidate(eigenvectors, solution.multipliers)
+        if not certificate.certified:
+            second, other = candidate(eigenvectors[:, 1:], solution.multipliers)
+            # the proof counts the second candidate's bound whichever candidate answers
+            theta, certificate = ((second, other) if other.cost < certificate.cost
+                                  else (theta, replace(other, cost=certificate.cost)))
+    return solution, theta, certificate
 
 
 def calibrate(m: MeasurementSet, constraint_set: str = "r+c+h") -> CalibrationResult:

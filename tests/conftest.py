@@ -98,9 +98,11 @@ def constructed_sdp(rng, s=6, m=4, rank=2):
 
 
 def candidate_stage(m, kind="r+c+h"):
-    """A stage as `solver.settle` runs one, at a dual vector a few interior-point steps
-    from the start: the data matrix, the trace-normalized problem and its scale, the
-    dual vector y of the SDP solved to 1e-4, and the rotation extracted from H(y)."""
+    """The parts of a candidate as `solver.settle` builds one, at a dual vector a few
+    interior-point steps from the start, between the start stage's y0 and the strict
+    stage's optimum (no stage of `settle` solves to 1e-4): the data matrix, the
+    trace-normalized problem and its scale, the dual vector y of the SDP solved to
+    1e-4, and the rotation extracted from H(y)."""
     dm = qcqp.assemble(m)
     problem, scale = solver.build_sdp_problem(dm, kind)
     y = sdp.solve(problem, tol=1e-4).multipliers

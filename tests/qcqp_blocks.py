@@ -29,11 +29,11 @@ def translation_block(ta: np.ndarray, rb: np.ndarray, tb: np.ndarray) -> np.ndar
     return block
 
 
-def full_vector(translation, rotation: np.ndarray, y: float = 1.0) -> np.ndarray:
-    """x = [t, vec(R), y] for a 3x3 rotation R."""
+def full_vector(translation, rotation: np.ndarray) -> np.ndarray:
+    """x = [t, vec(R), 1] for a 3x3 rotation R."""
     out = np.empty(qcqp.DIM_FULL)
     out[:3] = np.asarray(translation, dtype=float)
-    out[3:] = qcqp.reduced_vector(rotation, y)
+    out[3:] = qcqp.reduced_vector(rotation)
     return out
 
 

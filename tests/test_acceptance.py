@@ -203,13 +203,13 @@ def test_criterion_7_quadratic_form_equivalence():
         dm = qcqp.assemble(m)
         for _ in range(20):
             theta = geom.random_transform(rng)
-            x = qcqp_blocks.full_vector(theta.translation, theta.rotation.m, 1.0)
+            x = qcqp_blocks.full_vector(theta.translation, theta.rotation.m)
             quad = float(x @ dm.q @ x)
             cost = solver.evaluate_cost(m, theta)
             worst_cost = max(worst_cost, abs(cost - quad) / (1.0 + abs(quad)))
         # Schur-reduced cost equals the full cost minimized over t
         r = geom.random_rotation(rng).m
-        r_tilde = qcqp.reduced_vector(r, 1.0)
+        r_tilde = qcqp.reduced_vector(r)
         reduced = float(r_tilde @ dm.q_tilde @ r_tilde)
         t_star = np.linalg.solve(dm.q_tt, -dm.q[:3, 3:] @ r_tilde)
         full = float(

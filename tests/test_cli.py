@@ -167,11 +167,11 @@ def test_certify_self_consistency(tmp_path):
     assert code == 0
     cert = json.loads(out.read_text())
     assert cert["certified"] is True
-    assert cert["sdp_tolerance"] == solver.LADDER[0] == 1.0
+    assert cert["sdp_tolerance"] == 1.0
 
 
 def test_a_start_rung_answer_takes_no_interior_point_step(tmp_path, monkeypatch):
-    # The first rung stops the solve at its start point, so calibrate and certify
+    # The start stage stops the solve at its start point, so calibrate and certify
     # answer from y0 and the least-norm y that annihilates the candidate, with no
     # NT scaling. Refined from y0 instead, seed 3's candidate does not certify
     # there, and the SDP is solved on to the strict tolerance.
@@ -199,7 +199,7 @@ def test_a_start_rung_answer_takes_no_interior_point_step(tmp_path, monkeypatch)
 
 
 def test_certify_continues_the_solve_for_a_candidate_that_does_not_certify(tmp_path):
-    # the identity is no optimum of the terrain log: the start rung's bound
+    # the identity is no optimum of the terrain log: the start stage's bound
     # refuses it, and so does the strict one it is then checked against.
     # The bound is still tight on the global minimum: it is the bound at the
     # solver's y, since y refined against the identity proves only about -7.4.

@@ -29,6 +29,11 @@ def test_rotation_matrix_rejects_bad_shape():
         RotationMatrix(np.eye(4))
 
 
+def test_transform_rejects_a_translation_that_is_not_a_3_vector():
+    with pytest.raises(ValueError, match="3-vector"):
+        Transform(RotationMatrix(np.eye(3)), np.zeros(4))
+
+
 def test_rotation_matrix_is_immutable():
     r = RotationMatrix(np.eye(3))
     with pytest.raises(ValueError):

@@ -43,7 +43,7 @@ def test_translation_block_residual_identity():
         ta, tb = rng.normal(scale=0.7, size=(2, 3))
         rb = geom.random_rotation(rng).m
         theta = geom.random_transform(rng)
-        x = qcqp_blocks.full_vector(theta.translation, theta.rotation.m, 1.0)
+        x = qcqp_blocks.full_vector(theta.translation, theta.rotation.m)
         direct = theta.rotation.m @ ta + theta.translation - rb @ theta.translation - tb
         assert np.linalg.norm(qcqp_blocks.translation_block(ta, rb, tb) @ x - direct) < 1e-12
 
@@ -72,7 +72,7 @@ def test_assemble_single_axis_singular():
 def test_assemble_noise_free_optimum_has_zero_cost():
     m, theta = random_instance(5, n_motions=20)
     dm = qcqp.assemble(m)
-    x = qcqp_blocks.full_vector(theta.translation, theta.rotation.m, 1.0)
+    x = qcqp_blocks.full_vector(theta.translation, theta.rotation.m)
     assert float(x @ dm.q @ x) < 1e-18
 
 
@@ -174,7 +174,7 @@ def test_schur_complement_is_partial_minimum_over_t():
     rng = np.random.default_rng(11)
     for _ in range(20):
         r = geom.random_rotation(rng).m
-        r_tilde = qcqp.reduced_vector(r, 1.0)
+        r_tilde = qcqp.reduced_vector(r)
         reduced = float(r_tilde @ dm.q_tilde @ r_tilde)
         t_star = np.linalg.solve(dm.q_tt, -dm.q[:3, 3:] @ r_tilde)
         x = np.concatenate([t_star, r_tilde])
@@ -187,9 +187,9 @@ def test_schur_complement_is_partial_minimum_over_t():
 
 def test_reduced_vector_layout():
     r = geom.random_rotation(12).m
-    v = qcqp.reduced_vector(r, -1.0)
+    v = qcqp.reduced_vector(r)
     assert v.shape == (10,)
-    assert v[qcqp.Y_INDEX] == -1.0
+    assert v[qcqp.Y_INDEX] == 1.0
     assert np.allclose(v[:9].reshape(3, 3, order="F"), r)
 
 
@@ -217,7 +217,7 @@ def test_constraints_vanish_on_rotations():
     for _ in range(1000):
         y = 1.0 if rng.random() < 0.5 else -1.0
         r = geom.random_rotation(rng).m
-        v = qcqp.reduced_vector(r, 1.0) * y  # y = -1 flips the whole vector
+        v = qcqp.reduced_vector(r) * y  # y = -1 flips the whole vector
         for a in cs[:-1]:
             assert abs(v @ a @ v) < 1e-12
         assert abs(v @ cs[-1] @ v - 1.0) < 1e-12

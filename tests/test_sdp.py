@@ -34,6 +34,8 @@ def test_problem_validation():
         SdpProblem(cost=asym, constraints=np.eye(2)[None], rhs=np.ones(1))
     with pytest.raises(ValueError):
         SdpProblem(cost=np.eye(2), constraints=np.eye(3)[None], rhs=np.ones(1))
+    with pytest.raises(ValueError, match="cost must be square"):
+        SdpProblem(cost=np.zeros((2, 3)), constraints=np.zeros((1, 2, 3)), rhs=np.ones(1))
 
 
 def test_problem_refuses_a_nan_cost():
@@ -91,7 +93,7 @@ def test_nt_scaling_diagonalizes_both_factors():
 
 
 def test_calibrate_iteration_budget():
-    # All 30 of these 50-motion requests certify on the start rung (tolerance
+    # All 30 of these 50-motion requests certify in the start stage (tolerance
     # 1.0: the start point, iteration 1, no step). A 1000-motion request at
     # sigma 0.05 does not: it certifies at the strict tolerance after 8
     # interior-point steps, 9 iterates counting the start as iteration 1.
@@ -128,7 +130,7 @@ def test_calibration_problem_noise_free():
     # the dominant eigenvector is the lifted true rotation (up to sign)
     v = np.linalg.eigh(sol.x_primal)[1][:, -1]
     v = v / v[qcqp.Y_INDEX]
-    truth = qcqp.reduced_vector(theta.rotation.m, 1.0)
+    truth = qcqp.reduced_vector(theta.rotation.m)
     assert np.linalg.norm(v - truth) < 1e-3
 
 

@@ -184,6 +184,12 @@ def test_batched_simulator_keeps_the_per_pose_bits(seed, amplitude, sigma_r, sig
         assert _same_bits(getattr(out, name), column)
 
 
+@pytest.mark.parametrize("bad", [{"n_steps": 2}, {"radius": 0.0}])
+def test_generate_path_refuses_too_few_steps_or_no_radius(bad):
+    with pytest.raises(ValueError):
+        sim.generate_path(**bad)
+
+
 def test_noise_model_validation():
     with pytest.raises(ValueError):
         sim.NoiseModel(-0.1, 0.0)

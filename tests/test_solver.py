@@ -167,7 +167,7 @@ def test_weights_whose_reduced_trace_overflows_are_refused_by_name():
 
 @pytest.mark.parametrize("kappa, tau", [(1e16, 1.0), (1.0, 1e200)])
 def test_lopsided_or_huge_weights_certify_without_a_warning(kappa, tau):
-    # kappa/tau = 1e16 extracts a rotation of about 4e-14 R from the start rung,
+    # kappa/tau = 1e16 extracts a rotation of about 4e-14 R from the start stage,
     # which the projection takes by its condition; tau = 1e200 puts the polish's
     # gradients past the square root of the float range, so |g|^2 would overflow
     m = sim.terrain_instance(np.random.default_rng([0, 50]), 50, 0.01, 0.01)[3]
@@ -245,7 +245,7 @@ def test_extract_solution_uses_dual_nullspace():
 def test_recover_translation_noise_free():
     m, theta = random_instance(13, n_motions=20)
     dm = qcqp.assemble(m)
-    r_tilde = qcqp.reduced_vector(theta.rotation.m, 1.0)
+    r_tilde = qcqp.reduced_vector(theta.rotation.m)
     t = solver.recover_translation(dm, r_tilde)
     assert np.linalg.norm(t - theta.translation) < 1e-9
 
@@ -254,7 +254,7 @@ def test_recover_translation_matches_normal_equations():
     m, _ = random_instance(14, n_motions=20, sigma_r=0.05, sigma_t=0.05)
     dm = qcqp.assemble(m)
     r = geom.random_rotation(15).m
-    r_tilde = qcqp.reduced_vector(r, 1.0)
+    r_tilde = qcqp.reduced_vector(r)
     t = solver.recover_translation(dm, r_tilde)
     expected = np.linalg.lstsq(dm.q_tt, -dm.q[:3, 3:] @ r_tilde, rcond=None)[0]
     assert np.linalg.norm(t - expected) < 1e-10
@@ -281,7 +281,7 @@ def test_evaluate_cost_matches_quadratic_form():
         m, _ = random_instance(100 + k, n_motions=6, sigma_r=0.05, sigma_t=0.05)
         theta = geom.random_transform(rng, translation_scale=2.0)
         dm = qcqp.assemble(m)
-        x = qcqp_blocks.full_vector(theta.translation, theta.rotation.m, 1.0)
+        x = qcqp_blocks.full_vector(theta.translation, theta.rotation.m)
         quad = float(x @ dm.q @ x)
         direct = solver.evaluate_cost(m, theta)
         assert abs(quad - direct) < 1e-10 * (1 + abs(direct))
@@ -414,9 +414,8 @@ def test_calibrate_answers_at_the_iteration_cap(monkeypatch):
 
 
 def test_report_names_the_tolerance_that_answered():
-    # a certified terrain request answers on the start rung; the loose two-motion
+    # a certified terrain request answers in the start stage; the loose two-motion
     # instance never certifies under 'r', so its SDP is solved to the strict tolerance
-    assert solver.LADDER == (1.0, sdp.TOL) == (1.0, 1e-9)
     m = sim.terrain_instance(np.random.default_rng([0, 50]), 50, 0.01, 0.01)[3]
     result = solver.calibrate(m)
     assert result.certificate.certified
@@ -426,29 +425,52 @@ def test_report_names_the_tolerance_that_answered():
     assert loose.solve_stats["sdp_tolerance"] == 1e-9
 
 
-def test_an_uncertified_answer_is_the_strict_pipelines_bit_for_bit(monkeypatch):
-    # A ladder of the strict tolerance alone solves straight to sdp.TOL and runs
-    # one stage. An answer that certifies on no rung is no worse than that
-    # pipeline's: the strict rung is that same solve, a stage reads only its
-    # rung's solution, and the cheapest candidate is kept, the later of two
-    # equal to the polish's resolution. Here every candidate is one minimum,
-    # their costs a few ulps apart, so the answers agree bit for bit.
+def _strict_pipeline(m, kind):
+    """(solution, theta, certificate) of one solve straight to sdp.TOL, built from
+    `settle`'s parts: candidates from H's minimum eigenvector and from the ones after
+    it, each refined from the solver's y, the cheaper answering by a plain `<`, and
+    the proof the first of the largest of this solve's bounds."""
+    dm = qcqp.assemble(m)
+    problem, scale = solver.build_sdp_problem(dm, kind)
+    solution = sdp.solve(problem)
+    y = solution.multipliers
+    bounds = [solver._dual_bound(problem, y)]
+    answers = []
+    for column in (0, 1):
+        rotation = solver._polish(dm.q_tilde, solver.extract_solution(bounds[0][2][:, column:]))
+        translation = solver.recover_translation(dm, qcqp.reduced_vector(rotation))
+        theta = Transform(RotationMatrix(rotation), translation)
+        answers.append((theta, solver.evaluate_cost(m, theta)))
+        refined = solver._refine(problem, y, qcqp.reduced_vector(theta.rotation.m))
+        bounds.append(solver._dual_bound(problem, refined))
+    theta, cost = answers[1] if answers[1][1] < answers[0][1] else answers[0]
+    proof = max(bounds, key=lambda bound: bound[0])
+    return solution, theta, solver.Certificate(lower_bound=scale * proof[0], cost=cost,
+                                               min_eig_h=proof[1], scale=scale)
+
+
+def test_an_uncertified_answer_is_the_strict_pipelines_bit_for_bit():
+    # An answer that certifies in neither stage is the strict stage's: that stage
+    # is one solve straight to sdp.TOL from the interior start, its candidates
+    # read only its own solution, and the start stage's candidate is dropped. The
+    # start stage's bounds still count toward the proof, but here they are lower
+    # than the strict stage's, so the answers agree bit for bit.
     m = loose_two_motion_instance()
     staged = solver.calibrate(m, "r")
-    monkeypatch.setattr(solver, "LADDER", (sdp.TOL,))
-    strict = solver.calibrate(m, "r")
-    assert np.array_equal(staged.extrinsic.rotation.m, strict.extrinsic.rotation.m)
-    assert np.array_equal(staged.extrinsic.translation, strict.extrinsic.translation)
-    assert staged.cost == strict.cost
-    assert staged.certificate == strict.certificate
-    assert staged.solve_stats["sdp_iters"] == strict.solve_stats["sdp_iters"]
+    solution, theta, certificate = _strict_pipeline(m, "r")
+    assert not certificate.certified
+    assert np.array_equal(staged.extrinsic.rotation.m, theta.rotation.m)
+    assert np.array_equal(staged.extrinsic.translation, theta.translation)
+    assert staged.cost == certificate.cost
+    assert staged.certificate == certificate
+    assert staged.solve_stats["sdp_iters"] == solution.iterations
 
 
 def test_an_uncertified_answer_may_come_from_the_second_candidate(monkeypatch):
-    # Under 'r' this instance certifies on no rung. The start rung and the strict
-    # rung's first candidate (H's minimum eigenvector) propose 23.8288; the strict
-    # rung's second candidate, from H's second eigenvector, proposes the cheaper
-    # 23.6438, which answers.
+    # Under 'r' this instance certifies in neither stage. The start stage and the
+    # strict stage's first candidate (H's minimum eigenvector) propose 23.8288; the
+    # strict stage's second candidate, from H's second eigenvector, proposes the
+    # cheaper 23.6438, which answers.
     m = two_motion_hard_instance(13, 15)
     price, proposed = solver.evaluate_cost, []
     monkeypatch.setattr(solver, "evaluate_cost", lambda *args: proposed.append(price(*args)) or proposed[-1])
@@ -466,7 +488,7 @@ def test_answers_respect_a_brute_force_minimum():
     # on the global minimum found without the SDP, so no proven bound may exceed
     # it, no certified cost may exceed it by more than the verdict's slack, and
     # no uncertified cost by more than 1e-9 relative. The pairs include (12, 9):
-    # under 'r+c' it is NotCertified, and the strict rung's first candidate is a
+    # under 'r+c' it is NotCertified, and the strict stage's first candidate is a
     # local minimum (7.5802) 17.7% above the global one, which its second
     # candidate finds (6.4388).
     rng = np.random.default_rng(0)
@@ -485,7 +507,7 @@ def test_answers_respect_a_brute_force_minimum():
 
 def test_each_stage_decomposes_the_dual_slack_twice(monkeypatch):
     # once at the solver's y, for extraction and its bound, and once at the refined y;
-    # the strict rung refines against a second candidate when the first does not certify
+    # the strict stage refines against a second candidate when the first does not certify
     certify_lmi, calls = sdp.certify_lmi, []
     monkeypatch.setattr(sdp, "certify_lmi", lambda *args: calls.append(args) or certify_lmi(*args))
     m = sim.terrain_instance(np.random.default_rng([0, 50]), 50, 0.01, 0.01)[3]
@@ -590,22 +612,22 @@ def test_polish_never_raises_the_cost_from_a_poor_start(monkeypatch):
     assert np.linalg.eigvalsh(hess)[0] > 0
 
 
-def _start_rung_candidate(dm):
-    """The rotation the start rung of `settle` extracts, at the SDP's start point."""
+def _start_stage_candidate(dm):
+    """The rotation the start stage of `settle` extracts, at the SDP's start point."""
     problem, _ = solver.build_sdp_problem(dm, "r+c+h")
-    y = sdp.solve(problem, tol=solver.LADDER[0]).multipliers
+    y = sdp.solve(problem, tol=1.0).multipliers
     return solver.extract_solution(solver._dual_bound(problem, y)[2])
 
 
 @pytest.mark.parametrize("log", [(15, 7), (3, 3), (5, 2)])
 @pytest.mark.parametrize("weight", [1e-300, 1e-12, 1.0, 1e200])
 def test_polish_resolves_the_gradient_at_any_weight_scale(log, weight):
-    # From the start rung's candidate the polish takes its last step by the gradient
+    # From the start stage's candidate the polish takes its last step by the gradient
     # alone, so |g| reaches the rounding of q_tilde whatever the weights' units, also
     # where |g|^2 underflows (x1e-300) or overflows (x1e200) the float range.
     m = sim.terrain_instance(np.random.default_rng(list(log)), 38, 0.047, 0.047)[3]
     dm = qcqp.assemble(replace(m, kappa=weight * m.kappa, tau=weight * m.tau))
-    polished = solver._polish(dm.q_tilde, _start_rung_candidate(dm))
+    polished = solver._polish(dm.q_tilde, _start_stage_candidate(dm))
     grad = _newton_terms_at(dm.q_tilde, polished)[1]
     assert math.hypot(*grad) <= 1e-15 * dm.q_tilde.trace()
 
@@ -620,3 +642,23 @@ def test_damped_step_declines_a_non_finite_hessian(entry, value):
 
 def test_damped_step_declines_a_zero_hessian():
     assert solver._damped_step([[0.0] * 3] * 3, [1.0, 1.0, 1.0], 0.0) is None
+
+
+def test_extreme_eigenvalues_of_a_multiple_of_the_identity():
+    # H - mI is zero, so its scale p is 0 and both ends of the spectrum are the mean
+    assert solver._extreme_eigenvalues(2, 2, 2, 0, 0, 0) == (2.0, 2.0)
+
+
+def test_polish_stops_at_its_start_on_a_zero_cost():
+    # the model's Hessian is zero, so `_damped_step` declines the first trial
+    r = geom.random_rotation(3).m
+    assert np.array_equal(solver._polish(np.zeros((10, 10)), r), r)
+
+
+def test_sdp_problem_of_a_zero_reduced_cost_keeps_unit_scale():
+    # tr(q_tilde) = 0 cannot normalize the cost, so the scale is 1 and the cost stays 0
+    dm = qcqp.DataMatrix(q=np.zeros((13, 13)), q_tt=np.eye(3), t_map=np.zeros((3, 10)),
+                         q_tilde=np.zeros((10, 10)), observability=check_observability(np.eye(3)))
+    problem, scale = solver.build_sdp_problem(dm, "r+c+h")
+    assert scale == 1.0
+    assert not problem.cost.any()
