@@ -54,10 +54,9 @@ def test_criterion_1_noise_free_exact_recovery():
     )
 
 
-def test_criterion_2_constraint_ablation():
-    rows, _ = sim.ablation_experiment(
-        perturb_magnitudes=[np.pi / 2], n_axes=100, jobs=JOBS
-    )
+def test_criterion_2_constraint_ablation(monkeypatch):
+    monkeypatch.setattr(sim, "ABLATION_MAGNITUDES", [np.pi / 2])
+    rows, _ = sim.ablation_experiment(n_axes=100, jobs=JOBS)
     frac = {r["constraint_set"]: r["certified_fraction"] for r in rows}
     failed = {r["constraint_set"]: r["failed_fraction"] for r in rows}
     rot_ok = frac["r+h"] == 1.0 and frac["r+c+h"] == 1.0 and frac["r"] < 1.0

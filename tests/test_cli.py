@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -615,6 +616,13 @@ def test_experiment_passes_each_option_it_reads_to_its_protocol(
     keywords = PROTOCOL_OPTIONS[protocol]
     assert calls == [{keywords[option]: OPTION_SAMPLES[option][1] for option in options}]
     assert json.loads((tmp_path / "out.json").read_text()) == {"experiment": protocol}
+
+
+@pytest.mark.parametrize("protocol", PROTOCOL_OPTIONS)
+def test_each_protocol_takes_exactly_the_keywords_its_options_set(protocol):
+    # A protocol keyword that no option sets is a setting only tests could change.
+    parameters = inspect.signature(getattr(sim, PROTOCOL_RUNS[protocol])).parameters
+    assert set(parameters) == set(PROTOCOL_OPTIONS[protocol].values())
 
 
 @pytest.mark.parametrize(

@@ -233,14 +233,16 @@ def test_two_motion_instance_consistency():
     assert np.allclose(m.tb, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
-def test_ablation_zero_magnitude_all_certified():
-    rows, _ = sim.ablation_experiment(perturb_magnitudes=[0.0], n_axes=4)
+def test_ablation_zero_magnitude_all_certified(monkeypatch):
+    monkeypatch.setattr(sim, "ABLATION_MAGNITUDES", [0.0])
+    rows, _ = sim.ablation_experiment(n_axes=4)
     for row in rows:
         assert row["certified_fraction"] == 1.0
 
 
-def test_ablation_monotone_in_constraints():
-    rows, _ = sim.ablation_experiment(perturb_magnitudes=[np.pi / 2], n_axes=16)
+def test_ablation_monotone_in_constraints(monkeypatch):
+    monkeypatch.setattr(sim, "ABLATION_MAGNITUDES", [np.pi / 2])
+    rows, _ = sim.ablation_experiment(n_axes=16)
     frac = {row["constraint_set"]: row["certified_fraction"] for row in rows}
     assert frac["r"] <= frac["r+c"] + 1e-12
     assert frac["r+c"] <= frac["r+c+h"] + 1e-12
@@ -258,17 +260,41 @@ def test_ablation_counts_failed_trials(monkeypatch):
         return calibrate(*args, **kwargs)
 
     monkeypatch.setattr(solver, "calibrate", flaky)
-    rows, _ = sim.ablation_experiment(
-        perturb_magnitudes=[np.pi / 2], n_axes=4, constraint_sets=("r+c+h",)
-    )
+    monkeypatch.setattr(sim, "ABLATION_MAGNITUDES", [np.pi / 2])
+    monkeypatch.setattr(sim, "CONSTRAINT_KINDS", ("r+c+h",))
+    rows, _ = sim.ablation_experiment(n_axes=4)
     assert rows[0]["failed_fraction"] == 0.5
     assert rows[0]["certified_fraction"] == 0.5
 
 
-def test_ablation_parallel_matches_serial():
-    rows1, _ = sim.ablation_experiment(perturb_magnitudes=[np.pi / 4], n_axes=6, jobs=1)
-    rows2, _ = sim.ablation_experiment(perturb_magnitudes=[np.pi / 4], n_axes=6, jobs=2)
+def test_ablation_parallel_matches_serial(monkeypatch):
+    monkeypatch.setattr(sim, "ABLATION_MAGNITUDES", [np.pi / 4])
+    rows1, _ = sim.ablation_experiment(n_axes=6, jobs=1)
+    rows2, _ = sim.ablation_experiment(n_axes=6, jobs=2)
     assert rows1 == rows2
+
+
+@pytest.mark.parametrize(
+    "variant", [{"n_axes": 3}, {"translation_magnitudes": [1.0, 10.0]}], ids=["rotation", "translation"]
+)
+def test_ablation_maps_all_its_trials_at_once(monkeypatch, variant):
+    # One _map_jobs call takes every (instance, constraint set) trial of the run,
+    # and each row reads its own trials' verdicts off the flat list in order. The
+    # recording stand-in certifies only the 'r+c+h' trials and runs no solve.
+    calls = []
+
+    def recording(fn, arg_tuples, jobs):
+        calls.append((fn, len(arg_tuples), jobs))
+        return [kind == "r+c+h" for _, kind in arg_tuples]
+
+    monkeypatch.setattr(sim, "_map_jobs", recording)
+    monkeypatch.setattr(sim, "ABLATION_MAGNITUDES", [np.pi / 4, np.pi / 2])
+    rows, _ = sim.ablation_experiment(jobs=2, **variant)
+    assert len(rows) == 2 * len(sim.CONSTRAINT_KINDS)  # two magnitudes in either variant
+    assert calls == [(sim._certified, len(rows) * rows[0]["n_trials"], 2)]
+    for row in rows:
+        assert row["certified_fraction"] == (row["constraint_set"] == "r+c+h")
+        assert row["failed_fraction"] == 0.0
 
 
 def test_map_jobs_asks_for_no_more_workers_than_tasks(monkeypatch):
@@ -287,7 +313,7 @@ def test_map_jobs_asks_for_no_more_workers_than_tasks(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
+        def map(self, fn, *iterables, chunksize):
             return map(fn, *iterables)
 
     monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
@@ -341,19 +367,19 @@ def test_noise_sweep_deterministic_across_jobs():
         assert a["cost"] == b["cost"]
 
 
-def test_heatmap_truth_cell():
-    rows, summary = sim.init_heatmap(
-        angle_grid=(0.0,), dist_grid=(0.0,), n_inits=4, n_motions=15, seed=4
-    )
+def test_heatmap_truth_cell(monkeypatch):
+    monkeypatch.setattr(sim, "HEATMAP_ANGLES", (0.0,))
+    monkeypatch.setattr(sim, "HEATMAP_DISTANCES", (0.0,))
+    rows, summary = sim.init_heatmap(n_inits=4, n_motions=15, seed=4)
     assert len(rows) == 1
     assert rows[0]["max_rotation_error_diff"] <= 1e-6
     assert rows[0]["max_translation_error_diff"] <= 1e-6
 
 
-def test_heatmap_deterministic_across_jobs():
-    kwargs = dict(
-        angle_grid=(0.0, np.pi / 2), dist_grid=(0.0, 1.0), n_inits=3, n_motions=10, seed=6
-    )
+def test_heatmap_deterministic_across_jobs(monkeypatch):
+    monkeypatch.setattr(sim, "HEATMAP_ANGLES", (0.0, np.pi / 2))
+    monkeypatch.setattr(sim, "HEATMAP_DISTANCES", (0.0, 1.0))
+    kwargs = dict(n_inits=3, n_motions=10, seed=6)
     rows1, _ = sim.init_heatmap(jobs=1, **kwargs)
     rows2, _ = sim.init_heatmap(jobs=2, **kwargs)
     assert len(rows1) == 4

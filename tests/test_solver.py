@@ -449,13 +449,24 @@ def _strict_pipeline(m, kind):
                                                min_eig_h=proof[1], scale=scale)
 
 
-def test_an_uncertified_answer_is_the_strict_pipelines_bit_for_bit():
+@pytest.mark.parametrize(
+    "m, max_iter",
+    [
+        (loose_two_motion_instance(), sdp.MAX_ITER),
+        # The proof is the strict first candidate's bound refined from the solver's y.
+        (two_motion_hard_instance(0, 11), 2),
+        # The second candidate costs 1.7e-16 relative more than the first, so the first answers.
+        (two_motion_hard_instance(1, 1), sdp.MAX_ITER),
+    ],
+    ids=["loose", "hard-0-11-cap-2", "hard-1-1"],
+)
+def test_an_uncertified_answer_is_the_strict_pipelines_bit_for_bit(monkeypatch, m, max_iter):
     # An answer that certifies in neither stage is the strict stage's: that stage
     # is one solve straight to sdp.TOL from the interior start, its candidates
     # read only its own solution, and the start stage's candidate is dropped. The
     # start stage's bounds still count toward the proof, but here they are lower
     # than the strict stage's, so the answers agree bit for bit.
-    m = loose_two_motion_instance()
+    monkeypatch.setattr(sdp, "MAX_ITER", max_iter)
     staged = solver.calibrate(m, "r")
     solution, theta, certificate = _strict_pipeline(m, "r")
     assert not certificate.certified
