@@ -27,14 +27,16 @@ def _as_locked(a: np.ndarray) -> np.ndarray:
 def rotation_defects(m: np.ndarray):
     """||M^T M - I||_F and det M of each matrix in a (..., 3, 3) stack.
 
-    The determinant is the triple product row_0 . (row_1 x row_2) of M^T (det M^T
-    = det M), NaN for a NaN matrix. m.T holds the entries of each M^T on its
-    leading axes, so the arithmetic runs on whole arrays of entries. Entries too
-    large for the products give an inf or NaN defect, which no check accepts,
-    without a warning.
+    M^T M multiplies a contiguous copy of the transposed stack by a contiguous copy
+    of the stack: numpy's batched matmul runs several times slower on a strided
+    view, and contiguous operands give every layout of m the same bits. The
+    determinant is the triple product row_0 . (row_1 x row_2) of M^T (det M^T =
+    det M), NaN for a NaN matrix. m.T holds the entries of each M^T on its leading
+    axes, so the arithmetic runs on whole arrays of entries. Entries too large for
+    the products give an inf or NaN defect, which no check accepts, without a warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        gap = m.swapaxes(-1, -2) @ m - np.eye(3)
+        gap = np.ascontiguousarray(m.swapaxes(-1, -2)) @ np.ascontiguousarray(m) - np.eye(3)
         drift = np.sqrt(np.einsum("...ij,...ij->...", gap, gap))
         (a, b, c), (d, e, f), (g, h, i) = m.T
         return drift, (a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g)).T
@@ -152,17 +154,20 @@ def polar_rotations(m: np.ndarray) -> np.ndarray:
     """Orthogonal polar factor of each near-rotation in a (..., 3, 3) stack, by two
     Newton steps X <- (X + X^-T) / 2 (Higham, SIAM J. Sci. Stat. Comput. 1986).
 
-    X^-T is cof(X) / det X, where row i of the cofactor matrix is the cross product
-    of rows i+1 and i+2 (mod 3), and det X = row_0 . cof_0. The step forms
-    cof(X^T) / det X^T = X^-1 from the entries of each X^T on m.T's leading axes,
-    as rotation_defects does, and transposes it back. The iteration converges
-    quadratically to U V^T of X's SVD: a matrix within 1e-6 of orthonormal with a
-    positive determinant lands within about 1e-15 of nearest_rotations after two
-    steps (one leaves about 1e-13). From a far or reflected matrix it does not
-    reach the nearest rotation, so callers check that bound first.
+    The steps run on x = M^T, as a contiguous copy of m.T: x[i, j] is the array of
+    entries (i, j) of each M^T, so every product reads contiguous entries. X^-T is
+    cof(X) / det X, where row i of the cofactor matrix is the cross product of rows
+    i+1 and i+2 (mod 3), and det X = row_0 . cof_0; stepping M^T by cof(M^T) / det M^T
+    = M^-1 steps M by M^-T. The result is transposed back into a C-contiguous stack.
+    The iteration converges quadratically to U V^T of X's SVD: a matrix within 1e-6
+    of orthonormal with a positive determinant lands within about 1e-15 of
+    nearest_rotations after two steps (one leaves about 1e-13). From a far or
+    reflected matrix it does not reach the nearest rotation, so callers check that
+    bound first.
     """
+    x = np.ascontiguousarray(m.T)
     for _ in range(2):
-        (a, b, c), (d, e, f), (g, h, i) = m.T
+        (a, b, c), (d, e, f), (g, h, i) = x
         cof = np.array(
             [
                 [e * i - f * h, f * g - d * i, d * h - e * g],  # row_1 x row_2
@@ -170,8 +175,8 @@ def polar_rotations(m: np.ndarray) -> np.ndarray:
                 [b * f - c * e, c * d - a * f, a * e - b * d],  # row_0 x row_1
             ]
         )
-        m = 0.5 * (m + (cof / (a * cof[0, 0] + b * cof[0, 1] + c * cof[0, 2])).T)
-    return m
+        x = 0.5 * (x + cof / (a * cof[0, 0] + b * cof[0, 1] + c * cof[0, 2]))
+    return np.ascontiguousarray(x.T)
 
 
 def _rng(seed) -> np.random.Generator:

@@ -10,17 +10,20 @@ kappa/tau default to 1.
 
 The loader parses each stripped non-blank line with one JSONDecoder.raw_decode
 scan (json.loads without its wrapper), with the garbage collector paused: the
-parse's lists and dicts form no cycle. It builds each column with one np.array
-conversion, checked in bulk; only when a check fails does it run the same
-conversion line by line, to name the first bad line in a ParseError. It
-refuses a rotation more than INGEST_ROTATION_TOL from orthonormal or with a
-negative determinant, and projects the rest onto SO(3) with two Newton polar
-steps instead of a batched SVD (see ingest_rotations).
+parse's lists and dicts form no cycle. One loop gathers every pose into one
+list of 3-number rows, R's three rows then t, and one np.array conversion,
+checked in bulk, turns it into all poses; one more converts the weights. Only
+when a check fails does it run the same conversion line by line, to name the
+first bad line in a ParseError that says whether an R, a t or the weights are
+malformed. It refuses a rotation more than INGEST_ROTATION_TOL from
+orthonormal or with a negative determinant, and projects the rest onto SO(3)
+with two Newton polar steps instead of a batched SVD (see ingest_rotations).
 
 Calibration is observable when sensor b's rotations span two distinct axes.
 check_observability() reads that from the condition number of the translation
 block q_tt = translation_gram(m) = sum_i tau_i (I - R_b_i)^T (I - R_b_i), which
-is singular exactly when they do not. qcqp.assemble applies it once per
+is singular exactly when they do not. qcqp.assemble reads q_tt, with the same
+bits, from its own moment of the columns and applies the test once per
 request, refusing singular data and keeping the report on its DataMatrix.
 """
 
@@ -48,6 +51,8 @@ SINGULAR_QTT_CONDITION = 1e12
 
 
 _DECODER = json.JSONDecoder()
+
+_BAD_R = "pose 'R' must be a 3x3 of finite numbers"
 
 _COLUMNS = {"ra": (3, 3), "rb": (3, 3), "ta": (3,), "tb": (3,), "kappa": (), "tau": ()}
 
@@ -106,8 +111,8 @@ class ObservabilityReport:
 
 def parse_pose(obj):
     """(R, t) of a parsed {"R": 3x3, "t": 3-vector} pose, as JSON text checked like a log line's."""
-    rotations, translations, _ = _columns([json.dumps({"theta": obj})], ("theta",), ())
-    return rotations[0, 0], translations[0, 0]
+    poses, _ = _columns([json.dumps({"theta": obj})], ("theta",), ())
+    return poses[0, 0, :3], poses[0, 0, 3]
 
 
 def ingest_rotations(rotations: np.ndarray, where) -> np.ndarray:
@@ -130,34 +135,46 @@ def ingest_rotations(rotations: np.ndarray, where) -> np.ndarray:
 
 
 def _columns(texts, keys=("a", "b"), weight_keys=("kappa", "tau")):
-    """Rotations (n, k, 3, 3), translations (n, k, 3) and weights (n, w) of n JSON texts.
+    """Poses (n, k, 4, 3), [R rows, t] each, and weights (n, w) of n JSON texts.
 
     Each text is an object holding the k poses `keys` ({"R": 3x3, "t": 3-vector})
     and the w weights `weight_keys` (default 1), by default a measurement record's.
-    Each column is one np.array conversion, checked in bulk; ParseError, without
-    a line number, if any is malformed.
+    One loop gathers every pose into one list of 3-number rows, [R rows..., t] per
+    pose. It unpacks each R into exactly three rows, so one pose's missing row cannot
+    be made up by another pose's extra row. One np.array conversion, checked in bulk,
+    turns that list into the poses, and one more the weights; ParseError, without a
+    line number, saying whether an R, a t or the weights are malformed.
     """
-    suspects = _boolean_suspects(texts)
+    suspects, rows, weights = _boolean_suspects(texts), [], []
     try:
         for text in texts:
             if not text.isascii():
                 text.encode("utf-8")  # a lone surrogate does not encode
-        records = [_decode(text) for text in texts]
-        r = [[record[key]["R"] for key in keys] for record in records]
-        t = [[record[key]["t"] for key in keys] for record in records]
-        w = [[record.get(key, 1.0) for key in weight_keys] for record in records]
+        for record in map(_decode, texts):
+            for key in keys:
+                pose = record[key]
+                rotation, translation = pose["R"], pose["t"]
+                try:
+                    r0, r1, r2 = rotation
+                except (TypeError, ValueError):  # not a sequence of three rows
+                    raise ParseError(_BAD_R) from None
+                rows += r0, r1, r2, translation
+            weights.append([record.get(key, 1.0) for key in weight_keys])
     except UnicodeError:
         raise ParseError("text is not UTF-8") from None
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ParseError(f"invalid JSON: {exc}") from None
     except (KeyError, TypeError):
         raise ParseError(f"record must hold {' and '.join(keys)}, each with 'R' and 't'") from None
-    n, k, names = len(records), len(keys), " and ".join(weight_keys)
-    return (
-        _numbers(r, (n, k, 3, 3), suspects, -np.inf, "pose 'R' must be a 3x3 of finite numbers"),
-        _numbers(t, (n, k, 3), suspects, -np.inf, "pose 't' must be 3 finite numbers"),
-        _numbers(w, (n, len(weight_keys)), suspects, 0.0, f"{names} must be positive and finite"),
-    )
+    n, k = len(texts), len(keys)
+    poses = _numbers(rows, (4 * k * n, 3), suspects, -np.inf, per=4 * k)
+    if poses is None:  # every t a row of 3 finite numbers leaves an R at fault
+        t_ok = _numbers(rows[3::4], (k * n, 3), suspects, -np.inf, per=k) is not None
+        raise ParseError(_BAD_R if t_ok else "pose 't' must be 3 finite numbers")
+    weights = _numbers(weights, (n, len(weight_keys)), suspects, 0.0)
+    if weights is None:
+        raise ParseError(f"{' and '.join(weight_keys)} must be positive and finite")
+    return poses.reshape(n, k, 4, 3), weights
 
 
 def _decode(text):
@@ -179,23 +196,26 @@ def _boolean_suspects(texts):
     return []
 
 
-def _numbers(rows, shape, suspects, low, message):
-    """Nested lists as a float array of `shape`, all JSON numbers in (low, inf); else ParseError.
+def _numbers(rows, shape, suspects, low, per=1):
+    """Rows of numbers, `per` rows per text, as a float array of `shape`, all JSON numbers
+    in (low, inf); else None.
 
     numpy promotes a boolean mixed with numbers to a number and keeps an integer
-    beyond 64 bits as an object, so those rows (`suspects`, or all) get their types checked.
+    beyond 64 bits as an object, so the rows of the texts `suspects` (or all rows)
+    get their types checked.
     """
     try:
         values = np.array(rows)
         if values.shape == shape and values.dtype.kind in "iufO":
-            checked = values if values.dtype == object else [rows[i] for i in suspects]
+            checked = values if values.dtype == object else [
+                rows[per * i:per * i + per] for i in suspects]
             if set(map(type, np.array(checked, dtype=object).flat)) <= {int, float}:
                 values = values.astype(float, copy=False)
                 if np.all((values > low) & (values < np.inf)):  # NaN fails both
                     return values
     except (ValueError, OverflowError):  # ragged, or an integer too large for a float
         pass
-    raise ParseError(message)
+    return None
 
 
 def load_measurements(source) -> MeasurementSet:
@@ -215,7 +235,7 @@ def load_measurements(source) -> MeasurementSet:
     collecting = gc.isenabled()
     gc.disable()  # the parse's lists and dicts form no cycle
     try:
-        rotations, translations, weights = _columns([line for _, line in lines])
+        poses, weights = _columns([line for _, line in lines])
     except ParseError:
         # Run the same checks line by line, only to name the first bad line in the file.
         for line_no, line in lines:
@@ -227,8 +247,8 @@ def load_measurements(source) -> MeasurementSet:
     finally:
         if collecting:
             gc.enable()
-    rotations = ingest_rotations(rotations, lambda i: f"line {lines[i][0]}")
-    return MeasurementSet(*rotations.swapaxes(0, 1), *translations.swapaxes(0, 1), *weights.T)
+    rotations = ingest_rotations(poses[:, :, :3], lambda i: f"line {lines[i][0]}")
+    return MeasurementSet(*rotations.swapaxes(0, 1), *poses[:, :, 3].swapaxes(0, 1), *weights.T)
 
 
 def dump_measurements(m: MeasurementSet, fp) -> None:

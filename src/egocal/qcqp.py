@@ -1,11 +1,12 @@
 """Quadratic-form assembly and the SO(3) constraint catalog.
 
 The homogenized decision vector is x = [t (3), r = vec(R) column-major (9), y (1)], so the data
-matrix is 13x13. `assemble` sums it from a few weighted moments of the measurement columns, the
-one O(n) step, refuses non-finite or unobservable data and keeps the observability report. It
-then eliminates the unconstrained translation, the only place that does: one solve with the 3x3
-translation block q_tt gives the optimal translation as a linear map t_map of r_tilde = [r, y]
-and the 10x10 Schur complement q_tilde on which the reduced problem acts.
+matrix is 13x13. `assemble` sums it from two weighted moments of one stack of the measurement
+columns, the one O(n) step, reads every trace it needs from them with one gather and one sum,
+refuses non-finite or unobservable data and keeps the observability report. It then eliminates
+the unconstrained translation, the only place that does: one solve with the 3x3 translation
+block q_tt gives the optimal translation as a linear map t_map of r_tilde = [r, y] and the
+10x10 Schur complement q_tilde on which the reduced problem acts.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure, SingularQtt, TooShort, numerical
-from .problem import (MeasurementSet, ObservabilityReport, _moment, check_observability,
-                      translation_gram)
+from .problem import MeasurementSet, ObservabilityReport, _moment, check_observability
 
 DIM_FULL = 13
 DIM_REDUCED = 10
@@ -28,22 +28,30 @@ CONSTRAINT_KINDS = ("r", "r+c", "r+h", "r+c+h")
 _I3 = np.eye(3)
 
 
-def _gather_tables() -> np.ndarray:
-    """Index tables (4, 13, 13) into `assemble`'s buffer [kappa's moment (6, 3, 6, 3),
-    tau's moment (5, 3, 2, 3), left (3, 3), right (3, 3), the t-y trace (3), the y-y
-    trace, q_tt (3, 3), 0], such that q = ((buf[A] + buf[B]) - buf[K1]) - buf[K2].
+def _gather_tables():
+    """Index tables into `assemble`'s buffer [kappa's moment (6, 3, 6, 3), tau's moment
+    (5, 3, 5, 3), the sums (31), left (3, 3), q_tt (3, 3), 0]: the sums' (31, 3) table
+    into the two moments, and the (4, 13, 13) tables such that
+    q = ((buf[A] + buf[B]) - buf[K1]) - buf[K2].
 
-    Each block is placed by slicing index arrays as the moments themselves would be
-    sliced, so the block formulas are written here alone. With
-    K = sum kappa R_a kron R_b: the rotation block is (left kron I + I kron right) - K - K^T,
-    the t-vec(R) block sum tau t_a^T kron D^T and the y column
+    The sums are the traces that left, right, the two y-column traces and the
+    translation Gram take over the moments, each entry's three terms in the order
+    ndarray.trace adds them. Each block is placed by slicing index arrays as the
+    moments themselves would be sliced, so the block formulas are written here alone.
+    With K = sum kappa R_a kron R_b: the rotation block is (left kron I + I kron right)
+    - K - K^T, the t-vec(R) block sum tau t_a^T kron D^T and the y column
     [-sum tau D^T t_b, -sum tau t_a kron t_b, sum tau |t_b|^2]. The lower triangle
     repeats the upper's indices, so q is exactly symmetric and q_tt keeps its bits.
     """
-    rot, shift, left, right, t_y, y_y, q_tt, (zero,) = np.split(
-        np.arange(446), np.cumsum([324, 90, 9, 9, 3, 1, 9]))
-    rot, shift = rot.reshape(6, 3, 6, 3), shift.reshape(5, 3, 2, 3)
-    left, right, q_tt = left.reshape(3, 3), right.reshape(3, 3), q_tt.reshape(3, 3)
+    rot, shift, _, right, t_y, (y_y,), _, left, q_tt, (zero,) = np.split(
+        np.arange(599), np.cumsum([324, 225, 9, 9, 3, 1, 9, 9, 9]))
+    rot, shift, right = rot.reshape(6, 3, 6, 3), shift.reshape(5, 3, 5, 3), right.reshape(3, 3)
+    left, q_tt = left.reshape(3, 3), q_tt.reshape(3, 3)
+    # the sums: left's kappa part, right, sum tau D^T t_b, sum tau |t_b|^2, sum tau D^T D
+    traces = np.concatenate([d.reshape(-1, 3) for d in (
+        rot[:3, :, :3].diagonal(axis1=1, axis2=3), rot[3:, :, 3:].diagonal(axis1=0, axis2=2),
+        shift[:3, :, 4, :3].diagonal(axis1=0, axis2=2), shift[4, :, 4].diagonal(),
+        shift[:3, :, :3].diagonal(axis1=0, axis2=2))])
     a, b, k1, k2 = np.full((4, DIM_FULL, DIM_FULL), zero)
     eye = np.eye(3, dtype=bool)
     k = rot[:3, :, 3:].transpose(0, 2, 1, 3).reshape(9, 9)
@@ -52,18 +60,18 @@ def _gather_tables() -> np.ndarray:
     b[3:12, 3:12] = np.where(eye[:, None, :, None], right[:, None], zero).reshape(9, 9)
     k1[3:12, 3:12], k2[3:12, 3:12] = k, k.T
     a[:3, :3] = q_tt
-    a[:3, 3:12] = shift[:3, :, 0].transpose(1, 2, 0).reshape(3, 9)
+    a[:3, 3:12] = shift[:3, :, 3].transpose(1, 2, 0).reshape(3, 9)
     k1[:3, 12] = t_y
-    k1[3:12, 12] = shift[3, :, 1].reshape(9)
-    a[12, 12] = y_y[0]
+    k1[3:12, 12] = shift[3, :, 4].reshape(9)
+    a[12, 12] = y_y
     tables = np.stack([a, b, k1, k2])
     lower = np.tril_indices(DIM_FULL, -1)
     tables[:, lower[0], lower[1]] = tables[:, lower[1], lower[0]]
-    tables.flags.writeable = False
-    return tables
+    traces.flags.writeable = tables.flags.writeable = False
+    return traces, tables
 
 
-_GATHER = _gather_tables()
+_TRACES, _GATHER = _gather_tables()
 
 
 @dataclass(frozen=True)
@@ -82,16 +90,18 @@ def assemble(m: MeasurementSet) -> DataMatrix:
     """Sum the per-measurement quadratic forms and Schur-reduce over translation.
 
     Measurement i prices kappa_i |vec(R R_a - R_b R)|^2 + tau_i |R t_a + t - R_b t - y t_b|^2
-    (`tests/qcqp_blocks.py` holds its blocks). With D = I - R_b, each block of the sum but q_tt
-    is read from one of two weighted moments, one O(n) product each: kappa's of the columns
-    [R_a, R_b] (n x 18) with themselves, and tau's of [D, t_a, t_b] (n x 15) with [t_a, t_b].
-    With K = sum kappa R_a kron R_b: the rotation block is left kron I + I kron right - K - K^T,
-    left = sum kappa R_a R_a^T + tau t_a t_a^T and right = sum kappa R_b^T R_b, the
-    t-vec(R) block sum tau t_a^T kron D^T and the y column [-sum tau D^T t_b,
-    -sum tau t_a kron t_b, sum tau |t_b|^2]. q_tt = sum tau D^T D is `translation_gram`'s,
-    the matrix the observability test reads. The moments, left, right, the two traces
-    of the y column and q_tt go into one buffer, and q is placed from it with one
-    gather through fixed index tables (`_gather_tables`). Nothing assumes R^T R = I, so
+    (`tests/qcqp_blocks.py` holds its blocks). With D = I - R_b, each block of the sum is read
+    from one of two weighted moments of the stack [R_a, R_b, D, t_a, t_b], one O(n) product
+    each: kappa's of [R_a, R_b] (n x 18) with themselves, and tau's of [D, t_a, t_b] (n x 15)
+    with themselves. With K = sum kappa R_a kron R_b: the rotation block is
+    left kron I + I kron right - K - K^T, left = sum kappa R_a R_a^T + tau t_a t_a^T and
+    right = sum kappa R_b^T R_b, the t-vec(R) block sum tau t_a^T kron D^T and the y column
+    [-sum tau D^T t_b, -sum tau t_a kron t_b, sum tau |t_b|^2]. q_tt = sum tau D^T D, the
+    matrix the observability test reads, is tau's moment's D-block contracted and
+    symmetrized as `translation_gram` does, with its bits. The traces of left and right, of
+    the y column and of q_tt come from one gather of the moments and one sum (`_TRACES`).
+    The moments, those sums, left and q_tt go into one buffer, and q is placed from it with
+    one gather through fixed index tables (`_gather_tables`). Nothing assumes R^T R = I, so
     rotations within geom.ROTATION_TOL give the per-measurement sum to rounding.
 
     Raises NumericalFailure when weights too large for their sums (kappa, tau)
@@ -104,15 +114,15 @@ def assemble(m: MeasurementSet) -> DataMatrix:
     """
     if m.n < 2:
         raise TooShort("calibration requires at least two relative motions")
-    rotations = np.concatenate([m.ra, m.rb], axis=1)  # (n, 6, 3): rows of R_a, then of R_b
-    shifts = np.concatenate([_I3 - m.rb, m.ta[:, None], m.tb[:, None]], axis=1)  # [D, t_a, t_b]
+    columns = np.concatenate([m.ra, m.rb, _I3 - m.rb, m.ta[:, None], m.tb[:, None]], axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness checks name an overflow
-        rot = _moment(m.kappa, rotations, rotations)  # (6, 3, 6, 3)
-        shift = _moment(m.tau, shifts, shifts[:, 3:])  # (5, 3, 2, 3): [D, t_a, t_b] by [t_a, t_b]
-        left = rot[:3, :, :3].trace(axis1=1, axis2=3) + shift[3, :, 0]
-        right = rot[3:, :, 3:].trace(axis1=0, axis2=2)
-        buf = np.concatenate((rot, shift, left, right, shift[:3, :, 1].trace(axis1=0, axis2=2),
-                              shift[4, :, 1].trace(), translation_gram(m), 0.0), axis=None)
+        rot = _moment(m.kappa, columns[:, :6], columns[:, :6])  # [R_a, R_b]: (6, 3, 6, 3)
+        shift = _moment(m.tau, columns[:, 6:], columns[:, 6:])  # [D, t_a, t_b]: (5, 3, 5, 3)
+        moments = np.concatenate((rot, shift), axis=None)
+        sums = moments.take(_TRACES).sum(-1)  # each trace's terms added as ndarray.trace adds them
+        gram = sums[22:].reshape(3, 3)
+        buf = np.concatenate((moments, sums, sums[:9] + shift[3, :, 3].ravel(),
+                              0.5 * (gram + gram.T), 0.0), axis=None)
         a, b, k1, k2 = buf.take(_GATHER)
         q = ((a + b) - k1) - k2
         if not np.isfinite(q).all():

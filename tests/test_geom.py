@@ -178,6 +178,18 @@ def _rotations(rng, n):
     return np.array([geom.random_rotation(rng).m for _ in range(n)])
 
 
+def _strided_views(m):
+    """Two non-contiguous stacks equal to the contiguous stack m: the [:, 1] slice of an
+    (..., 2, 3, 3) stack, and the swapaxes(-1, -2) view of a stack of transposes."""
+    pair = np.stack([np.zeros_like(m), m], axis=-3)
+    stack = pair.reshape(-1, 2, 3, 3)[:, 1].reshape(m.shape)  # keeps the stride of the pair
+    transposes = np.ascontiguousarray(m.swapaxes(-1, -2)).swapaxes(-1, -2)
+    assert not (stack.flags.c_contiguous or transposes.flags.c_contiguous)
+    assert np.ascontiguousarray(stack).tobytes() == m.tobytes() == np.ascontiguousarray(
+        transposes).tobytes()
+    return stack, transposes
+
+
 @PROPERTY
 @given(seed=st.integers(0, 2**32 - 1), size=st.floats(0.0, 1.0))
 def test_polar_rotations_match_the_svd_within_the_ingest_tolerance(seed, size):
@@ -191,6 +203,9 @@ def test_polar_rotations_match_the_svd_within_the_ingest_tolerance(seed, size):
     assert out.shape == m.shape
     assert np.abs(out - geom.nearest_rotations(m)).max() <= 1e-13
     geom.require_so3(out, "projected rotation")
+    # strided stacks, like the loader's slice of its pose rows, project bit for bit
+    for view in _strided_views(m):
+        assert geom.polar_rotations(view).tobytes() == out.tobytes()
 
 
 @PROPERTY
@@ -204,9 +219,12 @@ def test_polar_rotations_fix_an_exact_rotation(seed):
 @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1.0))
 def test_rotation_defects_determinant_is_the_lu_determinant(seed, scale):
     m = scale * np.random.default_rng(seed).uniform(-1.0, 1.0, size=(16, 3, 3))
-    _, det = geom.rotation_defects(m)
+    drift, det = geom.rotation_defects(m)
     expected = np.linalg.det(m)
     assert np.all(np.abs(det - expected) <= 1e-13 * (1.0 + np.abs(expected)))
+    for view in _strided_views(m):  # the defects of a strided stack keep their bits
+        defects = geom.rotation_defects(view)
+        assert defects[0].tobytes() == drift.tobytes() and defects[1].tobytes() == det.tobytes()
 
 
 @pytest.mark.parametrize("index", np.ndindex(3, 3))

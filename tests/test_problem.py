@@ -431,6 +431,20 @@ _BAD_LINES = {
     '"b": {"R": [[1, 0, 0], [0, true, 0], [0, 0, 1]], "t": [0, 0, 0]}}',
     "mixed-false-translation": '{"a": {"R": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], '
     '"t": [false, 0, 0]}, "b": ' + _IDENTITY_POSE + "}",
+    # Each pose's R is unpacked into three rows before the one conversion of all rows:
+    # 2 rows in a and 4 in b make 8, as two good poses do, and must still be refused.
+    "rotation-rows-shared": json.dumps(
+        {"a": {"R": [[1, 0, 0], [0, 1, 0]], "t": [0, 0, 0]},
+         "b": {"R": [[0, 0, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]], "t": [0, 0, 0]}}),
+    "rotation-text": '{"a": {"R": "abc", "t": [0, 0, 0]}, "b": ' + _IDENTITY_POSE + "}",
+    "rotation-flat": '{"a": {"R": [1, 0, 0, 0, 1, 0, 0, 0, 1], "t": [0, 0, 0]}, "b": '
+    + _IDENTITY_POSE
+    + "}",
+    "translation-four": '{"a": {"R": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "t": [0, 0, 0, 0]}, "b": '
+    + _IDENTITY_POSE
+    + "}",
+    "translation-column": '{"a": {"R": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "t": [[0], [0], [0]]}, '
+    '"b": ' + _IDENTITY_POSE + "}",
     # One decoder scan per line refuses what follows the record, as json.loads does.
     "trailing-text": _GOOD_LINE + " x",
     "trailing-record": _GOOD_LINE + _GOOD_LINE,
@@ -453,6 +467,35 @@ def test_malformed_field_rejected_at_the_boundary(name, tmp_path, capsys):
     fixture.write_text(text)
     assert cli.main(["calibrate", "--input", str(fixture)]) == 1
     assert "line 2" in capsys.readouterr().err
+
+
+_FIELD_MESSAGES = {"R": "pose 'R' must be", "t": "pose 't' must be", "weights": "kappa and tau"}
+
+
+@pytest.mark.parametrize(
+    "name, field",
+    [
+        ("rotation-rows-shared", "R"),
+        ("rotation-text", "R"),
+        ("rotation-flat", "R"),
+        ("boolean-rotation", "R"),
+        ("mixed-boolean-rotation", "R"),
+        ("nan-rotation", "R"),
+        ("translation-four", "t"),
+        ("translation-column", "t"),
+        ("string-translation", "t"),
+        ("mixed-boolean-translation", "t"),
+        ("nan-translation", "t"),
+        ("kappa-zero", "weights"),
+        ("tau-boolean", "weights"),
+    ],
+)
+def test_a_malformed_line_says_which_field_is_at_fault(name, field, good_log_lines):
+    # All poses go through one conversion; its error still names R, t or the weights.
+    lines = good_log_lines[:3] + [_BAD_LINES[name]] + good_log_lines[3:6]
+    with pytest.raises(ParseError, match=f"^line 4: {_FIELD_MESSAGES[field]}") as exc:
+        load_measurements("\n".join(lines))
+    assert exc.value.line == 4
 
 
 @pytest.fixture(scope="module")

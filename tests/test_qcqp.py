@@ -149,10 +149,13 @@ def test_assemble_q_tt_is_the_observability_matrix(n):
 @pytest.mark.parametrize("n", [10, 50, 1000])
 @pytest.mark.parametrize("sigma", [0.01, 0.05, 0.1])
 def test_assemble_is_the_einsum_sums_bit_for_bit(n, sigma):
-    # the traces and broadcast products of assemble round as the einsums do, at any weight scale
+    # the traces and broadcast products of assemble round as the einsums do, at any weight
+    # scale and under per-measurement weights
     m = sim.terrain_instance(np.random.default_rng([26, n]), n, sigma, sigma)[3]
-    for weight in (1e-12, 1.0, 1e200):
-        scaled = replace(m, kappa=weight * m.kappa, tau=weight * m.tau)
+    rng = np.random.default_rng(26)
+    varied = replace(m, kappa=rng.uniform(0.1, 5.0, n), tau=rng.uniform(0.1, 5.0, n))
+    uniform = [replace(m, kappa=w * m.kappa, tau=w * m.tau) for w in (1e-12, 1.0, 1e200)]
+    for scaled in uniform + [varied]:
         assert np.array_equal(qcqp.assemble(scaled).q, qcqp_blocks.einsum_data_matrix(scaled))
 
 

@@ -104,8 +104,8 @@ def test_singular_qtt_propagates():
 
 
 def test_calibrate_decides_observability_once(monkeypatch):
-    # assembly reads q_tt once and the result reports that decision: one
-    # translation_gram pass and one 3x3 eigvalsh per request
+    # assembly reads q_tt from its own moment and the result reports that decision:
+    # no separate translation_gram pass and one 3x3 eigvalsh per request
     m, _ = random_instance(27, n_motions=30, sigma_r=0.01, sigma_t=0.01)
     gram, eigvalsh = problem.translation_gram, np.linalg.eigvalsh
     grams, q_tt_eigs = [], []
@@ -124,7 +124,7 @@ def test_calibrate_decides_observability_once(monkeypatch):
             monkeypatch.setattr(module, "translation_gram", counted_gram)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     result = solver.calibrate(m)
-    assert (len(grams), len(q_tt_eigs)) == (1, 1)
+    assert (len(grams), len(q_tt_eigs)) == (0, 1)
     assert asdict(result.observability) == asdict(check_observability(gram(m)))
 
 
