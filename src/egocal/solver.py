@@ -364,20 +364,16 @@ def _cofactors(a00, a11, a22, a10, a20, a21):
 
 
 def _extreme_eigenvalues(h00, h11, h22, h10, h20, h21):
-    """(lambda_min, lambda_max) of the symmetric 3x3 H, on Python floats, each within a small
+    """(lambda_min, lambda_max) of the symmetric 3x3 H, as Python floats, each within a small
     multiple of eps |H|.
 
     H = m I + p B with m = tr H / 3 and p = |H - m I|_F / sqrt 6, so that B has trace 0,
     |B|_F^2 = 6 and, by Smith's trigonometric formula (CACM 1961), the eigenvalues
     2 cos(phi - 2 pi k / 3) with cos(3 phi) = det B / 2. The arccos amplifies the rounding
-    of det B by 1 / sqrt(1 - cos^2(3 phi)), so the formula is read directly only while
+    of det B by 1 / sqrt(1 - cos^2(3 phi)), so the formula is read only while
     |cos(3 phi)| < 0.99, that is while no two eigenvalues of B are within 0.16 of each
-    other. Otherwise it is exact only for the eigenvalue farthest from the other two, the
-    largest when det B >= 0, and loses up to sqrt(eps) of the nearly repeated pair, so
-    the pair is deflated (Scherzinger and Dohrmann, CMAME 2008): that eigenvalue's unit
-    eigenvector v is the best-conditioned column of adj(B - beta I), a multiple of v v^T
-    at least 6 in size, and the pair is c +- |P (B - c I) P|_F / sqrt 2 for
-    P = I - v v^T and c their mean.
+    other. Otherwise it loses up to sqrt(eps) of the nearly repeated pair, and LAPACK's
+    `eigvalsh` of H gives both ends; its LinAlgError is a NumericalFailure of the polish.
     """
     mean = (h00 + h11 + h22) / 3.0
     d0, d1, d2 = h00 - mean, h11 - mean, h22 - mean
@@ -387,35 +383,12 @@ def _extreme_eigenvalues(h00, h11, h22, h10, h20, h21):
     b00, b11, b22, b10, b20, b21 = d0 / p, d1 / p, d2 / p, h10 / p, h20 / p, h21 / p
     c00, c10, c20 = _cofactors(b00, b11, b22, b10, b20, b21)[:3]
     half_det = 0.5 * (b00 * c00 + b10 * c10 + b20 * c20)
-    phi = math.acos(min(1.0, max(-1.0, half_det))) / 3.0
     if abs(half_det) < 0.99:
+        phi = math.acos(half_det) / 3.0
         return mean + 2.0 * p * math.cos(phi + _THIRD_TURN), mean + 2.0 * p * math.cos(phi)
-    distinct = 2.0 * math.cos(phi if half_det >= 0.0 else phi + _THIRD_TURN)
-    c00, c10, c20, c11, c21, c22 = _cofactors(b00 - distinct, b11 - distinct, b22 - distinct,
-                                              b10, b20, b21)
-    a0, a1, a2 = abs(c00), abs(c11), abs(c22)
-    v0, v1, v2 = ((c00, c10, c20) if a0 >= a1 and a0 >= a2
-                  else (c10, c11, c21) if a1 >= a2 else (c20, c21, c22))
-    norm = math.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
-    v0, v1, v2 = v0 / norm, v1 / norm, v2 / norm
-    centre = 0.5 * (b00 + b11 + b22 - distinct)
-    e00, e11, e22 = b00 - centre, b11 - centre, b22 - centre
-    z0 = e00 * v0 + b10 * v1 + b20 * v2  # z = (B - c I) v, s = v^T z
-    z1 = b10 * v0 + e11 * v1 + b21 * v2
-    z2 = b20 * v0 + b21 * v1 + e22 * v2
-    s = v0 * z0 + v1 * z1 + v2 * z2
-    # P (B - c I) P = (B - c I) - v z^T - z v^T + s v v^T
-    f00 = e00 - v0 * (2.0 * z0 - s * v0)
-    f11 = e11 - v1 * (2.0 * z1 - s * v1)
-    f22 = e22 - v2 * (2.0 * z2 - s * v2)
-    f10 = b10 - v1 * z0 - v0 * (z1 - s * v1)
-    f20 = b20 - v2 * z0 - v0 * (z2 - s * v2)
-    f21 = b21 - v2 * z1 - v1 * (z2 - s * v2)
-    half_gap = math.sqrt(0.5 * (f00 * f00 + f11 * f11 + f22 * f22)
-                         + f10 * f10 + f20 * f20 + f21 * f21)
-    if half_det >= 0.0:
-        return mean + p * (centre - half_gap), mean + p * distinct
-    return mean + p * distinct, mean + p * (centre + half_gap)
+    with numerical("polish"):
+        spectrum = np.linalg.eigvalsh([[h00, h10, h20], [h10, h11, h21], [h20, h21, h22]])
+    return float(spectrum[0]), float(spectrum[2])
 
 
 def _damped_step(hess, grad, mu: float):
@@ -423,12 +396,12 @@ def _damped_step(hess, grad, mu: float):
     (its lower triangle is read) and the gradient g, where mu is raised to at least
     d - 2 lambda_min(H) and d = 1e-3 max|lambda(H)|; None when H is zero or not finite.
 
-    In closed form on Python floats, with no LAPACK call. H, g and mu are first divided
-    by the largest power of two s at most H's largest |entry|, so no product over- or
-    underflows and the scaling itself rounds nothing. lambda_min and lambda_max are
-    `_extreme_eigenvalues`', and the step is the adjugate of H + mu I applied to g over
-    its determinant. H + mu I has its smallest eigenvalue at least d / 2, so the step is
-    well conditioned.
+    On Python floats. H, g and mu are first divided by the largest power of two s at most
+    H's largest |entry|, so no product over- or underflows and the scaling itself rounds
+    nothing. lambda_min and lambda_max are `_extreme_eigenvalues`' (closed form unless H
+    has a nearly repeated pair), and the step is the adjugate of H + mu I applied to g
+    over its determinant. H + mu I has its smallest eigenvalue at least d / 2, so the
+    step is well conditioned.
     """
     (h00, _, _), (h10, h11, _), (h20, h21, h22) = hess
     biggest = max(abs(h00), abs(h10), abs(h11), abs(h20), abs(h21), abs(h22))
@@ -462,8 +435,8 @@ def _polish(q_tilde: np.ndarray, r: np.ndarray) -> np.ndarray:
     mu >= d - 2 min eig H with d = 1e-3 max|eig H|, which mirrors negative
     curvature (lifting it only to d gives a step ~1/d long); a refused step
     sets mu to max(10 mu, d), a taken one to 0. The step, mu and d are computed
-    in closed form (`_damped_step`), and the trial rotation on Python floats
-    (`_turned`), so the polish calls no LAPACK routine.
+    on Python floats (`_damped_step`, `_turned`); LAPACK is called only for the
+    eigenvalues of an H with a nearly repeated pair.
     The polish ends when a refused step predicts a decrease below the rounding
     of f, eps * trace(q_tilde). That last step is still taken when it shrinks the
     gradient, compared by `math.hypot`, which does not overflow, and raises f by

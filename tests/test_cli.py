@@ -356,6 +356,25 @@ def test_lapack_failure_exit_one(tmp_path, capsys, monkeypatch, name, shape, whe
     assert f"error: {where}: injected" in capsys.readouterr().err
 
 
+def test_polish_eigenvalue_failure_exit_one(tmp_path, capsys, monkeypatch):
+    # This log's polish meets Hessians with a nearly repeated eigenvalue pair, whose
+    # extreme eigenvalues come from LAPACK: a LinAlgError there is the polish's failure.
+    prefix = str(tmp_path / "run")
+    assert cli.main(["simulate", "--output", prefix, "--seed", "3",
+                     "--sigma-r", "0.01", "--sigma-t", "0.01"]) == 0
+    original = np.linalg.eigvalsh
+
+    def failing(a, *args, **kwargs):
+        if _called_from("_extreme_eigenvalues"):
+            raise np.linalg.LinAlgError("injected")
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    capsys.readouterr()
+    assert cli.main(["calibrate", "--input", prefix + ".jsonl"]) == 1
+    assert "error: polish: injected" in capsys.readouterr().err
+
+
 def test_calibrate_overflowing_weights_exit_one(tmp_path, capsys):
     # tau = 1e308 on every line overflows the q_tt sum: refused by the finiteness
     # check, naming the weights, before the observability test's eigvalsh runs on it

@@ -660,6 +660,34 @@ def test_extreme_eigenvalues_of_a_multiple_of_the_identity():
     assert solver._extreme_eigenvalues(2, 2, 2, 0, 0, 0) == (2.0, 2.0)
 
 
+def _edge_spectrum(half_det):
+    """B's eigenvalues 2 cos(phi - 2 pi k / 3), k = 0, 1, 2, at cos(3 phi) = half_det."""
+    phi = math.acos(half_det) / 3.0
+    return [2.0 * math.cos(phi - 2.0 * math.pi * k / 3.0) for k in range(3)]
+
+
+@pytest.mark.parametrize("mean", [0.0, 1.7])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("spectrum", [
+    pytest.param(lambda s: _edge_spectrum(s * (0.99 - 1e-9)), id="smith-side"),
+    pytest.param(lambda s: _edge_spectrum(s * (0.99 + 1e-9)), id="lapack-side"),
+    pytest.param(lambda s: [s, s, -2.0 * s], id="repeated"),
+    pytest.param(lambda s: [0.7 * s, (0.7 + 1e-16) * s, -(1.4 + 1e-16) * s], id="1e-16-apart"),
+])
+def test_extreme_eigenvalues_on_either_side_of_the_formula_boundary(spectrum, sign, mean):
+    # cos(3 phi) = det B / 2 just inside and just past 0.99, where the trigonometric
+    # formula gives way to eigvalsh, and a pair repeated or 1e-16 apart; either sign of
+    # det B, conjugated by random rotations
+    lam = np.array(spectrum(sign)) + mean
+    for seed in range(16):
+        q = geom.random_rotation(seed).m
+        h = (q * lam) @ q.T
+        want = np.linalg.eigvalsh(h)
+        got = solver._extreme_eigenvalues(h[0, 0], h[1, 1], h[2, 2], h[1, 0], h[2, 0], h[2, 1])
+        bound = 32.0 * np.finfo(float).eps * np.abs(want).max()
+        assert abs(got[0] - want[0]) <= bound and abs(got[1] - want[2]) <= bound
+
+
 def test_polish_stops_at_its_start_on_a_zero_cost():
     # the model's Hessian is zero, so `_damped_step` declines the first trial
     r = geom.random_rotation(3).m
