@@ -8,16 +8,19 @@ The measurement format, one JSON object per line::
 Entries are JSON numbers: rotations row-major 3x3, translations in meters.
 kappa/tau default to 1.
 
-The loader parses each stripped non-blank line with one JSONDecoder.raw_decode
-scan (json.loads without its wrapper), with the garbage collector paused: the
-parse's lists and dicts form no cycle. One loop gathers every pose into one
-list of 3-number rows, R's three rows then t, and one np.array conversion,
-checked in bulk, turns it into all poses; one more converts the weights. Only
-when a check fails does it run the same conversion line by line, to name the
-first bad line in a ParseError that says whether an R, a t or the weights are
-malformed. It refuses a rotation more than INGEST_ROTATION_TOL from
-orthonormal or with a negative determinant, and projects the rest onto SO(3)
-with two Newton polar steps instead of a batched SVD (see ingest_rotations).
+The loader parses each stripped non-blank line with one call of the JSON
+decoder's scanner, as JSONDecoder.raw_decode makes it, refusing trailing data
+as json.loads does, with the garbage collector paused: the parse's lists and
+dicts form no cycle. The same loop gathers every pose into one flat list of
+numbers, R's nine then t's three, unpacking every row and t into exactly three
+numbers, and one np.array conversion, checked in bulk, turns it into all poses;
+one more converts the weights. A refused conversion blames t when the t's alone
+do not convert, else R. Only when a check fails does it run the same conversion
+line by line, to name the first bad line in a ParseError that says whether an
+R, a t or the weights are malformed. It refuses a rotation more than
+INGEST_ROTATION_TOL from orthonormal or with a negative determinant, and
+projects the rest onto SO(3) with two Newton polar steps instead of a batched
+SVD (see ingest_rotations).
 
 Calibration is observable when sensor b's rotations span two distinct axes.
 check_observability() reads that from the condition number of the translation
@@ -50,7 +53,8 @@ INGEST_ROTATION_TOL = 1e-6
 SINGULAR_QTT_CONDITION = 1e12
 
 
-_DECODER = json.JSONDecoder()
+# The decoder's scanner: the (value, end) of the JSON value at an index, as raw_decode gives it.
+_SCAN = json.JSONDecoder().scan_once
 
 _BAD_R = "pose 'R' must be a 3x3 of finite numbers"
 
@@ -139,18 +143,26 @@ def _columns(texts, keys=("a", "b"), weight_keys=("kappa", "tau")):
 
     Each text is an object holding the k poses `keys` ({"R": 3x3, "t": 3-vector})
     and the w weights `weight_keys` (default 1), by default a measurement record's.
-    One loop gathers every pose into one list of 3-number rows, [R rows..., t] per
-    pose. It unpacks each R into exactly three rows, so one pose's missing row cannot
-    be made up by another pose's extra row. One np.array conversion, checked in bulk,
-    turns that list into the poses, and one more the weights; ParseError, without a
-    line number, saying whether an R, a t or the weights are malformed.
+    One loop decodes each text with the decoder's scanner, as JSONDecoder.raw_decode
+    does, and gathers every pose into one flat list of numbers, 12 per pose: R's nine
+    entries, then t. It unpacks each R into exactly three rows, and each row and each
+    t into exactly three numbers, so one pose's missing number cannot be made up by
+    another's extra one; a row or t that does not unpack refuses the batch. One
+    np.array conversion, checked in bulk, turns the list into the poses, and one more
+    the weights. A refused batch is a ParseError, without a line number: the pose's t
+    is at fault if the t's alone do not convert, else its R; or the weights are.
     """
-    suspects, rows, weights = _boolean_suspects(texts), [], []
+    suspects, values, weights, refused = _boolean_suspects(texts), [], [], False
     try:
         for text in texts:
             if not text.isascii():
                 text.encode("utf-8")  # a lone surrogate does not encode
-        for record in map(_decode, texts):
+            try:
+                record, end = _SCAN(text, 0)
+            except StopIteration as exc:
+                raise json.JSONDecodeError("Expecting value", text, exc.value) from None
+            if end != len(text):
+                raise json.JSONDecodeError("Extra data", text, end)
             for key in keys:
                 pose = record[key]
                 rotation, translation = pose["R"], pose["t"]
@@ -158,31 +170,29 @@ def _columns(texts, keys=("a", "b"), weight_keys=("kappa", "tau")):
                     r0, r1, r2 = rotation
                 except (TypeError, ValueError):  # not a sequence of three rows
                     raise ParseError(_BAD_R) from None
-                rows += r0, r1, r2, translation
-            weights.append([record.get(key, 1.0) for key in weight_keys])
+                try:
+                    (a, b, c), (d, e, f), (g, h, i), (x, y, z) = r0, r1, r2, translation
+                    values += a, b, c, d, e, f, g, h, i, x, y, z
+                except (TypeError, ValueError):  # a row or t is not three values
+                    refused = True
+            for key in weight_keys:
+                weights.append(record.get(key, 1.0))
     except UnicodeError:
         raise ParseError("text is not UTF-8") from None
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ParseError(f"invalid JSON: {exc}") from None
     except (KeyError, TypeError):
         raise ParseError(f"record must hold {' and '.join(keys)}, each with 'R' and 't'") from None
-    n, k = len(texts), len(keys)
-    poses = _numbers(rows, (4 * k * n, 3), suspects, -np.inf, per=4 * k)
+    n, k, w = len(texts), len(keys), len(weight_keys)
+    poses = None if refused else _numbers(values, (12 * k * n,), suspects, -np.inf, per=12 * k)
     if poses is None:  # every t a row of 3 finite numbers leaves an R at fault
-        t_ok = _numbers(rows[3::4], (k * n, 3), suspects, -np.inf, per=k) is not None
+        translations = [json.loads(text)[key]["t"] for text in texts for key in keys]
+        t_ok = _numbers(translations, (k * n, 3), suspects, -np.inf, per=k) is not None
         raise ParseError(_BAD_R if t_ok else "pose 't' must be 3 finite numbers")
-    weights = _numbers(weights, (n, len(weight_keys)), suspects, 0.0)
+    weights = _numbers(weights, (w * n,), suspects, 0.0, per=w)
     if weights is None:
         raise ParseError(f"{' and '.join(weight_keys)} must be positive and finite")
-    return poses.reshape(n, k, 4, 3), weights
-
-
-def _decode(text):
-    """The JSON value of a stripped text, as json.loads gives it, without its wrapper."""
-    value, end = _DECODER.raw_decode(text)
-    if end != len(text):
-        raise json.JSONDecodeError("Extra data", text, end)
-    return value
+    return poses.reshape(n, k, 4, 3), weights.reshape(n, w)
 
 
 def _boolean_suspects(texts):
@@ -197,11 +207,11 @@ def _boolean_suspects(texts):
 
 
 def _numbers(rows, shape, suspects, low, per=1):
-    """Rows of numbers, `per` rows per text, as a float array of `shape`, all JSON numbers
-    in (low, inf); else None.
+    """A list of numbers (or of rows of numbers), `per` items per text, as a float array
+    of `shape`, all JSON numbers in (low, inf); else None.
 
     numpy promotes a boolean mixed with numbers to a number and keeps an integer
-    beyond 64 bits as an object, so the rows of the texts `suspects` (or all rows)
+    beyond 64 bits as an object, so the items of the texts `suspects` (or all items)
     get their types checked.
     """
     try:

@@ -436,6 +436,15 @@ _BAD_LINES = {
     "rotation-rows-shared": json.dumps(
         {"a": {"R": [[1, 0, 0], [0, 1, 0]], "t": [0, 0, 0]},
          "b": {"R": [[0, 0, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]], "t": [0, 0, 0]}}),
+    # Rows and t are unpacked into exactly three numbers each before the one flat
+    # conversion: rows of 4, 2 and 3 numbers flatten to exactly I, and a's 4-number t
+    # with b's 2-number first row make 24 numbers, as two good poses do.
+    "rotation-rows-ragged": json.dumps(
+        {"a": {"R": [[1, 0, 0, 0], [1, 0], [0, 0, 1]], "t": [0, 0, 0]},
+         "b": json.loads(_IDENTITY_POSE)}),
+    "numbers-shared": json.dumps(
+        {"a": {"R": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "t": [0, 0, 0, 1]},
+         "b": {"R": [[0, 0], [0, 1, 0], [0, 0, 1]], "t": [0, 0, 0]}}),
     "rotation-text": '{"a": {"R": "abc", "t": [0, 0, 0]}, "b": ' + _IDENTITY_POSE + "}",
     "rotation-flat": '{"a": {"R": [1, 0, 0, 0, 1, 0, 0, 0, 1], "t": [0, 0, 0]}, "b": '
     + _IDENTITY_POSE
@@ -496,6 +505,48 @@ def test_a_malformed_line_says_which_field_is_at_fault(name, field, good_log_lin
     with pytest.raises(ParseError, match=f"^line 4: {_FIELD_MESSAGES[field]}") as exc:
         load_measurements("\n".join(lines))
     assert exc.value.line == 4
+
+
+def _line(a=(), b=(), **weights):
+    """A record whose poses are the identity but for the fields `a` and `b` give."""
+    poses = [json.loads(_IDENTITY_POSE) | dict(fields) for fields in (a, b)]
+    return json.dumps({"a": poses[0], "b": poses[1], **weights})
+
+
+_BAD_R = "pose 'R' must be a 3x3 of finite numbers"
+_BAD_T = "pose 't' must be 3 finite numbers"
+_BAD_WEIGHTS = "kappa and tau must be positive and finite"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        pytest.param(
+            _line(a={"t": [0, 0]}, b={"R": [[1, 0, 0], [0, 1, 0]]}), _BAD_R, id="short-t-then-two-rows"
+        ),
+        pytest.param(
+            _line(a={"R": [[1, 0, 0, 0], [0, 1, 0], [0, 0, 1]]}, b={"t": [0, 0]}),
+            _BAD_T,
+            id="long-row-then-short-t",
+        ),
+        pytest.param(_BAD_LINES["rotation-rows-ragged"], _BAD_R, id="rotation-rows-ragged"),
+        pytest.param(_line(b={"t": [0, 0, 0, 0]}), _BAD_T, id="translation-four"),
+        pytest.param(_line(a={"t": [0, True, 0]}), _BAD_T, id="boolean-in-t"),
+        pytest.param(_line(a={"R": [[1, 0, 0], [0, True, 0], [0, 0, 1]]}), _BAD_R, id="boolean-in-R"),
+        pytest.param(_line(kappa="2"), _BAD_WEIGHTS, id="kappa-numeric-string"),
+        pytest.param(
+            _line(a={"t": [0, float("nan"), 0]}, b={"R": [[1, 0, 0], "abc", [0, 0, 1]]}),
+            _BAD_T,
+            id="nan-in-t-then-text-row",
+        ),
+    ],
+)
+def test_a_bad_line_names_the_field_at_fault(line, message):
+    # A pose's t is blamed when the t's alone do not convert, else its R; an R that
+    # is not three rows is blamed at once, before a later pose is looked at.
+    with pytest.raises(ParseError) as exc:
+        load_measurements(line)
+    assert str(exc.value) == f"line 1: {message}"
 
 
 @pytest.fixture(scope="module")

@@ -234,12 +234,13 @@ _json = st.recursive(
     max_leaves=10,
 )
 _rotation = st.integers(0, 100).map(lambda seed: geom.random_rotation(seed).m.tolist())
+# R has 2-4 rows of 2-4 numbers and t 2-4 numbers, so a ragged pose whose numbers
+# add up to a good pose's count is drawn too: the loader must still refuse it.
+_numbers = functools.partial(st.lists, st.floats(), min_size=2, max_size=4)
 _pose = st.fixed_dictionaries(
     {
-        "R": _rotation
-        | _json
-        | st.lists(st.lists(st.floats(), min_size=3, max_size=3), min_size=3, max_size=3),
-        "t": st.lists(st.floats(), min_size=3, max_size=3) | _json,
+        "R": _rotation | _json | st.lists(_numbers(), min_size=2, max_size=4),
+        "t": _numbers() | _json,
     }
 )
 _record = st.fixed_dictionaries(
