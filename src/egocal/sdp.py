@@ -53,6 +53,10 @@ the start stage solves to 1.0, at which the solve stops at its start point
 (iteration 1, no step; the residuals are zero there and the gap is below
 1 + |pobj| + |dobj|), and the strict stage, run only when the start stage's
 answer does not certify, solves afresh to the strict TOL.
+
+The caller contract: `solve` and `certify_lmi` check none of the arrays they
+are given. `SdpProblem` states what those arrays must meet, and where the
+calibration SDP's are made to meet it, once, so no request pays for a check.
 """
 
 from __future__ import annotations
@@ -78,37 +82,20 @@ _STEP_FRACTION = 0.98
 
 @dataclass(frozen=True)
 class SdpProblem:
+    """The caller's float arrays, taken as they are: a finite, exactly symmetric s x s
+    cost, m >= 1 symmetric s x s constraints, m right-hand sides and, optionally, a
+    strictly feasible start. The calibration SDP's arrays meet this where they are
+    made: `qcqp.assemble` refuses a non-finite q_tilde or trace and makes q_tilde
+    exactly symmetric as 0.5 * (q_tilde + q_tilde^T), which `solver.build_sdp_problem`'s
+    division by the trace keeps; the shapes, the rhs and the interior point come from
+    the catalogs and `qcqp._build_interior`, fixed at import."""
+
     cost: np.ndarray          # s x s symmetric
     constraints: np.ndarray   # m x s x s, each symmetric
     rhs: np.ndarray           # m
     # A known strictly feasible (X0, y0): A(X0) = b, X0 > 0 and
     # cost - sum_i y0_i A_i > 0. `solve` starts there when given.
     interior: tuple | None = None
-
-    def __post_init__(self):
-        cost = np.asarray(self.cost, dtype=float)
-        a = np.asarray(self.constraints, dtype=float)
-        b = np.asarray(self.rhs, dtype=float)
-        if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
-            raise ValueError("cost must be square")
-        if a.ndim != 3 or a.shape[1:] != cost.shape:
-            raise ValueError("constraints must be (m, s, s) matching the cost")
-        if b.shape != (a.shape[0],) or a.shape[0] == 0:
-            raise ValueError("rhs must have one entry per constraint")
-        if self.interior is not None and (
-            np.shape(self.interior[0]) != cost.shape or np.shape(self.interior[1]) != b.shape
-        ):
-            raise ValueError("interior point must be an (s, s) matrix and one multiplier "
-                             "per constraint")
-        # The constraints' symmetry is the caller's: qcqp's catalog builds them symmetric.
-        # Finiteness is tested first: an infinite entry makes the comparison inf <= inf,
-        # or a NaN with a warning.
-        if not (np.isfinite(cost).all()
-                and abs(cost - cost.T).max() <= 1e-12 * (1.0 + abs(cost).max())):
-            raise ValueError("cost matrix is not finite and symmetric")
-        object.__setattr__(self, "cost", cost)
-        object.__setattr__(self, "constraints", a)
-        object.__setattr__(self, "rhs", b)
 
     @property
     def dim(self) -> int:
@@ -308,8 +295,6 @@ def certify_lmi(cost, constraints, multipliers):
     eigenvectors as columns; unpack it by position (numpy 1 returns a plain
     tuple). A LAPACK failure raises NumericalFailure.
     """
-    if len(constraints) != len(multipliers):  # matmul refuses it too, naming gufunc operands
-        raise ValueError("need one multiplier per constraint")
     h = cost - (multipliers @ constraints.reshape(len(constraints), -1)).reshape(cost.shape)
     h = 0.5 * (h + h.T)
     with numerical("dual slack eigendecomposition"):

@@ -149,15 +149,24 @@ def corrupt(m: MeasurementSet, noise: NoiseModel) -> MeasurementSet:
 
     The draws run motion by motion, sensor a before b: three Euler angles when
     sigma_r > 0, then three shifts when sigma_t > 0.
+
+    Raises SingularInput when the draws or the noisy translations are not finite:
+    sigma_r or sigma_t is so large that a draw, or a shift added to a translation,
+    overflowed.
     """
     rng = np.random.default_rng(noise.seed)
     sigmas = np.array([noise.sigma_r, noise.sigma_t])
     drawn = sigmas > 0
     eps = np.zeros((m.n, 2, 2, 3))  # motion, sensor (a, b), angles or shift, axis
-    eps[:, :, drawn] = sigmas[drawn, None] * rng.standard_normal((m.n, 2, int(drawn.sum()), 3))
-    r = _euler_xyz(eps[:, :, 0])
-    ra, rb, ta, tb = m.ra @ r[:, 0], m.rb @ r[:, 1], m.ta + eps[:, 0, 1], m.tb + eps[:, 1, 1]
-    return replace(m, ra=ra, rb=rb, ta=ta, tb=tb)
+    with np.errstate(all="ignore"):  # the check below reports any overflow
+        eps[:, :, drawn] = sigmas[drawn, None] * rng.standard_normal((m.n, 2, int(drawn.sum()), 3))
+        ta, tb = m.ta + eps[:, 0, 1], m.tb + eps[:, 1, 1]
+    if not np.isfinite(np.concatenate((eps, ta, tb), axis=None)).all():
+        raise SingularInput(
+            f"sigma_r {noise.sigma_r} and sigma_t {noise.sigma_t} give noise that is not finite"
+        )
+    r = _euler_xyz(eps[:, :, 0])  # finite angles give finite rotations
+    return replace(m, ra=m.ra @ r[:, 0], rb=m.rb @ r[:, 1], ta=ta, tb=tb)
 
 
 def terrain_instance(rng, n_motions, sigma_r, sigma_t, radius=10.0, amplitude=1.0):

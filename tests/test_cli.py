@@ -467,6 +467,29 @@ def test_simulate_route_without_finite_headings_exit_one(tmp_path, capsys, argv)
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--sigma-t", "1e308"],
+        ["simulate", "--sigma-r", "1e308"],
+        ["experiment", "noise-sweep", "--n-trials", "1", "--n-motions", "10",
+         "--sigma-r", "0.01", "--sigma-t", "1e308"],
+    ],
+    ids=["simulate-sigma-t", "simulate-sigma-r", "noise-sweep-sigma-t"],
+)
+def test_noise_that_overflows_exit_one(tmp_path, capsys, argv):
+    # a draw or a noisy translation overflows: refused by name, with no numpy
+    # warning (cos(inf) warns), before the measurements are built or written
+    command = [*argv, "--output", str(tmp_path / "out"), "--seed", "0"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(command) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sigma_r ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_calibrate_and_certify_need_no_scipy(tmp_path):
     # A fresh interpreter in which `import scipy` fails runs the CLI's calibrate path.
     prefix = tmp_path / "run"

@@ -342,6 +342,40 @@ def test_one_conversion_matches_the_record_scan(records, blanks, order, newline)
         _assert_same_columns(loaded, scanned)
 
 
+_GOOD_CUTS = list(range(3, 24, 3))
+
+
+@st.composite
+def _regrouped_record(draw):
+    """A record of two otherwise valid poses whose 24 numbers (a's R row by row, its t,
+    then b's) are cut into the rows of each R and its t at 7 drawn points, so the
+    totals hold but at least one row or t is not 3 long."""
+    numbers = []
+    for _ in "ab":
+        numbers += itertools.chain(*draw(_rotation), draw(_entries(min_size=3, max_size=3)))
+    cuts = draw(st.lists(st.integers(0, 24), min_size=7, max_size=7).map(sorted)
+                .filter(lambda cuts: cuts != _GOOD_CUTS))
+    bounds = [0, *cuts, 24]
+    rows = [numbers[start:end] for start, end in zip(bounds, bounds[1:])]
+    fields = {"a": {"R": rows[0:3], "t": rows[3]}, "b": {"R": rows[4:7], "t": rows[7]}}
+    for key in ("kappa", "tau"):
+        if draw(st.booleans()):
+            fields[key] = draw(st.floats(1e-6, 1e6))
+    return json.dumps(fields)
+
+
+@FAST
+@given(records=st.lists(_log_records(), max_size=3), ragged=_regrouped_record(),
+       at=st.integers(0, 3))
+def test_ragged_pose_rows_are_refused_even_when_the_numbers_add_up(records, ragged, at):
+    # a loader that only counts each record's numbers would take this line, shifting
+    # the poses' entries across rows; the record scan refuses it by its line
+    lines = records[:at] + [ragged] + records[at:]
+    loaded, scanned = _load_both("\n".join(lines))
+    assert isinstance(scanned, ParseError) and scanned.line == min(at, len(records)) + 1
+    assert type(loaded) is ParseError and loaded.line == scanned.line
+
+
 @functools.cache
 def _scaled_q_tilde(seed, weight):
     _, _, _, m = sim.terrain_instance(np.random.default_rng([seed, 30]), 30, 0.05, 0.05)

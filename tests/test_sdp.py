@@ -26,40 +26,6 @@ def test_norm_overflows_to_inf_as_numpy_does():
             assert sdp.norm(a) == np.linalg.norm(a) == np.inf
 
 
-def test_problem_validation():
-    with pytest.raises(ValueError):
-        SdpProblem(cost=np.eye(2), constraints=np.zeros((0, 2, 2)), rhs=np.zeros(0))
-    with pytest.raises(ValueError):
-        asym = np.array([[0.0, 1.0], [0.0, 0.0]])
-        SdpProblem(cost=asym, constraints=np.eye(2)[None], rhs=np.ones(1))
-    with pytest.raises(ValueError):
-        SdpProblem(cost=np.eye(2), constraints=np.eye(3)[None], rhs=np.ones(1))
-    with pytest.raises(ValueError, match="cost must be square"):
-        SdpProblem(cost=np.zeros((2, 3)), constraints=np.zeros((1, 2, 3)), rhs=np.ones(1))
-
-
-def test_problem_refuses_a_nan_cost():
-    # a NaN entry makes the symmetry test's comparison false, not true
-    cost = np.eye(2)
-    cost[0, 0] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        SdpProblem(cost=cost, constraints=np.eye(2)[None], rhs=np.ones(1))
-
-
-@pytest.mark.parametrize("entries", [[(0, 1)], [(0, 1), (1, 0)], [(1, 1)]],
-                         ids=["one-off-diagonal", "symmetric-pair", "diagonal"])
-def test_problem_refuses_an_infinite_cost_without_a_warning(entries):
-    # a lone inf makes |c - c^T| and its bound both inf, so the symmetry
-    # comparison alone holds; a symmetric or diagonal one subtracts inf - inf
-    cost = np.eye(10)
-    for entry in entries:
-        cost[entry] = np.inf
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="finite"):
-            SdpProblem(cost=cost, constraints=np.eye(10)[None], rhs=np.ones(1))
-
-
 def test_matrix_form_operator_matches_einsum():
     m, _ = random_instance(4, n_motions=20)
     problem, _ = solver.build_sdp_problem(qcqp.assemble(m), "r+c+h")
@@ -244,14 +210,6 @@ def test_solve_starts_at_the_interior_point_else_at_the_scaled_identity():
     assert p.interior is None
     first = sdp.solve(p).iterate_log[0]
     assert first["iter"] == 1 and first["x_norm"] == np.linalg.norm(np.eye(p.dim))
-
-
-def test_problem_validation_checks_the_interior_point_shape():
-    a, b = np.eye(2)[None], np.ones(1)
-    with pytest.raises(ValueError, match="interior point"):
-        SdpProblem(cost=np.eye(2), constraints=a, rhs=b, interior=(np.eye(3), np.zeros(1)))
-    with pytest.raises(ValueError, match="interior point"):
-        SdpProblem(cost=np.eye(2), constraints=a, rhs=b, interior=(np.eye(2), np.zeros(2)))
 
 
 def test_pseudo_inverse_matches_the_svd_on_a_rank_deficient_schur_matrix():

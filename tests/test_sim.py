@@ -1,11 +1,13 @@
 import io
 import json
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from egocal import cli, geom, sim, solver
-from egocal.errors import NumericalFailure
+from egocal.errors import NumericalFailure, SingularInput
 from egocal.geom import RotationMatrix, Transform
 from egocal.problem import (
     SINGULAR_QTT_CONDITION,
@@ -98,6 +100,26 @@ def test_corrupt_deterministic():
     a = sim.corrupt(m, noise)
     b = sim.corrupt(m, noise)
     assert np.array_equal(a.ra, b.ra) and np.array_equal(a.ta, b.ta)
+
+
+@pytest.mark.parametrize("sigmas", [(1e308, 0.0), (0.0, 1e308), (0.01, 1e308)])
+def test_corrupt_refuses_noise_that_overflows(sigmas):
+    # 1e308 times a draw beyond 1.8 overflows: refused by name, with no warning
+    path = sim.generate_path(n_steps=10, seed=16)
+    m = relative_motions_from_trajectories(*sim.sensor_trajectories(path, sim.DEFAULT_THETA))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularInput, match="sigma_r .* sigma_t"):
+            sim.corrupt(m, sim.NoiseModel(*sigmas, seed=4))
+
+
+def test_corrupt_refuses_a_shift_that_overflows_a_translation():
+    # draws of 1e307 stay finite, but not their sum with a translation near the float limit
+    path = sim.generate_path(n_steps=10, seed=16)
+    m = relative_motions_from_trajectories(*sim.sensor_trajectories(path, sim.DEFAULT_THETA))
+    m = replace(m, ta=np.full((m.n, 3), 1.7e308), tb=np.full((m.n, 3), -1.7e308))
+    with pytest.raises(SingularInput, match="sigma_r"):
+        sim.corrupt(m, sim.NoiseModel(0.0, 1e307, seed=0))
 
 
 def test_corrupt_rotations_stay_valid():

@@ -165,6 +165,27 @@ def test_weights_whose_reduced_trace_overflows_are_refused_by_name():
         assert solver.calibrate(replace(m, kappa=1e305 * m.kappa, tau=1e305 * m.tau)).certificate.certified
 
 
+@pytest.mark.parametrize("scale", [1e-308, 1e-300, 1e-100, 1e-12, 1e-4, 1.0, 100.0, 1e4,
+                                   1e12, 1e100, 1e200, 1e300, 1e306, 1e308])
+def test_assembly_refuses_or_hands_the_sdp_a_finite_symmetric_cost(scale):
+    # sdp.SdpProblem trusts its arrays: at any weight scale, kappa and tau scaled
+    # together or apart, assembly refuses by name or the SDP's cost is finite and
+    # exactly symmetric, with the catalog's shapes.
+    for log in [(0, 50), (1, 50)]:
+        m = sim.terrain_instance(np.random.default_rng(log), 50, 0.05, 0.05)[3]
+        for kappa, tau in [(scale, scale), (scale, 1.0), (1.0, scale)]:
+            try:
+                dm = qcqp.assemble(replace(m, kappa=kappa * m.kappa, tau=tau * m.tau))
+            except (NumericalFailure, SingularQtt):
+                continue
+            for kind in qcqp.CONSTRAINT_KINDS:
+                p, _ = solver.build_sdp_problem(dm, kind)
+                c, rows = p.cost, len(p.constraints)
+                assert np.isfinite(c).all() and np.array_equal(c, c.T) and c.shape == (10, 10)
+                assert p.constraints.shape == (rows, 10, 10) and p.rhs.shape == (rows,)
+                assert p.interior[0].shape == (10, 10) and p.interior[1].shape == (rows,)
+
+
 @pytest.mark.parametrize("kappa, tau", [(1e16, 1.0), (1.0, 1e200)])
 def test_lopsided_or_huge_weights_certify_without_a_warning(kappa, tau):
     # kappa/tau = 1e16 extracts a rotation of about 4e-14 R from the start stage,
