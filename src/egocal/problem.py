@@ -152,7 +152,7 @@ def _columns(texts, keys=("a", "b"), weight_keys=("kappa", "tau")):
     the weights. A refused batch is a ParseError, without a line number: the pose's t
     is at fault if the t's alone do not convert, else its R; or the weights are.
     """
-    suspects, values, weights, refused = _boolean_suspects(texts), [], [], False
+    booleans, values, weights, refused = _may_hold_booleans(texts), [], [], False
     try:
         for text in texts:
             if not text.isascii():
@@ -184,41 +184,38 @@ def _columns(texts, keys=("a", "b"), weight_keys=("kappa", "tau")):
     except (KeyError, TypeError):
         raise ParseError(f"record must hold {' and '.join(keys)}, each with 'R' and 't'") from None
     n, k, w = len(texts), len(keys), len(weight_keys)
-    poses = None if refused else _numbers(values, (12 * k * n,), suspects, -np.inf, per=12 * k)
+    poses = None if refused else _numbers(values, (12 * k * n,), booleans, -np.inf)
     if poses is None:  # every t a row of 3 finite numbers leaves an R at fault
         translations = [json.loads(text)[key]["t"] for text in texts for key in keys]
-        t_ok = _numbers(translations, (k * n, 3), suspects, -np.inf, per=k) is not None
+        t_ok = _numbers(translations, (k * n, 3), booleans, -np.inf) is not None
         raise ParseError(_BAD_R if t_ok else "pose 't' must be 3 finite numbers")
-    weights = _numbers(weights, (w * n,), suspects, 0.0, per=w)
+    weights = _numbers(weights, (w * n,), booleans, 0.0)
     if weights is None:
         raise ParseError(f"{' and '.join(weight_keys)} must be positive and finite")
     return poses.reshape(n, k, 4, 3), weights.reshape(n, w)
 
 
-def _boolean_suspects(texts):
-    """Indices of the texts holding a JSON true or false, the only ones that can hide
-    a boolean among numbers. Numbers and the record's keys hold no "r" or "l", so
+def _may_hold_booleans(texts):
+    """Whether the texts may hold a JSON true or false, which numpy would take for a
+    number among numbers. Numbers and the record's keys hold no "r" or "l", so
     one-letter searches of the joined texts clear most logs before any substring
     search; the joined copy is freed before the records are parsed."""
     joined = "\n".join(texts)
-    if ("r" in joined and "true" in joined) or ("l" in joined and "false" in joined):
-        return [i for i, text in enumerate(texts) if "true" in text or "false" in text]
-    return []
+    return ("r" in joined and "true" in joined) or ("l" in joined and "false" in joined)
 
 
-def _numbers(rows, shape, suspects, low, per=1):
-    """A list of numbers (or of rows of numbers), `per` items per text, as a float array
-    of `shape`, all JSON numbers in (low, inf); else None.
+def _numbers(rows, shape, booleans, low):
+    """A list of numbers (or of rows of numbers) as a float array of `shape`, all JSON
+    numbers in (low, inf); else None.
 
     numpy promotes a boolean mixed with numbers to a number and keeps an integer
-    beyond 64 bits as an object, so the items of the texts `suspects` (or all items)
-    get their types checked.
+    beyond 64 bits as an object, so every item gets its type checked when the texts
+    may hold a boolean (`booleans`) or the array holds objects.
     """
     try:
         values = np.array(rows)
         if values.shape == shape and values.dtype.kind in "iufO":
-            checked = values if values.dtype == object else [
-                rows[per * i:per * i + per] for i in suspects]
+            checked = values if values.dtype == object else rows if booleans else []
             if set(map(type, np.array(checked, dtype=object).flat)) <= {int, float}:
                 values = values.astype(float, copy=False)
                 if np.all((values > low) & (values < np.inf)):  # NaN fails both

@@ -47,12 +47,9 @@ that is not why a factorization without a cutoff is avoided: with it
 dropped, a plain LU solve breaks down on about 20 of 256 two-motion
 instances, 'r+h' (no dependency) included.
 
-`solve` stops at a caller's tolerance, so the calibration pipeline
-(`solver.settle`) solves only as far as its certificate needs, in two stages:
-the start stage solves to 1.0, at which the solve stops at its start point
-(iteration 1, no step; the residuals are zero there and the gap is below
-1 + |pobj| + |dobj|), and the strict stage, run only when the start stage's
-answer does not certify, solves afresh to the strict TOL.
+`solve` stops at a caller's tolerance. From a problem's interior point at
+`tol=1.0` it stops at iteration 1, with no step: the residuals are zero there
+and the gap is below 1 + |pobj| + |dobj|.
 
 The caller contract: `solve` and `certify_lmi` check none of the arrays they
 are given. `SdpProblem` states what those arrays must meet, and where the

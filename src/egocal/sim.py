@@ -50,7 +50,7 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma_r < 0 or self.sigma_t < 0:
+        if not (self.sigma_r >= 0 and self.sigma_t >= 0):  # NaN fails both
             raise ValueError("noise standard deviations must be nonnegative")
 
 
@@ -237,6 +237,8 @@ def ablation_experiment(n_axes: int = 100, translation_magnitudes=None, jobs: in
     """
     base = two_motion_instance()
     if translation_magnitudes is None:
+        if n_axes < 1:
+            raise ValueError("n_axes must be at least 1")
         axes = fibonacci_sphere(n_axes)
         cases = [
             (magnitude, 0.0, [_perturb_instance(base, axis, magnitude) for axis in axes])
@@ -369,18 +371,22 @@ def init_heatmap(n_inits: int = 64, n_motions: int = 50, seed: int = 0, jobs: in
     the local solver with n_inits initial guesses offset from the truth by the
     cell's rotation angle and translation distance.
     """
+    if n_inits < 1:
+        raise ValueError("n_inits must be at least 1")
     _, theta, _, noisy = terrain_instance(
         np.random.default_rng([seed, 0]), n_motions, 0.01, 0.01
     )
     convex = solver.calibrate(noisy)
     convex_rot_err, convex_trans_err = _errors(convex.extrinsic, theta)
 
-    cells = [
-        (noisy, theta, convex_rot_err, convex_trans_err, angle, dist, n_inits)
-        for angle in HEATMAP_ANGLES
-        for dist in HEATMAP_DISTANCES
+    cells = [(angle, dist) for angle in HEATMAP_ANGLES for dist in HEATMAP_DISTANCES]
+    errors = _map_jobs(_heatmap_cell, [(noisy, theta, *cell, n_inits) for cell in cells], jobs)
+    rows = [
+        {"init_angle": float(angle), "init_distance": float(dist), "n_inits": n_inits,
+         "max_rotation_error_diff": rot_err - convex_rot_err,
+         "max_translation_error_diff": trans_err - convex_trans_err}
+        for (angle, dist), (rot_err, trans_err) in zip(cells, errors)
     ]
-    rows = _map_jobs(_heatmap_cell, cells, jobs)
     summary = {
         "experiment": "init_heatmap",
         "convex_rotation_error": convex_rot_err,
@@ -390,29 +396,19 @@ def init_heatmap(n_inits: int = 64, n_motions: int = 50, seed: int = 0, jobs: in
     return rows, summary
 
 
-def _heatmap_cell(noisy, theta, convex_rot_err, convex_trans_err, angle, dist, n_inits):
-    """One heatmap row: local solves from n_inits starts offset by (angle, dist)."""
-    axes = fibonacci_sphere(n_inits)
-    dirs = fibonacci_sphere(n_inits)
-    max_rot_diff = -np.inf
-    max_trans_diff = -np.inf
-    for k in range(n_inits):
-        offset_r = geom.rotation_about(axes[k], angle)
+def _heatmap_cell(noisy, theta, angle, dist, n_inits):
+    """The largest rotation and translation errors of local solves from n_inits starts,
+    each turned by `angle` about and shifted by `dist` along one direction of
+    fibonacci_sphere(n_inits) from theta."""
+    errors = []
+    for direction in fibonacci_sphere(n_inits):
         init = Transform(
-            RotationMatrix(theta.rotation.m @ offset_r),
-            theta.translation + dist * dirs[k],
+            RotationMatrix(theta.rotation.m @ geom.rotation_about(direction, angle)),
+            theta.translation + dist * direction,
         )
-        local = solver.local_solve(noisy, init=init)
-        rot_err, trans_err = _errors(local.extrinsic, theta)
-        max_rot_diff = max(max_rot_diff, rot_err - convex_rot_err)
-        max_trans_diff = max(max_trans_diff, trans_err - convex_trans_err)
-    return {
-        "init_angle": float(angle),
-        "init_distance": float(dist),
-        "n_inits": n_inits,
-        "max_rotation_error_diff": float(max_rot_diff),
-        "max_translation_error_diff": float(max_trans_diff),
-    }
+        errors.append(_errors(solver.local_solve(noisy, init=init).extrinsic, theta))
+    rot_errs, trans_errs = zip(*errors)
+    return max(rot_errs), max(trans_errs)
 
 
 def runtime_bench(n_list=(10, 100, 1000), n_runs: int = 20, seed: int = 0):

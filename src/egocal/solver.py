@@ -197,14 +197,17 @@ def settle(dm: DataMatrix, constraint_set: str, propose):
     candidate (Transform, cost) pairs that `propose(eigenvectors)` returns.
 
     Two stages, the second run only when the first's answer does not certify.
-    The start stage stops the solve at its start point (tolerance 1.0), decomposes
-    H at y0, for `propose` and for the bound there, and again at the least-norm y
-    that annihilates the candidate (`_refine` from 0, since y0 knows nothing of the
-    data). The strict stage solves the SDP afresh to `sdp.TOL` and decomposes H at
-    the solver's y. Its first candidate comes from H's minimum eigenvector; when
-    that leaves the answer uncertified, a second comes from the eigenvectors after
-    it, so from H's second eigenvector. Each is refined from the solver's y, and
-    the stage answers with the cheaper of its own candidates.
+    The start stage stops the solve at its start point (tolerance 1.0) and
+    decomposes H at y0 for `propose` alone, then at the least-norm y that
+    annihilates the candidate (`_refine` from 0, since y0 knows nothing of the
+    data) for the stage's only bound. H(y0) = q_tilde/s + 0.1 I has lambda_min
+    >= 0.1, so the bound at y0 would be y0[-1] = -0.4, that is -0.4 tr q_tilde,
+    which can certify no cost >= 0; it is not folded in. The strict stage solves
+    the SDP afresh to `sdp.TOL` and decomposes H at the solver's y, for a bound
+    and a first candidate from H's minimum eigenvector; when that leaves the
+    answer uncertified, a second comes from the eigenvectors after it, so from
+    H's second eigenvector. Each is refined from the solver's y, and the stage
+    answers with the cheaper of its own candidates.
 
     Every bound holds for the global minimum, so the proof is the largest bound of
     both stages (the earliest of equal ones, the solver's y before the refined one)
@@ -232,8 +235,8 @@ def settle(dm: DataMatrix, constraint_set: str, propose):
     # The start stage. At tolerance 1.0 the solve stops at its start point: there the
     # residuals are zero to rounding and the gap <X0, S0> is below 1 + |pobj| + |dobj|.
     solution = sdp.solve(problem, tol=1.0)
-    bounds.append(_dual_bound(problem, solution.multipliers))
-    theta, certificate = candidate(bounds[-1][2], np.zeros_like(solution.multipliers))
+    eigenvectors = sdp.certify_lmi(problem.cost, problem.constraints, solution.multipliers)[1]
+    theta, certificate = candidate(eigenvectors, np.zeros_like(solution.multipliers))
     if not certificate.certified:  # the strict stage, a fresh solve from the interior start
         solution = sdp.solve(problem)
         bounds.append(_dual_bound(problem, solution.multipliers))

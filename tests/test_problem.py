@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import record_scan
 from conftest import random_instance
 from egocal import geom, qcqp, sim
 from egocal.errors import (
@@ -668,6 +669,42 @@ def test_booleans_outside_the_poses_load_like_the_plain_log(good_log_lines):
     plain, with_booleans = load_measurements("\n".join(lines)), load_measurements("\n".join(marked))
     for name in ("ra", "rb", "ta", "tb", "kappa", "tau"):
         assert getattr(with_booleans, name).tobytes() == getattr(plain, name).tobytes()
+
+
+def test_a_boolean_field_on_every_third_record_loads_like_the_plain_log(good_log_lines):
+    # a true anywhere has every number of the log type-checked, where the texts without
+    # one hold only int and float numbers
+    marked = [line[:-1] + ', "keyframe": true}' if i % 3 == 2 else line
+              for i, line in enumerate(good_log_lines)]
+    plain = load_measurements("\n".join(good_log_lines))
+    with_booleans = load_measurements("\n".join(marked))
+    for name in ("ra", "rb", "ta", "tb", "kappa", "tau"):
+        assert getattr(with_booleans, name).tobytes() == getattr(plain, name).tobytes()
+
+
+def _with_true(line, field):
+    record = json.loads(line)
+    if field == "R":
+        record["a"]["R"][0][0] = True
+    else:
+        record[field] = True
+    return json.dumps(record)
+
+
+@pytest.mark.parametrize("at", [0, 499, 998])
+@pytest.mark.parametrize("field, message", [("R", _BAD_R), ("kappa", _BAD_WEIGHTS),
+                                            ("tau", _BAD_WEIGHTS)])
+def test_a_true_in_place_of_a_number_is_refused_on_its_line(field, message, at, good_log_lines):
+    # numpy would take the true for 1; the error names the line the record scan names
+    lines = list(good_log_lines)
+    lines[at] = _with_true(lines[at], field)
+    text = "\n".join(lines)
+    with pytest.raises(ParseError) as scanned:
+        record_scan.load_measurements(text)
+    with pytest.raises(ParseError) as exc:
+        load_measurements(text)
+    assert exc.value.line == scanned.value.line == at + 1
+    assert str(exc.value) == f"line {at + 1}: {message}"
 
 
 @pytest.mark.parametrize(

@@ -217,6 +217,17 @@ def test_noise_model_validation():
         sim.NoiseModel(-0.1, 0.0)
 
 
+@pytest.mark.parametrize("sigmas", [(np.nan, 0.01), (0.01, np.nan), (np.nan, np.nan)])
+def test_a_nan_sigma_is_refused(sigmas):
+    # NaN passes a `< 0` test, and corrupt's `> 0` then draws no noise for it
+    with pytest.raises(ValueError, match="nonnegative"):
+        sim.NoiseModel(*sigmas)
+    with pytest.raises(ValueError, match="nonnegative"):
+        sim.terrain_instance(np.random.default_rng(0), 20, *sigmas)
+    with pytest.raises(ValueError, match="nonnegative"):
+        sim.noise_sweep(sigmas_r=sigmas[:1], sigmas_t=sigmas[1:], n_trials=1, n_motions=10)
+
+
 def test_noise_moments():
     # corrupt identity motions and measure the injected noise directly; at
     # sigma_r = 0.01 the rotation vector equals the Euler angles to O(sigma^2)
@@ -396,6 +407,20 @@ def test_heatmap_truth_cell(monkeypatch):
     assert len(rows) == 1
     assert rows[0]["max_rotation_error_diff"] <= 1e-6
     assert rows[0]["max_translation_error_diff"] <= 1e-6
+
+
+@pytest.mark.parametrize("n_inits", [0, -1])
+def test_an_empty_heatmap_grid_is_refused_by_name(n_inits):
+    # without starts every cell's maximum would be -inf, written as -Infinity
+    with pytest.raises(ValueError, match="n_inits must be at least 1"):
+        sim.init_heatmap(n_inits=n_inits, n_motions=10)
+
+
+@pytest.mark.parametrize("n_axes", [0, -1])
+def test_an_empty_ablation_grid_is_refused_by_name(n_axes):
+    # without axes every cell's fractions would be the NaN mean of an empty slice
+    with pytest.raises(ValueError, match="n_axes must be at least 1"):
+        sim.ablation_experiment(n_axes=n_axes)
 
 
 def test_heatmap_deterministic_across_jobs(monkeypatch):

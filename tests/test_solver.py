@@ -551,6 +551,37 @@ def test_each_stage_decomposes_the_dual_slack_twice(monkeypatch):
     assert len(calls) == 2 + 3
 
 
+def _start_point_problems():
+    """The trace-normalized SDPs, under all four catalogs, of terrain logs (balanced,
+    noisy and lopsided weights) and of the two-motion-hard grid's diagonal."""
+    logs = [sim.terrain_instance(np.random.default_rng([seed, 50]), 50, sigma, sigma)[3]
+            for seed, sigma in ((0, 0.01), (1, 0.05), (2, 0.1))]
+    logs.append(replace(logs[0], kappa=np.full(50, 1e16)))
+    logs += [two_motion_hard_instance(i, i) for i in range(16)]
+    for m in logs:
+        dm = qcqp.assemble(m)
+        for kind in qcqp.CONSTRAINT_KINDS:
+            yield solver.build_sdp_problem(dm, kind)[0]
+
+
+def test_the_bound_at_the_start_point_is_minus_two_fifths():
+    # At y0, H(y0) = q_tilde/s + 0.1 I has lambda_min >= 0.1 > delta, so the bound there
+    # is y0[-1] whatever the data: settle's start stage does not compute it.
+    for problem in _start_point_problems():
+        y0 = sdp.solve(problem, tol=1.0).multipliers
+        assert solver._dual_bound(problem, y0)[0] == y0[-1] == -0.4
+
+
+@pytest.mark.parametrize("scale", [np.finfo(float).tiny, 1e-100, 1e-9, 1.0, 1e9, 1e100, 1e308])
+def test_the_start_points_bound_certifies_no_cost(scale):
+    # cost + 0.4 s <= 1e-7 cost + 1e-9 s holds at no cost >= 0
+    costs = [0.0, 5e-324, 1e-9 * scale, 0.4 * scale, scale, 1e9 * scale, 1e300, 1.7e308]
+    for cost in costs:
+        certificate = solver.Certificate(lower_bound=-0.4 * scale, cost=cost, min_eig_h=0.1,
+                                         scale=scale)
+        assert not certificate.certified, cost
+
+
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_calibrate_answers_after_an_sdp_breakdown(monkeypatch, k):
     # a factorization failure at iteration k ends the solve with its last iterate
