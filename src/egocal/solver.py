@@ -6,15 +6,15 @@ The bound is a function of the problem and a dual vector y (`_dual_bound`):
 y_hom + 4 min(0, lambda_min H(y)) holds for every y, the verification step of
 Carlone et al. (IROS 2015) and SE-Sync (Rosen et al., IJRR 2019). So the SDP
 is solved only as far as the certificate needs: `settle`, shared by
-`calibrate` and `egocal certify`, runs two stages. The start stage stops the
-solve at its start point (`qcqp.interior_point`, tolerance 1.0) with no
-interior-point step: the candidate is the minimum eigenvector of
-H(y0) = q_tilde/s + alpha I, and most requests certify with the least-norm y
-that annihilates it. Only when that answer does not certify does the strict
-stage solve the SDP afresh to `sdp.TOL`, where a second candidate, from H's
-second eigenvector, follows the first if that does not certify. The answer is
-the cheaper of the strict stage's candidates; the proof is the largest bound
-of both stages.
+`calibrate` and `egocal certify`, runs one loop over two stages, and returns at
+the first certificate. Each stage solves, decomposes H, and for each candidate
+proposes, refines y against it, bounds, folds the proof and tests the verdict.
+The start stage stops the solve at its start point (`qcqp.interior_point`,
+tolerance 1.0) with no interior-point step, and tries one candidate, the
+minimum eigenvector of H(y0) = q_tilde/s + alpha I, with the least-norm y that
+annihilates it: most requests certify there. The strict stage solves afresh to
+`sdp.TOL` and tries H's minimum eigenvector, then its second. The answer is the
+cheaper of the stage's candidates; the proof is the largest bound of both stages.
 
 Also hosts the local Levenberg-Marquardt baseline used by the experiment
 harness for comparisons; it is the only user of scipy, imported on call.
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -196,57 +196,48 @@ def settle(dm: DataMatrix, constraint_set: str, propose):
     """Solve the SDP relaxation of `dm` under `constraint_set` and certify the
     candidate (Transform, cost) pairs that `propose(eigenvectors)` returns.
 
-    Two stages, the second run only when the first's answer does not certify.
-    The start stage stops the solve at its start point (tolerance 1.0) and
-    decomposes H at y0 for `propose` alone, then at the least-norm y that
-    annihilates the candidate (`_refine` from 0, since y0 knows nothing of the
-    data) for the stage's only bound. H(y0) = q_tilde/s + 0.1 I has lambda_min
-    >= 0.1, so the bound at y0 would be y0[-1] = -0.4, that is -0.4 tr q_tilde,
-    which can certify no cost >= 0; it is not folded in. The strict stage solves
-    the SDP afresh to `sdp.TOL` and decomposes H at the solver's y, for a bound
-    and a first candidate from H's minimum eigenvector; when that leaves the
-    answer uncertified, a second comes from the eigenvectors after it, so from
-    H's second eigenvector. Each is refined from the solver's y, and the stage
-    answers with the cheaper of its own candidates.
+    One loop over two stages, each a fresh solve from the interior start: solve,
+    decompose H at the solver's y, then for each candidate propose it, refine y
+    against it (`_refine`), bound there, fold that bound into the proof, answer with
+    the stage's cheapest candidate (the first of equal ones), and return if that
+    certifies. Two facts vary by stage. The start stage stops at its start point
+    (tolerance 1.0), folds no bound at y0 (H(y0) = q_tilde/s + 0.1 I has lambda_min
+    >= 0.1, so that bound is y0[-1] = -0.4, that is -0.4 tr q_tilde, which certifies
+    no cost >= 0), refines from 0, since y0 knows nothing of the data, and tries one
+    candidate. The strict stage solves to `sdp.TOL`, folds the bound at the solver's
+    y, refines from that y, and tries H's minimum eigenvector, then the eigenvectors
+    after it, so H's second eigenvector.
 
     Every bound holds for the global minimum, so the proof is the largest bound of
-    both stages (the earliest of equal ones, the solver's y before the refined one)
-    with its lambda_min. A strict solve that ends at the iteration cap or in a
-    factorization breakdown still leaves a dual vector, which gives a valid, if
-    weaker, bound.
+    both stages (the earliest of equal ones) with its lambda_min. A strict solve that
+    ends at the iteration cap or in a factorization breakdown still leaves a dual
+    vector, which gives a valid, if weaker, bound.
 
-    Returns (solution, theta, certificate): the solution of the stage that
-    answered, and the answer, whose cost is `certificate.cost`. Shared by
-    `calibrate` and `egocal certify`.
+    Returns (solution, theta, certificate): the solution of the stage that answered,
+    and the answer, whose cost is `certificate.cost`. Shared by `calibrate` and
+    `egocal certify`.
     """
     problem, scale = build_sdp_problem(dm, constraint_set)
     bounds = []
-
-    def candidate(eigenvectors, start):
-        """theta from `propose(eigenvectors)`, and its Certificate by the largest
-        bound so far, with the bound at y refined against it from `start`."""
-        theta, cost = propose(eigenvectors)
-        refined = _refine(problem, start, qcqp.reduced_vector(theta.rotation.m))
-        bounds.append(_dual_bound(problem, refined))
-        proof = max(bounds, key=lambda bound: bound[0])  # the first of the largest
-        return theta, Certificate(lower_bound=scale * proof[0], cost=cost, min_eig_h=proof[1],
-                                  scale=scale)
-
-    # The start stage. At tolerance 1.0 the solve stops at its start point: there the
-    # residuals are zero to rounding and the gap <X0, S0> is below 1 + |pobj| + |dobj|.
-    solution = sdp.solve(problem, tol=1.0)
-    eigenvectors = sdp.certify_lmi(problem.cost, problem.constraints, solution.multipliers)[1]
-    theta, certificate = candidate(eigenvectors, np.zeros_like(solution.multipliers))
-    if not certificate.certified:  # the strict stage, a fresh solve from the interior start
-        solution = sdp.solve(problem)
-        bounds.append(_dual_bound(problem, solution.multipliers))
-        eigenvectors = bounds[-1][2]
-        theta, certificate = candidate(eigenvectors, solution.multipliers)
-        if not certificate.certified:
-            second, other = candidate(eigenvectors[:, 1:], solution.multipliers)
-            # the proof counts the second candidate's bound whichever candidate answers
-            theta, certificate = ((second, other) if other.cost < certificate.cost
-                                  else (theta, replace(other, cost=certificate.cost)))
+    for strict in (False, True):
+        solution = sdp.solve(problem, tol=sdp.TOL if strict else 1.0)
+        if strict:
+            bounds.append(_dual_bound(problem, solution.multipliers))
+            eigenvectors, start = bounds[-1][2], solution.multipliers
+        else:  # no bound at y0 (it is -0.4 s), and refine from 0
+            eigenvectors = sdp.certify_lmi(problem.cost, problem.constraints, solution.multipliers)[1]
+            start = np.zeros_like(solution.multipliers)
+        answers = []
+        for first in range(2 if strict else 1):
+            answers.append(propose(eigenvectors[:, first:]))
+            refined = _refine(problem, start, qcqp.reduced_vector(answers[-1][0].rotation.m))
+            bounds.append(_dual_bound(problem, refined))
+            theta, cost = min(answers, key=lambda answer: answer[1])  # the first of the cheapest
+            proof = max(bounds, key=lambda bound: bound[0])  # the first of the largest
+            certificate = Certificate(lower_bound=scale * proof[0], cost=cost, min_eig_h=proof[1],
+                                      scale=scale)
+            if certificate.certified:
+                return solution, theta, certificate
     return solution, theta, certificate
 
 

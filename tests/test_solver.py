@@ -485,8 +485,8 @@ def test_an_uncertified_answer_is_the_strict_pipelines_bit_for_bit(monkeypatch, 
     # An answer that certifies in neither stage is the strict stage's: that stage
     # is one solve straight to sdp.TOL from the interior start, its candidates
     # read only its own solution, and the start stage's candidate is dropped. The
-    # start stage's bounds still count toward the proof, but here they are lower
-    # than the strict stage's, so the answers agree bit for bit.
+    # start stage's one bound, at its refined y, still counts toward the proof, but
+    # here it is lower than the strict stage's, so the answers agree bit for bit.
     monkeypatch.setattr(sdp, "MAX_ITER", max_iter)
     staged = solver.calibrate(m, "r")
     solution, theta, certificate = _strict_pipeline(m, "r")
@@ -496,6 +496,83 @@ def test_an_uncertified_answer_is_the_strict_pipelines_bit_for_bit(monkeypatch, 
     assert staged.cost == certificate.cost
     assert staged.certificate == certificate
     assert staged.solve_stats["sdp_iters"] == solution.iterations
+
+
+def _two_stage_pipeline(m, kind):
+    """(solution, theta, certificate, route) of both of `settle`'s stages, written out
+    straight from its parts. The start stage solves to 1.0, proposes from H at y0 and
+    bounds at the y refined from 0, with no bound at y0. Only when that answer does not
+    certify, the strict stage solves afresh to sdp.TOL, bounds at the solver's y and
+    proposes from H's minimum eigenvector, refined from that y; when that does not
+    certify, from the eigenvectors after it too, and the cheaper answers by a plain
+    `<`. The proof is the first of the largest bounds of both stages. The route names
+    the candidate that answered."""
+    dm = qcqp.assemble(m)
+    problem, scale = solver.build_sdp_problem(dm, kind)
+
+    def propose(eigenvectors):
+        rotation = solver._polish(dm.q_tilde, solver.extract_solution(eigenvectors))
+        translation = solver.recover_translation(dm, qcqp.reduced_vector(rotation))
+        theta = Transform(RotationMatrix(rotation), translation)
+        return theta, solver.evaluate_cost(m, theta)
+
+    def refined_bound(y, theta):
+        refined = solver._refine(problem, y, qcqp.reduced_vector(theta.rotation.m))
+        return solver._dual_bound(problem, refined)
+
+    def certificate(bounds, cost):
+        proof = max(bounds, key=lambda bound: bound[0])
+        return solver.Certificate(lower_bound=scale * proof[0], cost=cost, min_eig_h=proof[1],
+                                  scale=scale)
+
+    solution = sdp.solve(problem, tol=1.0)
+    y0 = solution.multipliers
+    theta, cost = propose(sdp.certify_lmi(problem.cost, problem.constraints, y0)[1])
+    bounds = [refined_bound(np.zeros_like(y0), theta)]
+    proven = certificate(bounds, cost)
+    if proven.certified:
+        return solution, theta, proven, "start"
+    solution = sdp.solve(problem)
+    y = solution.multipliers
+    bounds.append(solver._dual_bound(problem, y))
+    eigenvectors = bounds[-1][2]
+    theta, cost = propose(eigenvectors)
+    bounds.append(refined_bound(y, theta))
+    proven = certificate(bounds, cost)
+    if proven.certified:
+        return solution, theta, proven, "first"
+    second, second_cost = propose(eigenvectors[:, 1:])
+    bounds.append(refined_bound(y, second))
+    if second_cost < cost:
+        return solution, second, certificate(bounds, second_cost), "second"
+    return solution, theta, certificate(bounds, cost), "first"
+
+
+@pytest.mark.parametrize(
+    "m, kind, route, certified",
+    [
+        (two_motion_hard_instance(0, 0), "r", "start", True),
+        (two_motion_hard_instance(0, 3), "r+h", "first", True),
+        (two_motion_hard_instance(0, 6), "r+c", "first", False),
+        (two_motion_hard_instance(0, 6), "r", "second", False),
+        (sim.terrain_instance(np.random.default_rng([0, 50]), 50, 0.01, 0.01)[3], "r+c+h", "start",
+         True),
+    ],
+    ids=["start", "strict-first", "uncertified-first", "uncertified-second", "terrain-n50"],
+)
+def test_every_answering_route_is_the_two_stage_pipelines_bit_for_bit(m, kind, route, certified):
+    # One input per route that answers on the 16x16 two-motion-hard grid under the four
+    # catalogs: the start stage certifies; the strict stage's first candidate certifies;
+    # neither certifies and the first candidate, or the cheaper second one, answers.
+    result = solver.calibrate(m, kind)
+    solution, theta, certificate, answered = _two_stage_pipeline(m, kind)
+    assert (answered, certificate.certified) == (route, certified)
+    assert np.array_equal(result.extrinsic.rotation.m, theta.rotation.m)
+    assert np.array_equal(result.extrinsic.translation, theta.translation)
+    assert result.cost == certificate.cost
+    assert result.certificate == certificate
+    assert result.solve_stats["sdp_iters"] == solution.iterations
+    assert result.solve_stats["sdp_tolerance"] == solution.tolerance
 
 
 def test_an_uncertified_answer_may_come_from_the_second_candidate(monkeypatch):
@@ -538,8 +615,9 @@ def test_answers_respect_a_brute_force_minimum():
 
 
 def test_each_stage_decomposes_the_dual_slack_twice(monkeypatch):
-    # once at the solver's y, for extraction and its bound, and once at the refined y;
-    # the strict stage refines against a second candidate when the first does not certify
+    # once at the solver's y, for extraction (and, in the strict stage, its bound), and once
+    # at the refined y; the strict stage refines against a second candidate when the first
+    # does not certify
     certify_lmi, calls = sdp.certify_lmi, []
     monkeypatch.setattr(sdp, "certify_lmi", lambda *args: calls.append(args) or certify_lmi(*args))
     m = sim.terrain_instance(np.random.default_rng([0, 50]), 50, 0.01, 0.01)[3]
