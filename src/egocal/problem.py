@@ -8,9 +8,14 @@ The measurement format, one JSON object per line::
 Entries are JSON numbers: rotations row-major 3x3, translations in meters.
 kappa/tau default to 1.
 
-The loader parses each stripped non-blank line with one call of the JSON
-decoder's scanner, as JSONDecoder.raw_decode makes it, refusing trailing data
-as json.loads does, with the garbage collector paused: the parse's lists and
+The loader decodes each stripped non-blank line of at most ORJSON_MAX_LINE
+(1000) characters with orjson.loads, three to four times as fast as the standard
+library's scanner. A longer line, or one orjson refuses, goes to one call of
+the JSON decoder's scanner, as JSONDecoder.raw_decode makes it, refusing
+trailing data as json.loads does, so every value and every error that orjson
+does not give comes from the standard library. The length bound keeps orjson,
+which has no depth limit, from nesting deep enough to crash (see
+ORJSON_MAX_LINE). The garbage collector is paused for the parse: its lists and
 dicts form no cycle. The same loop gathers every pose into one flat list of
 numbers, R's nine then t's three, unpacking every row and t into exactly three
 numbers, and one np.array conversion, checked in bulk, turns it into all poses;
@@ -37,6 +42,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from . import geom
 from .errors import (
@@ -55,6 +61,14 @@ SINGULAR_QTT_CONDITION = 1e12
 
 # The decoder's scanner: the (value, end) of the JSON value at an index, as raw_decode gives it.
 _SCAN = json.JSONDecoder().scan_once
+# Longest line orjson decodes. orjson 3.8.3 has no depth limit and dies by SIGSEGV
+# on deep enough closed nesting (10**6 levels on the main thread, 5000 in a thread
+# with a 256 KiB stack). A line of at most 1000 characters closes at most 500 levels,
+# which read without a crash even on a 64 KiB thread stack, and which is under half
+# the default recursion limit, where the scanner starts refusing. Longer lines go to
+# the scanner; a dump_measurements record, 26 numbers of at most 24 characters, is
+# under 800.
+ORJSON_MAX_LINE = 1000
 
 _BAD_R = "pose 'R' must be a 3x3 of finite numbers"
 
@@ -143,26 +157,32 @@ def _columns(texts, keys=("a", "b"), weight_keys=("kappa", "tau")):
 
     Each text is an object holding the k poses `keys` ({"R": 3x3, "t": 3-vector})
     and the w weights `weight_keys` (default 1), by default a measurement record's.
-    One loop decodes each text with the decoder's scanner, as JSONDecoder.raw_decode
-    does, and gathers every pose into one flat list of numbers, 12 per pose: R's nine
-    entries, then t. It unpacks each R into exactly three rows, and each row and each
-    t into exactly three numbers, so one pose's missing number cannot be made up by
-    another's extra one; a row or t that does not unpack refuses the batch. One
-    np.array conversion, checked in bulk, turns the list into the poses, and one more
-    the weights. A refused batch is a ParseError, without a line number: the pose's t
+    One loop decodes each text with orjson when it has at most ORJSON_MAX_LINE
+    characters, else, or when orjson refuses it, with the decoder's scanner, as
+    JSONDecoder.raw_decode does. What orjson accepts, the scanner decodes to the same
+    values, but for integers outside [-2**63, 2**64): orjson rounds them to the float
+    that the conversion below makes of the scanner's int. The loop gathers every pose
+    into one flat list of numbers, 12 per pose: R's nine entries, then t. It unpacks
+    each R into exactly three rows, and each row and each t into exactly three numbers,
+    so one pose's missing number cannot be made up by another's extra one; a row or t
+    that does not unpack refuses the batch. One np.array conversion, checked in bulk,
+    turns the list into the poses, and one more the weights. A refused batch is a ParseError, without a line number: the pose's t
     is at fault if the t's alone do not convert, else its R; or the weights are.
     """
     booleans, values, weights, refused = _may_hold_booleans(texts), [], [], False
     try:
         for text in texts:
-            if not text.isascii():
-                text.encode("utf-8")  # a lone surrogate does not encode
-            try:
-                record, end = _SCAN(text, 0)
-            except StopIteration as exc:
-                raise json.JSONDecodeError("Expecting value", text, exc.value) from None
-            if end != len(text):
-                raise json.JSONDecodeError("Extra data", text, end)
+            try:  # orjson refuses "", so a line too long for it goes to the scanner
+                record = orjson.loads(text if len(text) <= ORJSON_MAX_LINE else "")
+            except orjson.JSONDecodeError:
+                if not text.isascii():
+                    text.encode("utf-8")  # a lone surrogate does not encode
+                try:
+                    record, end = _SCAN(text, 0)
+                except StopIteration as exc:
+                    raise json.JSONDecodeError("Expecting value", text, exc.value) from None
+                if end != len(text):
+                    raise json.JSONDecodeError("Extra data", text, end)
             for key in keys:
                 pose = record[key]
                 rotation, translation = pose["R"], pose["t"]

@@ -2,15 +2,21 @@ import contextlib
 import gc
 import io
 import json
+import os
+import subprocess
 import sys
+import textwrap
 import warnings
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import egocal
 import record_scan
 from conftest import random_instance
 from egocal import geom, qcqp, sim
@@ -26,6 +32,7 @@ from egocal.errors import (
 from egocal.geom import RotationMatrix, Transform
 from egocal.problem import (
     INGEST_ROTATION_TOL,
+    ORJSON_MAX_LINE,
     SINGULAR_QTT_CONDITION,
     MeasurementSet,
     check_observability,
@@ -623,6 +630,136 @@ def test_record_nested_too_deeply_names_its_line():
         with pytest.raises(ParseError) as exc:
             load_measurements("\n".join([_GOOD_LINE, bad, _GOOD_LINE]))
         assert exc.value.line == 2
+
+
+def _run_python(script, *args):
+    """The completed run of `script` with `args` in a fresh interpreter that imports this
+    egocal, so that a crash by signal fails the test instead of ending the test run."""
+    src = str(Path(egocal.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True)
+
+
+def test_a_key_nested_a_million_levels_deep_is_refused_without_a_crash():
+    # orjson 3.8.3 dies by SIGSEGV on this closed nesting; the line is longer than
+    # ORJSON_MAX_LINE, so the scanner reads it and refuses it past the recursion limit
+    script = textwrap.dedent("""
+        import sys
+        from egocal.problem import load_measurements
+        good = sys.argv[1]
+        deep = good[:-1] + ', "x": ' + "[" * 10**6 + "]" * 10**6 + "}"
+        try:
+            load_measurements("\\n".join([good, deep, good]))
+        except Exception as exc:
+            print(type(exc).__name__, exc.line, exc)
+    """)
+    proc = _run_python(script, _GOOD_LINE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ParseError 2 line 2: invalid JSON: maximum recursion depth")
+
+
+def test_the_deepest_nesting_of_a_line_orjson_reads_does_not_crash_a_small_thread_stack():
+    # Closed list, dict and mixed nesting as deep as ORJSON_MAX_LINE characters allow,
+    # alone (not a record) and as an extra key of a record, read in a thread with a
+    # 64 KiB stack: every line is refused as no record or loaded, none crashes.
+    script = textwrap.dedent("""
+        import sys
+        import threading
+        from egocal.errors import ParseError
+        from egocal.problem import ORJSON_MAX_LINE, load_measurements
+
+        LEVELS = {"list": ("[", "", "]"), "dict": ('{"":', "0", "}"), "mixed": ('[{"":', "0", "}]")}
+
+        def nested(opens, inner, closes, size):
+            depth = (size - len(inner)) // len(opens + closes)
+            pad = " " * (size - len(inner) - depth * len(opens + closes))
+            return opens * depth + pad + inner + closes * depth
+
+        prefix = sys.argv[1][:-1] + ', "x": '
+        lines = []
+        for name, level in LEVELS.items():
+            lines.append((name, nested(*level, ORJSON_MAX_LINE)))
+            inside = nested(*level, ORJSON_MAX_LINE - len(prefix) - 1)
+            lines.append(("record-" + name, prefix + inside + "}"))
+
+        def load_each():
+            for name, line in lines:
+                assert len(line) == ORJSON_MAX_LINE
+                try:
+                    print(name, load_measurements(line).n)
+                except ParseError as exc:
+                    print(name, exc)
+
+        threading.stack_size(64 * 1024)
+        thread = threading.Thread(target=load_each)
+        thread.start()
+        thread.join()
+    """)
+    proc = _run_python(script, _GOOD_LINE)
+    assert proc.returncode == 0, proc.stderr
+    no_record = "line 1: record must hold a and b, each with 'R' and 't'"
+    assert proc.stdout.splitlines() == [
+        line for name in ("list", "dict", "mixed") for line in (f"{name} {no_record}", f"record-{name} 1")
+    ]
+
+
+def _with_note(line, size):
+    """The record `line` with a "note" string that makes it `size` characters long."""
+    return line[:-1] + ', "note": "' + "x" * (size - len(line) - len(', "note": ""')) + '"}'
+
+
+def test_orjson_reads_lines_up_to_its_limit_and_no_longer(monkeypatch):
+    read, loads = [], orjson.loads
+    monkeypatch.setattr(orjson, "loads", lambda text: read.append(text) or loads(text))
+    lines = [_with_note(_GOOD_LINE, size) for size in (ORJSON_MAX_LINE, ORJSON_MAX_LINE + 1)]
+    plain = load_measurements(_GOOD_LINE)
+    for line in lines:
+        assert load_measurements(line).ta.tobytes() == plain.ta.tobytes()
+    assert lines[0] in read and lines[1] not in read
+
+
+def _scanner_only(monkeypatch):
+    """Have orjson refuse every line, as it refuses a line too long for it."""
+    refused = []
+
+    def refuse(text):
+        refused.append(text)
+        raise orjson.JSONDecodeError("refused", text, 0)
+
+    monkeypatch.setattr(orjson, "loads", refuse)
+    return refused
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_LINES))
+def test_the_scanner_alone_refuses_a_bad_line_alike(name, monkeypatch):
+    text = _GOOD_LINE + "\n" + _BAD_LINES[name]
+    with pytest.raises(ParseError) as decoded:
+        load_measurements(text)
+    refused = _scanner_only(monkeypatch)
+    with pytest.raises(ParseError) as scanned:
+        load_measurements(text)
+    assert refused
+    assert (str(scanned.value), scanned.value.line) == (str(decoded.value), decoded.value.line)
+
+
+def _assert_same_columns(a, b):
+    for name in ("ra", "rb", "ta", "tb", "kappa", "tau"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+def test_the_scanner_alone_loads_a_log_alike(good_log_lines, monkeypatch):
+    text = "\n".join(good_log_lines + [good_log_lines[0]])  # 1000 records
+    decoded = load_measurements(text)
+    refused = _scanner_only(monkeypatch)
+    scanned = load_measurements(text)
+    assert len(refused) == 1000
+    _assert_same_columns(scanned, decoded)
+
+
+def test_records_too_long_for_orjson_load_like_the_plain_log(good_log_lines):
+    lines = good_log_lines + [good_log_lines[0]]  # 1000 records
+    noted = [_with_note(line, ORJSON_MAX_LINE + 1 + i) for i, line in enumerate(lines)]
+    _assert_same_columns(load_measurements("\n".join(noted)), load_measurements("\n".join(lines)))
 
 
 def test_integers_beyond_64_bits_load_as_floats():
