@@ -10,15 +10,14 @@ kappa/tau default to 1.
 
 The loader decodes each stripped non-blank line of at most ORJSON_MAX_LINE
 (1000) characters with orjson.loads, three to four times as fast as the standard
-library's scanner. A longer line, or one orjson refuses, goes to one call of
-the JSON decoder's scanner, as JSONDecoder.raw_decode makes it, refusing
-trailing data as json.loads does, so every value and every error that orjson
-does not give comes from the standard library. The length bound keeps orjson,
-which has no depth limit, from nesting deep enough to crash (see
-ORJSON_MAX_LINE). The garbage collector is paused for the parse: its lists and
-dicts form no cycle. The same loop gathers every pose into one flat list of
-numbers, R's nine then t's three, unpacking every row and t into exactly three
-numbers, and one np.array conversion, checked in bulk, turns it into all poses;
+library's decoder. A longer line, or one orjson refuses, goes to
+JSONDecoder.raw_decode, refusing trailing data as json.loads does, so every
+value and every error that orjson does not give comes from the standard
+library. The length bound keeps orjson, which has no depth limit, from nesting
+deep enough to crash (see ORJSON_MAX_LINE). The parse holds one record at a
+time: each is freed once the next line is decoded. The same loop gathers every
+pose into one flat list of numbers, R's nine then t's three, unpacking every
+row and t into exactly three numbers, and one np.array conversion, checked in bulk, turns it into all poses;
 one more converts the weights. A refused conversion blames t when the t's alone
 do not convert, else R. Only when a check fails does it run the same conversion
 line by line, to name the first bad line in a ParseError that says whether an
@@ -37,7 +36,6 @@ request, refusing singular data and keeping the report on its DataMatrix.
 
 from __future__ import annotations
 
-import gc
 import json
 from dataclasses import dataclass
 
@@ -59,15 +57,15 @@ INGEST_ROTATION_TOL = 1e-6
 SINGULAR_QTT_CONDITION = 1e12
 
 
-# The decoder's scanner: the (value, end) of the JSON value at an index, as raw_decode gives it.
-_SCAN = json.JSONDecoder().scan_once
+# The standard library's decoder, for the lines orjson does not read.
+_DECODER = json.JSONDecoder()
 # Longest line orjson decodes. orjson 3.8.3 has no depth limit and dies by SIGSEGV
 # on deep enough closed nesting (10**6 levels on the main thread, 5000 in a thread
 # with a 256 KiB stack). A line of at most 1000 characters closes at most 500 levels,
 # which read without a crash even on a 64 KiB thread stack, and which is under half
-# the default recursion limit, where the scanner starts refusing. Longer lines go to
-# the scanner; a dump_measurements record, 26 numbers of at most 24 characters, is
-# under 800.
+# the default recursion limit, where the standard library's decoder starts refusing.
+# Longer lines go to that decoder; a dump_measurements record, 26 numbers of at most
+# 24 characters, is under 800.
 ORJSON_MAX_LINE = 1000
 
 _BAD_R = "pose 'R' must be a 3x3 of finite numbers"
@@ -158,29 +156,27 @@ def _columns(texts, keys=("a", "b"), weight_keys=("kappa", "tau")):
     Each text is an object holding the k poses `keys` ({"R": 3x3, "t": 3-vector})
     and the w weights `weight_keys` (default 1), by default a measurement record's.
     One loop decodes each text with orjson when it has at most ORJSON_MAX_LINE
-    characters, else, or when orjson refuses it, with the decoder's scanner, as
-    JSONDecoder.raw_decode does. What orjson accepts, the scanner decodes to the same
-    values, but for integers outside [-2**63, 2**64): orjson rounds them to the float
-    that the conversion below makes of the scanner's int. The loop gathers every pose
-    into one flat list of numbers, 12 per pose: R's nine entries, then t. It unpacks
-    each R into exactly three rows, and each row and each t into exactly three numbers,
-    so one pose's missing number cannot be made up by another's extra one; a row or t
-    that does not unpack refuses the batch. One np.array conversion, checked in bulk,
-    turns the list into the poses, and one more the weights. A refused batch is a ParseError, without a line number: the pose's t
+    characters, else, or when orjson refuses it, with JSONDecoder.raw_decode, and
+    frees each record once it has decoded the next. What orjson accepts, raw_decode
+    decodes to the same values, but for integers outside [-2**63, 2**64): orjson
+    rounds them to the float that the conversion below makes of raw_decode's int. The
+    loop gathers every pose into one flat list of numbers, 12 per pose: R's nine
+    entries, then t. It unpacks each R into exactly three rows, and each row and each
+    t into exactly three numbers, so one pose's missing number cannot be made up by
+    another's extra one; a row or t that does not unpack refuses the batch. One
+    np.array conversion, checked in bulk, turns the list into the poses, and one more
+    the weights. A refused batch is a ParseError, without a line number: the pose's t
     is at fault if the t's alone do not convert, else its R; or the weights are.
     """
     booleans, values, weights, refused = _may_hold_booleans(texts), [], [], False
     try:
         for text in texts:
-            try:  # orjson refuses "", so a line too long for it goes to the scanner
+            try:  # orjson refuses "", so a line too long for it goes to raw_decode
                 record = orjson.loads(text if len(text) <= ORJSON_MAX_LINE else "")
             except orjson.JSONDecodeError:
                 if not text.isascii():
                     text.encode("utf-8")  # a lone surrogate does not encode
-                try:
-                    record, end = _SCAN(text, 0)
-                except StopIteration as exc:
-                    raise json.JSONDecodeError("Expecting value", text, exc.value) from None
+                record, end = _DECODER.raw_decode(text)
                 if end != len(text):
                     raise json.JSONDecodeError("Extra data", text, end)
             for key in keys:
@@ -249,7 +245,6 @@ def load_measurements(source) -> MeasurementSet:
     """Parse JSON-lines relative-motion records (see module docstring), with the
     rotations projected onto SO(3).
 
-    The garbage collector is paused for the parse and left as the caller had it.
     `source` may be an open text or binary file, a string, or bytes. Raises ParseError
     (naming the first bad line), InvalidRotation, or EmptyInput.
     """
@@ -259,8 +254,6 @@ def load_measurements(source) -> MeasurementSet:
     lines = [(no, line) for no, raw in enumerate(text.split("\n"), 1) if (line := raw.strip())]
     if not lines:
         raise EmptyInput("measurement source contained no records")
-    collecting = gc.isenabled()
-    gc.disable()  # the parse's lists and dicts form no cycle
     try:
         poses, weights = _columns([line for _, line in lines])
     except ParseError:
@@ -271,9 +264,6 @@ def load_measurements(source) -> MeasurementSet:
             except ParseError as exc:
                 raise ParseError(str(exc), line=line_no) from None
         raise
-    finally:
-        if collecting:
-            gc.enable()
     rotations = ingest_rotations(poses[:, :, :3], lambda i: f"line {lines[i][0]}")
     return MeasurementSet(*rotations.swapaxes(0, 1), *poses[:, :, 3].swapaxes(0, 1), *weights.T)
 

@@ -414,10 +414,12 @@ def _heatmap_cell(noisy, theta, angle, dist, n_inits):
 def runtime_bench(n_list=(10, 100, 1000), n_runs: int = 20, seed: int = 0):
     """Wall time vs n (sigma 0.01): solver-only for the convex SDP and the local LM,
     and end to end for `calibrate` (parsing the dumped JSON-lines text, then the call).
+    The runs go round-robin over n_list, so a burst of load from other processes
+    falls on every n alike rather than on one n's block of runs.
     """
     rows = []
-    for n in n_list:
-        for run in range(n_runs):
+    for run in range(n_runs):
+        for n in n_list:
             noisy = terrain_instance(np.random.default_rng([seed, n, run]), n, 0.01, 0.01)[3]
             dm = qcqp.assemble(noisy)
             problem, _ = solver.build_sdp_problem(dm, "r+c+h")

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 import egocal
 import record_scan
 from conftest import random_instance
-from egocal import geom, qcqp, sim
+from egocal import geom, problem, qcqp, sim
 from egocal.errors import (
     EmptyInput,
     InvalidRotation,
@@ -602,6 +603,42 @@ def test_load_leaves_the_collector_as_it_found_it(collecting, source):
             load_measurements(text)
         assert gc.isenabled() is collecting
     finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_a_load_in_one_thread_leaves_the_collector_to_the_others(monkeypatch):
+    """The collector's switch is process-wide: a load in a worker thread neither turns it
+    off for the main thread while it parses nor back on when it returns."""
+    parsing, release, failures = threading.Event(), threading.Event(), []
+    real_columns = problem._columns
+
+    def held_columns(*args, **kwargs):
+        parsing.set()
+        release.wait()
+        return real_columns(*args, **kwargs)
+
+    def load():
+        try:
+            load_measurements(_SOURCES["good"][0])
+        except Exception as exc:  # reported by the main thread
+            failures.append(exc)
+
+    monkeypatch.setattr(problem, "_columns", held_columns)
+    was = gc.isenabled()
+    gc.enable()
+    worker = threading.Thread(target=load)
+    try:
+        worker.start()
+        assert parsing.wait(timeout=60)  # the worker is inside the parse
+        assert gc.isenabled()
+        gc.disable()
+        release.set()
+        worker.join()
+        assert not gc.isenabled()
+        assert failures == []
+    finally:
+        release.set()
+        worker.join()
         (gc.enable if was else gc.disable)()
 
 

@@ -442,6 +442,18 @@ def test_runtime_bench_schema():
         assert stats["q1"] <= stats["mean"] or stats["q1"] <= stats["q3"]
 
 
+def test_runtime_bench_runs_round_robin_over_n():
+    """Each run times every n before the next run starts, so a burst of load from other
+    processes cannot fall on one n's runs alone."""
+    n_list, n_runs = (12, 10, 11), 2
+    rows, summary = sim.runtime_bench(n_list=n_list, n_runs=n_runs, seed=5)
+    convex = [(r["n"], r["run"]) for r in rows if r["method"] == "convex"]
+    assert [n for n, _ in convex] == list(n_list) * n_runs
+    assert [run for _, run in convex] == [run for run in range(n_runs) for _ in n_list]
+    methods = ("convex", "local", "calibrate")
+    assert list(summary["means"]) == [f"{m},{n}" for n in n_list for m in methods]
+
+
 def test_csv_and_json_writers(tmp_path):
     rows = [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}]
     buf = io.StringIO()

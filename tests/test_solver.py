@@ -614,6 +614,27 @@ def test_answers_respect_a_brute_force_minimum():
                 assert not result.certificate.certified and round(result.cost, 4) == 6.4388
 
 
+@pytest.mark.parametrize(
+    "i, j, kind, certified, trace_decade, cost_decade",
+    [
+        (5, 1, "r", False, -6, -6),  # 2.3e-6 tr q_tilde, 6.3e-6 cost
+        (7, 0, "r+c", False, -6, -5),  # 4.3e-6 tr q_tilde, 1.0e-5 cost
+        (11, 9, "r+c+h", True, -12, -12),  # 1.9e-12 tr q_tilde, 3.0e-12 cost
+    ],
+)
+def test_the_verdict_rule_at_the_grids_nearest_gaps(i, j, kind, certified, trace_decade,
+                                                   cost_decade):
+    # On the 16x16 two-motion-hard grid: the uncertified answers nearest the rule under 'r'
+    # and under 'r+c' (no other catalog leaves one uncertified), and the certified answer
+    # with the largest gap/tr(q_tilde). GAP_COST = 1e-5 would certify (5, 1, 'r'). Every
+    # uncertified gap exceeds 2e-6 tr(q_tilde), so no grid answer tells GAP_TRACE = 1e-9
+    # from 1e-7.
+    certificate = solver.calibrate(two_motion_hard_instance(i, j), kind).certificate
+    assert certificate.certified is certified
+    assert math.floor(math.log10(certificate.gap / certificate.scale)) == trace_decade
+    assert math.floor(math.log10(certificate.gap / certificate.cost)) == cost_decade
+
+
 def test_each_stage_decomposes_the_dual_slack_twice(monkeypatch):
     # once at the solver's y, for extraction (and, in the strict stage, its bound), and once
     # at the refined y; the strict stage refines against a second candidate when the first
